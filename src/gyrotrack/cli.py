@@ -16,8 +16,7 @@ Exit codes: 0 success, 1 usage or config error, 2 numerical divergence.
 
 The CSV schema is a stable contract (see COLUMNS): one row per sample,
 numbers with 17 significant digits, comma separated, LF line endings.
-The environment variable GYROTRACK_SEED is reserved and currently unused;
-all dynamics are deterministic, and reruns produce byte-identical files.
+All dynamics are deterministic, and reruns produce byte-identical files.
 """
 
 import argparse
@@ -285,9 +284,7 @@ def _build_parser():
     parser = argparse.ArgumentParser(
         prog="gyrotrack",
         description="Attitude tracking for a rigid body with internal "
-                    "reaction rotors.",
-        epilog="GYROTRACK_SEED is reserved for future use; simulations are "
-               "deterministic and ignore it.")
+                    "reaction rotors.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -19,7 +19,7 @@ import numpy as np
 from .control import (NavigationWeights, gain_derive, lambda_sup_formula,
                       mu_hess_formula)
 from .dynamics import InertiaParams
-from .errors import ConfigParseError
+from .errors import ConfigParseError, KappaOutOfRangeError
 from .integrators import SCHEMES, IntegratorConfig
 from .scenario import (BodySetup, ReferenceProgram, ScenarioConfig,
                        resolve_reference)
@@ -159,7 +159,9 @@ def parse_config(text):
                             _numbers(pairs, "gains.kd", 1),
                             _numbers(pairs, "gains.ki", 1),
                             kappa, mu, lam)
-    except Exception as exc:
+    except KappaOutOfRangeError as exc:
+        raise ConfigParseError(str(exc), key="gains.kappa")
+    except ValueError as exc:
         raise ConfigParseError(str(exc), key="gains.kp")
 
     scheme = _word(pairs, "integrator.scheme", set(SCHEMES)) \

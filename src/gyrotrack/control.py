@@ -19,6 +19,10 @@ a dissipative system whose energy function `ecl_value` decreases at a rate
 bounded by the quadratic form of `q_matrix` whenever the gains satisfy the
 inequalities checked by `gain_feasible`.
 
+Each formula is written once and accepts a leading sample axis: the
+integrator evaluates `_loop_kernel` one sample at a time, and the run
+post-pass evaluates the same kernels on every stored sample.
+
 The same behavior is realized on the rotor-driven plant by converting the
 realized torque through `control_uint`; torques applied to the rotors are
 internal, so the plant's spatial angular momentum stays conserved while it
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KappaOutOfRangeError, SingularMetricError
-from .so3 import cross3, expm, hat
+from .so3 import connection_term, cross3, expm, hat, skew_vee
 
 # Certification constants used by the bundled benchmark gain set (k_p, k_d,
 # k_I) = (1, 3, 1).  The Hessian-bound constant does not match
@@ -150,13 +154,20 @@ def pd_variant(gains):
 # ---------------------------------------------------------------------------
 
 def nav_psi(p, e):
-    """Navigation function psi(E) = trace(P (1 - E)).
+    """Navigation function psi(E) = trace(P (1 - E)), per matrix of a stack.
 
     Nonnegative on SO(3) for SPD P, zero exactly at E = identity.
     """
     p = _weights_matrix(p)
-    e = np.asarray(e, dtype=float)
-    return float(np.trace(p) - np.einsum("ij,ji->", p, e))
+    return np.trace(p) - np.einsum("ij,...ji->...", p, np.asarray(e, dtype=float))
+
+
+def _dpsi(p_mat, e):
+    """Trivialized differential of psi: vee(PE - (PE)^T), per matrix.
+
+    d/dt psi(E expm(t v))|_0 = <_dpsi(P, E), v>; vanishes at critical points.
+    """
+    return skew_vee(p_mat @ e)
 
 
 def nav_dpsi(p, e):
@@ -166,18 +177,7 @@ def nav_dpsi(p, e):
     d/dt psi(E expm(t v))|_0 = <2 nav_dpsi(P, E), v>, the scale being
     pinned by the finite-difference tests.  Vanishes at critical points.
     """
-    pe = _weights_matrix(p) @ np.asarray(e, dtype=float)
-    return 0.5 * np.array([pe[2, 1] - pe[1, 2],
-                           pe[0, 2] - pe[2, 0],
-                           pe[1, 0] - pe[0, 1]])
-
-
-def _dpsi_full(p_mat, e):
-    """True trivialized differential of psi: vee(PE - (PE)^T) = 2*nav_dpsi."""
-    pe = p_mat @ e
-    return np.array([pe[2, 1] - pe[1, 2],
-                     pe[0, 2] - pe[2, 0],
-                     pe[1, 0] - pe[0, 1]])
+    return 0.5 * _dpsi(_weights_matrix(p), np.asarray(e, dtype=float))
 
 
 def error_state(r, omega, r_d, omega_d):
@@ -185,16 +185,20 @@ def error_state(r, omega, r_d, omega_d):
 
     E = R_d R^T and eta = R (Omega_d - Omega), the closed form of
     vee(E^{-1} dE/dt) for the attitude kinematics dR = R hat(Omega).
+    Arguments may carry a leading sample axis.
     """
     r = np.asarray(r, dtype=float)
-    e = np.asarray(r_d, dtype=float) @ r.T
-    eta = r @ (np.asarray(omega_d, dtype=float) - np.asarray(omega, dtype=float))
-    return e, eta
+    e = np.asarray(r_d, dtype=float) @ r.mT
+    v = np.asarray(omega_d, dtype=float) - np.asarray(omega, dtype=float)
+    return e, (r @ v[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
 class ErrorState:
-    """Error rotation E, error velocity eta, and integral state xi_I."""
+    """Error rotation E, error velocity eta, and integral state xi_I.
+
+    Fields may carry a leading sample axis, (n, 3, 3) and (n, 3).
+    """
 
     E: np.ndarray
     eta: np.ndarray
@@ -205,12 +209,6 @@ class ErrorState:
 # integral state transport
 # ---------------------------------------------------------------------------
 
-def _connection(i_metric, i_inv, a, b):
-    """Trivialized Levi-Civita connection of the metric (fast kernel)."""
-    rhs = cross3(i_metric @ b, a) + cross3(i_metric @ a, b)
-    return 0.5 * (cross3(a, b) - i_inv @ rhs)
-
-
 def xi_I_deriv(p_metric, p, e, eta, xi_i):
     """Time derivative of the integral state in trivialized coordinates.
 
@@ -220,13 +218,13 @@ def xi_I_deriv(p_metric, p, e, eta, xi_i):
     xi_I along the error curve equals the metric gradient of psi.
     """
     p_metric = np.asarray(p_metric, dtype=float)
-    dpsi = _dpsi_full(_weights_matrix(p), np.asarray(e, dtype=float))
     try:
         i_inv = np.linalg.inv(p_metric)
     except np.linalg.LinAlgError as exc:
         raise SingularMetricError("metric tensor is singular") from exc
-    return i_inv @ dpsi - _connection(p_metric, i_inv, np.asarray(eta, dtype=float),
-                                      np.asarray(xi_i, dtype=float))
+    dpsi = _dpsi(_weights_matrix(p), np.asarray(e, dtype=float))
+    return dpsi @ i_inv - connection_term(p_metric, np.asarray(eta, dtype=float),
+                                          np.asarray(xi_i, dtype=float), i_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -235,27 +233,24 @@ def xi_I_deriv(p_metric, p, e, eta, xi_i):
 
 def _loop_kernel(i_metric, i_inv, p_mat, gains, r, omega, r_d, omega_d,
                  omega_d_dot, xi_i):
-    """Commanded acceleration and integral-state rate (hot path).
+    """Commanded acceleration and integral-state rate.
 
     Inverses are precomputed by the caller; intermediates (error rotation,
     error velocity, gradient) are shared between the control and the
-    integral-state transport.  Returns (u, xi_dot).
+    integral-state transport.  Arguments are one sample (the integrator's
+    hot path) or stacks of samples (the run post-pass).  Returns
+    (u, xi_dot).
     """
-    e = r_d @ r.T
-    eta = r @ (omega_d - omega)
-    dpsi = _dpsi_full(p_mat, e)
-    grad = i_inv @ dpsi
-    i_eta = i_metric @ eta
-    # conn(eta, eta) = -I^{-1}((I eta) x eta)
+    e, eta = error_state(r, omega, r_d, omega_d)
+    grad = _dpsi(p_mat, e).dot(i_inv)
     fb = (gains.kp * grad + gains.kd * eta + gains.ki * xi_i
-          - i_inv @ cross3(i_eta, eta))
-    euler = i_inv @ cross3(i_metric @ omega, omega)
-    # r.T @ fb written as fb @ r
-    u = omega_d_dot + cross3(omega, omega_d) - euler + fb @ r
-    conn_exi = 0.5 * (cross3(eta, xi_i)
-                      - i_inv @ (cross3(i_metric @ xi_i, eta)
-                                 + cross3(i_eta, xi_i)))
-    return u, grad - conn_exi
+          + connection_term(i_metric, eta, eta, i_inv))
+    # the Euler term -I^{-1}((I Omega) x Omega) is conn(Omega, Omega);
+    # R^T fb is written as the row vector fb R
+    u = (omega_d_dot + cross3(omega, omega_d)
+         + connection_term(i_metric, omega, omega, i_inv)
+         + (fb[..., None, :] @ r)[..., 0, :])
+    return u, grad - connection_term(i_metric, eta, xi_i, i_inv)
 
 
 def control_uext(i_metric, p, gains, r, omega, r_d, omega_d, omega_d_dot, xi_i):
@@ -291,7 +286,7 @@ def control_uint(params, u_ext, omega, omega_r):
     """
     omega = np.asarray(omega, dtype=float)
     gyro = params.rotor_diag * (omega + np.asarray(omega_r))
-    return -np.asarray(u_ext, dtype=float) + cross3(gyro, omega)
+    return cross3(gyro, omega) - u_ext
 
 
 # ---------------------------------------------------------------------------
@@ -307,20 +302,21 @@ def ecl_value(p_metric, p, gains, err):
             + alpha <grad, eta> + beta <xi, eta> + delta <grad, xi>
 
     Positive definite on the certified region when `gain_feasible` holds;
-    zero exactly at (identity, 0, 0).
+    zero exactly at (identity, 0, 0).  Evaluated per sample of a stacked
+    ErrorState.
     """
     i = np.asarray(p_metric, dtype=float)
     p_mat = _weights_matrix(p)
     eta, xi = np.asarray(err.eta, dtype=float), np.asarray(err.xi_I, dtype=float)
-    dpsi = _dpsi_full(p_mat, np.asarray(err.E, dtype=float))
-    i_eta = i @ eta
+    dpsi = _dpsi(p_mat, np.asarray(err.E, dtype=float))
+    i_eta = eta @ i
     # <grad, eta> = dpsi^T eta and <grad, xi> = dpsi^T xi since I^{-1} I = 1.
-    return (0.5 * float(eta @ i_eta)
+    return (0.5 * np.vecdot(eta, i_eta)
             + gains.kp * nav_psi(p_mat, err.E)
-            + 0.5 * gains.tau * float(xi @ i @ xi)
-            + gains.alpha * float(dpsi @ eta)
-            + gains.beta * float(xi @ i_eta)
-            + gains.delta * float(dpsi @ xi))
+            + 0.5 * gains.tau * np.vecdot(xi, xi @ i)
+            + gains.alpha * np.vecdot(dpsi, eta)
+            + gains.beta * np.vecdot(xi, i_eta)
+            + gains.delta * np.vecdot(dpsi, xi))
 
 
 def ecl_rate_bound(p_metric, p, gains, err):
@@ -328,17 +324,16 @@ def ecl_rate_bound(p_metric, p, gains, err):
 
     v collects the metric norms (||eta||, ||grad psi||, ||xi_I||); Q is the
     symmetric matrix of `q_matrix`.  Valid as a bound inside the region
-    where the Hessian bound mu_hess holds.
+    where the Hessian bound mu_hess holds.  Evaluated per sample of a
+    stacked ErrorState.
     """
     i = np.asarray(p_metric, dtype=float)
-    dpsi = _dpsi_full(_weights_matrix(p), np.asarray(err.E, dtype=float))
+    dpsi = _dpsi(_weights_matrix(p), np.asarray(err.E, dtype=float))
     eta, xi = np.asarray(err.eta, dtype=float), np.asarray(err.xi_I, dtype=float)
-    v1 = np.sqrt(float(eta @ i @ eta))
-    v2 = np.sqrt(float(dpsi @ np.linalg.solve(i, dpsi)))
-    v3 = np.sqrt(float(xi @ i @ xi))
-    q = q_matrix(gains)
-    v = np.array([v1, v2, v3])
-    return -float(v @ q @ v)
+    v = np.sqrt(np.stack([np.vecdot(eta, eta @ i),
+                          np.vecdot(dpsi, dpsi @ np.linalg.inv(i)),
+                          np.vecdot(xi, xi @ i)], axis=-1))
+    return -np.vecdot(v, v @ q_matrix(gains))
 
 
 def q_matrix(gains):
@@ -434,57 +429,40 @@ def lambda_sup_formula(i_metric):
     return float(2.0 * eig[-1] / eig[0] ** 2)
 
 
-def _connection_tensor(i_metric):
-    """C[:, i, j] = conn(e_i, e_j) for the metric, precomputed once."""
-    i = np.asarray(i_metric, dtype=float)
-    i_inv = np.linalg.inv(i)
-    c = np.zeros((3, 3, 3))
-    basis = np.eye(3)
-    for a in range(3):
-        for b in range(3):
-            c[:, a, b] = _connection(i, i_inv, basis[a], basis[b])
-    return c
-
-
-def _hessian_series(p_mat, i_metric, e_batch):
-    """Batched covariant Hessian of psi, shape (n, 3, 3), symmetric.
-
-    Hess(v, w) = d/dt [dpsi(E expm(t v)) . w] - dpsi(E) . conn(v, w),
-    with the first term's derivative equal to vee(PE hat(v) - (PE hat(v))^T).
-    """
-    e_batch = np.asarray(e_batch, dtype=float)
-    pe = np.einsum("ij,njk->nik", p_mat, e_batch)
-    dpsi = np.stack([pe[:, 2, 1] - pe[:, 1, 2],
-                     pe[:, 0, 2] - pe[:, 2, 0],
-                     pe[:, 1, 0] - pe[:, 0, 1]], axis=1)
-    # F[n, :, j] = vee-of-skew of PE hat(e_j); Hess1(v, w) = (F v) . w
-    f = np.empty((len(e_batch), 3, 3))
-    basis = np.eye(3)
-    for j in range(3):
-        m = np.einsum("nik,kl->nil", pe, hat(basis[j]))
-        f[:, 0, j] = m[:, 2, 1] - m[:, 1, 2]
-        f[:, 1, j] = m[:, 0, 2] - m[:, 2, 0]
-        f[:, 2, j] = m[:, 1, 0] - m[:, 0, 1]
-    h1 = np.transpose(f, (0, 2, 1))
-    h2 = np.einsum("nk,kij->nij", dpsi, _connection_tensor(i_metric))
-    h = h1 - h2
-    return 0.5 * (h + np.transpose(h, (0, 2, 1)))
-
-
 def nav_hessian(p, i_metric, e):
     """Covariant Hessian of psi at E, trivialized, as a symmetric 3x3 form.
 
-    Hess(v, w) = d/dt [dpsi(E expm(t v)) . w] - dpsi(E) . conn(v, w).
+    Hess(v, w) = d/dt [dpsi(E expm(t v)) . w] - dpsi(E) . conn(v, w),
+    with the first term's derivative equal to vee(PE hat(v) - (PE hat(v))^T).
+    E may be a stack of rotations, giving an (n, 3, 3) stack of forms.
     """
-    return _hessian_series(_weights_matrix(p), i_metric,
-                           np.asarray(e, dtype=float)[None])[0]
+    pe = _weights_matrix(p) @ np.asarray(e, dtype=float)
+    basis = np.eye(3)
+    # row v of the first term is vee(PE hat(v) - (PE hat(v))^T)
+    h1 = np.stack([skew_vee(pe @ hat(v)) for v in basis], axis=-2)
+    # conn[v, w] = conn(e_v, e_w)
+    conn = connection_term(i_metric, np.repeat(basis, 3, axis=0),
+                           np.tile(basis, (3, 1))).reshape(3, 3, 3)
+    h = h1 - np.einsum("...k,vwk->...vw", skew_vee(pe), conn)
+    return 0.5 * (h + h.mT)
+
+
+def _metric_spectrum(i_metric, h):
+    """Eigenvalues of a symmetric form relative to the metric, per form.
+
+    The spectrum of I^{-1} H, taken as eigvalsh(I^{-1/2} H I^{-1/2}) so
+    that it stays symmetric and accepts a stack of forms.
+    """
+    evals, evecs = np.linalg.eigh(np.asarray(i_metric, dtype=float))
+    i_mhalf = (evecs * evals ** -0.5) @ evecs.T
+    return np.linalg.eigvalsh(i_mhalf @ h @ i_mhalf)
 
 
 def _sample_rotations(rng, n, max_angle):
     axes = rng.normal(size=(n, 3))
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)
     angles = rng.uniform(0.0, max_angle, size=n)
-    return [expm(a * ax) for a, ax in zip(angles, axes)]
+    return np.array([expm(a * ax) for a, ax in zip(angles, axes)])
 
 
 def estimate_mu_hess(p, i_metric, psi_cap=1.0, n_samples=2000, seed=0):
@@ -494,34 +472,23 @@ def estimate_mu_hess(p, i_metric, psi_cap=1.0, n_samples=2000, seed=0):
     returns the largest magnitude of the metric-Hessian eigenvalues seen.
     Complements the closed-form `mu_hess_formula`.
     """
-    from scipy.linalg import eigh
-
     p_mat = _weights_matrix(p)
-    i = np.asarray(i_metric, dtype=float)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for e in _sample_rotations(rng, n_samples, np.pi):
-        if nav_psi(p_mat, e) > psi_cap:
-            continue
-        vals = eigh(nav_hessian(p_mat, i, e), i, eigvals_only=True)
-        worst = max(worst, float(np.abs(vals).max()))
-    return worst
+    e = _sample_rotations(np.random.default_rng(seed), n_samples, np.pi)
+    e = e[nav_psi(p_mat, e) <= psi_cap]
+    spectrum = _metric_spectrum(i_metric, nav_hessian(p_mat, i_metric, e))
+    return float(np.abs(spectrum).max(initial=0.0))
 
 
 def estimate_lambda_sup(p, i_metric, psi_cap=1.0, n_samples=2000, seed=0):
     """Sampled bound of <grad psi, grad psi> / (2 psi) over {psi(E) <= cap}."""
     p_mat = _weights_matrix(p)
-    i = np.asarray(i_metric, dtype=float)
-    i_inv = np.linalg.inv(i)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for e in _sample_rotations(rng, n_samples, np.pi):
-        psi = nav_psi(p_mat, e)
-        if psi > psi_cap or psi < 1e-12:
-            continue
-        dpsi = _dpsi_full(p_mat, e)
-        worst = max(worst, float(dpsi @ i_inv @ dpsi) / (2.0 * psi))
-    return worst
+    e = _sample_rotations(np.random.default_rng(seed), n_samples, np.pi)
+    psi = nav_psi(p_mat, e)
+    keep = (psi <= psi_cap) & (psi >= 1e-12)
+    dpsi = _dpsi(p_mat, e[keep])
+    i_inv = np.linalg.inv(np.asarray(i_metric, dtype=float))
+    ratio = np.vecdot(dpsi, dpsi @ i_inv) / (2.0 * psi[keep])
+    return float(ratio.max(initial=0.0))
 
 
 def synthesize_gains(i_metric, kd=3.0, mu_hess=None, lambda_sup=None,

@@ -12,7 +12,7 @@ system
 
     [[I+K, K], [K, K]] @ [dOmega, dOmegaR] = [Pi x Omega, u_int]
 
-with the block matrix factored once per :class:`InertiaParams`.  The
+with the block matrix inverted once per :class:`InertiaParams`.  The
 rearranged closed forms exist as a cross-check oracle in the test suite,
 not as the production path.
 
@@ -24,10 +24,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import SingularInertiaError
-from .so3 import cross3, hat, is_rotation
+from .so3 import connection_term, cross3, hat, is_rotation
 
 
 def _as_diag3(k):
@@ -89,16 +88,11 @@ class InertiaParams:
 
     @cached_property
     def _block_inv(self):
-        """Inverse of the [[I+K, K], [K, K]] block, from a one-time LU."""
-        block = np.zeros((6, 6))
-        block[:3, :3] = self.locked
-        block[:3, 3:] = self.rotor_inertia
-        block[3:, :3] = self.rotor_inertia
-        block[3:, 3:] = self.rotor_inertia
+        """Inverse of the [[I+K, K], [K, K]] block, computed once."""
+        k = self.rotor_inertia
         try:
-            lu = lu_factor(block)
-            return lu_solve(lu, np.eye(6))
-        except (ValueError, np.linalg.LinAlgError) as exc:  # pragma: no cover
+            return np.linalg.inv(np.block([[self.locked, k], [k, k]]))
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise SingularInertiaError("inertia block system is singular") from exc
 
 
@@ -165,8 +159,12 @@ class StateDerivative:
 
 
 def momentum_body(params, omega, omega_r):
-    """Body-frame angular momentum Pi = (I+K) Omega + K OmegaR."""
-    return params.locked @ omega + params.rotor_inertia @ omega_r
+    """Body-frame angular momentum Pi = (I+K) Omega + K OmegaR.
+
+    Velocities may be 3-vectors or (n, 3) stacks; I+K is symmetric, so it
+    acts on row vectors from the right.
+    """
+    return omega.dot(params.locked) + params.rotor_diag * omega_r
 
 
 def momentum_spatial(r, pi):
@@ -197,13 +195,15 @@ def locked_inertia(params, r=None, frame="body"):
 
 
 def rotor_accels(params, omega, omega_r, u_int):
-    """(dOmega, dOmegaR) of the rotor plant via the cached block solve."""
-    pi = params.locked @ omega + params.rotor_diag * omega_r
-    rhs = np.empty(6)
-    rhs[:3] = cross3(pi, omega)
-    rhs[3:] = u_int
-    acc = params._block_inv @ rhs
-    return acc[:3], acc[3:]
+    """(dOmega, dOmegaR) of the rotor plant via the cached block solve.
+
+    Arguments may be 3-vectors or (n, 3) stacks of samples.  The block
+    matrix is symmetric, so its inverse acts on row vectors from the right.
+    """
+    pi = momentum_body(params, omega, omega_r)
+    rhs = np.concatenate((cross3(pi, omega), u_int), axis=-1)
+    acc = rhs.dot(params._block_inv)
+    return acc[..., :3], acc[..., 3:]
 
 
 def deriv_internal(params, state, u_int):
@@ -223,20 +223,14 @@ def deriv_internal(params, state, u_int):
     )
 
 
-def external_accel(i_inertia, i_inv, omega, u_ext):
-    """dOmega of the externally actuated body: I^{-1}((I Omega) x Omega) + u_ext."""
-    return i_inv @ np.cross(i_inertia @ omega, omega) + u_ext
-
-
 def deriv_external(i_inertia, r, omega, u_ext):
     """Vector field of the externally actuated rigid body.
 
     ``u_ext`` is algebra-valued (rad/s^2); the physical torque it realizes
     is I @ u_ext.  dR = R hat(Omega), dOmega = I^{-1}((I Omega) x Omega) + u_ext.
     """
-    i_inertia = np.asarray(i_inertia, dtype=float)
     omega = np.asarray(omega, dtype=float)
-    omega_dot = np.linalg.solve(i_inertia, np.cross(i_inertia @ omega, omega)) + u_ext
+    omega_dot = u_ext - connection_term(i_inertia, omega, omega)
     return StateDerivative(
         theta_dot=np.zeros(3),
         omega_dot=omega_dot,

@@ -21,14 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import (FeasibilityVerdict, GainSet, NavigationWeights,
-                      _loop_kernel, gain_derive, gain_feasible, pd_variant,
-                      q_matrix, synthesize_gains, BENCHMARK_MU_HESS,
+from .control import (ErrorState, FeasibilityVerdict, GainSet,
+                      NavigationWeights, _loop_kernel, _metric_spectrum,
+                      control_uint, ecl_rate_bound, ecl_value, error_state,
+                      gain_derive, gain_feasible, nav_hessian, nav_psi,
+                      pd_variant, synthesize_gains, BENCHMARK_MU_HESS,
                       BENCHMARK_LAMBDA_SUP)
 from .dynamics import InertiaParams, momentum_body, rotor_accels
 from .errors import SingularRotorInertiaError
 from .integrators import IntegratorConfig, Trajectory, integrate
-from .so3 import cross3
+# bound here, although unused, so that bench/tracing.py can count calls
+# made through scenario.cross3 as it does for the other modules
+from .so3 import connection_term, cross3, rotation_angle  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -126,15 +130,6 @@ class ClosedLoopTrajectory:
 
     def __len__(self):
         return len(self.times)
-
-    def plant_trajectory(self):
-        return Trajectory(times=self.times, R=self.R, Theta=self.Theta,
-                          Omega=self.Omega, OmegaR=self.OmegaR)
-
-    def reference_trajectory(self):
-        return Trajectory(times=self.times, R=self.R_d, Theta=self.Theta_d,
-                          Omega=self.Omega_d, OmegaR=self.OmegaR_d,
-                          omega_dot=self.Omega_d_dot)
 
 
 @dataclass
@@ -285,6 +280,19 @@ def on_reference_variant(cfg):
 # reference generation
 # ---------------------------------------------------------------------------
 
+def _rotor_field(params, torque):
+    """Vector field of a rotor body under a torque program ``torque(t)``.
+
+    Vector state Theta 0:3 | Omega 3:6 | OmegaR 6:9; the attitude moves
+    with body velocity Omega.
+    """
+    def field(t, rots, vec):
+        d_omega, d_omega_r = rotor_accels(params, vec[3:6], vec[6:9],
+                                          torque(t))
+        return (vec[3:6],), np.concatenate((vec[6:9], d_omega, d_omega_r))
+    return field
+
+
 def make_reference(cfg):
     """Integrate the reference body alone under its torque program.
 
@@ -294,94 +302,54 @@ def make_reference(cfg):
     """
     cfg = resolve_reference(cfg)
     ref = cfg.reference
-    program = cfg.program
-
-    def field(t, rots, vec):
-        omega, omega_r = vec[3:6], vec[6:9]
-        d_omega, d_omega_r = rotor_accels(ref.params, omega, omega_r,
-                                          program.torque(t))
-        vdot = np.empty(9)
-        vdot[0:3] = omega_r
-        vdot[3:6] = d_omega
-        vdot[6:9] = d_omega_r
-        return (omega,), vdot
-
     vec0 = np.concatenate([ref.Theta0, ref.Omega0, ref.OmegaR0])
-    hist = integrate(field, ((ref.R0,), vec0), cfg.integrator)
-    omega = hist.vectors[:, 3:6]
-    omega_r = hist.vectors[:, 6:9]
-    omega_dot = _rotor_accel_series(ref.params, omega, omega_r,
-                                    program.torque_series(hist.times))[0]
+    hist = integrate(_rotor_field(ref.params, cfg.program.torque),
+                     ((ref.R0,), vec0), cfg.integrator)
+    omega, omega_r = hist.vectors[:, 3:6], hist.vectors[:, 6:9]
+    omega_dot, _ = rotor_accels(ref.params, omega, omega_r,
+                                cfg.program.torque_series(hist.times))
     return Trajectory(times=hist.times, R=hist.rotations[0],
                       Theta=hist.vectors[:, 0:3], Omega=omega,
                       OmegaR=omega_r, omega_dot=omega_dot)
-
-
-def _rotor_accel_series(params, omega, omega_r, u_int):
-    """Vectorized block solve over stacked samples."""
-    pi = omega @ params.locked.T + omega_r @ params.rotor_inertia.T
-    rhs = np.concatenate([np.cross(pi, omega), u_int], axis=1)
-    acc = rhs @ params._block_inv.T
-    return acc[:, :3], acc[:, 3:]
 
 
 # ---------------------------------------------------------------------------
 # closed-loop runs
 # ---------------------------------------------------------------------------
 
+_ZERO3 = np.zeros(3)
+
+
 def _closed_loop_field(cfg, actuation):
-    """Combined plant + reference + integral-state vector field."""
-    plant, ref = cfg.plant.params, cfg.reference.params
-    program = cfg.program
+    """Combined plant + reference + integral-state vector field.
+
+    vec: Theta 0:3 | Omega 3:6 | OmegaR 6:9 | Theta_d 9:12 | Omega_d 12:15
+         | OmegaR_d 15:18 | xi_I 18:21.
+    Under external actuation the carrier body is torqued directly and the
+    plant's Theta and OmegaR slots stay zero.
+    """
+    plant = cfg.plant.params
+    reference = _rotor_field(cfg.reference.params, cfg.program.torque)
     gains = cfg.gains
     p_mat = cfg.weights.P
     i_metric = plant.body_inertia
     i_inv = plant.body_inertia_inv
-    rotor_k = plant.rotor_diag
+    internal = actuation == "internal"
 
-    if actuation == "internal":
-        # vec: Theta 0:3 | Omega 3:6 | OmegaR 6:9 | Theta_d 9:12
-        #      | Omega_d 12:15 | OmegaR_d 15:18 | xi_I 18:21
-        def field(t, rots, vec):
-            r, r_d = rots
-            omega, omega_r = vec[3:6], vec[6:9]
-            omega_d, omega_rd = vec[12:15], vec[15:18]
-            xi = vec[18:21]
-            d_omega_d, d_omega_rd = rotor_accels(ref, omega_d, omega_rd,
-                                                 program.torque(t))
-            u, xi_dot = _loop_kernel(i_metric, i_inv, p_mat, gains, r,
-                                     omega, r_d, omega_d, d_omega_d, xi)
-            u_int = -(i_metric @ u) + cross3(rotor_k * (omega + omega_r), omega)
-            d_omega, d_omega_r = rotor_accels(plant, omega, omega_r, u_int)
-            vdot = np.empty(21)
-            vdot[0:3] = omega_r
-            vdot[3:6] = d_omega
-            vdot[6:9] = d_omega_r
-            vdot[9:12] = omega_rd
-            vdot[12:15] = d_omega_d
-            vdot[15:18] = d_omega_rd
-            vdot[18:21] = xi_dot
-            return (omega, omega_d), vdot
-        return field
-
-    # external actuation: the carrier body alone, torqued directly
-    # vec: Omega 0:3 | Theta_d 3:6 | Omega_d 6:9 | OmegaR_d 9:12 | xi_I 12:15
     def field(t, rots, vec):
         r, r_d = rots
-        omega = vec[0:3]
-        omega_d, omega_rd = vec[6:9], vec[9:12]
-        xi = vec[12:15]
-        d_omega_d, d_omega_rd = rotor_accels(ref, omega_d, omega_rd,
-                                             program.torque(t))
+        omega, omega_r = vec[3:6], vec[6:9]
+        (omega_d,), ref_rates = reference(t, (r_d,), vec[9:18])
         u, xi_dot = _loop_kernel(i_metric, i_inv, p_mat, gains, r, omega,
-                                 r_d, omega_d, d_omega_d, xi)
-        vdot = np.empty(15)
-        vdot[0:3] = i_inv @ cross3(i_metric @ omega, omega) + u
-        vdot[3:6] = omega_rd
-        vdot[6:9] = d_omega_d
-        vdot[9:12] = d_omega_rd
-        vdot[12:15] = xi_dot
-        return (omega, omega_d), vdot
+                                 r_d, omega_d, ref_rates[3:6], vec[18:21])
+        if internal:
+            u_int = control_uint(plant, u.dot(i_metric), omega, omega_r)
+            d_omega, d_omega_r = rotor_accels(plant, omega, omega_r, u_int)
+        else:
+            d_omega = u - connection_term(i_metric, omega, omega, i_inv)
+            d_omega_r = _ZERO3
+        return (omega, omega_d), np.concatenate(
+            (omega_r, d_omega, d_omega_r, ref_rates, xi_dot))
     return field
 
 
@@ -397,42 +365,23 @@ def run_closed_loop(cfg, actuation="internal"):
         raise ValueError("actuation must be 'internal' or 'external'")
     cfg = resolve_reference(cfg)
     plant, ref = cfg.plant, cfg.reference
-    field = _closed_loop_field(cfg, actuation)
-    xi0 = np.zeros(3)
+    theta0, omega_r0 = (plant.Theta0, plant.OmegaR0) \
+        if actuation == "internal" else (_ZERO3, _ZERO3)
+    vec0 = np.concatenate([theta0, plant.Omega0, omega_r0,
+                           ref.Theta0, ref.Omega0, ref.OmegaR0, _ZERO3])
+    hist = integrate(_closed_loop_field(cfg, actuation),
+                     ((plant.R0, ref.R0), vec0), cfg.integrator)
 
-    if actuation == "internal":
-        vec0 = np.concatenate([plant.Theta0, plant.Omega0, plant.OmegaR0,
-                               ref.Theta0, ref.Omega0, ref.OmegaR0, xi0])
-    else:
-        vec0 = np.concatenate([plant.Omega0, ref.Theta0, ref.Omega0,
-                               ref.OmegaR0, xi0])
-    hist = integrate(field, ((plant.R0, ref.R0), vec0), cfg.integrator)
-
+    vec = hist.vectors
     n = len(hist.times)
-    if actuation == "internal":
-        theta, omega, omega_r = (hist.vectors[:, 0:3], hist.vectors[:, 3:6],
-                                 hist.vectors[:, 6:9])
-        theta_d, omega_d, omega_rd = (hist.vectors[:, 9:12],
-                                      hist.vectors[:, 12:15],
-                                      hist.vectors[:, 15:18])
-        xi = hist.vectors[:, 18:21]
-    else:
-        theta = np.zeros((n, 3))
-        omega = hist.vectors[:, 0:3]
-        omega_r = np.zeros((n, 3))
-        theta_d, omega_d, omega_rd = (hist.vectors[:, 3:6],
-                                      hist.vectors[:, 6:9],
-                                      hist.vectors[:, 9:12])
-        xi = hist.vectors[:, 12:15]
-
-    omega_d_dot, _ = _rotor_accel_series(ref.params, omega_d, omega_rd,
-                                         cfg.program.torque_series(hist.times))
+    omega_d_dot, _ = rotor_accels(ref.params, vec[:, 12:15], vec[:, 15:18],
+                                  cfg.program.torque_series(hist.times))
     traj = ClosedLoopTrajectory(
-        times=hist.times, R=hist.rotations[0], Theta=theta, Omega=omega,
-        OmegaR=omega_r, R_d=hist.rotations[1], Theta_d=theta_d,
-        Omega_d=omega_d, OmegaR_d=omega_rd, Omega_d_dot=omega_d_dot,
-        xi_I=xi, u_ext=np.empty((n, 3)), u_int=np.empty((n, 3)),
-        actuation=actuation)
+        times=hist.times, R=hist.rotations[0], Theta=vec[:, 0:3],
+        Omega=vec[:, 3:6], OmegaR=vec[:, 6:9], R_d=hist.rotations[1],
+        Theta_d=vec[:, 9:12], Omega_d=vec[:, 12:15], OmegaR_d=vec[:, 15:18],
+        Omega_d_dot=omega_d_dot, xi_I=vec[:, 18:21],
+        u_ext=np.empty((n, 3)), u_int=np.empty((n, 3)), actuation=actuation)
     metrics = _compute_metrics(cfg, traj)
     return traj, metrics
 
@@ -443,76 +392,37 @@ def _compute_metrics(cfg, traj):
     Also fills traj.u_ext / traj.u_int in place from the stored states.
     """
     plant = cfg.plant.params
-    gains = cfg.gains
-    p_mat = cfg.weights.P
+    gains, weights = cfg.gains, cfg.weights
     i_metric = plant.body_inertia
-    i_inv = plant.body_inertia_inv
-    r, r_d = traj.R, traj.R_d
-    omega, omega_d = traj.Omega, traj.Omega_d
+    internal = traj.actuation == "internal"
 
-    e = np.einsum("nij,nkj->nik", r_d, r)               # R_d R^T
-    eta = np.einsum("nij,nj->ni", r, omega_d - omega)
-    pe = np.einsum("ij,njk->nik", p_mat, e)
-    dpsi = np.stack([pe[:, 2, 1] - pe[:, 1, 2],
-                     pe[:, 0, 2] - pe[:, 2, 0],
-                     pe[:, 1, 0] - pe[:, 0, 1]], axis=1)
-    psi = np.trace(p_mat) - np.einsum("ij,nji->n", p_mat, e)
-
-    skew = 0.5 * np.stack([e[:, 2, 1] - e[:, 1, 2],
-                           e[:, 0, 2] - e[:, 2, 0],
-                           e[:, 1, 0] - e[:, 0, 1]], axis=1)
-    geo = np.arctan2(np.linalg.norm(skew, axis=1),
-                     0.5 * (np.einsum("nii->n", e) - 1.0))
-
-    # commanded acceleration, realized torque, rotor torque
-    i_eta = eta @ i_metric.T
-    conn = -np.cross(i_eta, eta) @ i_inv.T
-    fb = conn + (gains.kp * dpsi) @ i_inv.T + gains.kd * eta + gains.ki * traj.xi_I
-    euler = np.cross(omega @ i_metric.T, omega) @ i_inv.T
-    u = traj.Omega_d_dot + np.cross(omega, omega_d) - euler \
-        + np.einsum("nji,nj->ni", r, fb)
-    torque = u @ i_metric.T
-    traj.u_ext[:] = torque
-    if traj.actuation == "internal":
-        gyro = (omega + traj.OmegaR) @ plant.rotor_inertia.T
-        traj.u_int[:] = -torque + np.cross(gyro, omega)
-    else:
-        traj.u_int[:] = 0.0
+    u, _ = _loop_kernel(i_metric, plant.body_inertia_inv, weights.P, gains,
+                        traj.R, traj.Omega, traj.R_d, traj.Omega_d,
+                        traj.Omega_d_dot, traj.xi_I)
+    traj.u_ext[:] = u @ i_metric
+    traj.u_int[:] = control_uint(plant, traj.u_ext, traj.Omega,
+                                 traj.OmegaR) if internal else 0.0
 
     # conservation diagnostics
-    if traj.actuation == "internal":
-        pi = omega @ plant.locked.T + traj.OmegaR @ plant.rotor_inertia.T
-    else:
-        pi = omega @ i_metric.T
-    spatial = np.einsum("nij,nj->ni", r, pi)
+    pi = momentum_body(plant, traj.Omega, traj.OmegaR) if internal \
+        else traj.Omega @ i_metric
+    spatial = (traj.R @ pi[:, :, None])[:, :, 0]
     drift_series = np.abs(spatial - spatial[0]).max(axis=1)
     ortho = 0.0
-    for rot in (r, r_d):
-        gram = np.einsum("nji,njk->nik", rot, rot) - np.eye(3)
+    for rot in (traj.R, traj.R_d):
+        gram = rot.mT @ rot - np.eye(3)
         ortho = max(ortho, float(np.sqrt((gram ** 2).sum(axis=(1, 2))).max()))
 
-    # energy function and decay bound
-    xi = traj.xi_I
-    quad_eta = np.einsum("ni,ij,nj->n", eta, i_metric, eta)
-    quad_xi = np.einsum("ni,ij,nj->n", xi, i_metric, xi)
-    quad_grad = np.einsum("ni,ij,nj->n", dpsi, i_inv, dpsi)
-    ecl = (0.5 * quad_eta + gains.kp * psi + 0.5 * gains.tau * quad_xi
-           + gains.alpha * (dpsi * eta).sum(axis=1)
-           + gains.beta * np.einsum("ni,ij,nj->n", xi, i_metric, eta)
-           + gains.delta * (dpsi * xi).sum(axis=1))
-    q = q_matrix(gains)
-    v1, v2, v3 = np.sqrt(quad_eta), np.sqrt(quad_grad), np.sqrt(quad_xi)
-    bound = -(q[0, 0] * v1 ** 2 + q[1, 1] * v2 ** 2 + q[2, 2] * v3 ** 2
-              + 2.0 * q[0, 2] * v1 * v3)
-
+    err = ErrorState(*error_state(traj.R, traj.Omega, traj.R_d, traj.Omega_d),
+                     traj.xi_I)
     return RunMetrics(
-        psi_e=psi,
-        geo_err=geo,
-        effort_l2=np.linalg.norm(
-            traj.u_int if traj.actuation == "internal" else traj.u_ext, axis=1),
+        psi_e=nav_psi(weights, err.E),
+        geo_err=rotation_angle(err.E),
+        effort_l2=np.linalg.norm(traj.u_int if internal else traj.u_ext,
+                                 axis=1),
         effort_uext_l2=np.linalg.norm(traj.u_ext, axis=1),
-        ecl=ecl,
-        ecl_bound=bound,
+        ecl=ecl_value(i_metric, weights, gains, err),
+        ecl_bound=ecl_rate_bound(i_metric, weights, gains, err),
         momentum_drift_series=drift_series,
         momentum_drift=float(drift_series.max()),
         ortho_drift=ortho,
@@ -537,26 +447,17 @@ def certified_region_mask(cfg, traj):
     holds at the sample.  Returns the boolean array marking samples where
     both conditions are met; outside them the bound carries no guarantee.
     """
-    from .control import _hessian_series
-
     gains = cfg.gains
-    p_mat = cfg.weights.P
     i_metric = cfg.plant.params.body_inertia
-    r, r_d = traj.R, traj.R_d
-    e = np.einsum("nij,nkj->nik", r_d, r)
-    eta = np.einsum("nij,nj->ni", r, traj.Omega_d - traj.Omega)
+    e, eta = error_state(traj.R, traj.Omega, traj.R_d, traj.Omega_d)
     w = gains.alpha * eta + gains.delta * traj.xi_I
 
-    h = _hessian_series(p_mat, i_metric, e)
-    # metric operator spectrum via the symmetrized form I^{-1/2} H I^{-1/2}
-    evals, evecs = np.linalg.eigh(i_metric)
-    i_mhalf = evecs @ np.diag(evals ** -0.5) @ evecs.T
-    spectrum = np.linalg.eigvalsh(
-        np.einsum("ij,njk,kl->nil", i_mhalf, h, i_mhalf))
+    h = nav_hessian(cfg.weights, i_metric, e)
+    spectrum = _metric_spectrum(i_metric, h)
     shape_ok = (spectrum[:, 0] > 0.0) & (spectrum[:, -1] <= gains.mu_hess)
 
-    lhs = (np.einsum("nij,nj->ni", h, eta) * w).sum(axis=1)
-    rhs = gains.mu_hess * np.einsum("ni,ij,nj->n", eta, i_metric, w)
+    lhs = np.vecdot((h @ eta[:, :, None])[:, :, 0], w)
+    rhs = gains.mu_hess * np.vecdot(eta @ i_metric, w)
     return shape_ok & (lhs <= rhs + 1e-12)
 
 

@@ -1,8 +1,12 @@
 """Exact primitives for the rotation group SO(3) and its Lie algebra so(3).
 
 All functions are pure and operate on plain numpy arrays: vectors are
-shape (3,), matrices shape (3, 3).  Conventions used throughout the
-package are fixed here:
+shape (3,), matrices shape (3, 3).  ``cross3``, ``skew_vee``,
+``connection_term`` and ``rotation_angle`` also take stacks with a
+leading sample axis, (n, 3) and (n, 3, 3), and return row k of the
+stacked result equal to the single call on row k; the integrator calls
+them one sample at a time and the run post-pass on every stored sample.
+Conventions used throughout the package are fixed here:
 
 * ``hat(e3)`` carries +1 at entry (2, 1) (0-based: [1, 0]), i.e. the
   standard right-handed cross-product matrix, ``hat(v) @ w == cross(v, w)``.
@@ -34,16 +38,30 @@ def hat(v):
 
 
 def cross3(a, b):
-    """Cross product of two 3-vectors.
+    """Cross product of two 3-vector arrays, or row by row of (n, 3) stacks.
 
-    Same arithmetic as np.cross but without its axis bookkeeping, which
-    dominates the integration hot path for single vectors.
+    A single pair is multiplied out in Python floats: the same arithmetic
+    as np.cross without its axis bookkeeping, which would dominate the
+    integration hot path.
     """
-    a0, a1, a2 = a.tolist() if isinstance(a, np.ndarray) else \
-        (float(a[0]), float(a[1]), float(a[2]))
-    b0, b1, b2 = b.tolist() if isinstance(b, np.ndarray) else \
-        (float(b[0]), float(b[1]), float(b[2]))
+    if a.ndim + b.ndim > 2:
+        return np.cross(a, b)
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def skew_vee(m):
+    """vee(M - M^T) of a 3x3 matrix, or of each matrix of an (n, 3, 3) stack.
+
+    Twice the vee of the skew part of M; zero exactly for symmetric M.
+    """
+    if m.ndim == 2:
+        (_, m01, m02), (m10, _, m12), (m20, m21, _) = m.tolist()
+        return np.array([m21 - m12, m02 - m20, m10 - m01])
+    return np.stack([m[..., 2, 1] - m[..., 1, 2],
+                     m[..., 0, 2] - m[..., 2, 0],
+                     m[..., 1, 0] - m[..., 0, 1]], axis=-1)
 
 
 def vee(m):
@@ -66,7 +84,9 @@ def expm(v):
 
     A two-term Taylor branch below ||v|| < 1e-8 avoids the 0/0 in the
     Rodrigues coefficients.  Assembled entrywise (hat(v)^2 = v v^T - |v|^2)
-    to keep the integration hot path cheap.
+    to keep the integration hot path cheap.  An infinite or NaN angle, as
+    from an overflowed state, gives a NaN matrix, which the integrator's
+    finiteness check reports as a divergence.
     """
     x, y, z = v.tolist() if isinstance(v, np.ndarray) else \
         (float(v[0]), float(v[1]), float(v[2]))
@@ -75,9 +95,11 @@ def expm(v):
     if theta < _SMALL_ANGLE:
         a = 1.0 - theta2 / 6.0
         b = 0.5 - theta2 / 24.0
-    else:
+    elif theta < math.inf:
         a = math.sin(theta) / theta
         b = (1.0 - math.cos(theta)) / theta2
+    else:
+        a = b = math.nan
     d = 1.0 - b * theta2
     ax, ay, az = a * x, a * y, a * z
     bxy, byz, bxz = b * x * y, b * y * z, b * x * z
@@ -97,7 +119,7 @@ def logm(r):
     is arbitrary; either choice is a valid logarithm.
     """
     r = np.asarray(r, dtype=float)
-    w = 0.5 * np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    w = 0.5 * skew_vee(r)
     s = np.linalg.norm(w)                     # == sin(theta) for exact input
     c = 0.5 * (np.trace(r) - 1.0)             # == cos(theta)
     theta = np.arctan2(s, c)
@@ -145,7 +167,7 @@ def adstar(xi, mu):
     return np.cross(mu, xi)
 
 
-def connection_term(i_metric, a, b):
+def connection_term(i_metric, a, b, i_inv=None):
     """Levi-Civita connection of the left-invariant metric, trivialized.
 
     For the metric induced by an SPD tensor ``i_metric`` the connection on
@@ -154,21 +176,28 @@ def connection_term(i_metric, a, b):
         nabla_a b = 1/2 ( [a, b] - I^{-1} ad*_a (I b) - I^{-1} ad*_b (I a) )
 
     so that geodesics satisfy the free rigid-body equation:
-    ``connection_term(I, a, a) == -I^{-1}((I a) x a)``.
+    ``connection_term(I, a, a) == -I^{-1}((I a) x a)``, the Euler term.
+    ``a`` and ``b`` may be 3-vectors or (n, 3) stacks.  Callers on a hot
+    path pass numpy arrays and the precomputed inverse ``i_inv``.  Both
+    tensors are symmetric, so they act on row vectors from the right.
 
     Raises:
         SingularMetricError: if ``i_metric`` is not invertible.
     """
-    i_metric = np.asarray(i_metric, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    bracket = np.cross(a, b)
-    rhs = np.cross(i_metric @ b, a) + np.cross(i_metric @ a, b)
-    try:
-        corr = np.linalg.solve(i_metric, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMetricError("metric tensor is singular") from exc
-    return 0.5 * (bracket - corr)
+    if i_inv is None:
+        i_metric = np.asarray(i_metric, dtype=float)
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        try:
+            i_inv = np.linalg.inv(i_metric)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMetricError("metric tensor is singular") from exc
+    if b is a:
+        # a x a = 0 and the two torque terms coincide: the general formula
+        # below reduces to I^{-1}(a x (I a)), bit for bit, at a third of
+        # the cost
+        return cross3(a, a.dot(i_metric)).dot(i_inv)
+    rhs = cross3(b.dot(i_metric), a) + cross3(a.dot(i_metric), b)
+    return 0.5 * (cross3(a, b) - rhs.dot(i_inv))
 
 
 def geodesic_distance(r1, r2):
@@ -177,12 +206,11 @@ def geodesic_distance(r1, r2):
 
 
 def rotation_angle(r):
-    """Rotation angle of a single matrix in [0, pi] (== ||logm(r)||)."""
+    """Rotation angle in [0, pi] (== ||logm(r)||), per matrix of a stack."""
     r = np.asarray(r, dtype=float)
-    s = 0.5 * np.linalg.norm(
-        [r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    c = 0.5 * (np.trace(r) - 1.0)
-    return float(np.arctan2(s, c))
+    s = 0.5 * np.linalg.norm(skew_vee(r), axis=-1)
+    c = 0.5 * (np.trace(r, axis1=-2, axis2=-1) - 1.0)
+    return np.arctan2(s, c)
 
 
 def is_rotation(r, tol=1e-9):

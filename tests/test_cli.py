@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +98,13 @@ class TestConfigFormat:
         with pytest.raises(ConfigParseError, match="duplicate"):
             parse_config(text)
 
+    def test_kappa_out_of_range_named(self):
+        text = ZERO_CFG.read_text().replace("gains.kappa = 0.6",
+                                            "gains.kappa = 5")
+        with pytest.raises(ConfigParseError) as err:
+            parse_config(text)
+        assert err.value.key == "gains.kappa"
+
     def test_nonpositive_mu_rejected(self):
         text = ZERO_CFG.read_text().replace("gains.mu_hess = 2.0048",
                                             "gains.mu_hess = -1")
@@ -158,6 +168,17 @@ class TestSimulate:
             extra=[("integrator.step = 0.001", "integrator.step = 1.0"),
                    ("gains.kp = 1", "gains.kp = 500000")])
         assert main(["simulate", str(cfg), "-o", str(tmp_path / "d.csv")]) == 2
+
+    def test_overflow_from_identity_exit_2(self, tmp_path):
+        cfg = write_short_config(
+            tmp_path, duration="5",
+            extra=[("integrator.step = 0.001", "integrator.step = 1.0"),
+                   ("gains.kp = 1", "gains.kp = 500000"),
+                   ("plant.R0 = 0.36 0.48 -0.8 -0.8 0.6 0 0.48 0.64 0.6",
+                    "plant.R0 = 1 0 0 0 1 0 0 0 1")])
+        with np.errstate(all="ignore"):
+            assert main(["simulate", str(cfg),
+                         "-o", str(tmp_path / "d.csv")]) == 2
 
 
 class TestTuneGains:
@@ -254,3 +275,12 @@ class TestCheck:
             "plant.I = 4 1 1 1 5.2 2 1 2 6.3", "plant.I = not numbers"))
         assert main(["check", str(bad)]) == 1
         assert "plant.I" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy.linalg used to be most of the CLI's import time and memory
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    code = "import sys, gyrotrack.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=60).returncode == 0

@@ -4,8 +4,8 @@ import types
 import numpy as np
 import pytest
 
-from gyrotrack import dynamics, scenario
-from gyrotrack.errors import SingularRotorInertiaError
+from gyrotrack import control, dynamics, scenario
+from gyrotrack.errors import DivergedStateError, SingularRotorInertiaError
 from gyrotrack.integrators import IntegratorConfig
 
 
@@ -161,6 +161,17 @@ class TestClosedLoop:
                                            actuation="external")
         assert np.abs(traj.u_int).max() == 0.0
         assert np.abs(traj.OmegaR).max() == 0.0
+
+    def test_overflow_reported_as_divergence(self):
+        # from R0 = I a huge k_p overflows the state within two 1 s steps;
+        # the exponential map of the infinite rate must not raise instead
+        cfg = scenario.benchmark_config(
+            "zero", step=1.0, duration=5.0,
+            gains=control.gain_derive(5e5, 3.0, 1.0, 0.6, 2.0048, 1.42))
+        cfg = dataclasses.replace(
+            cfg, plant=dataclasses.replace(cfg.plant, R0=np.eye(3)))
+        with np.errstate(all="ignore"), pytest.raises(DivergedStateError):
+            scenario.run_closed_loop(cfg)
 
     def test_rejects_unknown_actuation(self):
         with pytest.raises(ValueError):
