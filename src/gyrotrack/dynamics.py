@@ -164,7 +164,8 @@ def momentum_body(params, omega, omega_r):
     Velocities may be 3-vectors or (n, 3) stacks; I+K is symmetric, so it
     acts on row vectors from the right.
     """
-    return omega.dot(params.locked) + params.rotor_diag * omega_r
+    return (np.asarray(omega, dtype=float).dot(params.locked)
+            + params.rotor_diag * np.asarray(omega_r, dtype=float))
 
 
 def momentum_spatial(r, pi):
@@ -200,6 +201,7 @@ def rotor_accels(params, omega, omega_r, u_int):
     Arguments may be 3-vectors or (n, 3) stacks of samples.  The block
     matrix is symmetric, so its inverse acts on row vectors from the right.
     """
+    omega = np.asarray(omega, dtype=float)
     pi = momentum_body(params, omega, omega_r)
     rhs = np.concatenate((cross3(pi, omega), u_int), axis=-1)
     acc = rhs.dot(params._block_inv)

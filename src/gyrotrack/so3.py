@@ -40,6 +40,8 @@ def hat(v):
 def cross3(a, b):
     """Cross product of two 3-vector arrays, or row by row of (n, 3) stacks.
 
+    Both arguments must be numpy arrays; wrap sequences in np.asarray.
+
     A single pair is multiplied out in Python floats: the same arithmetic
     as np.cross without its axis bookkeeping, which would dominate the
     integration hot path.
@@ -55,6 +57,7 @@ def skew_vee(m):
     """vee(M - M^T) of a 3x3 matrix, or of each matrix of an (n, 3, 3) stack.
 
     Twice the vee of the skew part of M; zero exactly for symmetric M.
+    ``m`` must be a numpy array.
     """
     if m.ndim == 2:
         (_, m01, m02), (m10, _, m12), (m20, m21, _) = m.tolist()
@@ -191,11 +194,6 @@ def connection_term(i_metric, a, b, i_inv=None):
             i_inv = np.linalg.inv(i_metric)
         except np.linalg.LinAlgError as exc:
             raise SingularMetricError("metric tensor is singular") from exc
-    if b is a:
-        # a x a = 0 and the two torque terms coincide: the general formula
-        # below reduces to I^{-1}(a x (I a)), bit for bit, at a third of
-        # the cost
-        return cross3(a, a.dot(i_metric)).dot(i_inv)
     rhs = cross3(b.dot(i_metric), a) + cross3(a.dot(i_metric), b)
     return 0.5 * (cross3(a, b) - rhs.dot(i_inv))
 

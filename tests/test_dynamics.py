@@ -173,6 +173,17 @@ class TestRotorPlant:
             assert np.abs(d_omega - expected_o).max() < 1e-10
             assert np.abs(d_omega_r - expected_r).max() < 1e-10
 
+    def test_sequence_inputs_match_arrays(self):
+        p = benchmark_params()
+        omega, omega_r, u = [0.1, -0.2, 0.3], [1.0, 0.5, -0.5], [0.4, 0.0, -0.1]
+        arrays = [np.array(v) for v in (omega, omega_r, u)]
+        assert np.array_equal(dynamics.momentum_body(p, omega, omega_r),
+                              dynamics.momentum_body(p, *arrays[:2]))
+        for out_list, out_array in zip(
+                dynamics.rotor_accels(p, omega, omega_r, u),
+                dynamics.rotor_accels(p, *arrays), strict=True):
+            assert np.array_equal(out_list, out_array)
+
     def test_locked_inverse_variant_is_not_the_rotor_rate(self):
         # the (I+K)^{-1} u variant differs from the block solve whenever
         # u is nonzero; the eliminated closed form above is the one realized

@@ -210,15 +210,6 @@ class TestAdstarConnection:
             assert np.allclose(so3.connection_term(i, a, a), expected,
                                atol=1e-12)
 
-    def test_connection_geodesic_shortcut_is_general_formula(self):
-        # conn(a, a) takes a shorter path when both arguments are one array
-        rng = np.random.default_rng(43)
-        for _ in range(30):
-            i = random_spd(rng)
-            a = rng.normal(size=3)
-            assert np.array_equal(so3.connection_term(i, a, a),
-                                  so3.connection_term(i, a, a.copy()))
-
     def test_connection_singular_metric(self):
         with pytest.raises(SingularMetricError):
             so3.connection_term(np.zeros((3, 3)), np.ones(3), np.ones(3))
