@@ -40,8 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KappaOutOfRangeError, SingularMetricError
-from .so3 import connection_term, cross3, expm, hat, skew_vee
+from .errors import KappaOutOfRangeError
+from .so3 import (apply_connection, connection_tensor, connection_term, cross3,
+                  expm, hat, skew_vee)
 
 # Certification constants used by the bundled benchmark gain set (k_p, k_d,
 # k_I) = (1, 3, 1).  The Hessian-bound constant does not match
@@ -217,26 +218,22 @@ def xi_I_deriv(p_metric, p, e, eta, xi_i):
     realizes the covariant transport rule: the covariant derivative of
     xi_I along the error curve equals the metric gradient of psi.
     """
-    p_metric = np.asarray(p_metric, dtype=float)
-    try:
-        i_inv = np.linalg.inv(p_metric)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMetricError("metric tensor is singular") from exc
+    transport = connection_term(p_metric, eta, xi_i)
     dpsi = _dpsi(_weights_matrix(p), np.asarray(e, dtype=float))
-    return dpsi @ i_inv - connection_term(p_metric, np.asarray(eta, dtype=float),
-                                          np.asarray(xi_i, dtype=float), i_inv)
+    return dpsi @ np.linalg.inv(np.asarray(p_metric, dtype=float)) - transport
 
 
 # ---------------------------------------------------------------------------
 # tracking laws
 # ---------------------------------------------------------------------------
 
-def _loop_kernel(i_metric, i_inv, p_mat, gains, r, omega, r_d, omega_d,
+def _loop_kernel(gamma, i_inv, p_mat, gains, r, omega, r_d, omega_d,
                  omega_d_dot, xi_i):
     """Commanded acceleration and integral-state rate.
 
-    Inverses are precomputed by the caller; intermediates (error rotation,
-    error velocity, gradient) are shared between the control and the
+    The metric's inverse and its `connection_tensor` ``gamma`` are
+    precomputed by the caller; intermediates (error rotation, error
+    velocity, gradient) are shared between the control and the
     integral-state transport.  Arguments are one sample (the integrator's
     hot path) or stacks of samples (the run post-pass).  Returns
     (u, xi_dot).
@@ -244,13 +241,13 @@ def _loop_kernel(i_metric, i_inv, p_mat, gains, r, omega, r_d, omega_d,
     e, eta = error_state(r, omega, r_d, omega_d)
     grad = _dpsi(p_mat, e).dot(i_inv)
     fb = (gains.kp * grad + gains.kd * eta + gains.ki * xi_i
-          + connection_term(i_metric, eta, eta, i_inv))
+          + apply_connection(gamma, eta, eta))
     # the Euler term -I^{-1}((I Omega) x Omega) is conn(Omega, Omega);
     # R^T fb is written as the row vector fb R
     u = (omega_d_dot + cross3(omega, omega_d)
-         + connection_term(i_metric, omega, omega, i_inv)
+         + apply_connection(gamma, omega, omega)
          + (fb[..., None, :] @ r)[..., 0, :])
-    return u, grad - connection_term(i_metric, eta, xi_i, i_inv)
+    return u, grad - apply_connection(gamma, eta, xi_i)
 
 
 def control_uext(i_metric, p, gains, r, omega, r_d, omega_d, omega_d_dot, xi_i):
@@ -263,7 +260,7 @@ def control_uext(i_metric, p, gains, r, omega, r_d, omega_d, omega_d_dot, xi_i):
     by R^T; the feed-forward is dOmega_d + Omega x Omega_d.
     """
     i_metric = np.asarray(i_metric, dtype=float)
-    u, _ = _loop_kernel(i_metric, np.linalg.inv(i_metric),
+    u, _ = _loop_kernel(connection_tensor(i_metric), np.linalg.inv(i_metric),
                         _weights_matrix(p), gains,
                         np.asarray(r, dtype=float),
                         np.asarray(omega, dtype=float),
@@ -441,8 +438,7 @@ def nav_hessian(p, i_metric, e):
     # row v of the first term is vee(PE hat(v) - (PE hat(v))^T)
     h1 = np.stack([skew_vee(pe @ hat(v)) for v in basis], axis=-2)
     # conn[v, w] = conn(e_v, e_w)
-    conn = connection_term(i_metric, np.repeat(basis, 3, axis=0),
-                           np.tile(basis, (3, 1))).reshape(3, 3, 3)
+    conn = connection_tensor(i_metric).reshape(3, 3, 3)
     h = h1 - np.einsum("...k,vwk->...vw", skew_vee(pe), conn)
     return 0.5 * (h + h.mT)
 

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SingularInertiaError
-from .so3 import connection_term, cross3, hat, is_rotation
+from .so3 import connection_tensor, connection_term, cross3, hat, is_rotation
 
 
 def _as_diag3(k):
@@ -81,6 +81,11 @@ class InertiaParams:
     @cached_property
     def body_inertia_inv(self):
         return np.linalg.inv(self.body_inertia)
+
+    @cached_property
+    def body_connection(self):
+        """`connection_tensor` of the body inertia metric."""
+        return connection_tensor(self.body_inertia)
 
     @cached_property
     def locked_inv(self):

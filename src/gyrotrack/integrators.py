@@ -174,14 +174,18 @@ def integrate(vector_field, initial, cfg, t0=0.0):
     vec_hist[0] = vec
 
     state = (rots, vec)
-    for i in range(n):
-        state = step_lie(vector_field, times[i], state, cfg.step,
-                         scheme=cfg.scheme, reproject=cfg.reproject)
-        rots, vec = state
-        if not np.isfinite(vec).all() or any(not np.isfinite(r).all() for r in rots):
-            raise DivergedStateError(i + 1, times[i + 1])
-        for k, r in enumerate(rots):
-            rot_hist[k][i + 1] = r
-        vec_hist[i + 1] = vec
+    # an overflow inside a step leaves a non-finite state, which is
+    # reported below as a divergence rather than as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            state = step_lie(vector_field, times[i], state, cfg.step,
+                             scheme=cfg.scheme, reproject=cfg.reproject)
+            rots, vec = state
+            if not np.isfinite(vec).all() or any(not np.isfinite(r).all()
+                                                 for r in rots):
+                raise DivergedStateError(i + 1, times[i + 1])
+            for k, r in enumerate(rots):
+                rot_hist[k][i + 1] = r
+            vec_hist[i + 1] = vec
 
     return History(times=times, rotations=rot_hist, vectors=vec_hist)

@@ -32,7 +32,7 @@ from .errors import SingularRotorInertiaError
 from .integrators import IntegratorConfig, Trajectory, integrate
 # bound here, although unused, so that bench/tracing.py can count calls
 # made through scenario.cross3 as it does for the other modules
-from .so3 import connection_term, cross3, rotation_angle  # noqa: F401
+from .so3 import apply_connection, cross3, rotation_angle  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -333,20 +333,20 @@ def _closed_loop_field(cfg, actuation):
     gains = cfg.gains
     p_mat = cfg.weights.P
     i_metric = plant.body_inertia
-    i_inv = plant.body_inertia_inv
+    gamma, i_inv = plant.body_connection, plant.body_inertia_inv
     internal = actuation == "internal"
 
     def field(t, rots, vec):
         r, r_d = rots
         omega, omega_r = vec[3:6], vec[6:9]
         (omega_d,), ref_rates = reference(t, (r_d,), vec[9:18])
-        u, xi_dot = _loop_kernel(i_metric, i_inv, p_mat, gains, r, omega,
+        u, xi_dot = _loop_kernel(gamma, i_inv, p_mat, gains, r, omega,
                                  r_d, omega_d, ref_rates[3:6], vec[18:21])
         if internal:
             u_int = control_uint(plant, u.dot(i_metric), omega, omega_r)
             d_omega, d_omega_r = rotor_accels(plant, omega, omega_r, u_int)
         else:
-            d_omega = u - connection_term(i_metric, omega, omega, i_inv)
+            d_omega = u - apply_connection(gamma, omega, omega)
             d_omega_r = _ZERO3
         return (omega, omega_d), np.concatenate(
             (omega_r, d_omega, d_omega_r, ref_rates, xi_dot))
@@ -396,9 +396,9 @@ def _compute_metrics(cfg, traj):
     i_metric = plant.body_inertia
     internal = traj.actuation == "internal"
 
-    u, _ = _loop_kernel(i_metric, plant.body_inertia_inv, weights.P, gains,
-                        traj.R, traj.Omega, traj.R_d, traj.Omega_d,
-                        traj.Omega_d_dot, traj.xi_I)
+    u, _ = _loop_kernel(plant.body_connection, plant.body_inertia_inv,
+                        weights.P, gains, traj.R, traj.Omega, traj.R_d,
+                        traj.Omega_d, traj.Omega_d_dot, traj.xi_I)
     traj.u_ext[:] = u @ i_metric
     traj.u_int[:] = control_uint(plant, traj.u_ext, traj.Omega,
                                  traj.OmegaR) if internal else 0.0

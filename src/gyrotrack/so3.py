@@ -1,8 +1,8 @@
 """Exact primitives for the rotation group SO(3) and its Lie algebra so(3).
 
 All functions are pure and operate on plain numpy arrays: vectors are
-shape (3,), matrices shape (3, 3).  ``cross3``, ``skew_vee``,
-``connection_term`` and ``rotation_angle`` also take stacks with a
+shape (3,), matrices shape (3, 3).  ``cross3``, ``skew_vee``, the
+connection and ``rotation_angle`` also take stacks with a
 leading sample axis, (n, 3) and (n, 3, 3), and return row k of the
 stacked result equal to the single call on row k; the integrator calls
 them one sample at a time and the run post-pass on every stored sample.
@@ -170,7 +170,7 @@ def adstar(xi, mu):
     return np.cross(mu, xi)
 
 
-def connection_term(i_metric, a, b, i_inv=None):
+def connection_tensor(i_metric):
     """Levi-Civita connection of the left-invariant metric, trivialized.
 
     For the metric induced by an SPD tensor ``i_metric`` the connection on
@@ -179,23 +179,46 @@ def connection_term(i_metric, a, b, i_inv=None):
         nabla_a b = 1/2 ( [a, b] - I^{-1} ad*_a (I b) - I^{-1} ad*_b (I a) )
 
     so that geodesics satisfy the free rigid-body equation:
-    ``connection_term(I, a, a) == -I^{-1}((I a) x a)``, the Euler term.
-    ``a`` and ``b`` may be 3-vectors or (n, 3) stacks.  Callers on a hot
-    path pass numpy arrays and the precomputed inverse ``i_inv``.  Both
-    tensors are symmetric, so they act on row vectors from the right.
+    nabla_a a = -I^{-1}((I a) x a), the Euler term.  The formula is
+    bilinear, so it is evaluated once on the basis pairs: row 3 i + j of
+    the returned (9, 3) table is nabla_{e_i} e_j.  `apply_connection`
+    extends it to any a, b.
 
     Raises:
         SingularMetricError: if ``i_metric`` is not invertible.
     """
-    if i_inv is None:
-        i_metric = np.asarray(i_metric, dtype=float)
-        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        try:
-            i_inv = np.linalg.inv(i_metric)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMetricError("metric tensor is singular") from exc
-    rhs = cross3(b.dot(i_metric), a) + cross3(a.dot(i_metric), b)
-    return 0.5 * (cross3(a, b) - rhs.dot(i_inv))
+    i_metric = np.asarray(i_metric, dtype=float)
+    try:
+        i_inv = np.linalg.inv(i_metric)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMetricError("metric tensor is singular") from exc
+    a = np.repeat(np.eye(3), 3, axis=0)
+    b = np.tile(np.eye(3), (3, 1))
+    rhs = cross3(b @ i_metric, a) + cross3(a @ i_metric, b)
+    return 0.5 * (cross3(a, b) - rhs @ i_inv)
+
+
+def apply_connection(gamma, a, b):
+    """nabla_a b from a `connection_tensor` table ``gamma``.
+
+    ``a`` and ``b`` are 3-vector arrays or (n, 3) stacks; callers on a hot
+    path build ``gamma`` once.
+    """
+    outer = a[..., :, None] * b[..., None, :]
+    return outer.reshape(outer.shape[:-2] + (9,)).dot(gamma)
+
+
+def connection_term(i_metric, a, b):
+    """nabla_a b for the metric ``i_metric``; see `connection_tensor`.
+
+    ``connection_term(I, a, a) == -I^{-1}((I a) x a)``, the Euler term.
+
+    Raises:
+        SingularMetricError: if ``i_metric`` is not invertible.
+    """
+    return apply_connection(connection_tensor(i_metric),
+                            np.asarray(a, dtype=float),
+                            np.asarray(b, dtype=float))
 
 
 def geodesic_distance(r1, r2):

@@ -33,10 +33,10 @@ def _case(name, rng):
     if name == "skew_vee":
         return so3.skew_vee, (rng.normal(size=(N, 3, 3)),)
     if name == "loop_kernel":
-        i_inv = np.linalg.inv(i)
+        gamma, i_inv = so3.connection_tensor(i), np.linalg.inv(i)
 
         def kernel(r, omega, r_d, omega_d, omega_d_dot, xi):
-            return control._loop_kernel(i, i_inv, p, gains, r, omega, r_d,
+            return control._loop_kernel(gamma, i_inv, p, gains, r, omega, r_d,
                                         omega_d, omega_d_dot, xi)
         return kernel, (_rotations(rng), _vectors(rng), _rotations(rng),
                         _vectors(rng), _vectors(rng), _vectors(rng))

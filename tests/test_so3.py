@@ -210,6 +210,16 @@ class TestAdstarConnection:
             assert np.allclose(so3.connection_term(i, a, a), expected,
                                atol=1e-12)
 
+    def test_connection_general_formula_random(self):
+        rng = np.random.default_rng(43)
+        for _ in range(30):
+            i = random_spd(rng)
+            a, b = rng.normal(size=3), rng.normal(size=3)
+            torque = np.cross(i @ b, a) + np.cross(i @ a, b)
+            expected = 0.5 * (np.cross(a, b) - np.linalg.solve(i, torque))
+            assert np.allclose(so3.connection_term(i, a, b), expected,
+                               atol=1e-12)
+
     def test_connection_singular_metric(self):
         with pytest.raises(SingularMetricError):
             so3.connection_term(np.zeros((3, 3)), np.ones(3), np.ones(3))
