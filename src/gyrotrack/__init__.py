@@ -32,6 +32,5 @@ from .scenario import (BodySetup, ClosedLoopTrajectory, EffortComparison,
                        consistent_rotor_velocity, make_reference,
                        on_reference_variant, plant_spatial_momentum,
                        resolve_reference, run_closed_loop)
-from .so3 import (adstar, apply_connection, connection_tensor, connection_term,
-                  cross3, expm, geodesic_distance, hat, is_rotation, logm,
-                  project_so3, rotation_angle, vee)
+from .so3 import (adstar, connection_term, cross3, expm, geodesic_distance,
+                  hat, is_rotation, logm, project_so3, rotation_angle, vee)

@@ -192,6 +192,8 @@ def connection_tensor(i_metric):
         i_inv = np.linalg.inv(i_metric)
     except np.linalg.LinAlgError as exc:
         raise SingularMetricError("metric tensor is singular") from exc
+    # rows a, b run over the basis pairs (e_i, e_j); I and I^{-1} are
+    # symmetric, so they act on these row vectors from the right
     a = np.repeat(np.eye(3), 3, axis=0)
     b = np.tile(np.eye(3), (3, 1))
     rhs = cross3(b @ i_metric, a) + cross3(a @ i_metric, b)
