@@ -50,10 +50,14 @@ _REFERENCE_COLOR = "#d62728"   # reference drawn in red
 _PLANT_COLOR = "#1f77b4"       # controlled trajectory in blue
 
 
-def _write_csv(path, table):
+def _write_csv(path, table, columns=COLUMNS):
+    """Header and "%.17g" rows, 128 per write through one row format."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(COLUMNS) + "\n")
-        np.savetxt(fh, table, fmt="%.17g", delimiter=",", newline="\n")
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, len(table), 128):
+            block = table[start:start + 128]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _feasibility_json(verdict):
@@ -189,16 +193,12 @@ def cmd_compare(config_path, out_dir):
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    header = "t,uint_norm,uext_norm"
     for name, metrics in (("proposed", cmp_result.proposed),
                           ("baseline", cmp_result.baseline)):
-        path = out / f"effort_{name}.csv"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(header + "\n")
-            np.savetxt(fh, np.column_stack([cmp_result.times,
-                                            metrics.effort_l2,
-                                            metrics.effort_uext_l2]),
-                       fmt="%.17g", delimiter=",", newline="\n")
+        _write_csv(out / f"effort_{name}.csv",
+                   np.column_stack([cmp_result.times, metrics.effort_l2,
+                                    metrics.effort_uext_l2]),
+                   ("t", "uint_norm", "uext_norm"))
     summary = {
         "proposed_integral": cmp_result.proposed_integral,
         "baseline_integral": cmp_result.baseline_integral,

@@ -32,8 +32,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SingularInertiaError
-from .so3 import (_cross, _matvec, _matvec_t, components, connection_tensor,
-                  connection_term, from_components, hat, is_rotation)
+from .so3 import (_conn, _cross, _matvec, _matvec_t, components,
+                  connection_tensor, from_components, hat, is_rotation)
 
 
 def rotor_inertia_matrix(k):
@@ -259,6 +259,12 @@ def rotor_accels(params, omega, omega_r, u_int):
     return from_components(d_omega), from_components(d_omega_r)
 
 
+def _external_accel(gamma, omega, u_ext):
+    """dOmega = u_ext - conn(Omega, Omega); ``gamma`` as in `so3._conn`."""
+    (u0, u1, u2), (n0, n1, n2) = u_ext, _conn(gamma, omega, omega)
+    return u0 - n0, u1 - n1, u2 - n2
+
+
 def deriv_internal(params, state, u_int):
     """Vector field of the rotor plant under rotor torque ``u_int`` (N·m).
 
@@ -283,10 +289,11 @@ def deriv_external(i_inertia, r, omega, u_ext):
     is I @ u_ext.  dR = R hat(Omega), dOmega = I^{-1}((I Omega) x Omega) + u_ext.
     """
     omega = np.asarray(omega, dtype=float)
-    omega_dot = u_ext - connection_term(i_inertia, omega, omega)
+    omega_dot = _external_accel(components(connection_tensor(i_inertia), 2),
+                                components(omega), components(u_ext))
     return StateDerivative(
         theta_dot=np.zeros(3),
-        omega_dot=omega_dot,
+        omega_dot=from_components(omega_dot),
         omega_r_dot=np.zeros(3),
         _R=np.asarray(r, dtype=float),
         _Omega=omega,

@@ -1,10 +1,13 @@
 """Deterministic fixed-step integration on products of SO(3) and R^n.
 
-State convention: a pair ``(rotations, vectors)`` where ``rotations`` is a
-tuple of 3x3 attitude matrices and ``vectors`` is one flat array holding
-every vector-valued state.  A vector field maps ``(t, rotations, vectors)``
-to ``(body_velocities, vector_derivative)``; the integrator owns the group
-update, advancing each rotation by a right-multiplied exponential.
+State convention: a pair ``(rotations, vectors)`` on components, as the
+kernels of `so3` take them: each attitude is its 9 entries in row-major
+order and ``vectors`` one flat sequence of Python floats holding every
+vector-valued state.  A vector field maps ``(t, rotations, vectors)`` to
+``(body_velocities, vector_derivative)``: 3 floats per rotation and one
+per vector slot.  The integrator owns the group update, advancing each
+rotation by a right-multiplied exponential.  `integrate` is the adapter
+for a vector field on arrays (3x3 attitudes, a 1-D vector state).
 
 Two schemes are provided: first-order Lie-Euler and a fourth-order
 Munthe-Kaas variant of the classical RK4 tableau, whose algebra-valued
@@ -12,19 +15,19 @@ stages are corrected with the inverse-dexp series truncated at two
 commutators (sufficient for order 4).
 
 Everything is pure float arithmetic with a fixed step, so rerunning an
-integration reproduces it bit for bit on the same platform.  The stage
-algebra of the attitudes (the exponential updates, the dexp^{-1}
-correction, the stage sums and the polar snap) runs on Python floats
-through the componentwise kernels of `so3`; arrays are built only for the
-vector field's arguments and for the returned state.
+integration reproduces it bit for bit on the same platform.  The step and
+the per-step divergence check run on Python floats; arrays appear only in
+the dense history, written row by row.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DivergedStateError
-from .so3 import _cross, _matmul, _matmul_t, _rodrigues, from_components
+from .so3 import (_cross, _matmul, _matmul_t, _rodrigues, components,
+                  from_components)
 
 SCHEMES = ("lie_euler", "rk4_munthe_kaas")
 
@@ -126,8 +129,12 @@ def _rotated(rots, sigmas):
     return [_matmul(r, _rodrigues(s)) for r, s in zip(rots, sigmas)]
 
 
-def _arrays(rots):
-    return tuple(from_components(r, (3, 3)) for r in rots)
+def _finite(rots, vec):
+    """True if every component is finite.  A finite sum proves it; only a
+    NaN or inf entry, or an overflowing sum, needs the entrywise check."""
+    if math.isfinite(sum(vec) + sum(map(sum, rots))):
+        return True
+    return all(math.isfinite(x) for c in (vec, *rots) for x in c)
 
 
 def step_lie(vector_field, t, state, h, scheme="rk4_munthe_kaas",
@@ -137,33 +144,24 @@ def step_lie(vector_field, t, state, h, scheme="rk4_munthe_kaas",
     Attitudes update as R <- R expm(sigma) with the stage combination of
     the chosen scheme; vector components follow the matching classical
     Runge-Kutta stages.  With ``reproject`` the updated rotations are
-    snapped back to SO(3) by polar projection.
+    snapped back to SO(3) by polar projection.  All on components.
     """
     rots, vec = state
-    comps = [r.ravel().tolist() for r in rots]
     if scheme == "lie_euler":
         omegas, vdot = vector_field(t, rots, vec)
-        new_rots = _rotated(comps, [_scaled(h, w.tolist()) for w in omegas])
-        new_vec = vec + h * vdot
+        new_rots = _rotated(rots, [_scaled(h, w) for w in omegas])
+        new_vec = [x + h * d for x, d in zip(vec, vdot)]
     elif scheme == "rk4_munthe_kaas":
-        half = 0.5 * h
-        k1, v1 = vector_field(t, rots, vec)
-        k1 = [w.tolist() for w in k1]
-
-        s2 = [_scaled(half, k) for k in k1]
-        b2, v2 = vector_field(t + half, _arrays(_rotated(comps, s2)),
-                              vec + half * v1)
-        k2 = [_dexpinv_right(s, b.tolist()) for s, b in zip(s2, b2)]
-
-        s3 = [_scaled(half, k) for k in k2]
-        b3, v3 = vector_field(t + half, _arrays(_rotated(comps, s3)),
-                              vec + half * v2)
-        k3 = [_dexpinv_right(s, b.tolist()) for s, b in zip(s3, b3)]
-
-        s4 = [_scaled(h, k) for k in k3]
-        b4, v4 = vector_field(t + h, _arrays(_rotated(comps, s4)),
-                              vec + h * v3)
-        k4 = [_dexpinv_right(s, b.tolist()) for s, b in zip(s4, b4)]
+        k, v = vector_field(t, rots, vec)
+        ks, vs = [k], [v]
+        # stages 2-4 start from the previous stage scaled by c = h/2, h/2, h
+        for c in (0.5 * h, 0.5 * h, h):
+            sigma = [_scaled(c, k) for k in ks[-1]]
+            b, v = vector_field(t + c, _rotated(rots, sigma),
+                                [x + c * d for x, d in zip(vec, vs[-1])])
+            ks.append([_dexpinv_right(s, w) for s, w in zip(sigma, b)])
+            vs.append(v)
+        (k1, k2, k3, k4), (v1, v2, v3, v4) = ks, vs
 
         sixth = h / 6.0
         sigma = [(sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
@@ -171,48 +169,53 @@ def step_lie(vector_field, t, state, h, scheme="rk4_munthe_kaas",
                   sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2))
                  for (a0, a1, a2), (b0, b1, b2), (c0, c1, c2), (d0, d1, d2)
                  in zip(k1, k2, k3, k4)]
-        new_rots = _rotated(comps, sigma)
-        new_vec = vec + sixth * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
+        new_rots = _rotated(rots, sigma)
+        new_vec = [x + sixth * (a + 2.0 * b + 2.0 * c + d)
+                   for x, a, b, c, d in zip(vec, v1, v2, v3, v4)]
     else:
         raise ValueError(f"unknown scheme '{scheme}'")
 
     if reproject:
         new_rots = [_snap_so3(r) for r in new_rots]
-    return _arrays(new_rots), new_vec
+    return new_rots, new_vec
+
+
+def _integrate(vector_field, initial, cfg, t0=0.0):
+    """Integrate a vector field on components over cfg.duration.
+
+    ``initial`` holds arrays.  Returns a dense `History` with n_steps+1
+    uniformly spaced samples (duration == step gives two).  Raises
+    DivergedStateError with the first offending step index if any state
+    entry turns non-finite.
+    """
+    rots, vec = initial
+    state = ([components(r, 2) for r in rots], components(vec))
+    n = cfg.n_steps
+    times = t0 + cfg.step * np.arange(n + 1)
+    rot_hist = [np.empty((n + 1, 3, 3)) for _ in rots]
+    vec_hist = np.empty((n + 1, len(state[1])))
+    # sample i goes to row i of each attitude's (n+1, 9) view and of vec_hist
+    rows = [r.reshape(n + 1, 9) for r in rot_hist] + [vec_hist]
+    for i in range(n + 1):
+        if i:   # step_lie is looked up per call, so it can be wrapped
+            state = step_lie(vector_field, times.item(i - 1), state,
+                             cfg.step, scheme=cfg.scheme,
+                             reproject=cfg.reproject)
+            if not _finite(*state):
+                raise DivergedStateError(i, times.item(i))
+        for hist, x in zip(rows, (*state[0], state[1])):
+            hist[i] = x
+    return History(times=times, rotations=rot_hist, vectors=vec_hist)
 
 
 def integrate(vector_field, initial, cfg, t0=0.0):
-    """Integrate a product-state vector field over cfg.duration.
+    """`_integrate` for a vector field on arrays: a tuple of 3x3 arrays
+    and a 1-D array in, ``(body_velocities, vector_derivative)`` out."""
+    def field(t, rots, vec):
+        omegas, vdot = vector_field(
+            t, tuple(from_components(r, (3, 3)) for r in rots), np.array(vec))
+        return [components(w) for w in omegas], components(vdot)
 
-    Returns a dense `History` with n_steps+1 uniformly spaced samples
-    (duration == step gives two).  Raises DivergedStateError with the
-    first offending step index if any state entry turns non-finite.
-    """
-    rots, vec = initial
-    rots = tuple(np.array(r, dtype=float) for r in rots)
-    vec = np.array(vec, dtype=float)
-    n = cfg.n_steps
-    times = t0 + cfg.step * np.arange(n + 1)
-
-    rot_hist = [np.empty((n + 1, 3, 3)) for _ in rots]
-    vec_hist = np.empty((n + 1, vec.size))
-    for k, r in enumerate(rots):
-        rot_hist[k][0] = r
-    vec_hist[0] = vec
-
-    state = (rots, vec)
-    # an overflow inside a step leaves a non-finite state, which is
-    # reported below as a divergence rather than as a numpy warning
+    # an overflow in an array field is reported as a divergence, not warned
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n):
-            state = step_lie(vector_field, times[i], state, cfg.step,
-                             scheme=cfg.scheme, reproject=cfg.reproject)
-            rots, vec = state
-            if not np.isfinite(vec).all() or any(not np.isfinite(r).all()
-                                                 for r in rots):
-                raise DivergedStateError(i + 1, times[i + 1])
-            for k, r in enumerate(rots):
-                rot_hist[k][i + 1] = r
-            vec_hist[i + 1] = vec
-
-    return History(times=times, rotations=rot_hist, vectors=vec_hist)
+        return _integrate(field, initial, cfg, t0)

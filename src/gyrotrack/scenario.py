@@ -28,15 +28,17 @@ from .control import (ErrorState, FeasibilityVerdict, GainSet,
                       error_state, gain_derive, gain_feasible, nav_hessian,
                       nav_psi, pd_variant, synthesize_gains,
                       BENCHMARK_MU_HESS, BENCHMARK_LAMBDA_SUP)
-# the componentwise block solve, bound under the public name of its array
-# adapter: the vector fields and the post-pass call it through this module
-# binding, as they call `_loop_kernel`, so per-call traces keep the names
-from .dynamics import (InertiaParams, _momentum, kernel_constants,
-                       momentum_body)
+# the componentwise block solve and the component loop, bound under the
+# public names of their array adapters: this module calls them through
+# these bindings, as it calls `_loop_kernel`, so per-call traces keep the
+# names
+from .dynamics import (InertiaParams, _external_accel, _momentum,
+                       kernel_constants, momentum_body)
 from .dynamics import _rotor_accels as rotor_accels
 from .errors import SingularRotorInertiaError
-from .integrators import IntegratorConfig, Trajectory, integrate
-from .so3 import _conn, _matvec, components, from_components, rotation_angle
+from .integrators import IntegratorConfig, Trajectory
+from .integrators import _integrate as integrate
+from .so3 import _matvec, components, from_components, rotation_angle
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,7 @@ class ReferenceProgram:
         if amp.shape != (3,) or not np.isfinite(amp).all():
             raise ValueError("amplitude must be a finite 3-vector")
         object.__setattr__(self, "amplitude", amp)
+        object.__setattr__(self, "_amp", tuple(amp.tolist()))   # for _torque
 
     def _torque(self, t):
         """Torque components at t: floats for a float t, columns for an
@@ -65,7 +68,7 @@ class ReferenceProgram:
         zero = 0.0 * t          # a float or a column of zeros, like t
         if self.kind == "zero":
             return zero, zero, zero
-        a0, a1, a2 = self.amplitude.tolist()
+        a0, a1, a2 = self._amp
         if self.kind == "constant":
             return a0 + zero, a1 + zero, a2 + zero
         if isinstance(t, np.ndarray):
@@ -299,10 +302,9 @@ def _rotor_field(params, torque):
     consts = kernel_constants(params)
 
     def field(t, rots, vec):
-        x = vec.tolist()
-        omega_r = x[6:9]
-        d_omega, d_omega_r = rotor_accels(consts, x[3:6], omega_r, torque(t))
-        return (vec[3:6],), np.array((*omega_r, *d_omega, *d_omega_r))
+        omega, omega_r = vec[3:6], vec[6:9]
+        d_omega, d_omega_r = rotor_accels(consts, omega, omega_r, torque(t))
+        return (omega,), (*omega_r, *d_omega, *d_omega_r)
     return field
 
 
@@ -340,8 +342,8 @@ def _closed_loop_field(cfg, actuation):
     vec: Theta 0:3 | Omega 3:6 | OmegaR 6:9 | Theta_d 9:12 | Omega_d 12:15
          | OmegaR_d 15:18 | xi_I 18:21.
     Under external actuation the carrier body is torqued directly and the
-    plant's Theta and OmegaR slots stay zero.  The state is unpacked into
-    Python floats once per evaluation and the kernels run on those.
+    plant's Theta and OmegaR slots stay zero.  The field is on components
+    (see `integrators`), so the kernels run on its Python floats as given.
     """
     plant = cfg.plant.params
     plant_c = kernel_constants(plant)
@@ -356,24 +358,20 @@ def _closed_loop_field(cfg, actuation):
 
     def field(t, rots, vec):
         r, r_d = rots
-        x = vec.tolist()
-        omega, omega_r = x[3:6], x[6:9]
-        omega_d, omega_r_d = x[12:15], x[15:18]
+        omega, omega_r = vec[3:6], vec[6:9]
+        omega_d, omega_r_d = vec[12:15], vec[15:18]
         d_omega_d, d_omega_r_d = rotor_accels(ref_c, omega_d, omega_r_d,
                                               torque(t))
-        u, xi_dot = _loop_kernel(gamma, i_inv, p_mat, gains,
-                                 r.ravel().tolist(), omega,
-                                 r_d.ravel().tolist(), omega_d, d_omega_d,
-                                 x[18:21])
+        u, xi_dot = _loop_kernel(gamma, i_inv, p_mat, gains, r, omega, r_d,
+                                 omega_d, d_omega_d, vec[18:21])
         if internal:
             u_int = _uint(plant_c, _matvec(i_metric, u), omega, omega_r)
             d_omega, d_omega_r = rotor_accels(plant_c, omega, omega_r, u_int)
         else:
-            (u0, u1, u2), (n0, n1, n2) = u, _conn(gamma, omega, omega)
-            d_omega, d_omega_r = (u0 - n0, u1 - n1, u2 - n2), (0.0, 0.0, 0.0)
-        return (vec[3:6], vec[12:15]), np.array(
-            (*omega_r, *d_omega, *d_omega_r, *omega_r_d, *d_omega_d,
-             *d_omega_r_d, *xi_dot))
+            d_omega = _external_accel(gamma, omega, u)
+            d_omega_r = (0.0, 0.0, 0.0)
+        return (omega, omega_d), (*omega_r, *d_omega, *d_omega_r, *omega_r_d,
+                                  *d_omega_d, *d_omega_r_d, *xi_dot)
     return field
 
 

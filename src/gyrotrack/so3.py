@@ -19,7 +19,7 @@ source runs on Python floats for one sample (``components`` of a (3,) or
 path uses, and on (n,) sample columns for a stack (``components`` of an
 (n, 3) or (n, 3, 3) array, the transposed stack), which is what the run
 post-pass uses.  numpy arrays appear only at the adapters: the public
-functions (``cross3``, ``skew_vee``, ``apply_connection``, ``expm``, ...)
+functions (``cross3``, ``skew_vee``, ``connection_term``, ``expm``, ...)
 unpack their arguments with ``components``, call the kernel and pack the
 result with ``from_components``.  Python floats raise where numpy
 returns inf or NaN (``**`` overflow, division by zero, ``math.sin(inf)``),
@@ -267,8 +267,8 @@ def connection_tensor(i_metric):
     so that geodesics satisfy the free rigid-body equation:
     nabla_a a = -I^{-1}((I a) x a), the Euler term.  The formula is
     bilinear, so it is evaluated once on the basis pairs: row 3 i + j of
-    the returned (9, 3) table is nabla_{e_i} e_j.  `apply_connection`
-    extends it to any a, b.
+    the returned (9, 3) table is nabla_{e_i} e_j.  `_conn` extends it to
+    any a, b.
 
     Raises:
         SingularMetricError: if ``i_metric`` is not invertible.
@@ -304,25 +304,17 @@ def _conn(gamma, a, b):
             + w12 * z12 + w20 * z20 + w21 * z21 + w22 * z22)
 
 
-def apply_connection(gamma, a, b):
-    """nabla_a b from a `connection_tensor` table ``gamma``.
-
-    ``a`` and ``b`` are 3-vectors or (n, 3) stacks; callers on a hot path
-    build ``gamma`` once.
-    """
-    return from_components(_conn(components(gamma, 2), components(a),
-                                 components(b)))
-
-
 def connection_term(i_metric, a, b):
     """nabla_a b for the metric ``i_metric``; see `connection_tensor`.
 
+    ``a`` and ``b`` are 3-vectors or (n, 3) stacks.
     ``connection_term(I, a, a) == -I^{-1}((I a) x a)``, the Euler term.
 
     Raises:
         SingularMetricError: if ``i_metric`` is not invertible.
     """
-    return apply_connection(connection_tensor(i_metric), a, b)
+    return from_components(_conn(components(connection_tensor(i_metric), 2),
+                                 components(a), components(b)))
 
 
 def geodesic_distance(r1, r2):

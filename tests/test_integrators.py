@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gyrotrack import so3
+from gyrotrack import dynamics, integrators, scenario, so3
 from gyrotrack.errors import DivergedStateError
 from gyrotrack.integrators import (History, IntegratorConfig, integrate,
                                    step_lie)
@@ -41,8 +41,13 @@ class TestStepping:
         rng = np.random.default_rng(3)
         r0 = so3.expm(rng.normal(size=3))
         v0 = rng.normal(size=4)
-        (rots, vec) = step_lie(lambda t, r, v: ((np.zeros(3),), np.zeros(4)),
-                               0.0, ((r0,), v0), 0.1, scheme=scheme)
+        (rots, vec) = step_lie(
+            lambda t, r, v: ((so3.components(np.zeros(3)),),
+                             so3.components(np.zeros(4))),
+            0.0, ((so3.components(r0, 2),), so3.components(v0)), 0.1,
+            scheme=scheme)
+        rots = [so3.from_components(r, (3, 3)) for r in rots]
+        vec = so3.from_components(vec, (4,))
         assert np.array_equal(rots[0], r0)
         assert np.array_equal(vec, v0)
 
@@ -51,10 +56,11 @@ class TestStepping:
         w2 = np.array([1.0, 0.0, 0.0])
 
         def field(t, rots, vec):
-            return (w1, w2), np.zeros(0)
+            return (so3.components(w1), so3.components(w2)), []
 
-        (rots, _) = step_lie(field, 0.0, ((np.eye(3), np.eye(3)), np.zeros(0)),
-                             0.3)
+        eye = so3.components(np.eye(3), 2)
+        (rots, _) = step_lie(field, 0.0, ((eye, eye), []), 0.3)
+        rots = [so3.from_components(r, (3, 3)) for r in rots]
         assert np.abs(rots[0] - so3.expm(0.3 * w1)).max() < 1e-12
         assert np.abs(rots[1] - so3.expm(0.3 * w2)).max() < 1e-12
 
@@ -145,6 +151,51 @@ class TestInvariants:
                       IntegratorConfig(step=1.0, duration=100.0))
         assert err.value.step_index >= 1
         assert err.value.time > 0.0
+
+    @pytest.mark.parametrize("target", ["vector", "second rotation"])
+    def test_divergence_reports_exact_step(self, target):
+        # RK4 evaluates the field at t, t + h/2 and t + h, so the first
+        # evaluation past t = 0.37 is the last stage of the step ending at
+        # t = 0.4, step index 4
+        cfg = IntegratorConfig(step=0.1, duration=1.0)
+
+        def field(t, rots, vec):
+            bad = np.array([np.nan, 0.0, 0.0]) if t > 0.37 else np.zeros(3)
+            if target == "vector":
+                return (np.zeros(3), np.zeros(3)), bad
+            return (np.zeros(3), bad), np.zeros(3)
+
+        with pytest.raises(DivergedStateError) as err:
+            integrate(field, ((np.eye(3), np.eye(3)), np.ones(3)), cfg)
+        assert err.value.step_index == 4
+        assert err.value.time == 4 * cfg.step
+
+    def test_finite_state_summing_past_float_range_is_not_diverged(self):
+        vec = np.array([1.5e308, 1.5e308, -0.0])
+        hist = integrate(zero_field, ((np.eye(3),), vec),
+                         IntegratorConfig(step=0.1, duration=0.3))
+        assert np.array_equal(hist.vectors[-1], vec)
+
+    def test_array_adapter_matches_component_loop(self):
+        cfg = scenario.benchmark_config("sinusoid", duration=0.5)
+        ref = scenario.resolve_reference(cfg).reference
+        program = cfg.program
+
+        def array_field(t, rots, vec):
+            d_omega, d_omega_r = dynamics.rotor_accels(
+                ref.params, vec[3:6], vec[6:9], program.torque(t))
+            return (vec[3:6],), np.concatenate([vec[6:9], d_omega,
+                                                d_omega_r])
+
+        initial = ((ref.R0,), np.concatenate([ref.Theta0, ref.Omega0,
+                                              ref.OmegaR0]))
+        a = integrate(array_field, initial, cfg.integrator)
+        b = integrators._integrate(
+            scenario._rotor_field(ref.params, program._torque), initial,
+            cfg.integrator)
+        assert np.array_equal(a.times, b.times)
+        assert np.array_equal(a.rotations[0], b.rotations[0])
+        assert np.array_equal(a.vectors, b.vectors)
 
     def test_history_shapes(self):
         cfg = IntegratorConfig(step=0.1, duration=1.0)
