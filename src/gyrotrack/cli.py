@@ -9,7 +9,8 @@ Subcommands:
 * ``compare <config> -o <dir>``    effort comparison against the
   integral-free baseline
 * ``plot <csv> -o <svg> [--entries ...]``  render attitude-entry overlays,
-  error decay and effort norms as static SVG files
+  error decay and effort norms as static SVG files; a CSV whose header is
+  not COLUMNS or whose rows are not all numeric fails with exit 1
 * ``check <config>``               validate a config and exit
 
 Exit codes: 0 success, 1 usage or config error, 2 numerical divergence.
@@ -22,6 +23,7 @@ All dynamics are deterministic, and reruns produce byte-identical files.
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -214,16 +216,20 @@ def cmd_compare(config_path, out_dir):
 
 
 def _load_csv(csv_path):
-    data = np.genfromtxt(csv_path, delimiter=",", names=True)
-    names = list(data.dtype.names or [])
-    if names != COLUMNS:
-        raise SchemaMismatchError(
-            f"CSV columns do not match the telemetry schema ({csv_path})")
-    if data.shape == ():
-        data = data.reshape(1)
+    """Columns by name; the header must be COLUMNS, every field a number."""
+    with open(csv_path, encoding="utf-8") as fh:
+        if fh.readline().rstrip("\n") != ",".join(COLUMNS):
+            raise SchemaMismatchError(
+                f"CSV columns do not match the telemetry schema ({csv_path})")
+        with warnings.catch_warnings():   # a file without rows warns
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.size == 0:
         raise SchemaMismatchError(f"CSV has no data rows ({csv_path})")
-    return data
+    if data.shape[1] != len(COLUMNS):
+        raise SchemaMismatchError(f"CSV rows do not have {len(COLUMNS)} "
+                                  f"fields ({csv_path})")
+    return dict(zip(COLUMNS, data.T))
 
 
 def cmd_plot(csv_path, out_svg, entries=(11, 12, 21, 22)):

@@ -2,7 +2,8 @@
 
 Hand-rolled on purpose: telemetry rendering needs nothing beyond a few
 polylines, and this keeps the package free of plotting dependencies.
-Long series are thinned to a fixed point budget before rendering.
+Long series are thinned to a fixed point budget; each polyline's pixel
+coordinates are computed as arrays and formatted in one pass.
 """
 
 from dataclasses import dataclass, field
@@ -91,7 +92,9 @@ def _panel_svg(panel, width, height, y_offset):
                      f'font-family="sans-serif">{ty:.3g}</text>')
 
     for s, x, y in zip(panel.series, xs, ys):
-        pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x, y))
+        xy = np.empty(2 * len(x))
+        xy[0::2], xy[1::2] = px(x), py(y)
+        pts = " ".join(["%.2f,%.2f"] * len(x)) % tuple(xy.tolist())
         parts.append(f'<polyline points="{pts}" fill="none" '
                      f'stroke="{s.color}" stroke-width="1.2"/>')
 

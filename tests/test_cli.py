@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from gyrotrack import scenario
-from gyrotrack.cli import COLUMNS, main
+from gyrotrack.cli import COLUMNS, _load_csv, main
 from gyrotrack.config import load_config, parse_config, serialize_config
 from gyrotrack.errors import ConfigParseError
 
@@ -21,6 +22,45 @@ GOLDEN_HEADER = (
     "Omega1,Omega2,Omega3,OmegaR1,OmegaR2,OmegaR3,Theta1,Theta2,Theta3,"
     "uint1,uint2,uint3,psi_E,geo_err,E_cl,momentum_drift"
 )
+
+# Hand-written telemetry: negative entries, times whose pixel x lands
+# exactly on a .xx5 tie (56.125, 57.375, 356.625) and a constant effort
+# |(3, 4, 0)| = 5 that takes the flat-range branch of the y axis.
+PINNED_ROWS = [
+    "0,1,0,0,0,1,0,0,0,1,0.6,-0.8,0,0.8,0.6,0,0,0,1,"
+    "0.5,-0.25,0.125,0,0,0,0,0,0,3,4,0,2,1.5,10,0",
+    "0.125,0.96,-0.28,0,0.28,0.96,0,0,0,1,0.28,-0.96,0,0.96,0.28,0,0,0,1,"
+    "0.25,-0.125,0.0625,1,-2,0.5,0.1,6.2,3,3,4,0,1.005,1.25,8.5,1e-12",
+    "1.375,0.6,-0.8,0,0.8,0.6,0,0,0,1,-0.6,-0.8,0,0.8,-0.6,0,0,0,1,"
+    "-0.125,0.0625,0,2,-4,1,0.2,6.1,3.1,3,4,0,0.125,0.5,4.25,-2e-12",
+    "300.625,0,-1,0,1,0,0,0,0,1,-1,0,0,0,-1,0,0,0,1,"
+    "-0.5,0.25,-0.125,3,-6,1.5,0.3,6,3.2,3,4,0,0.015,0.1,1.125,3e-12",
+    "648,-0.5,-0.5,0.70710678118654757,0.5,0.5,0.70710678118654757,"
+    "-0.70710678118654757,0.70710678118654757,0,-0.8,0.6,0,-0.6,-0.8,0,"
+    "0,0,1,-1,0.5,-0.25,4,-8,2,0.4,5.9,3.3,3,4,0,0.005,0.0125,0,0",
+]
+
+# sha256 of the three SVGs `plot` writes for PINNED_ROWS, recorded with
+# the per-point polyline formatting and the genfromtxt reader
+PINNED_SVG_SHA256 = {
+    "pinned.svg":
+        "2a1977acd8a8806d7684643d85a3b38f7fc8d70d8bbac230de03415d1b82b0b5",
+    "pinned_psi.svg":
+        "cdec619d9f04a76ec7e6978df466d34085f4ebfecbcfa39ac097bbebaa717a07",
+    "pinned_effort.svg":
+        "20e06deb8085bf71f6599a27a19bcda0d3103f894c7fb2a434c7219acfe2a003",
+}
+
+
+def write_telemetry(path, rows, newline="\n"):
+    path.write_bytes(newline.join([GOLDEN_HEADER, *rows, ""]).encode())
+    return path
+
+
+def svg_digests(out):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in (out, out.with_name(out.stem + "_psi.svg"),
+                      out.with_name(out.stem + "_effort.svg"))}
 
 
 def write_short_config(tmp_path, duration="1", extra=()):
@@ -153,7 +193,7 @@ class TestSimulate:
         assert meta["schema"]["columns"] == COLUMNS
 
     def test_theta_column_wrapped(self, bundled_run):
-        data = np.genfromtxt(bundled_run, delimiter=",", names=True)
+        data = _load_csv(bundled_run)
         for k in (1, 2, 3):
             col = data[f"Theta{k}"]
             assert col.min() >= 0.0 and col.max() < 2.0 * np.pi
@@ -265,16 +305,48 @@ class TestPlot:
         assert main(["plot", str(bundled_run), "-o", str(tmp_path / "x.svg"),
                      "--entries", "14"]) == 1
 
-    def test_header_only_csv_exit_1_no_partials(self, tmp_path):
+    def test_header_only_csv_exit_1_no_partials(self, tmp_path, recwarn):
         empty = tmp_path / "empty.csv"
         empty.write_text(GOLDEN_HEADER + "\n")
         assert main(["plot", str(empty), "-o", str(tmp_path / "e.svg")]) == 1
         assert not list(tmp_path.glob("*.svg"))
+        assert not recwarn.list
 
     def test_schema_mismatch_exit_1(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("t,x,y\n0,1,2\n")
         assert main(["plot", str(bad), "-o", str(tmp_path / "b.svg")]) == 1
+
+    def test_pinned_svg_bytes(self, tmp_path):
+        csv = write_telemetry(tmp_path / "pinned.csv", PINNED_ROWS)
+        out = tmp_path / "pinned.svg"
+        assert main(["plot", str(csv), "-o", str(out)]) == 0
+        assert svg_digests(out) == PINNED_SVG_SHA256
+
+    def test_crlf_csv_plots_same_svgs(self, tmp_path):
+        csv = write_telemetry(tmp_path / "pinned.csv", PINNED_ROWS, "\r\n")
+        out = tmp_path / "pinned.svg"
+        assert main(["plot", str(csv), "-o", str(out)]) == 0
+        assert svg_digests(out) == PINNED_SVG_SHA256
+
+    def test_single_row_plots(self, tmp_path):
+        csv = write_telemetry(tmp_path / "one.csv", PINNED_ROWS[:1])
+        assert main(["plot", str(csv), "-o", str(tmp_path / "one.svg")]) == 0
+
+    @pytest.mark.parametrize("last_field", ["abc", "", "0,0"],
+                             ids=["non-numeric", "empty", "extra-column"])
+    def test_corrupt_row_exit_1_no_svg(self, tmp_path, last_field):
+        rows = list(PINNED_ROWS)
+        rows[2] = rows[2].rsplit(",", 1)[0] + "," + last_field
+        csv = write_telemetry(tmp_path / "bad.csv", rows)
+        assert main(["plot", str(csv), "-o", str(tmp_path / "b.svg")]) == 1
+        assert not list(tmp_path.glob("*.svg"))
+
+    def test_short_rows_exit_1_no_svg(self, tmp_path):
+        rows = [row.rsplit(",", 1)[0] for row in PINNED_ROWS]
+        csv = write_telemetry(tmp_path / "short.csv", rows)
+        assert main(["plot", str(csv), "-o", str(tmp_path / "s.svg")]) == 1
+        assert not list(tmp_path.glob("*.svg"))
 
 
 class TestCheck:

@@ -112,8 +112,10 @@ class TestConvergence:
 
     def test_lie_euler_first_order(self):
         init = ((np.eye(3),), np.array([1.0, 1.0, 1.0]))
+        # RK4 at h = 1e-4 is within 3e-14 of h = 1e-5, far below the
+        # Euler errors (about 3e-3 and 1.6e-3) measured against it
         ref = integrate(free_body_field, init,
-                        IntegratorConfig(step=1e-5, duration=0.5))
+                        IntegratorConfig(step=1e-4, duration=0.5))
         errs = []
         for h in (0.01, 0.005):
             out = integrate(free_body_field, init,
