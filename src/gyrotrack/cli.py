@@ -10,7 +10,7 @@ Subcommands:
   integral-free baseline
 * ``plot <csv> -o <svg> [--entries ...]``  render attitude-entry overlays,
   error decay and effort norms as static SVG files; a CSV whose header is
-  not COLUMNS or whose rows are not all numeric fails with exit 1
+  not COLUMNS or whose rows are not all finite numbers fails with exit 1
 * ``check <config>``               validate a config and exit
 
 Exit codes: 0 success, 1 usage or config error, 2 numerical divergence.
@@ -216,7 +216,7 @@ def cmd_compare(config_path, out_dir):
 
 
 def _load_csv(csv_path):
-    """Columns by name; the header must be COLUMNS, every field a number."""
+    """Columns by name; the header must be COLUMNS, each field finite."""
     with open(csv_path, encoding="utf-8") as fh:
         if fh.readline().rstrip("\n") != ",".join(COLUMNS):
             raise SchemaMismatchError(
@@ -226,9 +226,9 @@ def _load_csv(csv_path):
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.size == 0:
         raise SchemaMismatchError(f"CSV has no data rows ({csv_path})")
-    if data.shape[1] != len(COLUMNS):
-        raise SchemaMismatchError(f"CSV rows do not have {len(COLUMNS)} "
-                                  f"fields ({csv_path})")
+    if data.shape[1] != len(COLUMNS) or not np.isfinite(data).all():
+        raise SchemaMismatchError(f"CSV rows are not {len(COLUMNS)} finite "
+                                  f"numbers ({csv_path})")
     return dict(zip(COLUMNS, data.T))
 
 

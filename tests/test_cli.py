@@ -317,14 +317,9 @@ class TestPlot:
         bad.write_text("t,x,y\n0,1,2\n")
         assert main(["plot", str(bad), "-o", str(tmp_path / "b.svg")]) == 1
 
-    def test_pinned_svg_bytes(self, tmp_path):
-        csv = write_telemetry(tmp_path / "pinned.csv", PINNED_ROWS)
-        out = tmp_path / "pinned.svg"
-        assert main(["plot", str(csv), "-o", str(out)]) == 0
-        assert svg_digests(out) == PINNED_SVG_SHA256
-
-    def test_crlf_csv_plots_same_svgs(self, tmp_path):
-        csv = write_telemetry(tmp_path / "pinned.csv", PINNED_ROWS, "\r\n")
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_pinned_svg_bytes(self, tmp_path, newline):
+        csv = write_telemetry(tmp_path / "pinned.csv", PINNED_ROWS, newline)
         out = tmp_path / "pinned.svg"
         assert main(["plot", str(csv), "-o", str(out)]) == 0
         assert svg_digests(out) == PINNED_SVG_SHA256
@@ -333,8 +328,9 @@ class TestPlot:
         csv = write_telemetry(tmp_path / "one.csv", PINNED_ROWS[:1])
         assert main(["plot", str(csv), "-o", str(tmp_path / "one.svg")]) == 0
 
-    @pytest.mark.parametrize("last_field", ["abc", "", "0,0"],
-                             ids=["non-numeric", "empty", "extra-column"])
+    @pytest.mark.parametrize("last_field", ["abc", "", "0,0", "nan", "-inf"],
+                             ids=["non-numeric", "empty", "extra-column",
+                                  "nan", "infinite"])
     def test_corrupt_row_exit_1_no_svg(self, tmp_path, last_field):
         rows = list(PINNED_ROWS)
         rows[2] = rows[2].rsplit(",", 1)[0] + "," + last_field
