@@ -15,15 +15,15 @@ from .control import (BENCHMARK_LAMBDA_SUP, BENCHMARK_MU_HESS, ErrorState,
                       gain_derive, gain_feasible, lambda_sup_formula,
                       mu_hess_formula, nav_dpsi, nav_hessian, nav_psi,
                       pd_variant, q_matrix, synthesize_gains, xi_I_deriv)
-from .dynamics import (BodyState, InertiaParams, Momentum, StateDerivative,
-                       deriv_external, deriv_internal, kinetic_energy,
+from .dynamics import (InertiaParams, free_body_field, kinetic_energy,
                        locked_inertia, mechanical_connection, momentum_body,
                        momentum_spatial)
 from .errors import (ConfigParseError, DegenerateMatrixError,
                      DivergedStateError, GyrotrackError, KappaOutOfRangeError,
                      NotSkewError, SchemaMismatchError, SingularInertiaError,
                      SingularMetricError, SingularRotorInertiaError)
-from .integrators import History, IntegratorConfig, Trajectory, integrate, step_lie
+from .integrators import (History, IntegratorConfig, Trajectory, integrate,
+                          integrate_components, step_lie)
 from .scenario import (BodySetup, ClosedLoopTrajectory, EffortComparison,
                        ReferenceProgram, RunMetrics, ScenarioConfig,
                        benchmark_config, benchmark_gains, benchmark_plant,

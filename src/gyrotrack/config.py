@@ -2,7 +2,8 @@
 
 Format: one ``section.key = value`` per line, ``#`` comments, blank lines
 ignored.  Values are whitespace-separated numbers (matrices row-major),
-bare words for enumerations, ``true``/``false`` for flags.  Initial body
+bare words for enumerations, ``true``/``false`` for flags.  Each ``R0``
+must be a rotation matrix within 1e-9 (`so3.is_rotation`).  Initial body
 rates may be given directly (``plant.Omega0``) or as a momentum-style seed
 (``plant.IOmega0``, meaning Omega0 = I^{-1} @ value); the reference rotor
 rate accepts the word ``derive`` to be filled from the plant's momentum
@@ -23,6 +24,7 @@ from .errors import ConfigParseError, KappaOutOfRangeError
 from .integrators import SCHEMES, IntegratorConfig
 from .scenario import (BodySetup, ReferenceProgram, ScenarioConfig,
                        resolve_reference)
+from .so3 import is_rotation
 
 _KNOWN_KEYS = {
     "plant.I": 9, "plant.K": 3, "plant.R0": 9, "plant.Theta0": 3,
@@ -95,6 +97,10 @@ def _body(pairs, section):
     except ValueError as exc:
         raise ConfigParseError(str(exc), key=f"{section}.I")
     r0 = _numbers(pairs, f"{section}.R0", 9)
+    if not is_rotation(r0, tol=1e-9):
+        raise ConfigParseError("not a rotation matrix within 1e-9",
+                               key=f"{section}.R0",
+                               line=pairs[f"{section}.R0"][1])
     direct = f"{section}.Omega0" in pairs
     seeded = f"{section}.IOmega0" in pairs
     if direct == seeded:

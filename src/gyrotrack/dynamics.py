@@ -1,29 +1,27 @@
 """Rigid-body plant models.
 
-Two plants live here:
+Two plants live here, each as componentwise kernels (see the `so3` module
+docstring) that run on Python floats for one sample and on (n,) columns
+for a stack of samples:
 
-* an externally torqued rigid body on SO(3) (``deriv_external``), and
 * a rigid body carrying three reaction rotors mounted on its principal
-  axes (``deriv_internal``), an interconnected system whose total spatial
-  angular momentum is conserved for *any* rotor torque program.
+  axes (``_rotor_accels``), an interconnected system whose total spatial
+  angular momentum is conserved for *any* rotor torque program, and
+* an externally torqued rigid body on SO(3) (``_external_accel``);
+  `free_body_field` is its torque-free vector field.
 
 The rotor plant's accelerations are obtained by solving the 6x6 block
 system
 
     [[I+K, K], [K, K]] @ [dOmega, dOmegaR] = [Pi x Omega, u_int]
 
-with the block matrix inverted once per :class:`InertiaParams`.  The
-rearranged closed forms exist as a cross-check oracle in the test suite,
-not as the production path.
+with the block matrix inverted once per :class:`InertiaParams`.
 
 Also here: the momentum map in body and inertial frames, the mechanical
-connection, and the locked inertia tensor of the assembly.
-
-The momentum map and the block solve are componentwise kernels
-(``_momentum``, ``_rotor_accels``; see the `so3` module docstring): they
-run on Python floats for one sample and on (n,) columns for a stack of
-samples, read the inertia as the floats of `kernel_constants`, and have
-`momentum_body` and `rotor_accels` as their array adapters.
+connection, and the locked inertia tensor of the assembly.  The kernels
+read the inertia as the floats of `kernel_constants`; `momentum_body`
+and `rotor_accels` are the array adapters of ``_momentum`` and
+``_rotor_accels``.
 """
 
 from dataclasses import dataclass
@@ -33,7 +31,7 @@ import numpy as np
 
 from .errors import SingularInertiaError
 from .so3 import (_conn, _cross, _matvec, _matvec_t, components,
-                  connection_tensor, from_components, hat, is_rotation)
+                  connection_tensor, from_components)
 
 
 def rotor_inertia_matrix(k):
@@ -113,68 +111,6 @@ class InertiaParams:
             return np.linalg.inv(np.block([[self.locked, k], [k, k]]))
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise SingularInertiaError("inertia block system is singular") from exc
-
-
-@dataclass(frozen=True)
-class BodyState:
-    """Full rotor-plant state: attitude R, rotor angles Theta (rad),
-    body angular velocity Omega (rad/s), rotor relative rates OmegaR (rad/s).
-
-    Theta is carried unwrapped; wrap to [0, 2*pi) only when emitting output.
-    """
-
-    R: np.ndarray
-    Theta: np.ndarray
-    Omega: np.ndarray
-    OmegaR: np.ndarray
-
-    def __init__(self, R, Theta, Omega, OmegaR, validate=True):
-        R = np.asarray(R, dtype=float)
-        Theta = np.asarray(Theta, dtype=float)
-        Omega = np.asarray(Omega, dtype=float)
-        OmegaR = np.asarray(OmegaR, dtype=float)
-        if validate:
-            if not is_rotation(R, tol=1e-9):
-                raise ValueError("R is not a rotation matrix within 1e-9")
-            if not (np.isfinite(Theta).all() and np.isfinite(Omega).all()
-                    and np.isfinite(OmegaR).all()):
-                raise ValueError("state velocities must be finite")
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "Theta", Theta)
-        object.__setattr__(self, "Omega", Omega)
-        object.__setattr__(self, "OmegaR", OmegaR)
-
-
-@dataclass(frozen=True)
-class Momentum:
-    """Angular momentum in body (Pi) and inertial (mu = R Pi) frames."""
-
-    body: np.ndarray
-    spatial: np.ndarray
-
-    @classmethod
-    def from_state(cls, params, state):
-        pi = momentum_body(params, state.Omega, state.OmegaR)
-        return cls(body=pi, spatial=state.R @ pi)
-
-
-@dataclass
-class StateDerivative:
-    """Time derivative of a BodyState.
-
-    ``R_dot`` (= R @ hat(Omega)) is assembled lazily; integrators advance
-    the attitude from the body velocity directly.
-    """
-
-    theta_dot: np.ndarray
-    omega_dot: np.ndarray
-    omega_r_dot: np.ndarray
-    _R: np.ndarray = None
-    _Omega: np.ndarray = None
-
-    @cached_property
-    def R_dot(self):
-        return self._R @ hat(self._Omega)
 
 
 def kernel_constants(params):
@@ -265,39 +201,21 @@ def _external_accel(gamma, omega, u_ext):
     return u0 - n0, u1 - n1, u2 - n2
 
 
-def deriv_internal(params, state, u_int):
-    """Vector field of the rotor plant under rotor torque ``u_int`` (N·m).
+def free_body_field(i_inertia):
+    """Vector field of the torque-free rigid body with inertia ``i_inertia``.
 
-    Kinematics: dR = R hat(Omega), dTheta = OmegaR.  Accelerations come
-    from the block solve of the interconnected system; the spatial
-    momentum R Pi is a first integral for any u_int.
+    On components (see `integrators`): one attitude moving with body
+    velocity Omega and the vector state Omega, whose rate is the Euler
+    term dOmega = -conn(Omega, Omega) = I^{-1}((I Omega) x Omega), the
+    ``u_ext = 0`` case of `_external_accel`.  The connection table is
+    built once, here.
     """
-    omega_dot, omega_r_dot = rotor_accels(params, state.Omega, state.OmegaR, u_int)
-    return StateDerivative(
-        theta_dot=np.array(state.OmegaR, copy=True),
-        omega_dot=omega_dot,
-        omega_r_dot=omega_r_dot,
-        _R=state.R,
-        _Omega=state.Omega,
-    )
+    gamma = components(connection_tensor(i_inertia), 2)
+    zero = (0.0, 0.0, 0.0)
 
-
-def deriv_external(i_inertia, r, omega, u_ext):
-    """Vector field of the externally actuated rigid body.
-
-    ``u_ext`` is algebra-valued (rad/s^2); the physical torque it realizes
-    is I @ u_ext.  dR = R hat(Omega), dOmega = I^{-1}((I Omega) x Omega) + u_ext.
-    """
-    omega = np.asarray(omega, dtype=float)
-    omega_dot = _external_accel(components(connection_tensor(i_inertia), 2),
-                                components(omega), components(u_ext))
-    return StateDerivative(
-        theta_dot=np.zeros(3),
-        omega_dot=from_components(omega_dot),
-        omega_r_dot=np.zeros(3),
-        _R=np.asarray(r, dtype=float),
-        _Omega=omega,
-    )
+    def field(t, rots, vec):
+        return (vec,), _external_accel(gamma, vec, zero)
+    return field
 
 
 def kinetic_energy(params, omega, omega_r):

@@ -6,8 +6,13 @@ order and ``vectors`` one flat sequence of Python floats holding every
 vector-valued state.  A vector field maps ``(t, rotations, vectors)`` to
 ``(body_velocities, vector_derivative)``: 3 floats per rotation and one
 per vector slot.  The integrator owns the group update, advancing each
-rotation by a right-multiplied exponential.  `integrate` is the adapter
-for a vector field on arrays (3x3 attitudes, a 1-D vector state).
+rotation by a right-multiplied exponential.
+
+`integrate_components` is the one integration loop and takes such a
+field directly; the package's own fields (`scenario`'s closed loop and
+reference body, `dynamics.free_body_field`) are written for it.
+`integrate` is the thin adapter around it for a user's vector field on
+arrays (3x3 attitudes, a 1-D vector state).
 
 Two schemes are provided: first-order Lie-Euler and a fourth-order
 Munthe-Kaas variant of the classical RK4 tableau, whose algebra-valued
@@ -180,7 +185,7 @@ def step_lie(vector_field, t, state, h, scheme="rk4_munthe_kaas",
     return new_rots, new_vec
 
 
-def _integrate(vector_field, initial, cfg, t0=0.0):
+def integrate_components(vector_field, initial, cfg, t0=0.0):
     """Integrate a vector field on components over cfg.duration.
 
     ``initial`` holds arrays.  Returns a dense `History` with n_steps+1
@@ -209,8 +214,9 @@ def _integrate(vector_field, initial, cfg, t0=0.0):
 
 
 def integrate(vector_field, initial, cfg, t0=0.0):
-    """`_integrate` for a vector field on arrays: a tuple of 3x3 arrays
-    and a 1-D array in, ``(body_velocities, vector_derivative)`` out."""
+    """`integrate_components` for a vector field on arrays: a tuple of
+    3x3 arrays and a 1-D array in, ``(body_velocities, vector_derivative)``
+    out."""
     def field(t, rots, vec):
         omegas, vdot = vector_field(
             t, tuple(from_components(r, (3, 3)) for r in rots), np.array(vec))
@@ -218,4 +224,4 @@ def integrate(vector_field, initial, cfg, t0=0.0):
 
     # an overflow in an array field is reported as a divergence, not warned
     with np.errstate(over="ignore", invalid="ignore"):
-        return _integrate(field, initial, cfg, t0)
+        return integrate_components(field, initial, cfg, t0)

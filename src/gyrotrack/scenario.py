@@ -37,7 +37,7 @@ from .dynamics import (InertiaParams, _external_accel, _momentum,
 from .dynamics import _rotor_accels as rotor_accels
 from .errors import SingularRotorInertiaError
 from .integrators import IntegratorConfig, Trajectory
-from .integrators import _integrate as integrate
+from .integrators import integrate_components as integrate
 from .so3 import _matvec, components, from_components, rotation_angle
 
 
@@ -45,8 +45,10 @@ from .so3 import _matvec, components, from_components, rotation_angle
 class ReferenceProgram:
     """Torque program driving the reference body's rotors.
 
-    kind "zero" ignores the amplitude; "constant" applies it verbatim;
-    "sinusoid" applies amplitude * (sin t, cos t, sin t).
+    One formula, tau(t) = a_c + a_s * (sin t, cos t, sin t), whose
+    coefficients follow from ``kind``: "zero" has a_c = a_s = 0,
+    "constant" a_c = amplitude, "sinusoid" a_s = amplitude.  ``kind`` is
+    otherwise only the label a config carries.
     """
 
     kind: str = "zero"
@@ -60,22 +62,24 @@ class ReferenceProgram:
         if amp.shape != (3,) or not np.isfinite(amp).all():
             raise ValueError("amplitude must be a finite 3-vector")
         object.__setattr__(self, "amplitude", amp)
-        object.__setattr__(self, "_amp", tuple(amp.tolist()))   # for _torque
+        # signed zeros as in a_s * s alone (-0.0 + x is x for every float)
+        # and in a_c + 0.0 (a -0.0 amplitude entry becomes 0.0)
+        a_c = {"zero": (0.0, 0.0, 0.0), "sinusoid": (-0.0, -0.0, -0.0),
+               "constant": tuple((amp + 0.0).tolist())}[self.kind]
+        a_s = tuple(amp.tolist()) if self.kind == "sinusoid" \
+            else (0.0, 0.0, 0.0)
+        object.__setattr__(self, "a_c", a_c)
+        object.__setattr__(self, "a_s", a_s)
 
     def _torque(self, t):
         """Torque components at t: floats for a float t, columns for an
         array of times."""
-        zero = 0.0 * t          # a float or a column of zeros, like t
-        if self.kind == "zero":
-            return zero, zero, zero
-        a0, a1, a2 = self._amp
-        if self.kind == "constant":
-            return a0 + zero, a1 + zero, a2 + zero
         if isinstance(t, np.ndarray):
             s, c = np.sin(t), np.cos(t)
         else:
             s, c = math.sin(t), math.cos(t)
-        return a0 * s, a1 * c, a2 * s
+        (c0, c1, c2), (s0, s1, s2) = self.a_c, self.a_s
+        return c0 + s0 * s, c1 + s1 * c, c2 + s2 * s
 
     def torque(self, t):
         """Torque (N·m) at time t, shape (3,)."""

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -163,6 +164,30 @@ class TestConfigFormat:
                                             "gains.mu_hess = -1")
         with pytest.raises(ConfigParseError):
             parse_config(text)
+
+    def test_non_finite_rate_named(self):
+        text = ZERO_CFG.read_text().replace(
+            "plant.OmegaR0 = 0.5 1.9 1.5", "plant.OmegaR0 = nan 1.9 1.5")
+        with pytest.raises(ConfigParseError, match="finite") as err:
+            parse_config(text)
+        assert err.value.key == "plant.OmegaR0"
+
+    @pytest.mark.parametrize("section", ["plant", "reference"])
+    @pytest.mark.parametrize("scale", [
+        np.full(3, 2.0), np.array([1.0, 1.0, -1.0]), np.full(3, 1.0 + 1e-6)],
+        ids=["twice identity", "reflection", "scaled rotation"])
+    def test_non_rotation_attitude_rejected(self, section, scale, tmp_path):
+        rotation = scenario.BENCHMARK_PLANT_R0 if section == "plant" \
+            else np.eye(3)
+        r0 = " ".join(repr(x) for x in (rotation * scale).ravel().tolist())
+        text = re.sub(rf"^{section}\.R0 = .*$", f"{section}.R0 = {r0}",
+                      ZERO_CFG.read_text(), flags=re.MULTILINE)
+        with pytest.raises(ConfigParseError) as err:
+            parse_config(text)
+        assert err.value.key == f"{section}.R0"
+        cfg = tmp_path / "bad_attitude.cfg"
+        cfg.write_text(text)
+        assert main(["check", str(cfg)]) == 1
 
     def test_optional_bounds_default_to_formulas(self):
         from gyrotrack.control import lambda_sup_formula, mu_hess_formula
