@@ -13,7 +13,11 @@ Subcommands:
   not COLUMNS or whose rows are not all finite numbers fails with exit 1
 * ``check <config>``               validate a config and exit
 
-Exit codes: 0 success, 1 usage or config error, 2 numerical divergence.
+Exit codes, decided in `main` alone, which prints ``error: <message>`` to
+stderr: 0 success, 2 numerical divergence, 1 any other error (usage,
+config, schema, a file that cannot be read or written).  A missing output
+directory fails once the input has loaded, before anything is integrated
+or written.
 
 The CSV schema is a stable contract (see COLUMNS): one row per sample,
 numbers with 17 significant digits, comma separated, LF line endings.
@@ -32,9 +36,8 @@ from . import __version__
 from .config import load_config, serialize_config
 from .control import (gain_feasible, lambda_sup_formula, mu_hess_formula,
                       q_matrix, synthesize_gains)
-from .errors import (ConfigParseError, DivergedStateError, GyrotrackError,
-                     SchemaMismatchError)
-from .scenario import compare_efforts, resolve_reference, run_closed_loop
+from .errors import DivergedStateError, GyrotrackError, SchemaMismatchError
+from .scenario import compare_efforts, run_closed_loop
 from .svgplot import Panel, Series, write_svg
 
 COLUMNS = (
@@ -50,6 +53,13 @@ COLUMNS = (
 
 _REFERENCE_COLOR = "#d62728"   # reference drawn in red
 _PLANT_COLOR = "#1f77b4"       # controlled trajectory in blue
+
+
+def _check_output_parent(path):
+    """Raise FileNotFoundError unless the parent directory of path exists."""
+    parent = Path(path).parent
+    if not parent.is_dir():
+        raise FileNotFoundError(f"parent directory {parent} does not exist")
 
 
 def _write_csv(path, table, columns=COLUMNS):
@@ -101,16 +111,9 @@ def _metadata(cfg, traj, metrics):
 
 def cmd_simulate(config_path, out_path):
     """Run the closed loop and write telemetry CSV + JSON sidecar."""
-    try:
-        cfg = load_config(config_path)
-    except (OSError, ConfigParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        traj, metrics = run_closed_loop(cfg)
-    except DivergedStateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = load_config(config_path)
+    _check_output_parent(out_path)
+    traj, metrics = run_closed_loop(cfg)
 
     table = np.column_stack([
         traj.times,
@@ -157,11 +160,7 @@ def _print_gain_report(gains, i_plant):
 
 def cmd_tune_gains(config_path, synthesize=False):
     """Report the certification inequalities; optionally synthesize gains."""
-    try:
-        cfg = load_config(config_path)
-    except (OSError, ConfigParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cfg = load_config(config_path)
     i_plant = cfg.plant.params.body_inertia
     print("== configured gains ==")
     _print_gain_report(cfg.gains, i_plant)
@@ -177,23 +176,11 @@ def cmd_tune_gains(config_path, synthesize=False):
 
 def cmd_compare(config_path, out_dir):
     """Run proposed vs integral-free baseline; write effort CSVs + summary."""
-    try:
-        cfg = load_config(config_path)
-    except (OSError, ConfigParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cfg = load_config(config_path)
     out = Path(out_dir)
-    if not out.exists():
-        if not out.parent.exists():
-            print(f"error: parent directory {out.parent} does not exist",
-                  file=sys.stderr)
-            return 1
-        out.mkdir()
-    try:
-        cmp_result = compare_efforts(cfg)
-    except DivergedStateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    _check_output_parent(out)
+    out.mkdir(exist_ok=True)
+    cmp_result = compare_efforts(cfg)
 
     for name, metrics in (("proposed", cmp_result.proposed),
                           ("baseline", cmp_result.baseline)):
@@ -218,12 +205,15 @@ def cmd_compare(config_path, out_dir):
 def _load_csv(csv_path):
     """Columns by name; the header must be COLUMNS, each field finite."""
     with open(csv_path, encoding="utf-8") as fh:
-        if fh.readline().rstrip("\n") != ",".join(COLUMNS):
-            raise SchemaMismatchError(
-                f"CSV columns do not match the telemetry schema ({csv_path})")
-        with warnings.catch_warnings():   # a file without rows warns
-            warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            if fh.readline().rstrip("\n") != ",".join(COLUMNS):
+                raise SchemaMismatchError("CSV columns do not match the "
+                                          f"telemetry schema ({csv_path})")
+            with warnings.catch_warnings():   # a file without rows warns
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:   # not UTF-8, or a field not a number
+            raise SchemaMismatchError(str(exc)) from None
     if data.size == 0:
         raise SchemaMismatchError(f"CSV has no data rows ({csv_path})")
     if data.shape[1] != len(COLUMNS) or not np.isfinite(data).all():
@@ -234,11 +224,7 @@ def _load_csv(csv_path):
 
 def cmd_plot(csv_path, out_svg, entries=(11, 12, 21, 22)):
     """Render attitude-entry overlays, psi decay and effort norms to SVG."""
-    try:
-        data = _load_csv(csv_path)
-    except (OSError, SchemaMismatchError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    data = _load_csv(csv_path)
     t = data["t"]
     panels = []
     for entry in entries:
@@ -252,6 +238,7 @@ def cmd_plot(csv_path, out_svg, entries=(11, 12, 21, 22)):
             series=[Series(t, data[f"Rd{i}{j}"], "reference", _REFERENCE_COLOR),
                     Series(t, data[f"R{i}{j}"], "plant", _PLANT_COLOR)]))
     out = Path(out_svg)
+    _check_output_parent(out)
     write_svg(out, panels)
 
     psi_out = out.with_name(out.stem + "_psi" + out.suffix)
@@ -272,12 +259,7 @@ def cmd_plot(csv_path, out_svg, entries=(11, 12, 21, 22)):
 
 def cmd_check(config_path):
     """Validate a config file and print a short summary."""
-    try:
-        cfg = load_config(config_path)
-    except (OSError, ConfigParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    cfg = resolve_reference(cfg)
+    cfg = load_config(config_path)   # resolved, reference rotor rate too
     verdict = gain_feasible(cfg.gains)
     print(f"config ok: program={cfg.program.kind}, "
           f"step={cfg.integrator.step:g} s, "
@@ -319,6 +301,7 @@ def _build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand; the only place errors become exit codes."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -338,12 +321,13 @@ def main(argv=None):
                 print(f"error: bad --entries '{args.entries}'", file=sys.stderr)
                 return 1
             return cmd_plot(args.csv, args.output, entries)
-        if args.command == "check":
-            return cmd_check(args.config)
-    except GyrotrackError as exc:   # pragma: no cover - safety net
+        return cmd_check(args.config)
+    except DivergedStateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (GyrotrackError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 1
 
 
 if __name__ == "__main__":

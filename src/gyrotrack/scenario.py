@@ -38,7 +38,11 @@ from .dynamics import _rotor_accels as rotor_accels
 from .errors import SingularRotorInertiaError
 from .integrators import IntegratorConfig, Trajectory
 from .integrators import integrate_components as integrate
-from .so3 import _matvec, components, from_components, rotation_angle
+from .so3 import (_matvec, components, from_components, is_rotation,
+                  orthogonality_defect, rotation_angle)
+
+
+PROGRAM_KINDS = ("zero", "constant", "sinusoid")
 
 
 @dataclass(frozen=True)
@@ -55,7 +59,7 @@ class ReferenceProgram:
     amplitude: np.ndarray = None
 
     def __post_init__(self):
-        if self.kind not in ("zero", "constant", "sinusoid"):
+        if self.kind not in PROGRAM_KINDS:
             raise ValueError(f"unknown program kind '{self.kind}'")
         amp = np.zeros(3) if self.amplitude is None \
             else np.asarray(self.amplitude, dtype=float)
@@ -94,6 +98,7 @@ class ReferenceProgram:
 class BodySetup:
     """Inertia parameters plus initial conditions for one rotor body.
 
+    R0 must be a rotation within 1e-9 (`so3.is_rotation`), else ValueError.
     OmegaR0 may be None on the reference body, meaning "derive from the
     plant's momentum level set".
     """
@@ -106,6 +111,8 @@ class BodySetup:
 
     def __post_init__(self):
         object.__setattr__(self, "R0", np.asarray(self.R0, dtype=float))
+        if not is_rotation(self.R0):
+            raise ValueError("not a rotation matrix within 1e-9")
         object.__setattr__(self, "Omega0", np.asarray(self.Omega0, dtype=float))
         if self.OmegaR0 is not None:
             object.__setattr__(self, "OmegaR0",
@@ -447,10 +454,8 @@ def _compute_metrics(cfg, traj):
         else _matvec(i_comp, omega)
     spatial = from_components(_matvec(r, pi))
     drift_series = np.abs(spatial - spatial[0]).max(axis=1)
-    ortho = 0.0
-    for rot in (traj.R, traj.R_d):
-        gram = rot.mT @ rot - np.eye(3)
-        ortho = max(ortho, float(np.sqrt((gram ** 2).sum(axis=(1, 2))).max()))
+    ortho = max(float(orthogonality_defect(rot).max())
+                for rot in (traj.R, traj.R_d))
 
     e, eta = _error(r, omega, r_d, omega_d)
     err = ErrorState(from_components(e, (3, 3)), from_components(eta),

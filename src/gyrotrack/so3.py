@@ -319,7 +319,7 @@ def connection_term(i_metric, a, b):
 
 def geodesic_distance(r1, r2):
     """Angle of the relative rotation between two attitudes, in [0, pi]."""
-    return float(np.linalg.norm(logm(np.asarray(r1).T @ np.asarray(r2))))
+    return float(rotation_angle(np.asarray(r1).T @ np.asarray(r2)))
 
 
 def rotation_angle(r):
@@ -330,10 +330,16 @@ def rotation_angle(r):
     return np.arctan2(s, c)
 
 
+def orthogonality_defect(r):
+    """||R^T R - 1||_F, per matrix of a stack."""
+    r = np.asarray(r, dtype=float)
+    gram = r.mT @ r - np.eye(3)
+    return np.sqrt((gram ** 2).sum(axis=(-2, -1)))
+
+
 def is_rotation(r, tol=1e-9):
     """True if ||R^T R - I||_F <= tol and det(R) > 0."""
     r = np.asarray(r, dtype=float)
     if r.shape != (3, 3):
         return False
-    return (np.linalg.norm(r.T @ r - np.eye(3)) <= tol
-            and np.linalg.det(r) > 0.0)
+    return orthogonality_defect(r) <= tol and np.linalg.det(r) > 0.0

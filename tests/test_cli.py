@@ -8,11 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from gyrotrack import scenario
+from gyrotrack import cli, scenario
 from gyrotrack.cli import COLUMNS, _load_csv, main
 from gyrotrack.config import load_config, parse_config, serialize_config
 from gyrotrack.errors import ConfigParseError
+from gyrotrack.so3 import expm
 
 REPO = Path(__file__).resolve().parent.parent
 ZERO_CFG = REPO / "configs" / "benchmark_zero.cfg"
@@ -74,6 +78,51 @@ def write_short_config(tmp_path, duration="1", extra=()):
     return path
 
 
+def _vector(low, high):
+    return arrays(np.float64, 3, elements=st.floats(low, high))
+
+
+@st.composite
+def config_texts(draw):
+    """Scenario text over both bodies, every program kind and optional
+    keys; numbers are written as repr floats."""
+    def line(key, values):
+        return f"{key} = " + " ".join(
+            repr(float(x)) for x in np.ravel(values))
+
+    lines, omega_keys = [], ["Omega0", "IOmega0"]
+    for section in ("plant", "reference"):
+        q = expm(draw(_vector(-4.0, 4.0)))
+        inertia = q @ np.diag(draw(_vector(0.5, 10.0))) @ q.T
+        lines += [line(f"{section}.I", 0.5 * (inertia + inertia.T)),
+                  line(f"{section}.K", draw(_vector(0.1, 10.0))),
+                  line(f"{section}.R0", expm(draw(_vector(-4.0, 4.0)))),
+                  line(f"{section}.{draw(st.sampled_from(omega_keys))}",
+                       draw(_vector(-5.0, 5.0)))]
+        if draw(st.booleans()):
+            lines.append(line(f"{section}.Theta0", draw(_vector(0.0, 6.0))))
+        if section == "reference" and draw(st.booleans()):
+            lines.append("reference.OmegaR0 = derive")
+        else:
+            lines.append(line(f"{section}.OmegaR0", draw(_vector(-5.0, 5.0))))
+    lines.append("reference.program = "
+                 + draw(st.sampled_from(scenario.PROGRAM_KINDS)))
+    if draw(st.booleans()):
+        lines.append(line("reference.amplitude", draw(_vector(-2.0, 2.0))))
+    for key in ("kp", "kd", "ki"):
+        lines.append(line(f"gains.{key}", draw(st.floats(0.01, 50.0))))
+    if draw(st.booleans()):
+        mu = draw(st.floats(0.5, 10.0))
+        lines.append(line("gains.mu_hess", mu))
+        if draw(st.booleans()):
+            lines.append(line("gains.kappa",
+                              draw(st.floats(1.01, 1.99)) / mu))
+    if draw(st.booleans()):
+        lines.append(line("gains.lambda_sup", draw(st.floats(0.1, 5.0))))
+    lines += ["integrator.step = 0.001", "integrator.duration = 1"]
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
 @pytest.fixture(scope="session")
 def bundled_run(tmp_path_factory):
     """One full 30 s simulate of the bundled zero-torque config."""
@@ -94,6 +143,12 @@ class TestConfigFormat:
         once = serialize_config(parse_config(text))
         twice = serialize_config(parse_config(once))
         assert once == twice
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=config_texts())
+    def test_roundtrip_idempotent_generated(self, text):
+        once = serialize_config(parse_config(text))
+        assert serialize_config(parse_config(once)) == once
 
     def test_parse_resolves_momentum_seed(self):
         cfg = parse_config(ZERO_CFG.read_text())
@@ -247,6 +302,11 @@ class TestSimulate:
                    ("gains.kp = 1", "gains.kp = 500000")])
         assert main(["simulate", str(cfg), "-o", str(tmp_path / "d.csv")]) == 2
 
+    def test_existing_directory_output_exit_1(self, tmp_path, capsys):
+        cfg = write_short_config(tmp_path, duration="0.1")
+        assert main(["simulate", str(cfg), "-o", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_overflow_from_identity_exit_2(self, tmp_path):
         cfg = write_short_config(
             tmp_path, duration="5",
@@ -257,6 +317,22 @@ class TestSimulate:
         with np.errstate(all="ignore"):
             assert main(["simulate", str(cfg),
                          "-o", str(tmp_path / "d.csv")]) == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "plot", "compare"])
+def test_missing_output_dir_exit_1_before_running(command, tmp_path,
+                                                  monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("integrated before checking the output path")
+    monkeypatch.setattr(cli, "run_closed_loop", never)
+    monkeypatch.setattr(cli, "compare_efforts", never)
+    source = write_telemetry(tmp_path / "in.csv", PINNED_ROWS) \
+        if command == "plot" else write_short_config(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / "missing" / ("x.svg" if command == "plot" else "x.csv")
+    assert main([command, str(source), "-o", str(out)]) == 1
+    assert sorted(tmp_path.rglob("*")) == before
+    assert "parent directory" in capsys.readouterr().err
 
 
 class TestTuneGains:
@@ -363,6 +439,13 @@ class TestPlot:
         assert main(["plot", str(csv), "-o", str(tmp_path / "b.svg")]) == 1
         assert not list(tmp_path.glob("*.svg"))
 
+    def test_non_utf8_csv_exit_1_no_svg(self, tmp_path, capsys):
+        csv = tmp_path / "binary.csv"
+        csv.write_bytes(GOLDEN_HEADER.encode() + b"\n\xff\xfe,0\n")
+        assert main(["plot", str(csv), "-o", str(tmp_path / "b.svg")]) == 1
+        assert not list(tmp_path.glob("*.svg"))
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_short_rows_exit_1_no_svg(self, tmp_path):
         rows = [row.rsplit(",", 1)[0] for row in PINNED_ROWS]
         csv = write_telemetry(tmp_path / "short.csv", rows)
@@ -381,6 +464,12 @@ class TestCheck:
             "plant.I = 4 1 1 1 5.2 2 1 2 6.3", "plant.I = not numbers"))
         assert main(["check", str(bad)]) == 1
         assert "plant.I" in capsys.readouterr().err
+
+    def test_non_utf8_config_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "binary.cfg"
+        bad.write_bytes(b"\xff\xfe plant.I = 1\n")
+        assert main(["check", str(bad)]) == 1
+        assert "not UTF-8" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_out():

@@ -8,6 +8,8 @@ from gyrotrack import control, dynamics, scenario
 from gyrotrack.errors import DivergedStateError, SingularRotorInertiaError
 from gyrotrack.integrators import IntegratorConfig
 
+from conftest import random_rotation
+
 
 def short_config(program="zero", duration=2.0, **kw):
     return scenario.benchmark_config(program=program, duration=duration, **kw)
@@ -208,6 +210,27 @@ class TestEffortComparison:
         cmp_result = scenario.compare_efforts(short_config(duration=1.0))
         full = cmp_result.proposed.effort_l2
         assert np.array_equal(full[::7], np.asarray(full)[::7])
+
+
+class TestBodySetup:
+    @pytest.mark.parametrize("r0", [
+        2.0 * np.eye(3), np.diag([1.0, 1.0, -1.0]),
+        (1.0 + 1e-6) * scenario.BENCHMARK_PLANT_R0],
+        ids=["twice identity", "reflection", "scaled rotation"])
+    def test_non_rotation_attitude_rejected(self, r0):
+        plant = scenario.benchmark_plant()
+        with pytest.raises(ValueError, match="rotation"):
+            scenario.BodySetup(params=plant.params, R0=r0,
+                               Omega0=plant.Omega0, OmegaR0=plant.OmegaR0)
+        with pytest.raises(ValueError, match="rotation"):
+            dataclasses.replace(plant, R0=r0)
+
+    def test_expm_rotations_accepted(self):
+        rng = np.random.default_rng(11)
+        plant = scenario.benchmark_plant()
+        for _ in range(20):
+            r0 = random_rotation(rng)
+            assert np.array_equal(dataclasses.replace(plant, R0=r0).R0, r0)
 
 
 class TestBenchmarkSetup:
