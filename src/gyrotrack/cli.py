@@ -15,9 +15,9 @@ Subcommands:
 
 Exit codes, decided in `main` alone, which prints ``error: <message>`` to
 stderr: 0 success, 2 numerical divergence, 1 any other error (usage,
-config, schema, a file that cannot be read or written).  A missing output
-directory fails once the input has loaded, before anything is integrated
-or written.
+config, schema, a file that cannot be read or written).  An output file
+whose directory is missing, or which is itself a directory, fails once the
+input has loaded, before anything is integrated or written.
 
 The CSV schema is a stable contract (see COLUMNS): one row per sample,
 numbers with 17 significant digits, comma separated, LF line endings.
@@ -55,11 +55,15 @@ _REFERENCE_COLOR = "#d62728"   # reference drawn in red
 _PLANT_COLOR = "#1f77b4"       # controlled trajectory in blue
 
 
-def _check_output_parent(path):
-    """Raise FileNotFoundError unless the parent directory of path exists."""
-    parent = Path(path).parent
-    if not parent.is_dir():
-        raise FileNotFoundError(f"parent directory {parent} does not exist")
+def _check_outputs(*paths):
+    """Raise OSError unless each path's parent directory exists and the
+    path is not itself a directory."""
+    for path in map(Path, paths):
+        if not path.parent.is_dir():
+            raise FileNotFoundError(
+                f"parent directory {path.parent} does not exist")
+        if path.is_dir():
+            raise IsADirectoryError(f"output {path} is a directory")
 
 
 def _write_csv(path, table, columns=COLUMNS):
@@ -112,7 +116,9 @@ def _metadata(cfg, traj, metrics):
 def cmd_simulate(config_path, out_path):
     """Run the closed loop and write telemetry CSV + JSON sidecar."""
     cfg = load_config(config_path)
-    _check_output_parent(out_path)
+    out = Path(out_path)
+    meta = out.with_suffix(".meta.json")
+    _check_outputs(out, meta)
     traj, metrics = run_closed_loop(cfg)
 
     table = np.column_stack([
@@ -125,12 +131,11 @@ def cmd_simulate(config_path, out_path):
         metrics.psi_e, metrics.geo_err, metrics.ecl,
         metrics.momentum_drift_series,
     ])
-    out = Path(out_path)
     _write_csv(out, table)
-    with open(out.with_suffix(".meta.json"), "w", encoding="utf-8") as fh:
+    with open(meta, "w", encoding="utf-8") as fh:
         json.dump(_metadata(cfg, traj, metrics), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {out} ({len(traj)} rows) and {out.with_suffix('.meta.json')}")
+    print(f"wrote {out} ({len(traj)} rows) and {meta}")
     return 0
 
 
@@ -178,13 +183,16 @@ def cmd_compare(config_path, out_dir):
     """Run proposed vs integral-free baseline; write effort CSVs + summary."""
     cfg = load_config(config_path)
     out = Path(out_dir)
-    _check_output_parent(out)
-    out.mkdir(exist_ok=True)
+    if not out.is_dir():
+        _check_outputs(out)
+        out.mkdir()
+    efforts = [out / f"effort_{name}.csv" for name in ("proposed", "baseline")]
+    _check_outputs(*efforts, out / "summary.json")
     cmp_result = compare_efforts(cfg)
 
-    for name, metrics in (("proposed", cmp_result.proposed),
-                          ("baseline", cmp_result.baseline)):
-        _write_csv(out / f"effort_{name}.csv",
+    for path, metrics in zip(efforts, (cmp_result.proposed,
+                                       cmp_result.baseline)):
+        _write_csv(path,
                    np.column_stack([cmp_result.times, metrics.effort_l2,
                                     metrics.effort_uext_l2]),
                    ("t", "uint_norm", "uext_norm"))
@@ -238,17 +246,17 @@ def cmd_plot(csv_path, out_svg, entries=(11, 12, 21, 22)):
             series=[Series(t, data[f"Rd{i}{j}"], "reference", _REFERENCE_COLOR),
                     Series(t, data[f"R{i}{j}"], "plant", _PLANT_COLOR)]))
     out = Path(out_svg)
-    _check_output_parent(out)
+    psi_out = out.with_name(out.stem + "_psi" + out.suffix)
+    effort_out = out.with_name(out.stem + "_effort" + out.suffix)
+    _check_outputs(out, psi_out, effort_out)
     write_svg(out, panels)
 
-    psi_out = out.with_name(out.stem + "_psi" + out.suffix)
     write_svg(psi_out, [Panel(title="navigation error", xlabel="t [s]",
                               ylabel="psi(E)",
                               series=[Series(t, data["psi_E"], "psi(E)",
                                              _PLANT_COLOR)])])
     effort = np.sqrt(data["uint1"] ** 2 + data["uint2"] ** 2
                      + data["uint3"] ** 2)
-    effort_out = out.with_name(out.stem + "_effort" + out.suffix)
     write_svg(effort_out, [Panel(title="rotor torque magnitude",
                                  xlabel="t [s]", ylabel="|u_int| [N m]",
                                  series=[Series(t, effort, "|u_int|",

@@ -507,10 +507,10 @@ def _metric_spectrum(i_metric, h):
     return np.linalg.eigvalsh(i_mhalf @ h @ i_mhalf)
 
 
-def _sample_rotations(rng, n, max_angle):
+def _sample_rotations(rng, n):
     axes = rng.normal(size=(n, 3))
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-    angles = rng.uniform(0.0, max_angle, size=n)
+    angles = rng.uniform(0.0, np.pi, size=n)
     return np.array([expm(a * ax) for a, ax in zip(angles, axes)])
 
 
@@ -522,7 +522,7 @@ def estimate_mu_hess(p, i_metric, psi_cap=1.0, n_samples=2000, seed=0):
     Complements the closed-form `mu_hess_formula`.
     """
     p_mat = _weights_matrix(p)
-    e = _sample_rotations(np.random.default_rng(seed), n_samples, np.pi)
+    e = _sample_rotations(np.random.default_rng(seed), n_samples)
     e = e[nav_psi(p_mat, e) <= psi_cap]
     spectrum = _metric_spectrum(i_metric, nav_hessian(p_mat, i_metric, e))
     return float(np.abs(spectrum).max(initial=0.0))
@@ -531,7 +531,7 @@ def estimate_mu_hess(p, i_metric, psi_cap=1.0, n_samples=2000, seed=0):
 def estimate_lambda_sup(p, i_metric, psi_cap=1.0, n_samples=2000, seed=0):
     """Sampled bound of <grad psi, grad psi> / (2 psi) over {psi(E) <= cap}."""
     p_mat = _weights_matrix(p)
-    e = _sample_rotations(np.random.default_rng(seed), n_samples, np.pi)
+    e = _sample_rotations(np.random.default_rng(seed), n_samples)
     psi = nav_psi(p_mat, e)
     keep = (psi <= psi_cap) & (psi >= 1e-12)
     dpsi = _dpsi_array(p_mat, e[keep])
@@ -540,22 +540,21 @@ def estimate_lambda_sup(p, i_metric, psi_cap=1.0, n_samples=2000, seed=0):
     return float(ratio.max(initial=0.0))
 
 
-def synthesize_gains(i_metric, kd=3.0, mu_hess=None, lambda_sup=None,
-                     kappa_frac=0.5, ki_frac=0.2, kp_margin=1.1):
+def synthesize_gains(i_metric, kd=3.0, mu_hess=None, lambda_sup=None):
     """Produce a certified GainSet for a given metric (carrier inertia).
 
-    kappa sits at kappa_frac of the admissible interval, k_I at ki_frac of
-    its upper bound, k_p at kp_margin times its floor.  The result passes
-    `gain_feasible` by construction.
+    Fixed placement: kappa halfway along (1/mu_hess, 2/mu_hess), k_I at
+    0.2 of its bound kd^3 (1 - sigma^2) / mu_hess, k_p at 1.1 times its
+    floor.  The result passes `gain_feasible` by construction.
     """
     i = np.asarray(i_metric, dtype=float)
     if mu_hess is None:
         mu_hess = mu_hess_formula(i)
     if lambda_sup is None:
         lambda_sup = lambda_sup_formula(i)
-    kappa = (1.0 + kappa_frac) / mu_hess
+    kappa = 1.5 / mu_hess
     sigma = 2.0 - mu_hess * kappa
-    ki = ki_frac * (kd ** 3 / mu_hess) * (1.0 - sigma ** 2)
+    ki = 0.2 * (kd ** 3 / mu_hess) * (1.0 - sigma ** 2)
     probe = gain_derive(1.0, kd, ki, kappa, mu_hess, lambda_sup)
-    kp = kp_margin * gain_feasible(probe).kp_floor
+    kp = 1.1 * gain_feasible(probe).kp_floor
     return gain_derive(kp, kd, ki, kappa, mu_hess, lambda_sup)

@@ -185,18 +185,18 @@ def step_lie(vector_field, t, state, h, scheme="rk4_munthe_kaas",
     return new_rots, new_vec
 
 
-def integrate_components(vector_field, initial, cfg, t0=0.0):
+def integrate_components(vector_field, initial, cfg):
     """Integrate a vector field on components over cfg.duration.
 
-    ``initial`` holds arrays.  Returns a dense `History` with n_steps+1
-    uniformly spaced samples (duration == step gives two).  Raises
+    ``initial`` holds arrays at t = 0.  Returns a dense `History` with
+    n_steps+1 uniformly spaced samples (duration == step gives two).  Raises
     DivergedStateError with the first offending step index if any state
     entry turns non-finite.
     """
     rots, vec = initial
     state = ([components(r, 2) for r in rots], components(vec))
     n = cfg.n_steps
-    times = t0 + cfg.step * np.arange(n + 1)
+    times = cfg.step * np.arange(n + 1)
     rot_hist = [np.empty((n + 1, 3, 3)) for _ in rots]
     vec_hist = np.empty((n + 1, len(state[1])))
     # sample i goes to row i of each attitude's (n+1, 9) view and of vec_hist
@@ -213,7 +213,7 @@ def integrate_components(vector_field, initial, cfg, t0=0.0):
     return History(times=times, rotations=rot_hist, vectors=vec_hist)
 
 
-def integrate(vector_field, initial, cfg, t0=0.0):
+def integrate(vector_field, initial, cfg):
     """`integrate_components` for a vector field on arrays: a tuple of
     3x3 arrays and a 1-D array in, ``(body_velocities, vector_derivative)``
     out."""
@@ -224,4 +224,4 @@ def integrate(vector_field, initial, cfg, t0=0.0):
 
     # an overflow in an array field is reported as a divergence, not warned
     with np.errstate(over="ignore", invalid="ignore"):
-        return integrate_components(field, initial, cfg, t0)
+        return integrate_components(field, initial, cfg)

@@ -4,6 +4,9 @@ A scenario pairs a rotor-driven plant with a reference attitude produced
 by a second ("dummy") rotor body flying under a chosen torque program.
 Reference and plant are co-integrated in one combined state so the
 controller always sees exact reference values, never interpolated ones.
+The integrator calls the closed loop on floats; the post-pass calls it
+once on the stored history as columns, so the reported torques are the
+ones that drove the plant.
 
 Because the control torques are internal, any admissible reference must
 carry the same spatial angular momentum as the plant; `consistent_rotor_velocity`
@@ -86,12 +89,10 @@ class ReferenceProgram:
         return c0 + s0 * s, c1 + s1 * c, c2 + s2 * s
 
     def torque(self, t):
-        """Torque (N·m) at time t, shape (3,)."""
-        return from_components(self._torque(float(t)))
-
-    def torque_series(self, times):
-        """Vectorized torque samples, shape (len(times), 3)."""
-        return from_components(self._torque(np.asarray(times, dtype=float)))
+        """Torque (N·m) at time t, shape (3,), or at each time of a grid,
+        shape (len(t), 3)."""
+        t = np.asarray(t, dtype=float)
+        return from_components(self._torque(t if t.ndim else t.item()))
 
 
 @dataclass(frozen=True)
@@ -324,20 +325,19 @@ def make_reference(cfg):
 
     The returned trajectory carries Omega_d_dot sampled from the vector
     field at every stored state (not finite-differenced), as the tracking
-    feed-forward needs it.
+    feed-forward needs it: the field, called on the history as columns.
     """
     cfg = resolve_reference(cfg)
     ref = cfg.reference
     vec0 = np.concatenate([ref.Theta0, ref.Omega0, ref.OmegaR0])
-    hist = integrate(_rotor_field(ref.params, cfg.program._torque),
-                     ((ref.R0,), vec0), cfg.integrator)
-    omega, omega_r = hist.vectors[:, 3:6], hist.vectors[:, 6:9]
-    omega_dot, _ = rotor_accels(kernel_constants(ref.params),
-                                components(omega), components(omega_r),
-                                cfg.program._torque(hist.times))
+    field = _rotor_field(ref.params, cfg.program._torque)
+    hist = integrate(field, ((ref.R0,), vec0), cfg.integrator)
+    vec = hist.vectors
+    _, vdot = field(hist.times, [components(hist.rotations[0], 2)],
+                    components(vec))
     return Trajectory(times=hist.times, R=hist.rotations[0],
-                      Theta=hist.vectors[:, 0:3], Omega=omega,
-                      OmegaR=omega_r, omega_dot=from_components(omega_dot))
+                      Theta=vec[:, 0:3], Omega=vec[:, 3:6],
+                      OmegaR=vec[:, 6:9], omega_dot=from_components(vdot[3:6]))
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +347,16 @@ def make_reference(cfg):
 _ZERO3 = np.zeros(3)
 
 
-def _closed_loop_field(cfg, actuation):
-    """Combined plant + reference + integral-state vector field.
+def _closed_loop(cfg, actuation):
+    """``loop(t, rots, vec) -> (omegas, vdot, u_ext, u_int)``: the combined
+    plant + reference + integral-state field with the torques it applies,
+    u_ext = I u on the carrier body and the rotor torque u_int realizing it.
 
     vec: Theta 0:3 | Omega 3:6 | OmegaR 6:9 | Theta_d 9:12 | Omega_d 12:15
          | OmegaR_d 15:18 | xi_I 18:21.
-    Under external actuation the carrier body is torqued directly and the
-    plant's Theta and OmegaR slots stay zero.  The field is on components
-    (see `integrators`), so the kernels run on its Python floats as given.
+    Under external actuation the carrier body is torqued directly, u_int is
+    zero and the plant's Theta and OmegaR slots stay zero.  On components
+    (see `integrators`): floats in the stepper, columns in the post-pass.
     """
     plant = cfg.plant.params
     plant_c = kernel_constants(plant)
@@ -367,7 +369,7 @@ def _closed_loop_field(cfg, actuation):
     i_inv = components(plant.body_inertia_inv, 2)
     internal = actuation == "internal"
 
-    def field(t, rots, vec):
+    def loop(t, rots, vec):
         r, r_d = rots
         omega, omega_r = vec[3:6], vec[6:9]
         omega_d, omega_r_d = vec[12:15], vec[15:18]
@@ -375,15 +377,18 @@ def _closed_loop_field(cfg, actuation):
                                               torque(t))
         u, xi_dot = _loop_kernel(gamma, i_inv, p_mat, gains, r, omega, r_d,
                                  omega_d, d_omega_d, vec[18:21])
+        u_ext = _matvec(i_metric, u)
         if internal:
-            u_int = _uint(plant_c, _matvec(i_metric, u), omega, omega_r)
+            u_int = _uint(plant_c, u_ext, omega, omega_r)
             d_omega, d_omega_r = rotor_accels(plant_c, omega, omega_r, u_int)
         else:
+            zero = 0.0 * t   # +0.0 as a float, or a column like t (t >= 0)
+            u_int = d_omega_r = (zero, zero, zero)
             d_omega = _external_accel(gamma, omega, u)
-            d_omega_r = (0.0, 0.0, 0.0)
-        return (omega, omega_d), (*omega_r, *d_omega, *d_omega_r, *omega_r_d,
-                                  *d_omega_d, *d_omega_r_d, *xi_dot)
-    return field
+        return ((omega, omega_d), (*omega_r, *d_omega, *d_omega_r, *omega_r_d,
+                                   *d_omega_d, *d_omega_r_d, *xi_dot),
+                u_ext, u_int)
+    return loop
 
 
 def run_closed_loop(cfg, actuation="internal"):
@@ -391,8 +396,9 @@ def run_closed_loop(cfg, actuation="internal"):
 
     actuation "internal" drives the rotor plant through the torque
     conversion; "external" drives the bare carrier body directly (used by
-    the equivalence checks).  The feasibility verdict of cfg.gains is
-    recorded in the metrics either way.
+    the equivalence checks).  The post-pass calls the same loop on the
+    stored history as columns for Omega_d_dot, u_ext and u_int.  The
+    feasibility verdict of cfg.gains is recorded in the metrics either way.
     """
     if actuation not in ("internal", "external"):
         raise ValueError("actuation must be 'internal' or 'external'")
@@ -402,56 +408,39 @@ def run_closed_loop(cfg, actuation="internal"):
         if actuation == "internal" else (_ZERO3, _ZERO3)
     vec0 = np.concatenate([theta0, plant.Omega0, omega_r0,
                            ref.Theta0, ref.Omega0, ref.OmegaR0, _ZERO3])
-    hist = integrate(_closed_loop_field(cfg, actuation),
+    loop = _closed_loop(cfg, actuation)
+    hist = integrate(lambda t, rots, vec: loop(t, rots, vec)[:2],
                      ((plant.R0, ref.R0), vec0), cfg.integrator)
 
+    # the post-pass: the same loop once, on the stored history as columns
     vec = hist.vectors
-    n = len(hist.times)
-    omega_d_dot, _ = rotor_accels(kernel_constants(ref.params),
-                                  components(vec[:, 12:15]),
-                                  components(vec[:, 15:18]),
-                                  cfg.program._torque(hist.times))
+    _, vdot, u_ext, u_int = loop(
+        hist.times, [components(r, 2) for r in hist.rotations],
+        components(vec))
     traj = ClosedLoopTrajectory(
         times=hist.times, R=hist.rotations[0], Theta=vec[:, 0:3],
         Omega=vec[:, 3:6], OmegaR=vec[:, 6:9], R_d=hist.rotations[1],
         Theta_d=vec[:, 9:12], Omega_d=vec[:, 12:15], OmegaR_d=vec[:, 15:18],
-        Omega_d_dot=from_components(omega_d_dot), xi_I=vec[:, 18:21],
-        u_ext=np.empty((n, 3)), u_int=np.empty((n, 3)), actuation=actuation)
+        Omega_d_dot=from_components(vdot[12:15]), xi_I=vec[:, 18:21],
+        u_ext=from_components(u_ext), u_int=from_components(u_int),
+        actuation=actuation)
     metrics = _compute_metrics(cfg, traj)
     return traj, metrics
 
 
 def _compute_metrics(cfg, traj):
-    """Per-sample control records and diagnostics (vectorized post-pass).
-
-    The kernels of the vector field run here on the stored samples, one
-    (n,) column per component.  Also fills traj.u_ext / traj.u_int in
-    place from the stored states.
-    """
+    """Per-sample diagnostics of a run, on one (n,) column per component;
+    ``traj``, whose torques are the closed loop on columns, is only read."""
     plant = cfg.plant.params
     gains, weights = cfg.gains, cfg.weights
     i_metric = plant.body_inertia
-    i_comp = components(i_metric, 2)
     internal = traj.actuation == "internal"
     r, r_d = components(traj.R, 2), components(traj.R_d, 2)
-    omega, omega_r, omega_d = (components(traj.Omega),
-                               components(traj.OmegaR),
-                               components(traj.Omega_d))
-
-    u, _ = _loop_kernel(components(plant.body_connection, 2),
-                        components(plant.body_inertia_inv, 2),
-                        components(weights.P, 2), gains, r, omega, r_d,
-                        omega_d, components(traj.Omega_d_dot),
-                        components(traj.xi_I))
-    u_ext = _matvec(i_comp, u)
-    traj.u_ext[:] = from_components(u_ext)
-    consts = kernel_constants(plant)
-    traj.u_int[:] = from_components(_uint(consts, u_ext, omega, omega_r)) \
-        if internal else 0.0
+    omega, omega_d = components(traj.Omega), components(traj.Omega_d)
 
     # conservation diagnostics
-    pi = _momentum(consts, omega, omega_r) if internal \
-        else _matvec(i_comp, omega)
+    pi = _momentum(kernel_constants(plant), omega, components(traj.OmegaR)) \
+        if internal else _matvec(components(i_metric, 2), omega)
     spatial = from_components(_matvec(r, pi))
     drift_series = np.abs(spatial - spatial[0]).max(axis=1)
     ortho = max(float(orthogonality_defect(rot).max())
@@ -534,11 +523,11 @@ def compare_efforts(cfg, alternate_law=_pd_only):
     comparison to be meaningful.  Both runs see identical initial states.
     """
     cfg = resolve_reference(cfg)
-    _, metrics_a = run_closed_loop(cfg)
+    traj_a, metrics_a = run_closed_loop(cfg)
     _, metrics_b = run_closed_loop(alternate_law(cfg))
     dt = cfg.integrator.step
     return EffortComparison(
-        times=cfg.integrator.step * np.arange(cfg.integrator.n_steps + 1),
+        times=traj_a.times,
         proposed=metrics_a,
         baseline=metrics_b,
         proposed_integral=float(np.trapezoid(metrics_a.effort_l2, dx=dt)),

@@ -12,6 +12,7 @@ import numpy as np
 
 _MAX_POINTS = 4000
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 56, 16, 28, 40
+_WIDTH, _PANEL_HEIGHT = 720, 260
 
 
 @dataclass
@@ -110,15 +111,16 @@ def _panel_svg(panel, width, height, y_offset):
     return parts
 
 
-def write_svg(path, panels, width=720, panel_height=260):
-    """Write stacked panels of line plots to an SVG file."""
+def write_svg(path, panels):
+    """Write stacked _WIDTH x _PANEL_HEIGHT line-plot panels to SVG."""
     panels = list(panels)
-    total_h = panel_height * len(panels)
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-             f'height="{total_h}" viewBox="0 0 {width} {total_h}">',
-             f'<rect width="{width}" height="{total_h}" fill="white"/>']
+    total_h = _PANEL_HEIGHT * len(panels)
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+             f'height="{total_h}" viewBox="0 0 {_WIDTH} {total_h}">',
+             f'<rect width="{_WIDTH}" height="{total_h}" fill="white"/>']
     for k, panel in enumerate(panels):
-        parts.extend(_panel_svg(panel, width, panel_height, k * panel_height))
+        parts.extend(_panel_svg(panel, _WIDTH, _PANEL_HEIGHT,
+                                k * _PANEL_HEIGHT))
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")

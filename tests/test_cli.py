@@ -78,6 +78,10 @@ def write_short_config(tmp_path, duration="1", extra=()):
     return path
 
 
+def never_integrate(*args, **kwargs):
+    raise AssertionError("integrated before checking the output path")
+
+
 def _vector(low, high):
     return arrays(np.float64, 3, elements=st.floats(low, high))
 
@@ -149,6 +153,13 @@ class TestConfigFormat:
     def test_roundtrip_idempotent_generated(self, text):
         once = serialize_config(parse_config(text))
         assert serialize_config(parse_config(once)) == once
+
+    @pytest.mark.parametrize("program", scenario.PROGRAM_KINDS)
+    def test_bundled_config_is_benchmark_config(self, program):
+        # criteria 1-5 run benchmark_config, the CLI and criterion 8 the files
+        cfg = load_config(REPO / "configs" / f"benchmark_{program}.cfg")
+        assert serialize_config(cfg) == \
+            serialize_config(scenario.benchmark_config(program))
 
     def test_parse_resolves_momentum_seed(self):
         cfg = parse_config(ZERO_CFG.read_text())
@@ -302,10 +313,20 @@ class TestSimulate:
                    ("gains.kp = 1", "gains.kp = 500000")])
         assert main(["simulate", str(cfg), "-o", str(tmp_path / "d.csv")]) == 2
 
-    def test_existing_directory_output_exit_1(self, tmp_path, capsys):
+    def test_existing_directory_output_exit_1(self, tmp_path, monkeypatch,
+                                              capsys):
+        monkeypatch.setattr(cli, "run_closed_loop", never_integrate)
         cfg = write_short_config(tmp_path, duration="0.1")
         assert main(["simulate", str(cfg), "-o", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_sidecar_is_directory_exit_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_closed_loop", never_integrate)
+        cfg = write_short_config(tmp_path, duration="0.1")
+        (tmp_path / "x.meta.json").mkdir()
+        assert main(["simulate", str(cfg), "-o", str(tmp_path / "x.csv")]) == 1
+        assert "x.meta.json is a directory" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_overflow_from_identity_exit_2(self, tmp_path):
         cfg = write_short_config(
@@ -322,10 +343,8 @@ class TestSimulate:
 @pytest.mark.parametrize("command", ["simulate", "plot", "compare"])
 def test_missing_output_dir_exit_1_before_running(command, tmp_path,
                                                   monkeypatch, capsys):
-    def never(*args, **kwargs):
-        raise AssertionError("integrated before checking the output path")
-    monkeypatch.setattr(cli, "run_closed_loop", never)
-    monkeypatch.setattr(cli, "compare_efforts", never)
+    monkeypatch.setattr(cli, "run_closed_loop", never_integrate)
+    monkeypatch.setattr(cli, "compare_efforts", never_integrate)
     source = write_telemetry(tmp_path / "in.csv", PINNED_ROWS) \
         if command == "plot" else write_short_config(tmp_path)
     before = sorted(tmp_path.rglob("*"))
@@ -384,6 +403,15 @@ class TestCompare:
         assert main(["compare", str(cfg),
                      "-o", str(tmp_path / "no" / "such" / "dir")]) == 1
 
+    def test_summary_is_directory_exit_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "compare_efforts", never_integrate)
+        cfg = write_short_config(tmp_path)
+        out = tmp_path / "cmp"
+        (out / "summary.json").mkdir(parents=True)
+        assert main(["compare", str(cfg), "-o", str(out)]) == 1
+        assert "summary.json is a directory" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
+
 
 class TestPlot:
     def test_renders_three_svgs(self, bundled_run, tmp_path):
@@ -417,6 +445,12 @@ class TestPlot:
         bad = tmp_path / "bad.csv"
         bad.write_text("t,x,y\n0,1,2\n")
         assert main(["plot", str(bad), "-o", str(tmp_path / "b.svg")]) == 1
+
+    def test_effort_output_is_directory_exit_1_no_svg(self, tmp_path):
+        csv = write_telemetry(tmp_path / "in.csv", PINNED_ROWS)
+        (tmp_path / "p_effort.svg").mkdir()
+        assert main(["plot", str(csv), "-o", str(tmp_path / "p.svg")]) == 1
+        assert [p.name for p in tmp_path.glob("*.svg")] == ["p_effort.svg"]
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
     def test_pinned_svg_bytes(self, tmp_path, newline):

@@ -7,6 +7,7 @@ import pytest
 from gyrotrack import control, dynamics, scenario
 from gyrotrack.errors import DivergedStateError, SingularRotorInertiaError
 from gyrotrack.integrators import IntegratorConfig
+from gyrotrack.so3 import components
 
 from conftest import random_rotation
 
@@ -29,7 +30,7 @@ class TestReferenceProgram:
     def test_series_matches_pointwise(self):
         prog = scenario.ReferenceProgram("sinusoid", [0.5, 1.0, 2.0])
         times = np.linspace(0.0, 3.0, 13)
-        series = prog.torque_series(times)
+        series = prog.torque(times)
         for k, t in enumerate(times):
             assert np.allclose(series[k], prog.torque(t), atol=1e-15)
 
@@ -163,6 +164,33 @@ class TestClosedLoop:
                                            actuation="external")
         assert np.abs(traj.u_int).max() == 0.0
         assert np.abs(traj.OmegaR).max() == 0.0
+
+    @pytest.mark.parametrize("actuation", ["internal", "external"])
+    @pytest.mark.parametrize("program", scenario.PROGRAM_KINDS)
+    def test_loop_on_floats_is_row_of_column_call(self, program, actuation):
+        # the stepper calls the loop on floats, the post-pass on columns
+        cfg = scenario.resolve_reference(short_config(program, duration=0.2))
+        traj, _ = scenario.run_closed_loop(cfg, actuation)
+        loop = scenario._closed_loop(cfg, actuation)
+        rots = (traj.R, traj.R_d)
+        vec = np.column_stack([traj.Theta, traj.Omega, traj.OmegaR,
+                               traj.Theta_d, traj.Omega_d, traj.OmegaR_d,
+                               traj.xi_I])
+        n = len(traj)
+        _, vdot, u_ext, u_int = loop(traj.times,
+                                     [components(r, 2) for r in rots],
+                                     components(vec))
+        columns = [np.broadcast_to(c, (n,)) for c in (*vdot, *u_ext, *u_int)]
+        assert np.array_equal(np.column_stack(columns[21:24]), traj.u_ext)
+        assert np.array_equal(np.column_stack(columns[24:27]), traj.u_int)
+        for k in (0, (n - 1) // 2, n - 1):
+            _, vdot_k, u_ext_k, u_int_k = loop(
+                float(traj.times[k]), [components(r[k], 2) for r in rots],
+                components(vec[k]))
+            floats = (*vdot_k, *u_ext_k, *u_int_k)
+            assert all(type(x) is float for x in floats)
+            assert np.allclose([c[k] for c in columns], floats,
+                               rtol=0.0, atol=1e-12)
 
     def test_overflow_reported_as_divergence(self):
         # from R0 = I a huge k_p overflows the state within two 1 s steps;
