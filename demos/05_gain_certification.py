@@ -23,9 +23,9 @@ np.set_printoptions(precision=5, suppress=True)
 # sampling of the Hessian / gradient-ratio over a sublevel set of psi.
 i_plant = BENCHMARK_PLANT_I
 print("mu    (formula):", mu_hess_formula(i_plant))
-print("mu    (sampled):", estimate_mu_hess(np.eye(3), i_plant, psi_cap=1.0))
+print("mu    (sampled):", estimate_mu_hess(np.eye(3), i_plant))
 print("lambda(formula):", lambda_sup_formula(i_plant))
-print("lambda(sampled):", estimate_lambda_sup(np.eye(3), i_plant, psi_cap=1.0))
+print("lambda(sampled):", estimate_lambda_sup(np.eye(3), i_plant))
 
 for label, gains in (("stored benchmark", benchmark_gains()),
                      ("synthesized", synthesize_gains(i_plant))):

@@ -22,15 +22,15 @@ from .errors import (ConfigParseError, DegenerateMatrixError,
                      DivergedStateError, GyrotrackError, KappaOutOfRangeError,
                      NotSkewError, SchemaMismatchError, SingularInertiaError,
                      SingularMetricError, SingularRotorInertiaError)
-from .integrators import (History, IntegratorConfig, Trajectory, integrate,
+from .integrators import (History, IntegratorConfig, integrate,
                           integrate_components, step_lie)
 from .scenario import (BodySetup, ClosedLoopTrajectory, EffortComparison,
                        ReferenceProgram, RunMetrics, ScenarioConfig,
                        benchmark_config, benchmark_gains, benchmark_plant,
                        benchmark_reference, certified_gains,
                        certified_region_mask, compare_efforts,
-                       consistent_rotor_velocity, make_reference,
-                       on_reference_variant, plant_spatial_momentum,
-                       resolve_reference, run_closed_loop)
+                       consistent_rotor_velocity, on_reference_variant,
+                       plant_spatial_momentum, resolve_reference,
+                       run_closed_loop)
 from .so3 import (adstar, connection_term, cross3, expm, geodesic_distance,
                   hat, is_rotation, logm, project_so3, rotation_angle, vee)

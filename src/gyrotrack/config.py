@@ -18,8 +18,8 @@ import warnings
 
 import numpy as np
 
-from .control import (NavigationWeights, gain_derive, lambda_sup_formula,
-                      mu_hess_formula)
+from .control import (NavigationWeights, _default_kappa, gain_derive,
+                      lambda_sup_formula, mu_hess_formula)
 from .dynamics import InertiaParams, rotor_inertia_matrix
 from .errors import ConfigParseError, KappaOutOfRangeError
 from .integrators import SCHEMES, IntegratorConfig
@@ -161,7 +161,7 @@ def parse_config(text):
         if "gains.lambda_sup" in pairs \
         else lambda_sup_formula(plant.params.body_inertia)
     kappa = _numbers(pairs, "gains.kappa", 1) if "gains.kappa" in pairs \
-        else 1.5 / mu
+        else _default_kappa(mu)
     try:
         gains = gain_derive(_numbers(pairs, "gains.kp", 1),
                             _numbers(pairs, "gains.kd", 1),

@@ -40,6 +40,7 @@ externally actuated closed loop in (R, Omega), and the energy decrease
 bound holds along certified trajectories.
 """
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
 
@@ -95,12 +96,14 @@ class NavigationWeights:
 
 @dataclass(frozen=True)
 class GainSet:
-    """PID gains plus the derived energy-function constants and bounds.
+    """PID gains plus the bounds that certify them.
 
-    alpha, beta, tau, delta are the cross-term weights of `ecl_value`,
-    fixed by the gain-selection calculus: alpha = beta/k_d, beta = k_I/k_d,
-    tau = k_p beta + alpha k_I, delta = 2 kappa k_I, sigma = 2 - mu_hess*kappa
-    with kappa constrained to (1/mu_hess, 2/mu_hess).  mu_hess bounds the
+    The six fields are what a user chooses; alpha, beta, tau, delta and
+    sigma are read-only views fixed by the gain-selection calculus, so
+    ``dataclasses.replace`` keeps them consistent: alpha = beta/k_d,
+    beta = k_I/k_d, tau = k_p beta + alpha k_I (the cross-term weights of
+    `ecl_value`), delta = 2 kappa k_I, sigma = 2 - mu_hess*kappa with kappa
+    constrained to (1/mu_hess, 2/mu_hess).  mu_hess bounds the
     navigation-function Hessian on the certified region; lambda_sup bounds
     <grad psi, grad psi>/(2 psi) there.
     """
@@ -109,17 +112,24 @@ class GainSet:
     kd: float
     ki: float
     kappa: float
-    sigma: float
-    alpha: float
-    beta: float
-    tau: float
-    delta: float
     mu_hess: float
     lambda_sup: float
 
+    # read-only views, in the order the calculus derives them
+    beta = property(lambda g: g.ki / g.kd)
+    alpha = property(lambda g: g.beta / g.kd)
+    tau = property(lambda g: g.kp * g.beta + g.alpha * g.ki)
+    delta = property(lambda g: 2.0 * g.kappa * g.ki)
+    sigma = property(lambda g: 2.0 - g.mu_hess * g.kappa)
+
+
+def _default_kappa(mu_hess):
+    """The kappa placement when none is given: mid-(1/mu_hess, 2/mu_hess)."""
+    return 1.5 / mu_hess
+
 
 def gain_derive(kp, kd, ki, kappa, mu_hess, lambda_sup=BENCHMARK_LAMBDA_SUP):
-    """Populate the derived energy constants for a gain triple.
+    """Check a gain triple with its certification inputs; a `GainSet`.
 
     Raises:
         KappaOutOfRangeError: unless 1/mu_hess < kappa < 2/mu_hess (open).
@@ -133,28 +143,19 @@ def gain_derive(kp, kd, ki, kappa, mu_hess, lambda_sup=BENCHMARK_LAMBDA_SUP):
         raise KappaOutOfRangeError(
             f"kappa={kappa:g} outside open interval "
             f"({1.0 / mu_hess:g}, {2.0 / mu_hess:g})")
-    beta = ki / kd
-    alpha = beta / kd
-    tau = kp * beta + alpha * ki
-    delta = 2.0 * kappa * ki
-    sigma = 2.0 - mu_hess * kappa
     return GainSet(kp=float(kp), kd=float(kd), ki=float(ki),
-                   kappa=float(kappa), sigma=float(sigma),
-                   alpha=float(alpha), beta=float(beta),
-                   tau=float(tau), delta=float(delta),
-                   mu_hess=float(mu_hess), lambda_sup=float(lambda_sup))
+                   kappa=float(kappa), mu_hess=float(mu_hess),
+                   lambda_sup=float(lambda_sup))
 
 
 def pd_variant(gains):
     """Same proportional/derivative action with the integral channel removed.
 
     Used as the comparison baseline in control-effort studies.  The derived
-    energy constants collapse to zero; the result is not certifiable.
+    energy constants other than sigma collapse to zero; the result is not
+    certifiable.
     """
-    return GainSet(kp=gains.kp, kd=gains.kd, ki=0.0, kappa=gains.kappa,
-                   sigma=gains.sigma, alpha=0.0, beta=0.0, tau=0.0,
-                   delta=0.0, mu_hess=gains.mu_hess,
-                   lambda_sup=gains.lambda_sup)
+    return dataclasses.replace(gains, ki=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -514,26 +515,27 @@ def _sample_rotations(rng, n):
     return np.array([expm(a * ax) for a, ax in zip(angles, axes)])
 
 
-def estimate_mu_hess(p, i_metric, psi_cap=1.0, n_samples=2000, seed=0):
-    """Sampled operator-norm bound of the psi Hessian over {psi(E) <= cap}.
+def estimate_mu_hess(p, i_metric, n_samples=2000):
+    """Sampled operator-norm bound of the psi Hessian over {psi(E) <= 1}.
 
-    Draws random rotations, keeps those inside the sublevel set, and
-    returns the largest magnitude of the metric-Hessian eigenvalues seen.
-    Complements the closed-form `mu_hess_formula`.
+    Draws random rotations (seed 0), keeps those inside the sublevel set,
+    and returns the largest magnitude of the metric-Hessian eigenvalues
+    seen.  Complements the closed-form `mu_hess_formula`.
     """
     p_mat = _weights_matrix(p)
-    e = _sample_rotations(np.random.default_rng(seed), n_samples)
-    e = e[nav_psi(p_mat, e) <= psi_cap]
+    e = _sample_rotations(np.random.default_rng(0), n_samples)
+    e = e[nav_psi(p_mat, e) <= 1.0]
     spectrum = _metric_spectrum(i_metric, nav_hessian(p_mat, i_metric, e))
     return float(np.abs(spectrum).max(initial=0.0))
 
 
-def estimate_lambda_sup(p, i_metric, psi_cap=1.0, n_samples=2000, seed=0):
-    """Sampled bound of <grad psi, grad psi> / (2 psi) over {psi(E) <= cap}."""
+def estimate_lambda_sup(p, i_metric, n_samples=2000):
+    """Sampled bound of <grad psi, grad psi> / (2 psi) over {psi(E) <= 1},
+    on the same seed-0 rotations as `estimate_mu_hess`."""
     p_mat = _weights_matrix(p)
-    e = _sample_rotations(np.random.default_rng(seed), n_samples)
+    e = _sample_rotations(np.random.default_rng(0), n_samples)
     psi = nav_psi(p_mat, e)
-    keep = (psi <= psi_cap) & (psi >= 1e-12)
+    keep = (psi <= 1.0) & (psi >= 1e-12)
     dpsi = _dpsi_array(p_mat, e[keep])
     i_inv = np.linalg.inv(np.asarray(i_metric, dtype=float))
     ratio = np.vecdot(dpsi, dpsi @ i_inv) / (2.0 * psi[keep])
@@ -552,7 +554,7 @@ def synthesize_gains(i_metric, kd=3.0, mu_hess=None, lambda_sup=None):
         mu_hess = mu_hess_formula(i)
     if lambda_sup is None:
         lambda_sup = lambda_sup_formula(i)
-    kappa = 1.5 / mu_hess
+    kappa = _default_kappa(mu_hess)
     sigma = 2.0 - mu_hess * kappa
     ki = 0.2 * (kd ** 3 / mu_hess) * (1.0 - sigma ** 2)
     probe = gain_derive(1.0, kd, ki, kappa, mu_hess, lambda_sup)

@@ -10,9 +10,11 @@ rotation by a right-multiplied exponential.
 
 `integrate_components` is the one integration loop and takes such a
 field directly; the package's own fields (`scenario`'s closed loop and
-reference body, `dynamics.free_body_field`) are written for it.
-`integrate` is the thin adapter around it for a user's vector field on
-arrays (3x3 attitudes, a 1-D vector state).
+rotor body, `dynamics.free_body_field`) are written for it.  `integrate`
+is the thin adapter around it for a user's vector field on arrays (3x3
+attitudes, a 1-D vector state).  Both return the dense `History`, the
+one record of this module; `scenario.ClosedLoopTrajectory` names the
+slots of a closed-loop run.
 
 Two schemes are provided: first-order Lie-Euler and a fourth-order
 Munthe-Kaas variant of the classical RK4 tableau, whose algebra-valued
@@ -26,7 +28,7 @@ the dense history, written row by row.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,6 +68,8 @@ class IntegratorConfig:
     reproject: bool = True
 
     def __post_init__(self):
+        if not (math.isfinite(self.step) and math.isfinite(self.duration)):
+            raise ValueError("step and duration must be finite")
         if self.step <= 0.0:
             raise ValueError("step must be positive")
         if self.duration < self.step:
@@ -89,25 +93,6 @@ class History:
     times: np.ndarray
     rotations: list
     vectors: np.ndarray
-
-
-@dataclass
-class Trajectory:
-    """Uniformly sampled single-body trajectory.
-
-    omega_dot is populated by reference generation (sampled from the
-    vector field, not by differencing) and stays None otherwise.
-    """
-
-    times: np.ndarray
-    R: np.ndarray
-    Theta: np.ndarray
-    Omega: np.ndarray
-    OmegaR: np.ndarray
-    omega_dot: np.ndarray = field(default=None)
-
-    def __len__(self):
-        return len(self.times)
 
 
 def _dexpinv_right(sigma, b):

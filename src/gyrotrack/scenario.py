@@ -2,11 +2,13 @@
 
 A scenario pairs a rotor-driven plant with a reference attitude produced
 by a second ("dummy") rotor body flying under a chosen torque program.
-Reference and plant are co-integrated in one combined state so the
-controller always sees exact reference values, never interpolated ones.
-The integrator calls the closed loop on floats; the post-pass calls it
-once on the stored history as columns, so the reported torques are the
-ones that drove the plant.
+Both bodies move by one rate, `_rotor_rates`, co-integrated in one state
+so the controller always sees exact reference values, never interpolated
+ones; the `_d` half of a run's `ClosedLoopTrajectory` is the reference
+record, bit for bit the reference's `_rotor_field` integrated alone.  The
+integrator calls the closed loop on floats; the post-pass calls it once
+on the stored history as columns, so the reported torques are the ones
+that drove the plant.
 
 Because the control torques are internal, any admissible reference must
 carry the same spatial angular momentum as the plant; `consistent_rotor_velocity`
@@ -39,7 +41,7 @@ from .dynamics import (InertiaParams, _external_accel, _momentum,
                        kernel_constants, momentum_body)
 from .dynamics import _rotor_accels as rotor_accels
 from .errors import SingularRotorInertiaError
-from .integrators import IntegratorConfig, Trajectory
+from .integrators import IntegratorConfig
 from .integrators import integrate_components as integrate
 from .so3 import (_matvec, components, from_components, is_rotation,
                   orthogonality_defect, rotation_angle)
@@ -226,14 +228,13 @@ def benchmark_gains():
                        BENCHMARK_MU_HESS, BENCHMARK_LAMBDA_SUP)
 
 
-def certified_gains(kd=3.0):
-    """A gain set for the benchmark plant that passes certification."""
-    return synthesize_gains(BENCHMARK_PLANT_I, kd=kd)
+def certified_gains():
+    """A certified gain set (k_d = 3) for the benchmark plant."""
+    return synthesize_gains(BENCHMARK_PLANT_I)
 
 
-def benchmark_config(program="zero", gains=None, step=1e-3, duration=30.0,
-                     scheme="rk4_munthe_kaas"):
-    """Assemble a full benchmark scenario for one of the torque programs."""
+def benchmark_config(program="zero", gains=None, step=1e-3, duration=30.0):
+    """A full benchmark scenario for one torque program, RK4 Munthe-Kaas."""
     if program not in _PROGRAM_AMPLITUDES:
         raise ValueError(f"unknown benchmark program '{program}'")
     if gains is None:
@@ -250,7 +251,7 @@ def benchmark_config(program="zero", gains=None, step=1e-3, duration=30.0,
         weights=weights,
         gains=gains,
         integrator=IntegratorConfig(step=step, duration=duration,
-                                    scheme=scheme, reproject=True),
+                                    scheme="rk4_munthe_kaas", reproject=True),
     )
 
 
@@ -301,8 +302,15 @@ def on_reference_variant(cfg):
 
 
 # ---------------------------------------------------------------------------
-# reference generation
+# the rotor body
 # ---------------------------------------------------------------------------
+
+def _rotor_rates(consts, omega, omega_r, u_int):
+    """Rates of a rotor body's 9 vector slots, (dTheta, dOmega, dOmegaR) =
+    (OmegaR, block solve), under the rotor torque ``u_int``."""
+    d_omega, d_omega_r = rotor_accels(consts, omega, omega_r, u_int)
+    return (*omega_r, *d_omega, *d_omega_r)
+
 
 def _rotor_field(params, torque):
     """Vector field of a rotor body under a componentwise torque program
@@ -314,30 +322,9 @@ def _rotor_field(params, torque):
     consts = kernel_constants(params)
 
     def field(t, rots, vec):
-        omega, omega_r = vec[3:6], vec[6:9]
-        d_omega, d_omega_r = rotor_accels(consts, omega, omega_r, torque(t))
-        return (omega,), (*omega_r, *d_omega, *d_omega_r)
+        omega = vec[3:6]
+        return (omega,), _rotor_rates(consts, omega, vec[6:9], torque(t))
     return field
-
-
-def make_reference(cfg):
-    """Integrate the reference body alone under its torque program.
-
-    The returned trajectory carries Omega_d_dot sampled from the vector
-    field at every stored state (not finite-differenced), as the tracking
-    feed-forward needs it: the field, called on the history as columns.
-    """
-    cfg = resolve_reference(cfg)
-    ref = cfg.reference
-    vec0 = np.concatenate([ref.Theta0, ref.Omega0, ref.OmegaR0])
-    field = _rotor_field(ref.params, cfg.program._torque)
-    hist = integrate(field, ((ref.R0,), vec0), cfg.integrator)
-    vec = hist.vectors
-    _, vdot = field(hist.times, [components(hist.rotations[0], 2)],
-                    components(vec))
-    return Trajectory(times=hist.times, R=hist.rotations[0],
-                      Theta=vec[:, 0:3], Omega=vec[:, 3:6],
-                      OmegaR=vec[:, 6:9], omega_dot=from_components(vdot[3:6]))
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +341,12 @@ def _closed_loop(cfg, actuation):
 
     vec: Theta 0:3 | Omega 3:6 | OmegaR 6:9 | Theta_d 9:12 | Omega_d 12:15
          | OmegaR_d 15:18 | xi_I 18:21.
-    Under external actuation the carrier body is torqued directly, u_int is
-    zero and the plant's Theta and OmegaR slots stay zero.  On components
-    (see `integrators`): floats in the stepper, columns in the post-pass.
+    The plant and reference halves are two rotor bodies, each moved by
+    `_rotor_rates`: the reference under its torque program, whose dOmega_d
+    is the control's feed-forward, and the plant under u_int.  Under
+    external actuation the carrier body is torqued directly, u_int is zero
+    and the plant's Theta and OmegaR slots stay zero.  On components (see
+    `integrators`): floats in the stepper, columns in the post-pass.
     """
     plant = cfg.plant.params
     plant_c = kernel_constants(plant)
@@ -372,22 +362,20 @@ def _closed_loop(cfg, actuation):
     def loop(t, rots, vec):
         r, r_d = rots
         omega, omega_r = vec[3:6], vec[6:9]
-        omega_d, omega_r_d = vec[12:15], vec[15:18]
-        d_omega_d, d_omega_r_d = rotor_accels(ref_c, omega_d, omega_r_d,
-                                              torque(t))
+        omega_d = vec[12:15]
+        ref = _rotor_rates(ref_c, omega_d, vec[15:18], torque(t))
         u, xi_dot = _loop_kernel(gamma, i_inv, p_mat, gains, r, omega, r_d,
-                                 omega_d, d_omega_d, vec[18:21])
+                                 omega_d, ref[3:6], vec[18:21])
         u_ext = _matvec(i_metric, u)
         if internal:
             u_int = _uint(plant_c, u_ext, omega, omega_r)
-            d_omega, d_omega_r = rotor_accels(plant_c, omega, omega_r, u_int)
+            body = _rotor_rates(plant_c, omega, omega_r, u_int)
         else:
             zero = 0.0 * t   # +0.0 as a float, or a column like t (t >= 0)
             u_int = d_omega_r = (zero, zero, zero)
             d_omega = _external_accel(gamma, omega, u)
-        return ((omega, omega_d), (*omega_r, *d_omega, *d_omega_r, *omega_r_d,
-                                   *d_omega_d, *d_omega_r_d, *xi_dot),
-                u_ext, u_int)
+            body = (*omega_r, *d_omega, *d_omega_r)
+        return (omega, omega_d), (*body, *ref, *xi_dot), u_ext, u_int
     return loop
 
 
@@ -398,6 +386,8 @@ def run_closed_loop(cfg, actuation="internal"):
     conversion; "external" drives the bare carrier body directly (used by
     the equivalence checks).  The post-pass calls the same loop on the
     stored history as columns for Omega_d_dot, u_ext and u_int.  The
+    trajectory's R_d, Theta_d, Omega_d, OmegaR_d and Omega_d_dot are the
+    reference body's record, the same under either actuation.  The
     feasibility verdict of cfg.gains is recorded in the metrics either way.
     """
     if actuation not in ("internal", "external"):

@@ -218,10 +218,8 @@ class TestHessianDiagnostics:
 
     def test_sampled_bounds_stay_below_formulas(self):
         i = scenario.BENCHMARK_PLANT_I
-        mu_sampled = control.estimate_mu_hess(np.eye(3), i, psi_cap=1.0,
-                                              n_samples=300)
-        lam_sampled = control.estimate_lambda_sup(np.eye(3), i, psi_cap=1.0,
-                                                  n_samples=300)
+        mu_sampled = control.estimate_mu_hess(np.eye(3), i, n_samples=300)
+        lam_sampled = control.estimate_lambda_sup(np.eye(3), i, n_samples=300)
         assert 0.0 < mu_sampled < control.mu_hess_formula(i)
         assert 0.0 < lam_sampled < control.lambda_sup_formula(i)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gyrotrack import dynamics, scenario, so3
-from gyrotrack.integrators import (IntegratorConfig, integrate,
-                                   integrate_components)
+from gyrotrack.integrators import IntegratorConfig, integrate_components
 
 from conftest import random_spd
 
@@ -210,38 +211,29 @@ class TestRotorPlant:
 
     def test_spatial_momentum_conserved_under_forcing(self):
         p = benchmark_params()
-
-        def field(t, rots, vec):
-            omega, omega_r = vec[0:3], vec[3:6]
-            u = np.array([0.2 * np.sin(t), 0.1 * np.cos(2 * t), -0.15])
-            d_omega, d_omega_r = dynamics.rotor_accels(p, omega, omega_r, u)
-            return (omega,), np.concatenate([d_omega, d_omega_r])
-
+        field = scenario._rotor_field(p, lambda t: (
+            0.2 * math.sin(t), 0.1 * math.cos(2 * t), -0.15))
         r0 = so3.expm([0.3, -0.2, 0.1])
         omega0 = np.array([0.2, 0.5, -0.3])
         omega_r0 = np.array([1.0, -2.0, 0.5])
-        hist = integrate(field, ((r0,), np.concatenate([omega0, omega_r0])),
-                         IntegratorConfig(step=1e-3, duration=5.0))
-        pi = hist.vectors[:, 0:3] @ p.locked.T \
-            + hist.vectors[:, 3:6] @ p.rotor_inertia.T
+        hist = integrate_components(
+            field, ((r0,), np.concatenate([np.zeros(3), omega0, omega_r0])),
+            IntegratorConfig(step=1e-3, duration=5.0))
+        pi = hist.vectors[:, 3:6] @ p.locked.T \
+            + hist.vectors[:, 6:9] @ p.rotor_inertia.T
         mu = np.einsum("nij,nj->ni", hist.rotations[0], pi)
         assert np.abs(mu - mu[0]).max() < 1e-8
 
     def test_kinetic_energy_conserved_free_system(self):
         p = benchmark_params()
-
-        def field(t, rots, vec):
-            omega, omega_r = vec[0:3], vec[3:6]
-            d_omega, d_omega_r = dynamics.rotor_accels(p, omega, omega_r,
-                                                       np.zeros(3))
-            return (omega,), np.concatenate([d_omega, d_omega_r])
-
+        field = scenario._rotor_field(p, lambda t: (0.0, 0.0, 0.0))
         omega0 = np.array([0.2, 0.5, -0.3])
         omega_r0 = np.array([1.0, -2.0, 0.5])
-        hist = integrate(field, ((np.eye(3),),
-                                 np.concatenate([omega0, omega_r0])),
-                         IntegratorConfig(step=1e-3, duration=5.0))
-        energy = [dynamics.kinetic_energy(p, v[0:3], v[3:6])
+        hist = integrate_components(
+            field, ((np.eye(3),),
+                    np.concatenate([np.zeros(3), omega0, omega_r0])),
+            IntegratorConfig(step=1e-3, duration=5.0))
+        energy = [dynamics.kinetic_energy(p, v[3:6], v[6:9])
                   for v in hist.vectors[::500]]
         assert np.abs(np.array(energy) - energy[0]).max() < 1e-10
 
@@ -250,21 +242,17 @@ class TestRotorPlant:
         p = benchmark_params()
 
         def u_prog(t):
-            return np.array([0.3 * np.sin(t), -0.2, 0.1 * np.cos(3 * t)])
-
-        def field(t, rots, vec):
-            omega, omega_r = vec[0:3], vec[3:6]
-            d_omega, d_omega_r = dynamics.rotor_accels(p, omega, omega_r,
-                                                       u_prog(t))
-            return (omega,), np.concatenate([d_omega, d_omega_r])
+            return 0.3 * math.sin(t), -0.2, 0.1 * math.cos(3 * t)
 
         h = 1e-3
-        hist = integrate(field, ((np.eye(3),),
-                                 np.array([0.2, 0.5, -0.3, 1.0, -2.0, 0.5])),
-                         IntegratorConfig(step=h, duration=5.0))
-        energy = np.array([dynamics.kinetic_energy(p, v[0:3], v[3:6])
+        hist = integrate_components(
+            scenario._rotor_field(p, u_prog),
+            ((np.eye(3),),
+             np.array([0.0, 0.0, 0.0, 0.2, 0.5, -0.3, 1.0, -2.0, 0.5])),
+            IntegratorConfig(step=h, duration=5.0))
+        energy = np.array([dynamics.kinetic_energy(p, v[3:6], v[6:9])
                            for v in hist.vectors])
-        power = np.array([u_prog(t) @ hist.vectors[k, 3:6]
+        power = np.array([np.dot(u_prog(t), hist.vectors[k, 6:9])
                           for k, t in enumerate(hist.times)])
         rate = (energy[2:] - energy[:-2]) / (2.0 * h)
         assert np.abs(rate - power[1:-1]).max() < 1e-5

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,12 @@ class TestGainDerive:
         assert abs(g.sigma - (2.0 - 2.0048 * 0.6)) < 1e-15
         assert abs(g.sigma - 0.79712) < 1e-12
         assert abs(g.tau - (1.0 * g.beta + g.alpha * 1.0)) < 1e-15
+
+    def test_replace_rederives_constants(self):
+        # the derived constants are views of the chosen gains, so replacing
+        # a gain cannot leave a stale one behind
+        g = scenario.benchmark_gains()
+        assert dataclasses.replace(g, ki=0.5).beta == 0.5 / g.kd
 
     def test_kappa_open_interval(self):
         mu = 2.0048

@@ -20,6 +20,10 @@ class TestConfig:
             IntegratorConfig(step=0.0, duration=1.0)
         with pytest.raises(ValueError):
             IntegratorConfig(step=2.0, duration=1.0)
+        for step, duration in ((np.nan, 1.0), (1e-3, np.nan),
+                               (np.inf, 1.0), (1e-3, np.inf)):
+            with pytest.raises(ValueError):
+                IntegratorConfig(step=step, duration=duration)
 
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError):

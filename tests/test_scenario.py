@@ -6,8 +6,8 @@ import pytest
 
 from gyrotrack import control, dynamics, scenario
 from gyrotrack.errors import DivergedStateError, SingularRotorInertiaError
-from gyrotrack.integrators import IntegratorConfig
-from gyrotrack.so3 import components
+from gyrotrack.integrators import IntegratorConfig, integrate_components
+from gyrotrack.so3 import components, from_components
 
 from conftest import random_rotation
 
@@ -85,47 +85,88 @@ class TestMomentumConsistentInit:
         assert np.abs(mu_d - mu_plant).max() < 1e-6
 
 
+def reference_alone(cfg):
+    """``(field, history)``: the reference body integrated alone by the
+    production rotor field."""
+    cfg = scenario.resolve_reference(cfg)
+    ref = cfg.reference
+    field = scenario._rotor_field(ref.params, cfg.program._torque)
+    hist = integrate_components(
+        field, ((ref.R0,), np.concatenate([ref.Theta0, ref.Omega0,
+                                           ref.OmegaR0])), cfg.integrator)
+    return field, hist
+
+
+@pytest.fixture(scope="module")
+def two_second_runs():
+    """One 2 s closed loop per torque program, keyed by program."""
+    runs = {}
+    for program in scenario.PROGRAM_KINDS:
+        cfg = scenario.resolve_reference(short_config(program))
+        runs[program] = cfg, scenario.run_closed_loop(cfg)[0]
+    return runs
+
+
 class TestMakeReference:
     def test_zero_program_at_rest_is_constant(self):
         cfg = short_config()
         rest = dataclasses.replace(
             cfg, reference=dataclasses.replace(
                 cfg.reference, Omega0=np.zeros(3), OmegaR0=np.zeros(3)))
-        traj = scenario.make_reference(rest)
-        assert np.abs(traj.R - traj.R[0]).max() < 1e-12
-        assert np.abs(traj.Omega).max() < 1e-12
+        _, hist = reference_alone(rest)
+        rot = hist.rotations[0]
+        assert np.abs(rot - rot[0]).max() < 1e-12
+        assert np.abs(hist.vectors[:, 3:6]).max() < 1e-12
 
     def test_momentum_conserved_any_program(self):
         for program in ("zero", "sinusoid"):
             cfg = scenario.resolve_reference(short_config(program, duration=5.0))
-            traj = scenario.make_reference(cfg)
+            _, hist = reference_alone(cfg)
             p = cfg.reference.params
-            pi = traj.Omega @ p.locked.T + traj.OmegaR @ p.rotor_inertia.T
-            mu = np.einsum("nij,nj->ni", traj.R, pi)
+            pi = hist.vectors[:, 3:6] @ p.locked.T \
+                + hist.vectors[:, 6:9] @ p.rotor_inertia.T
+            mu = np.einsum("nij,nj->ni", hist.rotations[0], pi)
             assert np.abs(mu - mu[0]).max() < 1e-6
 
-    def test_omega_dot_sampled_from_field(self):
-        cfg = scenario.resolve_reference(short_config("sinusoid", duration=2.0))
-        traj = scenario.make_reference(cfg)
-        assert traj.omega_dot is not None
+    def test_omega_dot_sampled_from_field(self, two_second_runs):
+        cfg, traj = two_second_runs["sinusoid"]
         # exact field values at the stored states, not finite differences
         p = cfg.reference.params
         for k in (0, 37, 1999):
             expected, _ = dynamics.rotor_accels(
-                p, traj.Omega[k], traj.OmegaR[k],
+                p, traj.Omega_d[k], traj.OmegaR_d[k],
                 cfg.program.torque(traj.times[k]))
-            assert np.abs(traj.omega_dot[k] - expected).max() < 1e-12
+            assert np.abs(traj.Omega_d_dot[k] - expected).max() < 1e-12
         # and consistent with differencing to truncation order (the dummy
         # body carries large stored momentum, so third derivatives are big)
         h = cfg.integrator.step
-        fd = (traj.Omega[2:] - traj.Omega[:-2]) / (2.0 * h)
-        assert np.abs(traj.omega_dot[1:-1] - fd).max() < 5e-3
+        fd = (traj.Omega_d[2:] - traj.Omega_d[:-2]) / (2.0 * h)
+        assert np.abs(traj.Omega_d_dot[1:-1] - fd).max() < 5e-3
 
     def test_sinusoid_bounded(self):
         cfg = short_config("sinusoid", duration=10.0)
-        traj = scenario.make_reference(cfg)
-        assert np.isfinite(traj.Omega).all()
-        assert np.abs(traj.Omega).max() < 10.0
+        _, hist = reference_alone(cfg)
+        omega = hist.vectors[:, 3:6]
+        assert np.isfinite(omega).all()
+        assert np.abs(omega).max() < 10.0
+
+    @pytest.mark.parametrize("program", scenario.PROGRAM_KINDS)
+    def test_run_reference_half_is_the_body_alone(self, two_second_runs,
+                                                  program):
+        # the reference half of a closed loop is the reference body
+        # integrated alone, bit for bit, and its Omega_d_dot the field's
+        cfg, traj = two_second_runs[program]
+        field, hist = reference_alone(cfg)
+        vec = hist.vectors
+        _, vdot = field(hist.times, [components(hist.rotations[0], 2)],
+                        components(vec))
+        assert np.array_equal(traj.times, hist.times)
+        assert np.array_equal(traj.R_d, hist.rotations[0])
+        assert np.array_equal(traj.Theta_d, vec[:, 0:3])
+        assert np.array_equal(traj.Omega_d, vec[:, 3:6])
+        assert np.array_equal(traj.OmegaR_d, vec[:, 6:9])
+        assert np.array_equal(traj.Omega_d_dot,
+                              from_components(vdot[3:6]))
 
 
 class TestClosedLoop:
