@@ -26,7 +26,9 @@ the integrator's vector field calls it, and on (n,) sample columns for a
 stack, which is how the run post-pass calls it.  Arrays appear only at
 the adapters (`error_state`, `nav_dpsi`, `xi_I_deriv`, `control_uext`,
 `control_uint`), which unpack their arguments, call the kernel and pack
-the result.
+the result; the metric's constants come from `so3.metric_constants`.
+The functions of psi take the weights P as a 3x3 matrix
+(`NavigationWeights.P`).
 
 The same behavior is realized on the rotor-driven plant by converting the
 realized torque through `control_uint`; torques applied to the rotors are
@@ -41,6 +43,7 @@ bound holds along certified trajectories.
 """
 
 import dataclasses
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -50,7 +53,7 @@ from .dynamics import kernel_constants
 from .errors import KappaOutOfRangeError
 from .so3 import (_conn, _cross, _matmul, _matmul_t, _matvec, _matvec_t,
                   _skew_vee, components, connection_tensor, expm,
-                  from_components, hat, skew_vee)
+                  from_components, hat, metric_constants, skew_vee)
 
 # Certification constants used by the bundled benchmark gain set (k_p, k_d,
 # k_I) = (1, 3, 1).  The Hessian-bound constant does not match
@@ -58,11 +61,6 @@ from .so3 import (_conn, _cross, _matmul, _matmul_t, _matvec, _matvec_t,
 # are reported by the tuning commands, the benchmark one is kept verbatim.
 BENCHMARK_MU_HESS = 2.0048
 BENCHMARK_LAMBDA_SUP = 1.42
-
-
-def _weights_matrix(p):
-    """Accept a NavigationWeights or a raw 3x3 array."""
-    return p.P if isinstance(p, NavigationWeights) else np.asarray(p, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -78,8 +76,8 @@ class NavigationWeights:
 
     def __init__(self, P):
         P = np.asarray(P, dtype=float)
-        if P.shape != (3, 3):
-            raise ValueError("P must be 3x3")
+        if P.shape != (3, 3) or not np.isfinite(P).all():
+            raise ValueError("P must be a finite 3x3 matrix")
         if np.abs(P - P.T).max() > 1e-12:
             raise ValueError("P must be symmetric within 1e-12")
         eig = np.linalg.eigvalsh(P)
@@ -105,7 +103,9 @@ class GainSet:
     `ecl_value`), delta = 2 kappa k_I, sigma = 2 - mu_hess*kappa with kappa
     constrained to (1/mu_hess, 2/mu_hess).  mu_hess bounds the
     navigation-function Hessian on the certified region; lambda_sup bounds
-    <grad psi, grad psi>/(2 psi) there.
+    <grad psi, grad psi>/(2 psi) there.  kp_floor_q = 2 kappa k_d^2 and
+    ki_bound = (k_d^3/mu_hess)(1 - sigma^2) are the k_p floor and k_I
+    bound of the gain inequalities (`q_matrix`, `gain_feasible`).
     """
 
     kp: float
@@ -121,6 +121,8 @@ class GainSet:
     tau = property(lambda g: g.kp * g.beta + g.alpha * g.ki)
     delta = property(lambda g: 2.0 * g.kappa * g.ki)
     sigma = property(lambda g: 2.0 - g.mu_hess * g.kappa)
+    kp_floor_q = property(lambda g: 2.0 * g.kappa * g.kd ** 2)
+    ki_bound = property(lambda g: (g.kd ** 3 / g.mu_hess) * (1.0 - g.sigma ** 2))
 
 
 def _default_kappa(mu_hess):
@@ -133,8 +135,10 @@ def gain_derive(kp, kd, ki, kappa, mu_hess, lambda_sup=BENCHMARK_LAMBDA_SUP):
 
     Raises:
         KappaOutOfRangeError: unless 1/mu_hess < kappa < 2/mu_hess (open).
-        ValueError: for non-positive gains or bounds.
+        ValueError: for non-finite inputs, non-positive gains or bounds.
     """
+    if not all(map(math.isfinite, (kp, kd, ki, kappa, mu_hess, lambda_sup))):
+        raise ValueError("gains and bounds must be finite")
     if min(kp, kd, ki) <= 0.0:
         raise ValueError("kp, kd, ki must be positive")
     if mu_hess <= 0.0 or lambda_sup <= 0.0:
@@ -167,7 +171,6 @@ def nav_psi(p, e):
 
     Nonnegative on SO(3) for SPD P, zero exactly at E = identity.
     """
-    p = _weights_matrix(p)
     return np.trace(p) - np.einsum("ij,...ji->...", p, np.asarray(e, dtype=float))
 
 
@@ -179,19 +182,14 @@ def _dpsi(p_mat, e):
     return _skew_vee(_matmul(p_mat, e))
 
 
-def _dpsi_array(p_mat, e):
-    """`_dpsi` of one rotation or of each rotation of a stack."""
-    return from_components(_dpsi(components(p_mat, 2), components(e, 2)))
-
-
 def nav_dpsi(p, e):
-    """vee of the skew part of P E, i.e. vee((PE - (PE)^T)/2).
+    """vee(PE - (PE)^T) (`_dpsi`) of one rotation or of each of a stack.
 
-    The differential of psi along a one-parameter subgroup is twice this:
-    d/dt psi(E expm(t v))|_0 = <2 nav_dpsi(P, E), v>, the scale being
-    pinned by the finite-difference tests.  Vanishes at critical points.
+    The differential of psi along a one-parameter subgroup:
+    d/dt psi(E expm(t v))|_0 = <nav_dpsi(P, E), v>, the scale being pinned
+    by the finite-difference tests.  Vanishes at critical points.
     """
-    return 0.5 * _dpsi_array(_weights_matrix(p), e)
+    return from_components(_dpsi(components(p, 2), components(e, 2)))
 
 
 def _error(r, omega, r_d, omega_d):
@@ -252,11 +250,10 @@ def xi_I_deriv(p_metric, p, e, eta, xi_i):
     Raises:
         SingularMetricError: if ``p_metric`` is not invertible.
     """
-    gamma = connection_tensor(p_metric)
-    i_inv = np.linalg.inv(np.asarray(p_metric, dtype=float))
-    dpsi = _dpsi(components(_weights_matrix(p), 2), components(e, 2))
-    _, xi_dot = _transport(components(gamma, 2), components(i_inv, 2), dpsi,
-                           components(eta), components(xi_i))
+    _, i_inv, gamma = metric_constants(p_metric)
+    dpsi = _dpsi(components(p, 2), components(e, 2))
+    _, xi_dot = _transport(gamma, i_inv, dpsi, components(eta),
+                           components(xi_i))
     return from_components(xi_dot)
 
 
@@ -268,10 +265,10 @@ def _loop_kernel(gamma, i_inv, p_mat, gains, r, omega, r_d, omega_d,
                  omega_d_dot, xi_i):
     """Commanded acceleration and integral-state rate, componentwise.
 
-    ``gamma``, ``i_inv`` and ``p_mat`` are the components of the metric's
-    `connection_tensor`, of its inverse and of the weights, precomputed by
-    the caller; the state arguments are components of one sample (floats,
-    the integrator's hot path) or of a stack (columns, the run post-pass).
+    ``gamma`` and ``i_inv`` are the metric's `so3.metric_constants` and
+    ``p_mat`` the components of the weights, precomputed by the caller;
+    the state arguments are components of one sample (floats, the
+    integrator's hot path) or of a stack (columns, the run post-pass).
     Intermediates (error rotation, error velocity, gradient) are shared
     between the control and the integral-state transport.  Returns
     (u, xi_dot).
@@ -303,10 +300,8 @@ def control_uext(i_metric, p, gains, r, omega, r_d, omega_d, omega_d_dot, xi_i):
     mapped through the metric sharp, and carried to the plant body frame
     by R^T; the feed-forward is dOmega_d + Omega x Omega_d.
     """
-    i_metric = np.asarray(i_metric, dtype=float)
-    u, _ = _loop_kernel(components(connection_tensor(i_metric), 2),
-                        components(np.linalg.inv(i_metric), 2),
-                        components(_weights_matrix(p), 2), gains,
+    _, i_inv, gamma = metric_constants(i_metric)
+    u, _ = _loop_kernel(gamma, i_inv, components(p, 2), gains,
                         components(r, 2), components(omega),
                         components(r_d, 2), components(omega_d),
                         components(omega_d_dot), components(xi_i))
@@ -356,13 +351,12 @@ def ecl_value(p_metric, p, gains, err):
     ErrorState.
     """
     i = np.asarray(p_metric, dtype=float)
-    p_mat = _weights_matrix(p)
     eta, xi = np.asarray(err.eta, dtype=float), np.asarray(err.xi_I, dtype=float)
-    dpsi = _dpsi_array(p_mat, err.E)
+    dpsi = nav_dpsi(p, err.E)
     i_eta = eta @ i
     # <grad, eta> = dpsi^T eta and <grad, xi> = dpsi^T xi since I^{-1} I = 1.
     return (0.5 * np.vecdot(eta, i_eta)
-            + gains.kp * nav_psi(p_mat, err.E)
+            + gains.kp * nav_psi(p, err.E)
             + 0.5 * gains.tau * np.vecdot(xi, xi @ i)
             + gains.alpha * np.vecdot(dpsi, eta)
             + gains.beta * np.vecdot(xi, i_eta)
@@ -378,7 +372,7 @@ def ecl_rate_bound(p_metric, p, gains, err):
     stacked ErrorState.
     """
     i = np.asarray(p_metric, dtype=float)
-    dpsi = _dpsi_array(_weights_matrix(p), err.E)
+    dpsi = nav_dpsi(p, err.E)
     eta, xi = np.asarray(err.eta, dtype=float), np.asarray(err.xi_I, dtype=float)
     v = np.sqrt(np.stack([np.vecdot(eta, eta @ i),
                           np.vecdot(dpsi, dpsi @ np.linalg.inv(i)),
@@ -399,7 +393,7 @@ def q_matrix(gains):
     g = gains
     q = np.zeros((3, 3))
     q[0, 0] = g.kd - g.mu_hess * g.ki / g.kd ** 2
-    q[1, 1] = (g.ki / g.kd ** 2) * (g.kp - 2.0 * g.kappa * g.kd ** 2)
+    q[1, 1] = (g.ki / g.kd ** 2) * (g.kp - g.kp_floor_q)
     q[2, 2] = g.ki ** 2 / g.kd
     q[0, 2] = q[2, 0] = -g.sigma * g.ki
     return q
@@ -433,7 +427,7 @@ def gain_feasible(gains):
     together with 0 < k_I < (k_d^3/mu)(1 - sigma^2).
     """
     g = gains
-    floor_q = 2.0 * g.kappa * g.kd ** 2
+    floor_q, ki_bound = g.kp_floor_q, g.ki_bound
     if g.ki > 0.0:
         inner = 1.0 + 4.0 * g.kd ** 3 * (g.ki ** 2 + 4.0 * g.kappa ** 2 * g.kd ** 6) \
             / (g.lambda_sup * g.ki ** 3)
@@ -442,7 +436,6 @@ def gain_feasible(gains):
     else:
         floor_pos = 0.0
     kp_floor = max(floor_q, floor_pos)
-    ki_bound = (g.kd ** 3 / g.mu_hess) * (1.0 - g.sigma ** 2)
     checks = {
         "kp_gt_2_kappa_kd2": (g.kp, floor_q, g.kp > floor_q),
         "kp_gt_positivity_floor": (g.kp, floor_pos, g.kp > floor_pos),
@@ -486,14 +479,13 @@ def nav_hessian(p, i_metric, e):
     with the first term's derivative equal to vee(PE hat(v) - (PE hat(v))^T).
     E may be a stack of rotations, giving an (n, 3, 3) stack of forms.
     """
-    p_mat = _weights_matrix(p)
-    pe = p_mat @ np.asarray(e, dtype=float)
+    pe = p @ np.asarray(e, dtype=float)
     basis = np.eye(3)
     # row v of the first term is vee(PE hat(v) - (PE hat(v))^T)
     h1 = np.stack([skew_vee(pe @ hat(v)) for v in basis], axis=-2)
     # conn[v, w] = conn(e_v, e_w)
     conn = connection_tensor(i_metric).reshape(3, 3, 3)
-    h = h1 - np.einsum("...k,vwk->...vw", _dpsi_array(p_mat, e), conn)
+    h = h1 - np.einsum("...k,vwk->...vw", nav_dpsi(p, e), conn)
     return 0.5 * (h + h.mT)
 
 
@@ -522,41 +514,34 @@ def estimate_mu_hess(p, i_metric, n_samples=2000):
     and returns the largest magnitude of the metric-Hessian eigenvalues
     seen.  Complements the closed-form `mu_hess_formula`.
     """
-    p_mat = _weights_matrix(p)
     e = _sample_rotations(np.random.default_rng(0), n_samples)
-    e = e[nav_psi(p_mat, e) <= 1.0]
-    spectrum = _metric_spectrum(i_metric, nav_hessian(p_mat, i_metric, e))
+    e = e[nav_psi(p, e) <= 1.0]
+    spectrum = _metric_spectrum(i_metric, nav_hessian(p, i_metric, e))
     return float(np.abs(spectrum).max(initial=0.0))
 
 
 def estimate_lambda_sup(p, i_metric, n_samples=2000):
     """Sampled bound of <grad psi, grad psi> / (2 psi) over {psi(E) <= 1},
     on the same seed-0 rotations as `estimate_mu_hess`."""
-    p_mat = _weights_matrix(p)
     e = _sample_rotations(np.random.default_rng(0), n_samples)
-    psi = nav_psi(p_mat, e)
+    psi = nav_psi(p, e)
     keep = (psi <= 1.0) & (psi >= 1e-12)
-    dpsi = _dpsi_array(p_mat, e[keep])
+    dpsi = nav_dpsi(p, e[keep])
     i_inv = np.linalg.inv(np.asarray(i_metric, dtype=float))
     ratio = np.vecdot(dpsi, dpsi @ i_inv) / (2.0 * psi[keep])
     return float(ratio.max(initial=0.0))
 
 
-def synthesize_gains(i_metric, kd=3.0, mu_hess=None, lambda_sup=None):
+def synthesize_gains(i_metric, kd=3.0):
     """Produce a certified GainSet for a given metric (carrier inertia).
 
-    Fixed placement: kappa halfway along (1/mu_hess, 2/mu_hess), k_I at
-    0.2 of its bound kd^3 (1 - sigma^2) / mu_hess, k_p at 1.1 times its
+    The bounds mu_hess and lambda_sup are the eigenvalue formulas of
+    ``i_metric``.  Fixed placement: kappa halfway along (1/mu_hess,
+    2/mu_hess), k_I at 0.2 of `GainSet.ki_bound`, k_p at 1.1 times its
     floor.  The result passes `gain_feasible` by construction.
     """
-    i = np.asarray(i_metric, dtype=float)
-    if mu_hess is None:
-        mu_hess = mu_hess_formula(i)
-    if lambda_sup is None:
-        lambda_sup = lambda_sup_formula(i)
-    kappa = _default_kappa(mu_hess)
-    sigma = 2.0 - mu_hess * kappa
-    ki = 0.2 * (kd ** 3 / mu_hess) * (1.0 - sigma ** 2)
-    probe = gain_derive(1.0, kd, ki, kappa, mu_hess, lambda_sup)
-    kp = 1.1 * gain_feasible(probe).kp_floor
-    return gain_derive(kp, kd, ki, kappa, mu_hess, lambda_sup)
+    mu_hess = mu_hess_formula(i_metric)
+    probe = gain_derive(1.0, kd, 1.0, _default_kappa(mu_hess), mu_hess,
+                        lambda_sup_formula(i_metric))
+    probe = dataclasses.replace(probe, ki=0.2 * probe.ki_bound)
+    return dataclasses.replace(probe, kp=1.1 * gain_feasible(probe).kp_floor)

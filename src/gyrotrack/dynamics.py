@@ -15,7 +15,7 @@ system
 
     [[I+K, K], [K, K]] @ [dOmega, dOmegaR] = [Pi x Omega, u_int]
 
-with the block matrix inverted once per :class:`InertiaParams`.
+with the block matrix inverted by `kernel_constants`, once per run.
 
 Also here: the momentum map in body and inertial frames, the mechanical
 connection, and the locked inertia tensor of the assembly.  The kernels
@@ -31,16 +31,18 @@ import numpy as np
 
 from .errors import SingularInertiaError
 from .so3 import (_conn, _cross, _matvec, _matvec_t, components,
-                  connection_tensor, from_components)
+                  from_components, metric_constants)
 
 
 def rotor_inertia_matrix(k):
     """Validate a rotor-inertia spec (3-vector or 3x3 diagonal) as 3x3.
 
     Raises:
-        ValueError: unless the spec is diagonal with positive entries.
+        ValueError: unless the spec is diagonal with finite positive entries.
     """
     k = np.asarray(k, dtype=float)
+    if not np.isfinite(k).all():
+        raise ValueError("rotor inertias must be finite")
     if k.shape == (3,):
         k = np.diag(k)
     elif k.shape == (3, 3):
@@ -62,7 +64,8 @@ class InertiaParams:
 
     I is the 3x3 SPD body-frame inertia of the carrier, K = diag(k1, k2, k3)
     with k_i > 0 the spin-axis inertias of the rotors.  Both I+K and K must
-    be invertible.  Derived factorizations are cached on first use.
+    be invertible.  Only I+K is cached; the kernels' constants come from
+    `kernel_constants` and `so3.metric_constants`, built by each caller.
     """
 
     body_inertia: np.ndarray
@@ -70,8 +73,8 @@ class InertiaParams:
 
     def __init__(self, body_inertia, rotor_inertia):
         i = np.asarray(body_inertia, dtype=float)
-        if i.shape != (3, 3):
-            raise ValueError("body inertia must be 3x3")
+        if i.shape != (3, 3) or not np.isfinite(i).all():
+            raise ValueError("body inertia must be a finite 3x3 matrix")
         if np.abs(i - i.T).max() > 1e-12:
             raise ValueError("body inertia must be symmetric within 1e-12")
         if np.linalg.eigvalsh(i).min() <= 0.0:
@@ -85,40 +88,18 @@ class InertiaParams:
         """Locked inertia tensor I + K (body frame)."""
         return self.body_inertia + self.rotor_inertia
 
-    @cached_property
-    def rotor_diag(self):
-        """Rotor inertias as a 3-vector (K is diagonal)."""
-        return np.diag(self.rotor_inertia).copy()
-
-    @cached_property
-    def body_inertia_inv(self):
-        return np.linalg.inv(self.body_inertia)
-
-    @cached_property
-    def body_connection(self):
-        """`connection_tensor` of the body inertia metric."""
-        return connection_tensor(self.body_inertia)
-
-    @cached_property
-    def locked_inv(self):
-        return np.linalg.inv(self.locked)
-
-    @cached_property
-    def _block_inv(self):
-        """Inverse of the [[I+K, K], [K, K]] block, computed once."""
-        k = self.rotor_inertia
-        try:
-            return np.linalg.inv(np.block([[self.locked, k], [k, k]]))
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise SingularInertiaError("inertia block system is singular") from exc
-
 
 def kernel_constants(params):
-    """Float components of ``params`` that the kernels read: I+K, the
-    rotor inertias, and the blocks (A, B, C) of the block inverse
-    [[A, B], [B^T, C]].  Callers build them once per run."""
-    inv = params._block_inv
-    return (components(params.locked, 2), params.rotor_diag.tolist(),
+    """Float components of ``params`` that the kernels read: I+K, K's
+    diagonal, and the blocks (A, B, C) of the inverse [[A, B], [B^T, C]]
+    of [[I+K, K], [K, K]], inverted here.  Callers build them once per run.
+    """
+    k = params.rotor_inertia
+    try:
+        inv = np.linalg.inv(np.block([[params.locked, k], [k, k]]))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise SingularInertiaError("inertia block system is singular") from exc
+    return (components(params.locked, 2), np.diag(k).tolist(),
             tuple(components(blk, 2)
                   for blk in (inv[:3, :3], inv[:3, 3:], inv[3:, 3:])))
 
@@ -150,7 +131,8 @@ def mechanical_connection(params, omega, omega_r):
 
     Equals locked_inertia(body)^{-1} @ momentum_body by construction.
     """
-    return params.locked_inv @ (params.rotor_inertia @ omega_r) + omega
+    return np.linalg.solve(params.locked, params.rotor_inertia @ omega_r) \
+        + omega
 
 
 def locked_inertia(params, r=None, frame="body"):
@@ -184,7 +166,7 @@ def _rotor_accels(consts, omega, omega_r, u_int):
 
 
 def rotor_accels(params, omega, omega_r, u_int):
-    """(dOmega, dOmegaR) of the rotor plant via the cached block solve.
+    """(dOmega, dOmegaR) of the rotor plant via the block solve.
 
     Arguments may be 3-vectors or (n, 3) stacks of samples.
     """
@@ -210,7 +192,7 @@ def free_body_field(i_inertia):
     ``u_ext = 0`` case of `_external_accel`.  The connection table is
     built once, here.
     """
-    gamma = components(connection_tensor(i_inertia), 2)
+    _, _, gamma = metric_constants(i_inertia)
     zero = (0.0, 0.0, 0.0)
 
     def field(t, rots, vec):

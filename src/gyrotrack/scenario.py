@@ -44,7 +44,7 @@ from .errors import SingularRotorInertiaError
 from .integrators import IntegratorConfig
 from .integrators import integrate_components as integrate
 from .so3 import (_matvec, components, from_components, is_rotation,
-                  orthogonality_defect, rotation_angle)
+                  metric_constants, orthogonality_defect, rotation_angle)
 
 
 PROGRAM_KINDS = ("zero", "constant", "sinusoid")
@@ -101,9 +101,10 @@ class ReferenceProgram:
 class BodySetup:
     """Inertia parameters plus initial conditions for one rotor body.
 
-    R0 must be a rotation within 1e-9 (`so3.is_rotation`), else ValueError.
-    OmegaR0 may be None on the reference body, meaning "derive from the
-    plant's momentum level set".
+    R0 must be a rotation within 1e-9 (`so3.is_rotation`), and Omega0,
+    OmegaR0 and Theta0 finite 3-vectors, else ValueError.  OmegaR0 may be
+    None on the reference body, meaning "derive from the plant's momentum
+    level set"; Theta0 None means zero.
     """
 
     params: InertiaParams
@@ -116,13 +117,16 @@ class BodySetup:
         object.__setattr__(self, "R0", np.asarray(self.R0, dtype=float))
         if not is_rotation(self.R0):
             raise ValueError("not a rotation matrix within 1e-9")
-        object.__setattr__(self, "Omega0", np.asarray(self.Omega0, dtype=float))
-        if self.OmegaR0 is not None:
-            object.__setattr__(self, "OmegaR0",
-                               np.asarray(self.OmegaR0, dtype=float))
-        theta = np.zeros(3) if self.Theta0 is None \
-            else np.asarray(self.Theta0, dtype=float)
-        object.__setattr__(self, "Theta0", theta)
+        if self.Theta0 is None:
+            object.__setattr__(self, "Theta0", np.zeros(3))
+        for name in ("Omega0", "OmegaR0", "Theta0"):
+            v = getattr(self, name)
+            if name == "OmegaR0" and v is None:
+                continue
+            v = np.asarray(v, dtype=float)
+            if v.shape != (3,) or not np.isfinite(v).all():
+                raise ValueError(f"{name} must be a finite 3-vector")
+            object.__setattr__(self, name, v)
 
 
 @dataclass(frozen=True)
@@ -233,8 +237,9 @@ def certified_gains():
     return synthesize_gains(BENCHMARK_PLANT_I)
 
 
-def benchmark_config(program="zero", gains=None, step=1e-3, duration=30.0):
-    """A full benchmark scenario for one torque program, RK4 Munthe-Kaas."""
+def benchmark_config(program="zero", gains=None, duration=30.0):
+    """A full benchmark scenario for one torque program, RK4 Munthe-Kaas
+    with 1e-3 s steps."""
     if program not in _PROGRAM_AMPLITUDES:
         raise ValueError(f"unknown benchmark program '{program}'")
     if gains is None:
@@ -250,7 +255,7 @@ def benchmark_config(program="zero", gains=None, step=1e-3, duration=30.0):
         program=ReferenceProgram(program, _PROGRAM_AMPLITUDES[program]),
         weights=weights,
         gains=gains,
-        integrator=IntegratorConfig(step=step, duration=duration,
+        integrator=IntegratorConfig(step=1e-3, duration=duration,
                                     scheme="rk4_munthe_kaas", reproject=True),
     )
 
@@ -354,9 +359,7 @@ def _closed_loop(cfg, actuation):
     torque = cfg.program._torque
     gains = cfg.gains
     p_mat = components(cfg.weights.P, 2)
-    i_metric = components(plant.body_inertia, 2)
-    gamma = components(plant.body_connection, 2)
-    i_inv = components(plant.body_inertia_inv, 2)
+    i_metric, i_inv, gamma = metric_constants(plant.body_inertia)
     internal = actuation == "internal"
 
     def loop(t, rots, vec):
@@ -422,7 +425,7 @@ def _compute_metrics(cfg, traj):
     """Per-sample diagnostics of a run, on one (n,) column per component;
     ``traj``, whose torques are the closed loop on columns, is only read."""
     plant = cfg.plant.params
-    gains, weights = cfg.gains, cfg.weights
+    gains, p = cfg.gains, cfg.weights.P
     i_metric = plant.body_inertia
     internal = traj.actuation == "internal"
     r, r_d = components(traj.R, 2), components(traj.R_d, 2)
@@ -440,13 +443,13 @@ def _compute_metrics(cfg, traj):
     err = ErrorState(from_components(e, (3, 3)), from_components(eta),
                      traj.xi_I)
     return RunMetrics(
-        psi_e=nav_psi(weights, err.E),
+        psi_e=nav_psi(p, err.E),
         geo_err=rotation_angle(err.E),
         effort_l2=np.linalg.norm(traj.u_int if internal else traj.u_ext,
                                  axis=1),
         effort_uext_l2=np.linalg.norm(traj.u_ext, axis=1),
-        ecl=ecl_value(i_metric, weights, gains, err),
-        ecl_bound=ecl_rate_bound(i_metric, weights, gains, err),
+        ecl=ecl_value(i_metric, p, gains, err),
+        ecl_bound=ecl_rate_bound(i_metric, p, gains, err),
         momentum_drift_series=drift_series,
         momentum_drift=float(drift_series.max()),
         ortho_drift=ortho,
@@ -476,7 +479,7 @@ def certified_region_mask(cfg, traj):
     e, eta = error_state(traj.R, traj.Omega, traj.R_d, traj.Omega_d)
     w = gains.alpha * eta + gains.delta * traj.xi_I
 
-    h = nav_hessian(cfg.weights, i_metric, e)
+    h = nav_hessian(cfg.weights.P, i_metric, e)
     spectrum = _metric_spectrum(i_metric, h)
     shape_ok = (spectrum[:, 0] > 0.0) & (spectrum[:, -1] <= gains.mu_hess)
 

@@ -286,6 +286,19 @@ def connection_tensor(i_metric):
     return 0.5 * (cross3(a, b) - rhs @ i_inv)
 
 
+def metric_constants(i_metric):
+    """Float components of (I, I^{-1}, Gamma) for the metric ``i_metric``,
+    Gamma its `connection_tensor` table: the constants the kernels read.
+
+    Raises:
+        SingularMetricError: if ``i_metric`` is not invertible.
+    """
+    gamma = connection_tensor(i_metric)
+    i_metric = np.asarray(i_metric, dtype=float)
+    return (components(i_metric, 2), components(np.linalg.inv(i_metric), 2),
+            components(gamma, 2))
+
+
 def _conn(gamma, a, b):
     """nabla_a b from the components of a `connection_tensor` table."""
     (x00, y00, z00, x01, y01, z01, x02, y02, z02,
@@ -313,7 +326,7 @@ def connection_term(i_metric, a, b):
     Raises:
         SingularMetricError: if ``i_metric`` is not invertible.
     """
-    return from_components(_conn(components(connection_tensor(i_metric), 2),
+    return from_components(_conn(metric_constants(i_metric)[2],
                                  components(a), components(b)))
 
 

@@ -38,10 +38,10 @@ def _thin(arr):
     return arr[::stride]
 
 
-def _ticks(lo, hi, n=5):
+def _ticks(lo, hi):
     if hi <= lo:
         hi = lo + 1.0
-    return np.linspace(lo, hi, n)
+    return np.linspace(lo, hi, 5)
 
 
 def _panel_svg(panel, width, height, y_offset):

@@ -40,10 +40,10 @@ class TestNavigationFunction:
     def test_dpsi_z_rotation_value(self):
         theta = 0.8
         out = control.nav_dpsi(np.eye(3), so3.expm([0.0, 0.0, theta]))
-        assert np.allclose(out, [0.0, 0.0, np.sin(theta)], atol=1e-14)
+        assert np.allclose(out, [0.0, 0.0, 2.0 * np.sin(theta)], atol=1e-14)
 
     def test_dpsi_matches_central_differences(self):
-        # scale pin: d/dt psi(E expm(t v)) = <2 nav_dpsi, v>
+        # scale pin: d/dt psi(E expm(t v)) = <nav_dpsi, v>
         rng = np.random.default_rng(11)
         h = 1e-6
         worst = 0.0
@@ -54,7 +54,7 @@ class TestNavigationFunction:
             v /= np.linalg.norm(v)
             fd = (control.nav_psi(p, e @ so3.expm(h * v))
                   - control.nav_psi(p, e @ so3.expm(-h * v))) / (2.0 * h)
-            worst = max(worst, abs(fd - 2.0 * control.nav_dpsi(p, e) @ v))
+            worst = max(worst, abs(fd - control.nav_dpsi(p, e) @ v))
         assert worst < 1e-6
 
 
@@ -107,7 +107,7 @@ class TestIntegralTransport:
         e = random_rotation(rng)
         xi = rng.normal(size=3)
         out = control.xi_I_deriv(i, p, e, np.zeros(3), xi)
-        dpsi = 2.0 * control.nav_dpsi(p, e)
+        dpsi = control.nav_dpsi(p, e)
         assert np.allclose(out, np.linalg.solve(i, dpsi), atol=1e-12)
 
     def test_singular_metric_rejected(self):
@@ -125,7 +125,7 @@ class TestIntegralTransport:
             eta = traj.R[k] @ (traj.Omega_d[k] - traj.Omega[k])
             rate = (traj.xi_I[k + 1] - traj.xi_I[k]) / h
             cov = rate + so3.connection_term(i, eta, traj.xi_I[k])
-            grad = np.linalg.solve(i, 2.0 * control.nav_dpsi(np.eye(3), e))
+            grad = np.linalg.solve(i, control.nav_dpsi(np.eye(3), e))
             assert np.abs(cov - grad).max() < 5e-3 * max(1.0, np.abs(grad).max())
 
 
@@ -211,7 +211,7 @@ class TestHessianDiagnostics:
             fd2 = (control.nav_psi(p, e @ so3.expm(step * v))
                    - 2.0 * control.nav_psi(p, e)
                    + control.nav_psi(p, e @ so3.expm(-step * v))) / step ** 2
-            dpsi = 2.0 * control.nav_dpsi(p, e)
+            dpsi = control.nav_dpsi(p, e)
             expected = fd2 - dpsi @ so3.connection_term(i, v, v)
             got = v @ control.nav_hessian(p, i, e) @ v
             assert abs(got - expected) < 1e-5
@@ -236,6 +236,9 @@ class TestNavigationWeights:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             control.NavigationWeights(np.diag([1.0, 2.0, -3.0]))
+        for p in (np.diag([np.inf, 1.0, 2.0]), np.full((3, 3), np.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                control.NavigationWeights(p)
 
     def test_rejects_asymmetric(self):
         p = np.diag([1.0, 2.0, 3.0])

@@ -24,7 +24,7 @@ def _matvec(m, v):
 
 def external_accel(i, omega, u_ext):
     """dOmega of the externally actuated body, through the production kernel."""
-    gamma = so3.components(so3.connection_tensor(i), 2)
+    _, _, gamma = so3.metric_constants(i)
     return so3.from_components(dynamics._external_accel(
         gamma, so3.components(omega), so3.components(u_ext)))
 
@@ -46,6 +46,9 @@ class TestInertiaParams:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             dynamics.InertiaParams(np.diag([1.0, 1.0, -1.0]), (1, 1, 1))
+        for i in (np.diag([np.inf, 1.0, 1.0]), np.full((3, 3), np.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                dynamics.InertiaParams(i, (1, 1, 1))
 
     def test_rejects_nondiagonal_rotors(self):
         k = np.eye(3)
@@ -56,6 +59,10 @@ class TestInertiaParams:
     def test_rejects_nonpositive_rotor(self):
         with pytest.raises(ValueError):
             dynamics.InertiaParams(np.eye(3), (1.0, 0.0, 1.0))
+        for k in ((1.0, np.nan, 1.0), (1.0, np.inf, 1.0),
+                  np.diag([1.0, 1.0, np.inf])):
+            with pytest.raises(ValueError, match="finite"):
+                dynamics.InertiaParams(np.eye(3), k)
 
     def test_rotor_vector_or_matrix(self):
         a = dynamics.InertiaParams(np.eye(3), (1.0, 2.0, 3.0))

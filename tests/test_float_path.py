@@ -124,8 +124,8 @@ _PLANT = scenario.benchmark_plant().params
 _GAINS = scenario.certified_gains()
 _P = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
 _CONSTANTS = {
-    "gamma": so3.components(_PLANT.body_connection, 2),
-    "i_inv": so3.components(_PLANT.body_inertia_inv, 2),
+    "gamma": so3.metric_constants(_PLANT.body_inertia)[2],
+    "i_inv": so3.metric_constants(_PLANT.body_inertia)[1],
     "p": so3.components(_P, 2),
     "plant": dynamics.kernel_constants(_PLANT),
 }

@@ -52,6 +52,11 @@ class TestGainDerive:
             gain_derive(0.0, 3.0, 1.0, 0.6, 2.0048)
         with pytest.raises(ValueError):
             gain_derive(1.0, 3.0, 1.0, 0.6, -2.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                gain_derive(bad, 3.0, 1.0, 0.6, 2.0048)
+            with pytest.raises(ValueError, match="finite"):
+                gain_derive(1.0, 3.0, 1.0, 0.6, 2.0048, lambda_sup=bad)
 
     def test_benchmark_inputs_accepted(self):
         g = scenario.benchmark_gains()
@@ -144,6 +149,16 @@ class TestFeasibility:
                 g = synthesize_gains(random_spd(rng, low=1.0, high=9.0), kd=kd)
                 assert gain_feasible(g).feasible
 
+    def test_synthesize_places_ki_at_fifth_of_bound(self):
+        from conftest import random_spd
+        rng = np.random.default_rng(19)
+        inertias = [scenario.BENCHMARK_PLANT_I] + [
+            random_spd(rng, low=1.0, high=9.0) for _ in range(5)]
+        for i in inertias:
+            g = synthesize_gains(i)
+            assert g.ki == 0.2 * g.ki_bound
+            assert g.kp == 1.1 * gain_feasible(g).kp_floor
+
     def test_pd_variant_drops_integral_channel(self):
         g = pd_variant(scenario.benchmark_gains())
         assert g.ki == 0.0 and g.alpha == 0.0 and g.tau == 0.0
@@ -220,7 +235,7 @@ class TestEnergyFunction:
             e = traj.R_d[k] @ traj.R[k].T
             eta = traj.R[k] @ (traj.Omega_d[k] - traj.Omega[k])
             err = ErrorState(e, eta, traj.xi_I[k])
-            assert abs(ecl_value(i, cfg.weights, cfg.gains, err)
+            assert abs(ecl_value(i, cfg.weights.P, cfg.gains, err)
                        - metrics.ecl[k]) < 1e-10
-            assert abs(ecl_rate_bound(i, cfg.weights, cfg.gains, err)
+            assert abs(ecl_rate_bound(i, cfg.weights.P, cfg.gains, err)
                        - metrics.ecl_bound[k]) < 1e-10

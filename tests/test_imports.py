@@ -1,0 +1,38 @@
+"""Each module of the package uses every name it imports.
+
+The check reads the source with `ast`: a name bound by an import
+statement must appear as a name somewhere else in the module.  It keeps
+an import from outliving the code that used it.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "gyrotrack"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            # ``import a.b`` binds ``a``
+            imported.update(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_import_is_used(path):
+    assert unused_imports(path) == []
+
+
+def test_unused_import_is_found(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import os.path\nimport numpy as np\n"
+                      "from math import pi, tau\n\nprint(np.pi, tau)\n")
+    assert unused_imports(module) == ["os", "pi"]

@@ -237,10 +237,11 @@ class TestClosedLoop:
         # from R0 = I a huge k_p overflows the state within two 1 s steps;
         # the exponential map of the infinite rate must not raise instead
         cfg = scenario.benchmark_config(
-            "zero", step=1.0, duration=5.0,
+            "zero", duration=5.0,
             gains=control.gain_derive(5e5, 3.0, 1.0, 0.6, 2.0048, 1.42))
         cfg = dataclasses.replace(
-            cfg, plant=dataclasses.replace(cfg.plant, R0=np.eye(3)))
+            cfg, plant=dataclasses.replace(cfg.plant, R0=np.eye(3)),
+            integrator=dataclasses.replace(cfg.integrator, step=1.0))
         with np.errstate(all="ignore"), pytest.raises(DivergedStateError):
             scenario.run_closed_loop(cfg)
 
@@ -293,6 +294,15 @@ class TestBodySetup:
                                Omega0=plant.Omega0, OmegaR0=plant.OmegaR0)
         with pytest.raises(ValueError, match="rotation"):
             dataclasses.replace(plant, R0=r0)
+
+    @pytest.mark.parametrize("name", ["Omega0", "OmegaR0", "Theta0"])
+    @pytest.mark.parametrize("value", [[0.0, 0.0], [0.0, np.nan, 0.0],
+                                       [np.inf, 0.0, 0.0]],
+                             ids=["2-vector", "nan", "inf"])
+    def test_velocities_must_be_finite_3_vectors(self, name, value):
+        plant = scenario.benchmark_plant()
+        with pytest.raises(ValueError, match=f"{name} must be a finite"):
+            dataclasses.replace(plant, **{name: value})
 
     def test_expm_rotations_accepted(self):
         rng = np.random.default_rng(11)
