@@ -102,11 +102,15 @@ def _body(pairs, section):
     if direct == seeded:
         raise ConfigParseError("exactly one of Omega0 / IOmega0 required",
                                key=f"{section}.Omega0")
+    # the key each BodySetup field comes from
+    keys = {name: f"{section}.{name}"
+            for name in ("R0", "Omega0", "OmegaR0", "Theta0")}
     if direct:
-        omega0 = _numbers(pairs, f"{section}.Omega0", 3)
+        omega0 = _numbers(pairs, keys["Omega0"], 3)
     else:
+        keys["Omega0"] = f"{section}.IOmega0"
         omega0 = np.linalg.solve(params.body_inertia,
-                                 _numbers(pairs, f"{section}.IOmega0", 3))
+                                 _numbers(pairs, keys["Omega0"], 3))
     theta0 = _numbers(pairs, f"{section}.Theta0", 3) \
         if f"{section}.Theta0" in pairs else np.zeros(3)
 
@@ -124,8 +128,9 @@ def _body(pairs, section):
         return BodySetup(params=params, R0=r0, Omega0=omega0,
                          OmegaR0=omega_r0, Theta0=theta0)
     except ValueError as exc:
-        raise ConfigParseError(str(exc), key=f"{section}.R0",
-                               line=pairs[f"{section}.R0"][1])
+        # BodySetup's message names the offending field first, except R0's
+        key = keys.get(str(exc).split()[0], keys["R0"])
+        raise ConfigParseError(str(exc), key=key, line=pairs[key][1])
 
 
 def parse_config(text):
@@ -188,7 +193,14 @@ def parse_config(text):
 
     cfg = ScenarioConfig(plant=plant, reference=reference, program=program,
                          weights=weights, gains=gains, integrator=integrator)
-    return resolve_reference(cfg)
+    try:
+        # an overflowing momentum shows up as BodySetup's finiteness error
+        with np.errstate(over="ignore", invalid="ignore"):
+            return resolve_reference(cfg)
+    except ValueError as exc:
+        key = "reference.OmegaR0"
+        raise ConfigParseError(str(exc), key=key,
+                               line=pairs.get(key, (None, None))[1])
 
 
 def load_config(path):

@@ -51,9 +51,9 @@ import numpy as np
 
 from .dynamics import kernel_constants
 from .errors import KappaOutOfRangeError
-from .so3 import (_conn, _cross, _matmul, _matmul_t, _matvec, _matvec_t,
-                  _skew_vee, components, connection_tensor, expm,
-                  from_components, hat, metric_constants, skew_vee)
+from .so3 import (_conn, _cross, _matmul_t, _matvec, _matvec_t, components,
+                  connection_tensor, expm, from_components, hat,
+                  metric_constants, skew_vee)
 
 # Certification constants used by the bundled benchmark gain set (k_p, k_d,
 # k_I) = (1, 3, 1).  The Hessian-bound constant does not match
@@ -178,8 +178,18 @@ def _dpsi(p_mat, e):
     """Trivialized differential of psi: vee(PE - (PE)^T).
 
     d/dt psi(E expm(t v))|_0 = <_dpsi(P, E), v>; vanishes at critical points.
+    Only the six off-diagonal entries of P E that `so3._skew_vee` reads are
+    formed, each as `so3._matmul` forms it.
     """
-    return _skew_vee(_matmul(p_mat, e))
+    p0, p1, p2, p3, p4, p5, p6, p7, p8 = p_mat
+    e0, e1, e2, e3, e4, e5, e6, e7, e8 = e
+    m1 = p0 * e1 + p1 * e4 + p2 * e7
+    m2 = p0 * e2 + p1 * e5 + p2 * e8
+    m3 = p3 * e0 + p4 * e3 + p5 * e6
+    m5 = p3 * e2 + p4 * e5 + p5 * e8
+    m6 = p6 * e0 + p7 * e3 + p8 * e6
+    m7 = p6 * e1 + p7 * e4 + p8 * e7
+    return m7 - m5, m2 - m6, m3 - m1
 
 
 def nav_dpsi(p, e):
@@ -372,10 +382,11 @@ def ecl_rate_bound(p_metric, p, gains, err):
     stacked ErrorState.
     """
     i = np.asarray(p_metric, dtype=float)
+    i_inv = from_components(metric_constants(i)[1], (3, 3))
     dpsi = nav_dpsi(p, err.E)
     eta, xi = np.asarray(err.eta, dtype=float), np.asarray(err.xi_I, dtype=float)
     v = np.sqrt(np.stack([np.vecdot(eta, eta @ i),
-                          np.vecdot(dpsi, dpsi @ np.linalg.inv(i)),
+                          np.vecdot(dpsi, dpsi @ i_inv),
                           np.vecdot(xi, xi @ i)], axis=-1))
     return -np.vecdot(v, v @ q_matrix(gains))
 
@@ -527,7 +538,7 @@ def estimate_lambda_sup(p, i_metric, n_samples=2000):
     psi = nav_psi(p, e)
     keep = (psi <= 1.0) & (psi >= 1e-12)
     dpsi = nav_dpsi(p, e[keep])
-    i_inv = np.linalg.inv(np.asarray(i_metric, dtype=float))
+    i_inv = from_components(metric_constants(i_metric)[1], (3, 3))
     ratio = np.vecdot(dpsi, dpsi @ i_inv) / (2.0 * psi[keep])
     return float(ratio.max(initial=0.0))
 

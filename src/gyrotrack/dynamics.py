@@ -10,12 +10,16 @@ for a stack of samples:
 * an externally torqued rigid body on SO(3) (``_external_accel``);
   `free_body_field` is its torque-free vector field.
 
-The rotor plant's accelerations are obtained by solving the 6x6 block
-system
+The rotor plant's accelerations solve the 6x6 block system
 
     [[I+K, K], [K, K]] @ [dOmega, dOmegaR] = [Pi x Omega, u_int]
 
-with the block matrix inverted by `kernel_constants`, once per run.
+by elimination: the difference of the two block rows gives
+I dOmega = Pi x Omega - u_int, and K is diagonal, so
+
+    dOmega = I^{-1}(Pi x Omega - u_int),   dOmegaR = K^{-1} u_int - dOmega
+
+with I^{-1} from `so3.metric_constants`; no 6x6 matrix is formed.
 
 Also here: the momentum map in body and inertial frames, the mechanical
 connection, and the locked inertia tensor of the assembly.  The kernels
@@ -29,9 +33,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SingularInertiaError
-from .so3 import (_conn, _cross, _matvec, _matvec_t, components,
-                  from_components, metric_constants)
+from .so3 import (_conn, _cross, _matvec, components, from_components,
+                  metric_constants)
 
 
 def rotor_inertia_matrix(k):
@@ -63,8 +66,9 @@ class InertiaParams:
     """Inertia of the carrier body (I) and of the three rotors (K).
 
     I is the 3x3 SPD body-frame inertia of the carrier, K = diag(k1, k2, k3)
-    with k_i > 0 the spin-axis inertias of the rotors.  Both I+K and K must
-    be invertible.  Only I+K is cached; the kernels' constants come from
+    with k_i > 0 the spin-axis inertias of the rotors; both are therefore
+    invertible, which is all the rotor block solve needs (see the module
+    docstring).  Only I+K is cached; the kernels' constants come from
     `kernel_constants` and `so3.metric_constants`, built by each caller.
     """
 
@@ -91,17 +95,12 @@ class InertiaParams:
 
 def kernel_constants(params):
     """Float components of ``params`` that the kernels read: I+K, K's
-    diagonal, and the blocks (A, B, C) of the inverse [[A, B], [B^T, C]]
-    of [[I+K, K], [K, K]], inverted here.  Callers build them once per run.
+    diagonal, and I^{-1} from `so3.metric_constants`.  Callers build them
+    once per run.
     """
-    k = params.rotor_inertia
-    try:
-        inv = np.linalg.inv(np.block([[params.locked, k], [k, k]]))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise SingularInertiaError("inertia block system is singular") from exc
-    return (components(params.locked, 2), np.diag(k).tolist(),
-            tuple(components(blk, 2)
-                  for blk in (inv[:3, :3], inv[:3, 3:], inv[3:, 3:])))
+    return (components(params.locked, 2),
+            np.diag(params.rotor_inertia).tolist(),
+            metric_constants(params.body_inertia)[1])
 
 
 def _momentum(consts, omega, omega_r):
@@ -150,23 +149,23 @@ def locked_inertia(params, r=None, frame="body"):
 
 
 def _rotor_accels(consts, omega, omega_r, u_int):
-    """(dOmega, dOmegaR) from the block inverse in `kernel_constants`.
+    """(dOmega, dOmegaR) of the block system, by elimination.
 
-    The block matrix is symmetric, so its inverse is [[A, B], [B^T, C]]
-    and the solution of the block system is (A f + B u, B^T f + C u) with
-    f = Pi x Omega.
+    The first block row minus the second is I dOmega = f - u with
+    f = Pi x Omega, and the second is K (dOmega + dOmegaR) = u; K is
+    diagonal, so dOmega = I^{-1}(f - u) and dOmegaR = K^{-1} u - dOmega,
+    with I^{-1} and K's diagonal from `kernel_constants`.
     """
-    _, _, (a, b, c) = consts
-    f = _cross(_momentum(consts, omega, omega_r), omega)
-    af0, af1, af2 = _matvec(a, f)
-    bu0, bu1, bu2 = _matvec(b, u_int)
-    bf0, bf1, bf2 = _matvec_t(b, f)
-    cu0, cu1, cu2 = _matvec(c, u_int)
-    return (af0 + bu0, af1 + bu1, af2 + bu2), (bf0 + cu0, bf1 + cu1, bf2 + cu2)
+    _, (k0, k1, k2), i_inv = consts
+    f0, f1, f2 = _cross(_momentum(consts, omega, omega_r), omega)
+    u0, u1, u2 = u_int
+    d0, d1, d2 = _matvec(i_inv, (f0 - u0, f1 - u1, f2 - u2))
+    return (d0, d1, d2), (u0 / k0 - d0, u1 / k1 - d1, u2 / k2 - d2)
 
 
 def rotor_accels(params, omega, omega_r, u_int):
-    """(dOmega, dOmegaR) of the rotor plant via the block solve.
+    """(dOmega, dOmegaR) of the rotor plant via the block solve
+    (`_rotor_accels`).
 
     Arguments may be 3-vectors or (n, 3) stacks of samples.
     """

@@ -18,7 +18,7 @@ class SingularMetricError(GyrotrackError):
 
 
 class SingularInertiaError(GyrotrackError):
-    """Inertia block system cannot be factored."""
+    """Inertia is singular, so the rotor block system has no solution."""
 
 
 class SingularRotorInertiaError(GyrotrackError):

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergedStateError
-from .so3 import (_cross, _matmul, _matmul_t, _rodrigues, components,
-                  from_components)
+from .so3 import _cross, _matmul, _rodrigues, components, from_components
 
 SCHEMES = ("lie_euler", "rk4_munthe_kaas")
 
@@ -45,9 +44,17 @@ def _snap_so3(r):
     Written as 1.5 r - 0.5 (r r^T) r.  Equals the orthogonal polar factor
     to machine precision for the near-orthogonal matrices produced by
     exponential updates; far cheaper than an SVD in the per-step repair.
+    The Gram matrix r r^T is symmetric, so only its six distinct entries
+    are formed, each as `so3._matmul_t` forms it.
     """
     r0, r1, r2, r3, r4, r5, r6, r7, r8 = r
-    m0, m1, m2, m3, m4, m5, m6, m7, m8 = _matmul(_matmul_t(r, r), r)
+    g01 = r0 * r3 + r1 * r4 + r2 * r5
+    g02 = r0 * r6 + r1 * r7 + r2 * r8
+    g12 = r3 * r6 + r4 * r7 + r5 * r8
+    gram = (r0 * r0 + r1 * r1 + r2 * r2, g01, g02,
+            g01, r3 * r3 + r4 * r4 + r5 * r5, g12,
+            g02, g12, r6 * r6 + r7 * r7 + r8 * r8)
+    m0, m1, m2, m3, m4, m5, m6, m7, m8 = _matmul(gram, r)
     return (1.5 * r0 - 0.5 * m0, 1.5 * r1 - 0.5 * m1, 1.5 * r2 - 0.5 * m2,
             1.5 * r3 - 0.5 * m3, 1.5 * r4 - 0.5 * m4, 1.5 * r5 - 0.5 * m5,
             1.5 * r6 - 0.5 * m6, 1.5 * r7 - 0.5 * m7, 1.5 * r8 - 0.5 * m8)

@@ -102,7 +102,8 @@ class BodySetup:
     """Inertia parameters plus initial conditions for one rotor body.
 
     R0 must be a rotation within 1e-9 (`so3.is_rotation`), and Omega0,
-    OmegaR0 and Theta0 finite 3-vectors, else ValueError.  OmegaR0 may be
+    OmegaR0 and Theta0 finite 3-vectors, else ValueError, whose message
+    starts with the field's name for the last three.  OmegaR0 may be
     None on the reference body, meaning "derive from the plant's momentum
     level set"; Theta0 None means zero.
     """

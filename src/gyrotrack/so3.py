@@ -268,7 +268,18 @@ def connection_tensor(i_metric):
     nabla_a a = -I^{-1}((I a) x a), the Euler term.  The formula is
     bilinear, so it is evaluated once on the basis pairs: row 3 i + j of
     the returned (9, 3) table is nabla_{e_i} e_j.  `_conn` extends it to
-    any a, b.
+    any a, b.  The table is built by `metric_constants`.
+
+    Raises:
+        SingularMetricError: if ``i_metric`` is not invertible.
+    """
+    return from_components(metric_constants(i_metric)[2], (9, 3))
+
+
+def metric_constants(i_metric):
+    """Float components of (I, I^{-1}, Gamma) for the metric ``i_metric``,
+    Gamma its `connection_tensor` table: the constants the kernels read.
+    The one place the metric is inverted.
 
     Raises:
         SingularMetricError: if ``i_metric`` is not invertible.
@@ -283,20 +294,8 @@ def connection_tensor(i_metric):
     a = np.repeat(np.eye(3), 3, axis=0)
     b = np.tile(np.eye(3), (3, 1))
     rhs = cross3(b @ i_metric, a) + cross3(a @ i_metric, b)
-    return 0.5 * (cross3(a, b) - rhs @ i_inv)
-
-
-def metric_constants(i_metric):
-    """Float components of (I, I^{-1}, Gamma) for the metric ``i_metric``,
-    Gamma its `connection_tensor` table: the constants the kernels read.
-
-    Raises:
-        SingularMetricError: if ``i_metric`` is not invertible.
-    """
-    gamma = connection_tensor(i_metric)
-    i_metric = np.asarray(i_metric, dtype=float)
-    return (components(i_metric, 2), components(np.linalg.inv(i_metric), 2),
-            components(gamma, 2))
+    gamma = 0.5 * (cross3(a, b) - rhs @ i_inv)
+    return components(i_metric, 2), components(i_inv, 2), components(gamma, 2)
 
 
 def _conn(gamma, a, b):

@@ -505,6 +505,30 @@ class TestCheck:
         assert main(["check", str(bad)]) == 1
         assert "not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edits, key", [
+        # Omega0 = I^{-1} IOmega0 overflows to inf
+        ({"plant.I": "0.5 0 0 0 0.5 0 0 0 0.5", "plant.IOmega0": "1e308 0 0"},
+         "plant.IOmega0"),
+        # Omega0 is finite, the momentum that derives OmegaR_d(0) is not
+        ({"plant.IOmega0": "1e308 -1e308 1e308"}, "reference.OmegaR0")],
+        ids=["seeded rate", "derived rotor rate"])
+    def test_non_finite_derived_value_named(self, edits, key, tmp_path,
+                                            capsys, recwarn):
+        text = ZERO_CFG.read_text()
+        for name, value in edits.items():
+            text = re.sub(rf"^{re.escape(name)} = .*$", f"{name} = {value}",
+                          text, flags=re.MULTILINE)
+        with pytest.raises(ConfigParseError, match="finite") as err:
+            parse_config(text)
+        assert err.value.key == key
+        bad = tmp_path / "overflow.cfg"
+        bad.write_text(text)
+        assert main(["check", str(bad)]) == 1
+        out = capsys.readouterr()
+        assert out.err.startswith("error: ") and f"key '{key}'" in out.err
+        assert "Traceback" not in out.err
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+
 
 def test_cli_import_leaves_scipy_out():
     # scipy.linalg used to be most of the CLI's import time and memory

@@ -303,6 +303,33 @@ def test_spatial_momentum_conserved_for_any_rotor_torque(
     assert np.abs(mu - mu[0]).max() <= 1e-7 * max(1.0, np.abs(mu[0]).max())
 
 
+@settings(max_examples=100, deadline=None)
+@given(axes=_vectors(-3.0, 3.0), moments=_vectors(0.5, 4.0),
+       rotors=_vectors(0.1, 3.0), omega=_vectors(-2.0, 2.0),
+       omega_r=_vectors(-2.0, 2.0), torque=_vectors(-2.0, 2.0))
+def test_rotor_accels_solve_the_block_system(axes, moments, rotors, omega,
+                                             omega_r, torque):
+    # the 6x6 system of the module docstring, assembled here with numpy:
+    # an oracle that does not share the kernel's elimination
+    q = so3.expm(axes)
+    i = q @ np.diag(moments) @ q.T
+    p = dynamics.InertiaParams(0.5 * (i + i.T), rotors)
+    k = np.diag(rotors)
+    block = np.block([[p.body_inertia + k, k], [k, k]])
+    pi = (p.body_inertia + k) @ omega + k @ omega_r
+    rhs = np.concatenate([np.cross(pi, omega), torque])
+    x = np.concatenate(dynamics.rotor_accels(p, omega, omega_r, torque))
+    # the cross product cancels when pi is parallel to omega, so its
+    # rounding error scales with |pi| |omega|, not with |rhs|
+    scale = np.abs(block).sum(axis=1).max() * np.abs(x).max() \
+        + np.abs(rhs).max() + np.abs(pi).max() * np.abs(omega).max()
+    # below the smallest normal float the spacing is absolute, not
+    # relative, so the bound carries an underflow term (e.g. a torque of
+    # 5e-324 leaves a residual of one subnormal ulp)
+    underflow = np.finfo(np.float64).tiny
+    assert np.abs(block @ x - rhs).max() <= 1e-12 * scale + underflow
+
+
 class TestExternalBody:
     def test_principal_axis_steady_spin(self):
         i = np.diag([1.0, 2.0, 3.0])

@@ -204,3 +204,23 @@ def test_torque_at_scalar_time_matches_time_grid(kind, amplitude, times):
         assert all(isinstance(value, float) for value in floats)
         for c in range(3):
             assert abs(columns[c][k] - floats[c]) <= 1e-12
+
+
+# The two trimmed kernels form only the entries they read, with the same
+# products in the same order, so they equal the full products bit for bit.
+
+@settings(max_examples=200, deadline=None)
+@given(p=arrays(np.float64, (3, 3), elements=st.floats(-3.0, 3.0)),
+       e=arrays(np.float64, (3, 3), elements=st.floats(-3.0, 3.0)))
+def test_dpsi_equals_skew_part_of_full_product(p, e):
+    p, e = p.ravel().tolist(), e.ravel().tolist()
+    assert control._dpsi(p, e) == so3._skew_vee(so3._matmul(p, e))
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=arrays(np.float64, (3, 3), elements=st.floats(-3.0, 3.0)))
+def test_snap_so3_equals_full_gram_step(r):
+    r = r.ravel().tolist()
+    m = so3._matmul(so3._matmul_t(r, r), r)
+    assert integrators._snap_so3(r) == tuple(
+        1.5 * a - 0.5 * b for a, b in zip(r, m))

@@ -3,9 +3,15 @@
 The check reads the source with `ast`: a name bound by an import
 statement must appear as a name somewhere else in the module.  It keeps
 an import from outliving the code that used it.
+
+The per-layer benchmark trace (``bench/tracing.py``) times the layers by
+rebinding module-level names through which they call each other; a
+binding that is renamed away makes its metric read 0 without an error,
+so the names are pinned here as well.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -36,3 +42,20 @@ def test_unused_import_is_found(tmp_path):
     module.write_text("import os.path\nimport numpy as np\n"
                       "from math import pi, tau\n\nprint(np.pi, tau)\n")
     assert unused_imports(module) == ["os", "pi"]
+
+
+# (module, attribute) of every binding the benchmark tracer wraps: its
+# spans, then the hot counters of the integrator step and the kernels
+TRACED_BINDINGS = (
+    ("cli", "cmd_simulate"), ("cli", "cmd_plot"), ("cli", "load_config"),
+    ("cli", "run_closed_loop"), ("scenario", "run_closed_loop"),
+    ("cli", "write_svg"),
+    ("scenario", "rotor_accels"), ("scenario", "_loop_kernel"),
+    ("scenario", "integrate"), ("integrators", "step_lie"),
+)
+
+
+@pytest.mark.parametrize("module, name", TRACED_BINDINGS)
+def test_traced_binding_exists(module, name):
+    assert callable(getattr(importlib.import_module(f"gyrotrack.{module}"),
+                            name, None))
