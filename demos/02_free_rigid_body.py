@@ -6,8 +6,8 @@ fourth-order group integrator, and the measured convergence order is 4.
 
 The body's vector field is `free_body_field`: the Euler equation
 I dOmega/dt = (I Omega) x Omega on Python floats, with its connection
-table built once.  `integrate_components` runs it directly; `integrate`
-would take the same field written on numpy arrays.
+table built once.  `integrate_components`, the one integration loop,
+runs it directly.
 
 Run:  python demos/02_free_rigid_body.py        (writes free_body.png)
 """

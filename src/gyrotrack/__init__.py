@@ -8,7 +8,7 @@ fixed-step Lie-group integrator, and a scenario harness with a CLI.
 
 __version__ = "0.1.0"
 
-from .control import (BENCHMARK_LAMBDA_SUP, BENCHMARK_MU_HESS, ErrorState,
+from .control import (BENCHMARK_LAMBDA_SUP, BENCHMARK_MU_HESS,
                       FeasibilityVerdict, GainSet, NavigationWeights,
                       control_uext, control_uint, ecl_rate_bound, ecl_value,
                       error_state, estimate_lambda_sup, estimate_mu_hess,
@@ -22,8 +22,8 @@ from .errors import (ConfigParseError, DegenerateMatrixError,
                      DivergedStateError, GyrotrackError, KappaOutOfRangeError,
                      NotSkewError, SchemaMismatchError, SingularInertiaError,
                      SingularMetricError, SingularRotorInertiaError)
-from .integrators import (History, IntegratorConfig, integrate,
-                          integrate_components, step_lie)
+from .integrators import (History, IntegratorConfig, integrate_components,
+                          step_lie)
 from .scenario import (BodySetup, ClosedLoopTrajectory, EffortComparison,
                        ReferenceProgram, RunMetrics, ScenarioConfig,
                        benchmark_config, benchmark_gains, benchmark_plant,

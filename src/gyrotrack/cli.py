@@ -15,9 +15,10 @@ Subcommands:
 
 Exit codes, decided in `main` alone, which prints ``error: <message>`` to
 stderr: 0 success, 2 numerical divergence, 1 any other error (usage,
-config, schema, a file that cannot be read or written).  An output file
-whose directory is missing, or which is itself a directory, fails once the
-input has loaded, before anything is integrated or written.
+config, schema, a file that cannot be read or written, a run too long
+to hold in memory).  An output file whose directory is missing, or
+which is itself a directory, fails once the input has loaded, before
+anything is integrated or written.
 
 The CSV schema is a stable contract (see COLUMNS): one row per sample,
 numbers with 17 significant digits, comma separated, LF line endings.
@@ -335,6 +336,9 @@ def main(argv=None):
         return 2
     except (GyrotrackError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:   # a horizon too long to hold in memory
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

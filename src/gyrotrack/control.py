@@ -52,8 +52,7 @@ import numpy as np
 from .dynamics import kernel_constants
 from .errors import KappaOutOfRangeError
 from .so3 import (_conn, _cross, _matmul_t, _matvec, _matvec_t, components,
-                  connection_tensor, expm, from_components, hat,
-                  metric_constants, skew_vee)
+                  expm, from_components, hat, metric_constants, skew_vee)
 
 # Certification constants used by the bundled benchmark gain set (k_p, k_d,
 # k_I) = (1, 3, 1).  The Hessian-bound constant does not match
@@ -135,7 +134,9 @@ def gain_derive(kp, kd, ki, kappa, mu_hess, lambda_sup=BENCHMARK_LAMBDA_SUP):
 
     Raises:
         KappaOutOfRangeError: unless 1/mu_hess < kappa < 2/mu_hess (open).
-        ValueError: for non-finite inputs, non-positive gains or bounds.
+        ValueError: for non-finite inputs, non-positive gains or bounds, or
+            when a quantity of the certificate (the derived constants,
+            `gain_feasible`, `q_matrix`) leaves the float range.
     """
     if not all(map(math.isfinite, (kp, kd, ki, kappa, mu_hess, lambda_sup))):
         raise ValueError("gains and bounds must be finite")
@@ -147,9 +148,21 @@ def gain_derive(kp, kd, ki, kappa, mu_hess, lambda_sup=BENCHMARK_LAMBDA_SUP):
         raise KappaOutOfRangeError(
             f"kappa={kappa:g} outside open interval "
             f"({1.0 / mu_hess:g}, {2.0 / mu_hess:g})")
-    return GainSet(kp=float(kp), kd=float(kd), ki=float(ki),
-                   kappa=float(kappa), mu_hess=float(mu_hess),
-                   lambda_sup=float(lambda_sup))
+    g = GainSet(kp=float(kp), kd=float(kd), ki=float(ki),
+                kappa=float(kappa), mu_hess=float(mu_hess),
+                lambda_sup=float(lambda_sup))
+    try:   # Python float ** raises OverflowError where * gives inf
+        verdict = gain_feasible(g)
+        certificate = [g.alpha, g.beta, g.tau, g.delta, g.sigma,
+                       verdict.kp_floor_any_kappa,
+                       *q_matrix(g).ravel().tolist()]
+        certificate += [x for lhs, rhs, _ in verdict.checks.values()
+                        for x in (lhs, rhs)]
+    except OverflowError:
+        certificate = [math.inf]
+    if not all(map(math.isfinite, certificate)):
+        raise ValueError("gain certificate overflows the float range")
+    return g
 
 
 def pd_variant(gains):
@@ -219,18 +232,6 @@ def error_state(r, omega, r_d, omega_d):
     e, eta = _error(components(r, 2), components(omega),
                     components(r_d, 2), components(omega_d))
     return from_components(e, (3, 3)), from_components(eta)
-
-
-@dataclass(frozen=True)
-class ErrorState:
-    """Error rotation E, error velocity eta, and integral state xi_I.
-
-    Fields may carry a leading sample axis, (n, 3, 3) and (n, 3).
-    """
-
-    E: np.ndarray
-    eta: np.ndarray
-    xi_I: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +349,7 @@ def control_uint(params, u_ext, omega, omega_r):
 # energy function and decay bound
 # ---------------------------------------------------------------------------
 
-def ecl_value(p_metric, p, gains, err):
+def ecl_value(p_metric, p, gains, e, eta, xi):
     """Closed-loop energy: kinetic + k_p psi + weighted cross terms.
 
     With inner products <a, b> = a^T I b and grad = I^{-1} dpsi:
@@ -357,34 +358,34 @@ def ecl_value(p_metric, p, gains, err):
             + alpha <grad, eta> + beta <xi, eta> + delta <grad, xi>
 
     Positive definite on the certified region when `gain_feasible` holds;
-    zero exactly at (identity, 0, 0).  Evaluated per sample of a stacked
-    ErrorState.
+    zero exactly at (identity, 0, 0).  The error rotation E, error
+    velocity eta and integral state xi may carry a leading sample axis,
+    (n, 3, 3) and (n, 3), giving one value per sample.
     """
     i = np.asarray(p_metric, dtype=float)
-    eta, xi = np.asarray(err.eta, dtype=float), np.asarray(err.xi_I, dtype=float)
-    dpsi = nav_dpsi(p, err.E)
+    eta, xi = np.asarray(eta, dtype=float), np.asarray(xi, dtype=float)
+    dpsi = nav_dpsi(p, e)
     i_eta = eta @ i
     # <grad, eta> = dpsi^T eta and <grad, xi> = dpsi^T xi since I^{-1} I = 1.
     return (0.5 * np.vecdot(eta, i_eta)
-            + gains.kp * nav_psi(p, err.E)
+            + gains.kp * nav_psi(p, e)
             + 0.5 * gains.tau * np.vecdot(xi, xi @ i)
             + gains.alpha * np.vecdot(dpsi, eta)
             + gains.beta * np.vecdot(xi, i_eta)
             + gains.delta * np.vecdot(dpsi, xi))
 
 
-def ecl_rate_bound(p_metric, p, gains, err):
+def ecl_rate_bound(p_metric, p, gains, e, eta, xi):
     """Upper bound -v Q v^T on the energy decay rate.
 
     v collects the metric norms (||eta||, ||grad psi||, ||xi_I||); Q is the
     symmetric matrix of `q_matrix`.  Valid as a bound inside the region
-    where the Hessian bound mu_hess holds.  Evaluated per sample of a
-    stacked ErrorState.
+    where the Hessian bound mu_hess holds.  Arguments as for `ecl_value`.
     """
     i = np.asarray(p_metric, dtype=float)
     i_inv = from_components(metric_constants(i)[1], (3, 3))
-    dpsi = nav_dpsi(p, err.E)
-    eta, xi = np.asarray(err.eta, dtype=float), np.asarray(err.xi_I, dtype=float)
+    dpsi = nav_dpsi(p, e)
+    eta, xi = np.asarray(eta, dtype=float), np.asarray(xi, dtype=float)
     v = np.sqrt(np.stack([np.vecdot(eta, eta @ i),
                           np.vecdot(dpsi, dpsi @ i_inv),
                           np.vecdot(xi, xi @ i)], axis=-1))
@@ -443,7 +444,7 @@ def gain_feasible(gains):
         inner = 1.0 + 4.0 * g.kd ** 3 * (g.ki ** 2 + 4.0 * g.kappa ** 2 * g.kd ** 6) \
             / (g.lambda_sup * g.ki ** 3)
         floor_pos = (g.lambda_sup * g.ki ** 2 / (2.0 * g.kd ** 4)) \
-            * (1.0 + np.sqrt(inner))
+            * (1.0 + math.sqrt(inner))
     else:
         floor_pos = 0.0
     kp_floor = max(floor_q, floor_pos)
@@ -494,8 +495,8 @@ def nav_hessian(p, i_metric, e):
     basis = np.eye(3)
     # row v of the first term is vee(PE hat(v) - (PE hat(v))^T)
     h1 = np.stack([skew_vee(pe @ hat(v)) for v in basis], axis=-2)
-    # conn[v, w] = conn(e_v, e_w)
-    conn = connection_tensor(i_metric).reshape(3, 3, 3)
+    # conn[v, w] = conn(e_v, e_w), the metric's connection table
+    conn = np.reshape(metric_constants(i_metric)[2], (3, 3, 3))
     h = h1 - np.einsum("...k,vwk->...vw", nav_dpsi(p, e), conn)
     return 0.5 * (h + h.mT)
 

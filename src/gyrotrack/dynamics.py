@@ -126,12 +126,10 @@ def momentum_spatial(r, pi):
 
 
 def mechanical_connection(params, omega, omega_r):
-    """Group part of the velocity: A = (I+K)^{-1} K OmegaR + Omega.
-
-    Equals locked_inertia(body)^{-1} @ momentum_body by construction.
-    """
-    return np.linalg.solve(params.locked, params.rotor_inertia @ omega_r) \
-        + omega
+    """Group part of the velocity: A = (I+K)^{-1} K OmegaR + Omega,
+    computed as (I+K)^{-1} Pi with Pi the `momentum_body`."""
+    return np.linalg.solve(params.locked,
+                           momentum_body(params, omega, omega_r))
 
 
 def locked_inertia(params, r=None, frame="body"):

@@ -10,11 +10,9 @@ rotation by a right-multiplied exponential.
 
 `integrate_components` is the one integration loop and takes such a
 field directly; the package's own fields (`scenario`'s closed loop and
-rotor body, `dynamics.free_body_field`) are written for it.  `integrate`
-is the thin adapter around it for a user's vector field on arrays (3x3
-attitudes, a 1-D vector state).  Both return the dense `History`, the
-one record of this module; `scenario.ClosedLoopTrajectory` names the
-slots of a closed-loop run.
+rotor body, `dynamics.free_body_field`) are written for it.  It returns
+the dense `History`, the one record of this module;
+`scenario.ClosedLoopTrajectory` names the slots of a closed-loop run.
 
 Two schemes are provided: first-order Lie-Euler and a fourth-order
 Munthe-Kaas variant of the classical RK4 tableau, whose algebra-valued
@@ -33,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergedStateError
-from .so3 import _cross, _matmul, _rodrigues, components, from_components
+from .so3 import _cross, _matmul, _rodrigues, components
 
 SCHEMES = ("lie_euler", "rk4_munthe_kaas")
 
@@ -66,7 +64,10 @@ class IntegratorConfig:
 
     The horizon is realized as round(duration / step) uniform steps, so a
     duration that is not a multiple of the step is rounded to the nearest
-    whole number of steps.
+    whole number of steps.  The count must stay below 2**53, past which
+    floats skip whole numbers and k * step no longer separates steps;
+    below it a history of up to 128 floats per sample stays within
+    numpy's size limit, so a run too long for memory raises MemoryError.
     """
 
     step: float = 1e-3
@@ -81,6 +82,8 @@ class IntegratorConfig:
             raise ValueError("step must be positive")
         if self.duration < self.step:
             raise ValueError("step must not exceed duration")
+        if not self.duration / self.step < 2.0 ** 53:
+            raise ValueError("duration / step must be below 2**53 steps")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
 
@@ -91,7 +94,7 @@ class IntegratorConfig:
 
 @dataclass
 class History:
-    """Dense output of `integrate` over a product state.
+    """Dense output of `integrate_components` over a product state.
 
     rotations[k] has shape (n+1, 3, 3) for the k-th rotation component;
     vectors has shape (n+1, m).
@@ -204,16 +207,3 @@ def integrate_components(vector_field, initial, cfg):
             hist[i] = x
     return History(times=times, rotations=rot_hist, vectors=vec_hist)
 
-
-def integrate(vector_field, initial, cfg):
-    """`integrate_components` for a vector field on arrays: a tuple of
-    3x3 arrays and a 1-D array in, ``(body_velocities, vector_derivative)``
-    out."""
-    def field(t, rots, vec):
-        omegas, vdot = vector_field(
-            t, tuple(from_components(r, (3, 3)) for r in rots), np.array(vec))
-        return [components(w) for w in omegas], components(vdot)
-
-    # an overflow in an array field is reported as a divergence, not warned
-    with np.errstate(over="ignore", invalid="ignore"):
-        return integrate_components(field, initial, cfg)

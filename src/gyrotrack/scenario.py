@@ -27,12 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import (ErrorState, FeasibilityVerdict, GainSet,
-                      NavigationWeights, _error, _loop_kernel,
-                      _metric_spectrum, _uint, ecl_rate_bound, ecl_value,
-                      error_state, gain_derive, gain_feasible, nav_hessian,
-                      nav_psi, pd_variant, synthesize_gains,
-                      BENCHMARK_MU_HESS, BENCHMARK_LAMBDA_SUP)
+from .control import (FeasibilityVerdict, GainSet, NavigationWeights,
+                      _error, _loop_kernel, _metric_spectrum, _uint,
+                      ecl_rate_bound, ecl_value, error_state, gain_derive,
+                      gain_feasible, nav_hessian, nav_psi, pd_variant,
+                      synthesize_gains, BENCHMARK_MU_HESS,
+                      BENCHMARK_LAMBDA_SUP)
 # the componentwise block solve and the component loop, bound under the
 # public names of their array adapters: this module calls them through
 # these bindings, as it calls `_loop_kernel`, so per-call traces keep the
@@ -441,16 +441,15 @@ def _compute_metrics(cfg, traj):
                 for rot in (traj.R, traj.R_d))
 
     e, eta = _error(r, omega, r_d, omega_d)
-    err = ErrorState(from_components(e, (3, 3)), from_components(eta),
-                     traj.xi_I)
+    e, eta = from_components(e, (3, 3)), from_components(eta)
     return RunMetrics(
-        psi_e=nav_psi(p, err.E),
-        geo_err=rotation_angle(err.E),
+        psi_e=nav_psi(p, e),
+        geo_err=rotation_angle(e),
         effort_l2=np.linalg.norm(traj.u_int if internal else traj.u_ext,
                                  axis=1),
         effort_uext_l2=np.linalg.norm(traj.u_ext, axis=1),
-        ecl=ecl_value(i_metric, p, gains, err),
-        ecl_bound=ecl_rate_bound(i_metric, p, gains, err),
+        ecl=ecl_value(i_metric, p, gains, e, eta, traj.xi_I),
+        ecl_bound=ecl_rate_bound(i_metric, p, gains, e, eta, traj.xi_I),
         momentum_drift_series=drift_series,
         momentum_drift=float(drift_series.max()),
         ortho_drift=ortho,
@@ -504,21 +503,18 @@ class EffortComparison:
     baseline_integral: float
 
 
-def _pd_only(cfg):
-    """Default baseline: identical P/k_p/k_d, integral channel removed."""
-    return dataclasses.replace(cfg, gains=pd_variant(cfg.gains))
+def compare_efforts(cfg):
+    """Run the proposed law and its PD baseline on the same reference.
 
-
-def compare_efforts(cfg, alternate_law=_pd_only):
-    """Run the proposed law and an alternate one on the same reference.
-
-    ``alternate_law`` maps the scenario config to the baseline's config;
-    it must keep P, k_p, k_d (and the reference) unchanged for the effort
-    comparison to be meaningful.  Both runs see identical initial states.
+    The baseline is `pd_variant` of the gains: the same P, k_p and k_d
+    with the integral channel removed.  Both runs see identical initial
+    states; the integrals are the trapezoid rule of ``effort_l2`` at the
+    integrator step.
     """
     cfg = resolve_reference(cfg)
     traj_a, metrics_a = run_closed_loop(cfg)
-    _, metrics_b = run_closed_loop(alternate_law(cfg))
+    _, metrics_b = run_closed_loop(
+        dataclasses.replace(cfg, gains=pd_variant(cfg.gains)))
     dt = cfg.integrator.step
     return EffortComparison(
         times=traj_a.times,

@@ -37,6 +37,7 @@ from .errors import DegenerateMatrixError, NotSkewError, SingularMetricError
 
 _SMALL_ANGLE = 1e-8
 _SKEW_TOL = 1e-12
+_ROTATION_TOL = 1e-9
 
 
 def hat(v):
@@ -256,30 +257,20 @@ def adstar(xi, mu):
     return cross3(mu, xi)
 
 
-def connection_tensor(i_metric):
-    """Levi-Civita connection of the left-invariant metric, trivialized.
+def metric_constants(i_metric):
+    """Float components of (I, I^{-1}, Gamma) for the metric ``i_metric``:
+    the constants the kernels read.  The one place the metric is inverted.
 
-    For the metric induced by an SPD tensor ``i_metric`` the connection on
-    the algebra is
+    Gamma is the Levi-Civita connection of the left-invariant metric
+    induced by the SPD tensor ``i_metric``, trivialized to the algebra:
 
         nabla_a b = 1/2 ( [a, b] - I^{-1} ad*_a (I b) - I^{-1} ad*_b (I a) )
 
     so that geodesics satisfy the free rigid-body equation:
     nabla_a a = -I^{-1}((I a) x a), the Euler term.  The formula is
     bilinear, so it is evaluated once on the basis pairs: row 3 i + j of
-    the returned (9, 3) table is nabla_{e_i} e_j.  `_conn` extends it to
-    any a, b.  The table is built by `metric_constants`.
-
-    Raises:
-        SingularMetricError: if ``i_metric`` is not invertible.
-    """
-    return from_components(metric_constants(i_metric)[2], (9, 3))
-
-
-def metric_constants(i_metric):
-    """Float components of (I, I^{-1}, Gamma) for the metric ``i_metric``,
-    Gamma its `connection_tensor` table: the constants the kernels read.
-    The one place the metric is inverted.
+    the (9, 3) table Gamma is nabla_{e_i} e_j.  `_conn` extends it to any
+    a, b.
 
     Raises:
         SingularMetricError: if ``i_metric`` is not invertible.
@@ -299,7 +290,7 @@ def metric_constants(i_metric):
 
 
 def _conn(gamma, a, b):
-    """nabla_a b from the components of a `connection_tensor` table."""
+    """nabla_a b from the components of a `metric_constants` table Gamma."""
     (x00, y00, z00, x01, y01, z01, x02, y02, z02,
      x10, y10, z10, x11, y11, z11, x12, y12, z12,
      x20, y20, z20, x21, y21, z21, x22, y22, z22) = gamma
@@ -317,7 +308,7 @@ def _conn(gamma, a, b):
 
 
 def connection_term(i_metric, a, b):
-    """nabla_a b for the metric ``i_metric``; see `connection_tensor`.
+    """nabla_a b for the metric ``i_metric``; see `metric_constants`.
 
     ``a`` and ``b`` are 3-vectors or (n, 3) stacks.
     ``connection_term(I, a, a) == -I^{-1}((I a) x a)``, the Euler term.
@@ -349,9 +340,10 @@ def orthogonality_defect(r):
     return np.sqrt((gram ** 2).sum(axis=(-2, -1)))
 
 
-def is_rotation(r, tol=1e-9):
-    """True if ||R^T R - I||_F <= tol and det(R) > 0."""
+def is_rotation(r):
+    """True if ||R^T R - I||_F <= 1e-9 and det(R) > 0: the attitude
+    contract of `scenario.BodySetup`."""
     r = np.asarray(r, dtype=float)
     if r.shape != (3, 3):
         return False
-    return orthogonality_defect(r) <= tol and np.linalg.det(r) > 0.0
+    return orthogonality_defect(r) <= _ROTATION_TOL and np.linalg.det(r) > 0.0

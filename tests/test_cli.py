@@ -530,6 +530,62 @@ class TestCheck:
         assert not [w for w in recwarn if w.category is RuntimeWarning]
 
 
+# inputs whose step count or gain certificate leaves the float range
+OVERFLOW_EDITS = {
+    "duration 1e308": {"integrator.duration": "1e308"},
+    "step 1e-300": {"integrator.step": "1e-300"},
+    "kappa 1.5e300": {"gains.mu_hess": "1e-300", "gains.kappa": "1.5e300"},
+    "kappa 1e200": {"gains.mu_hess": "1.5e-200", "gains.kappa": "1e200"},
+}
+
+
+def _run_one_error(argv, capsys):
+    """Run the CLI, expect exit 1 and one ``error:`` line on stderr."""
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    return err
+
+
+class TestOutOfRangeInputs:
+    @pytest.mark.parametrize("edits", OVERFLOW_EDITS.values(),
+                             ids=OVERFLOW_EDITS.keys())
+    @pytest.mark.parametrize("command", ["check", "tune-gains", "simulate"])
+    def test_named_config_error(self, edits, command, tmp_path, capsys,
+                                recwarn):
+        text = ZERO_CFG.read_text()
+        for name, value in edits.items():
+            text = re.sub(rf"^{re.escape(name)} = .*$", f"{name} = {value}",
+                          text, flags=re.MULTILINE)
+        section = next(iter(edits)).split(".")[0]
+        with pytest.raises(ConfigParseError) as exc:
+            parse_config(text)
+        assert exc.value.key.startswith(section + ".")
+        cfg = tmp_path / "out_of_range.cfg"
+        cfg.write_text(text)
+        argv = [command, str(cfg)]
+        if command == "simulate":
+            argv += ["-o", str(tmp_path / "run.csv")]
+        err = _run_one_error(argv, capsys)
+        assert f"key '{section}." in err
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+        assert not (tmp_path / "run.csv").exists()
+
+    def test_memory_error_exit_1(self, tmp_path, monkeypatch, capsys):
+        # a valid horizon too long for memory, e.g. duration 1e12 at the
+        # bundled step: the run's first allocation raises MemoryError
+        def too_long(cfg):
+            raise MemoryError("Unable to allocate 7.28 PiB for an array")
+
+        path = write_short_config(tmp_path, duration="1e12")
+        assert load_config(path).integrator.n_steps == 10 ** 15
+        monkeypatch.setattr(cli, "run_closed_loop", too_long)
+        err = _run_one_error(["simulate", str(path), "-o",
+                              str(tmp_path / "run.csv")], capsys)
+        assert "out of memory" in err
+
+
 def test_cli_import_leaves_scipy_out():
     # scipy.linalg used to be most of the CLI's import time and memory
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from gyrotrack import control, scenario
-from gyrotrack.control import (ErrorState, ecl_rate_bound, ecl_value,
-                               gain_derive, gain_feasible, pd_variant,
-                               q_matrix, synthesize_gains)
+from gyrotrack.control import (ecl_rate_bound, ecl_value, gain_derive,
+                               gain_feasible, pd_variant, q_matrix,
+                               synthesize_gains)
 from gyrotrack.errors import KappaOutOfRangeError
 
 
@@ -57,6 +57,17 @@ class TestGainDerive:
                 gain_derive(bad, 3.0, 1.0, 0.6, 2.0048)
             with pytest.raises(ValueError, match="finite"):
                 gain_derive(1.0, 3.0, 1.0, 0.6, 2.0048, lambda_sup=bad)
+
+    @pytest.mark.parametrize("mu_hess, kappa, kd", [
+        (1e-300, 1.5e300, 3.0),    # kappa ** 2 raises OverflowError
+        (1.5e-200, 1e200, 3.0),
+        (2.0048, 0.6, 1e50)],      # the positivity floor becomes inf
+        ids=["kappa 1.5e300", "kappa 1e200", "kd 1e50"])
+    def test_rejects_certificate_overflow(self, mu_hess, kappa, kd, recwarn):
+        assert 1.0 / mu_hess < kappa < 2.0 / mu_hess
+        with pytest.raises(ValueError, match="certificate overflows"):
+            gain_derive(1.0, kd, 1.0, kappa, mu_hess)
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
 
     def test_benchmark_inputs_accepted(self):
         g = scenario.benchmark_gains()
@@ -190,16 +201,16 @@ class TestEnergyFunction:
 
     def test_zero_at_minimum(self):
         i, p, g = self._setup()
-        err = ErrorState(np.eye(3), np.zeros(3), np.zeros(3))
-        assert ecl_value(i, p, g, err) == 0.0
-        assert ecl_rate_bound(i, p, g, err) == 0.0
+        err = np.eye(3), np.zeros(3), np.zeros(3)
+        assert ecl_value(i, p, g, *err) == 0.0
+        assert ecl_rate_bound(i, p, g, *err) == 0.0
 
     def test_quadratic_scaling_at_identity(self):
         i, p, g = self._setup()
         rng = np.random.default_rng(17)
         eta, xi = rng.normal(size=3), rng.normal(size=3)
-        e1 = ecl_value(i, p, g, ErrorState(np.eye(3), eta, xi))
-        e2 = ecl_value(i, p, g, ErrorState(np.eye(3), 2 * eta, 2 * xi))
+        e1 = ecl_value(i, p, g, np.eye(3), eta, xi)
+        e2 = ecl_value(i, p, g, np.eye(3), 2 * eta, 2 * xi)
         assert abs(e2 - 4.0 * e1) < 1e-10 * max(1.0, abs(e1))
 
     def test_rate_bound_unit_error_velocity(self):
@@ -207,8 +218,8 @@ class TestEnergyFunction:
         i, p, g = self._setup()
         eta = np.array([1.0, 0.0, 0.0])
         eta /= np.sqrt(eta @ i @ eta)
-        err = ErrorState(np.eye(3), eta, np.zeros(3))
-        assert abs(ecl_rate_bound(i, p, g, err) + q_matrix(g)[0, 0]) < 1e-12
+        assert abs(ecl_rate_bound(i, p, g, np.eye(3), eta, np.zeros(3))
+                   + q_matrix(g)[0, 0]) < 1e-12
 
     def test_positive_along_certified_run(self, certified_zero_run):
         cfg, traj, metrics = certified_zero_run
@@ -234,8 +245,8 @@ class TestEnergyFunction:
         for k in (0, 777, 20000):
             e = traj.R_d[k] @ traj.R[k].T
             eta = traj.R[k] @ (traj.Omega_d[k] - traj.Omega[k])
-            err = ErrorState(e, eta, traj.xi_I[k])
-            assert abs(ecl_value(i, cfg.weights.P, cfg.gains, err)
+            err = e, eta, traj.xi_I[k]
+            assert abs(ecl_value(i, cfg.weights.P, cfg.gains, *err)
                        - metrics.ecl[k]) < 1e-10
-            assert abs(ecl_rate_bound(i, cfg.weights.P, cfg.gains, err)
+            assert abs(ecl_rate_bound(i, cfg.weights.P, cfg.gains, *err)
                        - metrics.ecl_bound[k]) < 1e-10

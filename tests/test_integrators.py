@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from gyrotrack import dynamics, integrators, scenario, so3
+from gyrotrack import dynamics, scenario, so3
 from gyrotrack.errors import DivergedStateError
-from gyrotrack.integrators import (History, IntegratorConfig, integrate,
+from gyrotrack.integrators import (History, IntegratorConfig,
                                    integrate_components, step_lie)
 
 FREE_I = np.diag([1.0, 2.0, 3.0])
@@ -11,7 +11,7 @@ free_body_field = dynamics.free_body_field(FREE_I)
 
 
 def zero_field(t, rots, vec):
-    return tuple(np.zeros(3) for _ in rots), np.zeros_like(vec)
+    return [(0.0, 0.0, 0.0)] * len(rots), [0.0] * len(vec)
 
 
 class TestConfig:
@@ -20,8 +20,11 @@ class TestConfig:
             IntegratorConfig(step=0.0, duration=1.0)
         with pytest.raises(ValueError):
             IntegratorConfig(step=2.0, duration=1.0)
+        # the last four give 2**53 steps or more, past the float integers
         for step, duration in ((np.nan, 1.0), (1e-3, np.nan),
-                               (np.inf, 1.0), (1e-3, np.inf)):
+                               (np.inf, 1.0), (1e-3, np.inf),
+                               (1e-3, 1e308), (1e-300, 30.0),
+                               (1.0, 2.0 ** 53), (1e-3, 1e13)):
             with pytest.raises(ValueError):
                 IntegratorConfig(step=step, duration=duration)
 
@@ -29,9 +32,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(step=0.1, duration=1.0, scheme="rk5")
 
+    def test_longest_horizon_accepted(self):
+        cfg = IntegratorConfig(step=1.0, duration=2.0 ** 53 - 1.0)
+        assert cfg.n_steps == 2 ** 53 - 1
+
     def test_duration_equal_step_gives_two_samples(self):
-        hist = integrate(zero_field, ((np.eye(3),), np.zeros(3)),
-                         IntegratorConfig(step=0.5, duration=0.5))
+        hist = integrate_components(zero_field, ((np.eye(3),), np.zeros(3)),
+                                    IntegratorConfig(step=0.5, duration=0.5))
         assert len(hist.times) == 2
 
 
@@ -145,12 +152,13 @@ class TestInvariants:
 
     def test_diverged_state_reports_first_bad_step(self):
         def blowup(t, rots, vec):
-            with np.errstate(over="ignore"):   # overflow is the point here
-                return (np.zeros(3),), vec ** 3
+            # float products overflow to inf; the overflow is the point
+            return [(0.0, 0.0, 0.0)], [x * x * x for x in vec]
 
         with pytest.raises(DivergedStateError) as err:
-            integrate(blowup, ((np.eye(3),), np.array([5.0, 0.0, 0.0])),
-                      IntegratorConfig(step=1.0, duration=100.0))
+            integrate_components(
+                blowup, ((np.eye(3),), np.array([5.0, 0.0, 0.0])),
+                IntegratorConfig(step=1.0, duration=100.0))
         assert err.value.step_index >= 1
         assert err.value.time > 0.0
 
@@ -162,42 +170,44 @@ class TestInvariants:
         cfg = IntegratorConfig(step=0.1, duration=1.0)
 
         def field(t, rots, vec):
-            bad = np.array([np.nan, 0.0, 0.0]) if t > 0.37 else np.zeros(3)
+            zero = (0.0, 0.0, 0.0)
+            bad = (np.nan, 0.0, 0.0) if t > 0.37 else zero
             if target == "vector":
-                return (np.zeros(3), np.zeros(3)), bad
-            return (np.zeros(3), bad), np.zeros(3)
+                return (zero, zero), bad
+            return (zero, bad), zero
 
         with pytest.raises(DivergedStateError) as err:
-            integrate(field, ((np.eye(3), np.eye(3)), np.ones(3)), cfg)
+            integrate_components(field, ((np.eye(3), np.eye(3)), np.ones(3)),
+                                 cfg)
         assert err.value.step_index == 4
         assert err.value.time == 4 * cfg.step
 
     def test_finite_state_summing_past_float_range_is_not_diverged(self):
         vec = np.array([1.5e308, 1.5e308, -0.0])
-        hist = integrate(zero_field, ((np.eye(3),), vec),
-                         IntegratorConfig(step=0.1, duration=0.3))
+        hist = integrate_components(zero_field, ((np.eye(3),), vec),
+                                    IntegratorConfig(step=0.1, duration=0.3))
         assert np.array_equal(hist.vectors[-1], vec)
 
-    def test_array_adapter_matches_component_loop(self):
+    def test_rotor_field_matches_array_adapters(self):
+        # along an integrated rotor body, the component field's rates are
+        # the array adapters' (`rotor_accels`, `ReferenceProgram.torque`)
+        # bit for bit
         cfg = scenario.benchmark_config("sinusoid", duration=0.5)
         ref = scenario.resolve_reference(cfg).reference
         program = cfg.program
-
-        def array_field(t, rots, vec):
+        field = scenario._rotor_field(ref.params, program._torque)
+        hist = integrate_components(
+            field, ((ref.R0,), np.concatenate([ref.Theta0, ref.Omega0,
+                                               ref.OmegaR0])),
+            cfg.integrator)
+        for t, r, vec in zip(hist.times, hist.rotations[0], hist.vectors):
+            omegas, vdot = field(t.item(), [so3.components(r, 2)],
+                                 vec.tolist())
             d_omega, d_omega_r = dynamics.rotor_accels(
                 ref.params, vec[3:6], vec[6:9], program.torque(t))
-            return (vec[3:6],), np.concatenate([vec[6:9], d_omega,
-                                                d_omega_r])
-
-        initial = ((ref.R0,), np.concatenate([ref.Theta0, ref.Omega0,
-                                              ref.OmegaR0]))
-        a = integrate(array_field, initial, cfg.integrator)
-        b = integrators.integrate_components(
-            scenario._rotor_field(ref.params, program._torque), initial,
-            cfg.integrator)
-        assert np.array_equal(a.times, b.times)
-        assert np.array_equal(a.rotations[0], b.rotations[0])
-        assert np.array_equal(a.vectors, b.vectors)
+            assert np.array_equal(omegas[0], vec[3:6])
+            assert np.array_equal(vdot, np.concatenate([vec[6:9], d_omega,
+                                                        d_omega_r]))
 
     def test_history_shapes(self):
         cfg = IntegratorConfig(step=0.1, duration=1.0)

@@ -53,8 +53,7 @@ def _case(name, rng):
         return (lambda e: control.nav_psi(p, e)), (_rotations(rng),)
     if name in ("ecl_value", "ecl_rate_bound"):
         fn = getattr(control, name)
-        return (lambda e, eta, xi:
-                fn(i, p, gains, control.ErrorState(e, eta, xi))), \
+        return (lambda e, eta, xi: fn(i, p, gains, e, eta, xi)), \
             (_rotations(rng), _vectors(rng), _vectors(rng))
     if name == "rotation_angle":
         return so3.rotation_angle, (_rotations(rng),)

@@ -260,13 +260,25 @@ class TestClosedLoop:
         assert mask[:10000].any() and mask[-10000:].any()
 
 
+@pytest.fixture(scope="module")
+def short_comparison():
+    """``(cfg, EffortComparison)`` of a 1 s zero-program run."""
+    cfg = short_config(duration=1.0)
+    return cfg, scenario.compare_efforts(cfg)
+
+
 class TestEffortComparison:
-    def test_law_against_itself_identical(self):
-        cmp_result = scenario.compare_efforts(short_config(duration=1.0),
-                                              alternate_law=lambda c: c)
-        assert np.array_equal(cmp_result.proposed.effort_l2,
-                              cmp_result.baseline.effort_l2)
-        assert cmp_result.proposed_integral == cmp_result.baseline_integral
+    def test_law_against_itself_identical(self, short_comparison):
+        # each side is bit for bit the run of its own law alone
+        cfg, cmp_result = short_comparison
+        pd_cfg = dataclasses.replace(cfg, gains=control.pd_variant(cfg.gains))
+        for metrics, run_cfg in ((cmp_result.proposed, cfg),
+                                 (cmp_result.baseline, pd_cfg)):
+            traj, alone = scenario.run_closed_loop(run_cfg)
+            assert np.array_equal(cmp_result.times, traj.times)
+            for field in dataclasses.fields(alone):
+                assert np.array_equal(getattr(metrics, field.name),
+                                      getattr(alone, field.name))
 
     def test_constant_program_smoke(self):
         cmp_result = scenario.compare_efforts(short_config("constant",
@@ -276,10 +288,14 @@ class TestEffortComparison:
         assert cmp_result.baseline.feasibility.feasible is False  # PD only
         assert cmp_result.proposed_integral > 0.0
 
-    def test_series_invariant_under_thinning(self):
-        cmp_result = scenario.compare_efforts(short_config(duration=1.0))
-        full = cmp_result.proposed.effort_l2
-        assert np.array_equal(full[::7], np.asarray(full)[::7])
+    def test_integrals_are_trapezoid_of_effort(self, short_comparison):
+        cfg, cmp_result = short_comparison
+        h = cfg.integrator.step
+        assert cmp_result.proposed_integral == float(
+            np.trapezoid(cmp_result.proposed.effort_l2, dx=h))
+        assert cmp_result.baseline_integral == float(
+            np.trapezoid(cmp_result.baseline.effort_l2, dx=h))
+        assert cmp_result.proposed_integral != cmp_result.baseline_integral
 
 
 class TestBodySetup:
