@@ -19,9 +19,10 @@ from .dynamics import (InertiaParams, free_body_field, kinetic_energy,
                        locked_inertia, mechanical_connection, momentum_body,
                        momentum_spatial)
 from .errors import (ConfigParseError, DegenerateMatrixError,
-                     DivergedStateError, GyrotrackError, KappaOutOfRangeError,
-                     NotSkewError, SchemaMismatchError, SingularInertiaError,
-                     SingularMetricError, SingularRotorInertiaError)
+                     DivergedStateError, GainSynthesisError, GyrotrackError,
+                     KappaOutOfRangeError, NotSkewError, SchemaMismatchError,
+                     SingularInertiaError, SingularMetricError,
+                     SingularRotorInertiaError)
 from .integrators import (History, IntegratorConfig, integrate_components,
                           step_lie)
 from .scenario import (BodySetup, ClosedLoopTrajectory, EffortComparison,

@@ -13,12 +13,15 @@ Subcommands:
   not COLUMNS or whose rows are not all finite numbers fails with exit 1
 * ``check <config>``               validate a config and exit
 
-Exit codes, decided in `main` alone, which prints ``error: <message>`` to
-stderr: 0 success, 2 numerical divergence, 1 any other error (usage,
-config, schema, a file that cannot be read or written, a run too long
-to hold in memory).  An output file whose directory is missing, or
-which is itself a directory, fails once the input has loaded, before
-anything is integrated or written.
+Errors.  Commands return 0 or raise; `main` alone turns an error into
+an exit code and prints ``error: <message>`` to stderr: 2 numerical
+divergence, 1 any other GyrotrackError (config, schema, gain synthesis),
+OSError (a file that cannot be read or written) or MemoryError (a run too
+long to hold in memory).  A usage error, a bad ``--entries`` among them,
+exits 1 after argparse prints it.  An output file whose directory is
+missing, or which is itself a directory, fails once the input has loaded,
+before anything is integrated or written; ``compare`` creates its output
+directory only after the run.
 
 The CSV schema is a stable contract (see COLUMNS): one row per sample,
 numbers with 17 significant digits, comma separated, LF line endings.
@@ -172,11 +175,8 @@ def cmd_tune_gains(config_path, synthesize=False):
     _print_gain_report(cfg.gains, i_plant)
     if synthesize:
         print("== synthesized gains ==")
-        gains = synthesize_gains(i_plant, kd=cfg.gains.kd)
-        verdict = _print_gain_report(gains, i_plant)
-        if not verdict.feasible:   # pragma: no cover - construction guarantees
-            print("error: synthesis failed to certify", file=sys.stderr)
-            return 1
+        _print_gain_report(synthesize_gains(i_plant, kd=cfg.gains.kd),
+                           i_plant)
     return 0
 
 
@@ -184,12 +184,15 @@ def cmd_compare(config_path, out_dir):
     """Run proposed vs integral-free baseline; write effort CSVs + summary."""
     cfg = load_config(config_path)
     out = Path(out_dir)
-    if not out.is_dir():
-        _check_outputs(out)
-        out.mkdir()
     efforts = [out / f"effort_{name}.csv" for name in ("proposed", "baseline")]
-    _check_outputs(*efforts, out / "summary.json")
+    if out.is_dir():
+        _check_outputs(*efforts, out / "summary.json")
+    elif out.exists():
+        raise NotADirectoryError(f"output {out} is not a directory")
+    else:
+        _check_outputs(out)
     cmp_result = compare_efforts(cfg)
+    out.mkdir(exist_ok=True)   # only once the run has succeeded
 
     for path, metrics in zip(efforts, (cmp_result.proposed,
                                        cmp_result.baseline)):
@@ -237,10 +240,7 @@ def cmd_plot(csv_path, out_svg, entries=(11, 12, 21, 22)):
     t = data["t"]
     panels = []
     for entry in entries:
-        i, j = divmod(int(entry), 10)
-        if not (1 <= i <= 3 and 1 <= j <= 3):
-            print(f"error: bad matrix entry '{entry}'", file=sys.stderr)
-            return 1
+        i, j = divmod(entry, 10)
         panels.append(Panel(
             title=f"attitude entry ({i},{j})", xlabel="t [s]",
             ylabel=f"R{i}{j}",
@@ -264,6 +264,15 @@ def cmd_plot(csv_path, out_svg, entries=(11, 12, 21, 22)):
                                                 _PLANT_COLOR)])])
     print(f"wrote {out}, {psi_out}, {effort_out}")
     return 0
+
+
+def _entries(text):
+    """``--entries``: comma-separated attitude matrix entries ij with i
+    and j in 1..3, as integers."""
+    entries = [e.strip() for e in text.split(",")]
+    if not all(len(e) == 2 and set(e) <= set("123") for e in entries):
+        raise argparse.ArgumentTypeError(f"bad matrix entries '{text}'")
+    return tuple(map(int, entries))
 
 
 def cmd_check(config_path):
@@ -301,7 +310,7 @@ def _build_parser():
     p = sub.add_parser("plot", help="render telemetry CSV to SVG files")
     p.add_argument("csv")
     p.add_argument("-o", "--output", required=True, metavar="SVG")
-    p.add_argument("--entries", default="11,12,21,22",
+    p.add_argument("--entries", type=_entries, default="11,12,21,22",
                    help="comma-separated attitude matrix entries (e.g. 11,12)")
 
     p = sub.add_parser("check", help="validate a scenario config")
@@ -324,12 +333,7 @@ def main(argv=None):
         if args.command == "compare":
             return cmd_compare(args.config, args.output)
         if args.command == "plot":
-            try:
-                entries = tuple(int(e) for e in args.entries.split(","))
-            except ValueError:
-                print(f"error: bad --entries '{args.entries}'", file=sys.stderr)
-                return 1
-            return cmd_plot(args.csv, args.output, entries)
+            return cmd_plot(args.csv, args.output, args.entries)
         return cmd_check(args.config)
     except DivergedStateError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,48 +2,69 @@
 
 Format: one ``section.key = value`` per line, ``#`` comments, blank lines
 ignored.  Values are whitespace-separated numbers (matrices row-major),
-bare words for enumerations, ``true``/``false`` for flags.  Each ``R0``
-must be a rotation matrix within 1e-9, a rule `scenario.BodySetup`
-enforces and this parser reports against the ``R0`` key.  Initial body
-rates may be given directly (``plant.Omega0``) or as a momentum-style seed
-(``plant.IOmega0``, meaning Omega0 = I^{-1} @ value); the reference rotor
-rate accepts the word ``derive`` to be filled from the plant's momentum
-level set.
+bare words for enumerations, ``true``/``false`` for flags (`_KEYS`).
+Initial body rates may be given directly (``plant.Omega0``) or as a
+momentum-style seed (``plant.IOmega0``, meaning Omega0 = I^{-1} @ value);
+the reference rotor rate accepts the word ``derive`` to be filled from
+the plant's momentum level set.
 
-`parse_config` resolves every default and derived quantity, so
+This parser checks only the text: known keys, each once, required ones
+present, finite numbers of the right count, words from their sets.  Each
+rule on the values lives in the record that owns it (`InertiaParams`,
+`BodySetup`, `NavigationWeights`, `gain_derive`, `IntegratorConfig`,
+`resolve_reference`), and one rule locates its failure (`_located`): a
+ValueError or KappaOutOfRangeError is reported as ConfigParseError on
+the key of the field the message names first, with that key's line, or
+on the record's default key if it names none (``R0``'s "not a rotation
+matrix", the gain certificate leaving the float range).  `parse_config` resolves every default and derived quantity, so
 serialize(parse(text)) is canonical and parsing it again is idempotent.
 """
 
 import warnings
+from operator import attrgetter
 
 import numpy as np
 
 from .control import (NavigationWeights, _default_kappa, gain_derive,
                       lambda_sup_formula, mu_hess_formula)
-from .dynamics import InertiaParams, rotor_inertia_matrix
+from .dynamics import InertiaParams
 from .errors import ConfigParseError, KappaOutOfRangeError
 from .integrators import SCHEMES, IntegratorConfig
 from .scenario import (PROGRAM_KINDS, BodySetup, ReferenceProgram,
                        ScenarioConfig, resolve_reference)
 
-_KNOWN_KEYS = {
-    "plant.I": 9, "plant.K": 3, "plant.R0": 9, "plant.Theta0": 3,
-    "plant.Omega0": 3, "plant.IOmega0": 3, "plant.OmegaR0": 3,
-    "reference.I": 9, "reference.K": 3, "reference.R0": 9,
-    "reference.Theta0": 3, "reference.Omega0": 3, "reference.IOmega0": 3,
-    "reference.OmegaR0": 3, "reference.program": None,
-    "reference.amplitude": 3,
-    "weights.P": 9,
-    "gains.kp": 1, "gains.kd": 1, "gains.ki": 1, "gains.kappa": 1,
-    "gains.mu_hess": 1, "gains.lambda_sup": 1,
-    "integrator.scheme": None, "integrator.step": 1,
-    "integrator.duration": 1, "integrator.reproject": None,
+# Every key in canonical order: how many numbers it holds (None for a
+# word), whether it is required, and the attribute of a resolved
+# ScenarioConfig that `serialize_config` writes (None for an input form).
+_KEYS = {
+    "plant.I": (9, True, "plant.params.body_inertia"),
+    "plant.K": (3, True, "plant.params.rotor_inertia"),
+    "plant.R0": (9, True, "plant.R0"),
+    "plant.Theta0": (3, False, "plant.Theta0"),
+    "plant.Omega0": (3, False, "plant.Omega0"),
+    "plant.IOmega0": (3, False, None),
+    "plant.OmegaR0": (3, True, "plant.OmegaR0"),
+    "reference.I": (9, True, "reference.params.body_inertia"),
+    "reference.K": (3, True, "reference.params.rotor_inertia"),
+    "reference.R0": (9, True, "reference.R0"),
+    "reference.Theta0": (3, False, "reference.Theta0"),
+    "reference.Omega0": (3, False, "reference.Omega0"),
+    "reference.IOmega0": (3, False, None),
+    "reference.OmegaR0": (3, False, "reference.OmegaR0"),
+    "reference.program": (None, True, "program.kind"),
+    "reference.amplitude": (3, False, "program.amplitude"),
+    "weights.P": (9, False, "weights.P"),
+    "gains.kp": (1, True, "gains.kp"),
+    "gains.kd": (1, True, "gains.kd"),
+    "gains.ki": (1, True, "gains.ki"),
+    "gains.kappa": (1, False, "gains.kappa"),
+    "gains.mu_hess": (1, False, "gains.mu_hess"),
+    "gains.lambda_sup": (1, False, "gains.lambda_sup"),
+    "integrator.scheme": (None, False, "integrator.scheme"),
+    "integrator.step": (1, True, "integrator.step"),
+    "integrator.duration": (1, True, "integrator.duration"),
+    "integrator.reproject": (None, False, "integrator.reproject"),
 }
-
-_REQUIRED = ("plant.I", "plant.K", "plant.R0", "plant.OmegaR0",
-             "reference.I", "reference.K", "reference.R0",
-             "reference.program", "gains.kp", "gains.kd", "gains.ki",
-             "integrator.step", "integrator.duration")
 
 
 def _read_pairs(text):
@@ -55,7 +76,7 @@ def _read_pairs(text):
         if "=" not in line:
             raise ConfigParseError("expected 'key = value'", line=lineno)
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigParseError("unknown key", key=key, line=lineno)
         if key in pairs:
             raise ConfigParseError("duplicate key", key=key, line=lineno)
@@ -65,12 +86,16 @@ def _read_pairs(text):
     return pairs
 
 
-def _numbers(pairs, key, count):
+def _numbers(pairs, key, default=None):
+    """The finite numbers of ``key``, or ``default`` if it is absent."""
+    if key not in pairs:
+        return default
     value, lineno = pairs[key]
     try:
         nums = np.array([float(tok) for tok in value.split()])
     except ValueError:
         raise ConfigParseError("not a number list", key=key, line=lineno)
+    count = _KEYS[key][0]
     if nums.size != count:
         raise ConfigParseError(f"expected {count} numbers, got {nums.size}",
                                key=key, line=lineno)
@@ -79,7 +104,10 @@ def _numbers(pairs, key, count):
     return nums.reshape(3, 3) if count == 9 else (nums if count > 1 else float(nums[0]))
 
 
-def _word(pairs, key, allowed):
+def _word(pairs, key, allowed, default=None):
+    """The word of ``key``, one of ``allowed``, or ``default`` if absent."""
+    if key not in pairs:
+        return default
     value, lineno = pairs[key]
     if value not in allowed:
         raise ConfigParseError(f"must be one of {sorted(allowed)}",
@@ -87,50 +115,51 @@ def _word(pairs, key, allowed):
     return value
 
 
-def _body(pairs, section):
-    try:
-        rotors = rotor_inertia_matrix(_numbers(pairs, f"{section}.K", 3))
-    except ValueError as exc:
-        raise ConfigParseError(str(exc), key=f"{section}.K")
-    try:
-        params = InertiaParams(_numbers(pairs, f"{section}.I", 9), rotors)
-    except ValueError as exc:
-        raise ConfigParseError(str(exc), key=f"{section}.I")
-    r0 = _numbers(pairs, f"{section}.R0", 9)
-    direct = f"{section}.Omega0" in pairs
-    seeded = f"{section}.IOmega0" in pairs
-    if direct == seeded:
-        raise ConfigParseError("exactly one of Omega0 / IOmega0 required",
-                               key=f"{section}.Omega0")
-    # the key each BodySetup field comes from
-    keys = {name: f"{section}.{name}"
-            for name in ("R0", "Omega0", "OmegaR0", "Theta0")}
-    if direct:
-        omega0 = _numbers(pairs, keys["Omega0"], 3)
-    else:
-        keys["Omega0"] = f"{section}.IOmega0"
-        omega0 = np.linalg.solve(params.body_inertia,
-                                 _numbers(pairs, keys["Omega0"], 3))
-    theta0 = _numbers(pairs, f"{section}.Theta0", 3) \
-        if f"{section}.Theta0" in pairs else np.zeros(3)
+def _keys_of(section):
+    """Field name -> key, for every key of ``section``."""
+    return {key.split(".", 1)[1]: key for key in _KEYS
+            if key.startswith(section + ".")}
 
-    omega_r0 = None
-    key = f"{section}.OmegaR0"
-    if key in pairs:
-        value, lineno = pairs[key]
-        if value == "derive":
-            if section == "plant":
-                raise ConfigParseError("plant rotor rate cannot be derived",
-                                       key=key, line=lineno)
-        else:
-            omega_r0 = _numbers(pairs, key, 3)
+
+def _located(pairs, keys, default, make, *args):
+    """``make(*args)``, a record's failure reported on its key.
+
+    A ValueError or KappaOutOfRangeError becomes a ConfigParseError on
+    ``keys[first word of the message]``, or on ``default`` when ``keys``
+    has no such field, with that key's line if the file gives it.
+    """
     try:
-        return BodySetup(params=params, R0=r0, Omega0=omega0,
-                         OmegaR0=omega_r0, Theta0=theta0)
-    except ValueError as exc:
-        # BodySetup's message names the offending field first, except R0's
-        key = keys.get(str(exc).split()[0], keys["R0"])
-        raise ConfigParseError(str(exc), key=key, line=pairs[key][1])
+        return make(*args)
+    except (ValueError, KappaOutOfRangeError) as exc:
+        key = keys.get(str(exc).split()[0], default)
+        raise ConfigParseError(str(exc), key=key,
+                               line=pairs.get(key, (None, None))[1]) from None
+
+
+def _body(pairs, section):
+    # the key each InertiaParams and BodySetup field comes from
+    keys = _keys_of(section)
+    keys.update(body=keys["I"], rotor=keys["K"])
+    params = _located(pairs, keys, keys["I"], InertiaParams,
+                      _numbers(pairs, keys["I"]), _numbers(pairs, keys["K"]))
+    direct = keys["Omega0"] in pairs
+    if direct == (keys["IOmega0"] in pairs):
+        raise ConfigParseError("exactly one of Omega0 / IOmega0 required",
+                               key=keys["Omega0"])
+    if direct:
+        omega0 = _numbers(pairs, keys["Omega0"])
+    else:
+        keys["Omega0"] = keys["IOmega0"]
+        omega0 = np.linalg.solve(params.body_inertia,
+                                 _numbers(pairs, keys["Omega0"]))
+    value, lineno = pairs.get(keys["OmegaR0"], ("derive", None))
+    if value == "derive" and section == "plant":
+        raise ConfigParseError("plant rotor rate cannot be derived",
+                               key=keys["OmegaR0"], line=lineno)
+    omega_r0 = None if value == "derive" else _numbers(pairs, keys["OmegaR0"])
+    return _located(pairs, keys, keys["R0"], BodySetup, params,
+                    _numbers(pairs, keys["R0"]), omega0, omega_r0,
+                    _numbers(pairs, keys["Theta0"]))
 
 
 def parse_config(text):
@@ -139,68 +168,45 @@ def parse_config(text):
     Raises ConfigParseError naming the offending key and line.
     """
     pairs = _read_pairs(text)
-    for key in _REQUIRED:
-        if key not in pairs:
+    for key, (_, required, _) in _KEYS.items():
+        if required and key not in pairs:
             raise ConfigParseError("missing required key", key=key)
 
     plant = _body(pairs, "plant")
     reference = _body(pairs, "reference")
+    program = ReferenceProgram(
+        _word(pairs, "reference.program", PROGRAM_KINDS),
+        _numbers(pairs, "reference.amplitude"))
 
-    kind = _word(pairs, "reference.program", set(PROGRAM_KINDS))
-    amplitude = _numbers(pairs, "reference.amplitude", 3) \
-        if "reference.amplitude" in pairs else None
-    program = ReferenceProgram(kind, amplitude)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # repeated eigenvalues are legal
+        weights = _located(pairs, _keys_of("weights"), "weights.P",
+                           NavigationWeights,
+                           _numbers(pairs, "weights.P", np.eye(3)))
 
-    p_mat = _numbers(pairs, "weights.P", 9) if "weights.P" in pairs \
-        else np.eye(3)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # repeated eigenvalues are legal
-            weights = NavigationWeights(p_mat)
-    except ValueError as exc:
-        raise ConfigParseError(str(exc), key="weights.P")
+    i_plant = plant.params.body_inertia
+    mu = _numbers(pairs, "gains.mu_hess", mu_hess_formula(i_plant))
+    gains = _located(pairs, _keys_of("gains"), "gains.kp", gain_derive,
+                     _numbers(pairs, "gains.kp"), _numbers(pairs, "gains.kd"),
+                     _numbers(pairs, "gains.ki"),
+                     _numbers(pairs, "gains.kappa", _default_kappa(mu)), mu,
+                     _numbers(pairs, "gains.lambda_sup",
+                              lambda_sup_formula(i_plant)))
 
-    mu = _numbers(pairs, "gains.mu_hess", 1) if "gains.mu_hess" in pairs \
-        else mu_hess_formula(plant.params.body_inertia)
-    lam = _numbers(pairs, "gains.lambda_sup", 1) \
-        if "gains.lambda_sup" in pairs \
-        else lambda_sup_formula(plant.params.body_inertia)
-    kappa = _numbers(pairs, "gains.kappa", 1) if "gains.kappa" in pairs \
-        else _default_kappa(mu)
-    try:
-        gains = gain_derive(_numbers(pairs, "gains.kp", 1),
-                            _numbers(pairs, "gains.kd", 1),
-                            _numbers(pairs, "gains.ki", 1),
-                            kappa, mu, lam)
-    except KappaOutOfRangeError as exc:
-        raise ConfigParseError(str(exc), key="gains.kappa")
-    except ValueError as exc:
-        raise ConfigParseError(str(exc), key="gains.kp")
-
-    scheme = _word(pairs, "integrator.scheme", set(SCHEMES)) \
-        if "integrator.scheme" in pairs else "rk4_munthe_kaas"
-    reproject = True
-    if "integrator.reproject" in pairs:
-        reproject = _word(pairs, "integrator.reproject",
-                          {"true", "false"}) == "true"
-    try:
-        integrator = IntegratorConfig(
-            step=_numbers(pairs, "integrator.step", 1),
-            duration=_numbers(pairs, "integrator.duration", 1),
-            scheme=scheme, reproject=reproject)
-    except ValueError as exc:
-        raise ConfigParseError(str(exc), key="integrator.step")
+    integrator = _located(
+        pairs, _keys_of("integrator"), "integrator.step", IntegratorConfig,
+        _numbers(pairs, "integrator.step"),
+        _numbers(pairs, "integrator.duration"),
+        _word(pairs, "integrator.scheme", SCHEMES, "rk4_munthe_kaas"),
+        _word(pairs, "integrator.reproject", ("false", "true"),
+              "true") == "true")
 
     cfg = ScenarioConfig(plant=plant, reference=reference, program=program,
                          weights=weights, gains=gains, integrator=integrator)
-    try:
-        # an overflowing momentum shows up as BodySetup's finiteness error
-        with np.errstate(over="ignore", invalid="ignore"):
-            return resolve_reference(cfg)
-    except ValueError as exc:
-        key = "reference.OmegaR0"
-        raise ConfigParseError(str(exc), key=key,
-                               line=pairs.get(key, (None, None))[1])
+    # an overflowing momentum shows up as BodySetup's finiteness error
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _located(pairs, _keys_of("reference"), "reference.OmegaR0",
+                        resolve_reference, cfg)
 
 
 def load_config(path):
@@ -211,40 +217,19 @@ def load_config(path):
             raise ConfigParseError(f"not UTF-8 text: {exc}") from None
 
 
-def _fmt(values):
-    arr = np.asarray(values, dtype=float).ravel()
-    return " ".join(repr(float(x)) for x in arr)
-
-
 def serialize_config(cfg):
-    """Canonical text for a (resolved) ScenarioConfig."""
+    """Canonical text for a (resolved) ScenarioConfig: every `_KEYS` entry
+    with an attribute, in order; K as its three rotor inertias."""
     cfg = resolve_reference(cfg)
-    g = cfg.gains
-    lines = [
-        f"plant.I = {_fmt(cfg.plant.params.body_inertia)}",
-        f"plant.K = {_fmt(np.diag(cfg.plant.params.rotor_inertia))}",
-        f"plant.R0 = {_fmt(cfg.plant.R0)}",
-        f"plant.Theta0 = {_fmt(cfg.plant.Theta0)}",
-        f"plant.Omega0 = {_fmt(cfg.plant.Omega0)}",
-        f"plant.OmegaR0 = {_fmt(cfg.plant.OmegaR0)}",
-        f"reference.I = {_fmt(cfg.reference.params.body_inertia)}",
-        f"reference.K = {_fmt(np.diag(cfg.reference.params.rotor_inertia))}",
-        f"reference.R0 = {_fmt(cfg.reference.R0)}",
-        f"reference.Theta0 = {_fmt(cfg.reference.Theta0)}",
-        f"reference.Omega0 = {_fmt(cfg.reference.Omega0)}",
-        f"reference.OmegaR0 = {_fmt(cfg.reference.OmegaR0)}",
-        f"reference.program = {cfg.program.kind}",
-        f"reference.amplitude = {_fmt(cfg.program.amplitude)}",
-        f"weights.P = {_fmt(cfg.weights.P)}",
-        f"gains.kp = {g.kp!r}",
-        f"gains.kd = {g.kd!r}",
-        f"gains.ki = {g.ki!r}",
-        f"gains.kappa = {g.kappa!r}",
-        f"gains.mu_hess = {g.mu_hess!r}",
-        f"gains.lambda_sup = {g.lambda_sup!r}",
-        f"integrator.scheme = {cfg.integrator.scheme}",
-        f"integrator.step = {cfg.integrator.step!r}",
-        f"integrator.duration = {cfg.integrator.duration!r}",
-        f"integrator.reproject = {'true' if cfg.integrator.reproject else 'false'}",
-    ]
+    lines = []
+    for key, (count, _, attribute) in _KEYS.items():
+        if attribute is None:
+            continue
+        value = attrgetter(attribute)(cfg)
+        if count is None:   # a word, or the reproject flag's bool
+            text = str(value).lower()
+        else:
+            nums = np.diag(value) if key.endswith(".K") else value
+            text = " ".join(map(repr, np.ravel(nums).astype(float).tolist()))
+        lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"

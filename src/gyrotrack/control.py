@@ -50,9 +50,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import kernel_constants
-from .errors import KappaOutOfRangeError
+from .errors import GainSynthesisError, KappaOutOfRangeError
 from .so3 import (_conn, _cross, _matmul_t, _matvec, _matvec_t, components,
-                  expm, from_components, hat, metric_constants, skew_vee)
+                  expm, from_components, hat, metric_constants, skew_vee,
+                  spd_eigenvalues)
 
 # Certification constants used by the bundled benchmark gain set (k_p, k_d,
 # k_I) = (1, 3, 1).  The Hessian-bound constant does not match
@@ -74,14 +75,7 @@ class NavigationWeights:
     P: np.ndarray
 
     def __init__(self, P):
-        P = np.asarray(P, dtype=float)
-        if P.shape != (3, 3) or not np.isfinite(P).all():
-            raise ValueError("P must be a finite 3x3 matrix")
-        if np.abs(P - P.T).max() > 1e-12:
-            raise ValueError("P must be symmetric within 1e-12")
-        eig = np.linalg.eigvalsh(P)
-        if eig.min() <= 0.0:
-            raise ValueError("P must be positive definite")
+        P, eig = spd_eigenvalues(P, "P")
         gaps = np.diff(eig)
         if np.any(gaps <= 1e-9 * max(1.0, eig.max())):
             warnings.warn(
@@ -125,8 +119,8 @@ class GainSet:
 
 
 def _default_kappa(mu_hess):
-    """The kappa placement when none is given: mid-(1/mu_hess, 2/mu_hess)."""
-    return 1.5 / mu_hess
+    """Mid-(1/mu_hess, 2/mu_hess), the kappa when none is given; or NaN."""
+    return 1.5 / mu_hess if mu_hess > 0.0 else math.nan
 
 
 def gain_derive(kp, kd, ki, kappa, mu_hess, lambda_sup=BENCHMARK_LAMBDA_SUP):
@@ -134,24 +128,24 @@ def gain_derive(kp, kd, ki, kappa, mu_hess, lambda_sup=BENCHMARK_LAMBDA_SUP):
 
     Raises:
         KappaOutOfRangeError: unless 1/mu_hess < kappa < 2/mu_hess (open).
-        ValueError: for non-finite inputs, non-positive gains or bounds, or
-            when a quantity of the certificate (the derived constants,
+        ValueError: for a non-finite input or a non-positive gain or bound,
+            with a message that starts with the input's name, or when a
+            quantity of the certificate (the derived constants,
             `gain_feasible`, `q_matrix`) leaves the float range.
     """
-    if not all(map(math.isfinite, (kp, kd, ki, kappa, mu_hess, lambda_sup))):
-        raise ValueError("gains and bounds must be finite")
-    if min(kp, kd, ki) <= 0.0:
-        raise ValueError("kp, kd, ki must be positive")
-    if mu_hess <= 0.0 or lambda_sup <= 0.0:
-        raise ValueError("mu_hess and lambda_sup must be positive")
+    inputs = {"kp": kp, "kd": kd, "ki": ki, "mu_hess": mu_hess,
+              "lambda_sup": lambda_sup, "kappa": kappa}
+    for name, value in inputs.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+        if name != "kappa" and value <= 0.0:
+            raise ValueError(f"{name} must be positive")
     if not (1.0 / mu_hess < kappa < 2.0 / mu_hess):
         raise KappaOutOfRangeError(
-            f"kappa={kappa:g} outside open interval "
+            f"kappa {kappa:g} outside open interval "
             f"({1.0 / mu_hess:g}, {2.0 / mu_hess:g})")
-    g = GainSet(kp=float(kp), kd=float(kd), ki=float(ki),
-                kappa=float(kappa), mu_hess=float(mu_hess),
-                lambda_sup=float(lambda_sup))
-    try:   # Python float ** raises OverflowError where * gives inf
+    g = GainSet(**{name: float(value) for name, value in inputs.items()})
+    try:   # float ** raises OverflowError; 0 from ** underflow divides
         verdict = gain_feasible(g)
         certificate = [g.alpha, g.beta, g.tau, g.delta, g.sigma,
                        verdict.kp_floor_any_kappa,
@@ -160,6 +154,8 @@ def gain_derive(kp, kd, ki, kappa, mu_hess, lambda_sup=BENCHMARK_LAMBDA_SUP):
                         for x in (lhs, rhs)]
     except OverflowError:
         certificate = [math.inf]
+    except ZeroDivisionError:
+        raise ValueError("gain certificate underflows the float range")
     if not all(map(math.isfinite, certificate)):
         raise ValueError("gain certificate overflows the float range")
     return g
@@ -471,17 +467,21 @@ def gain_feasible(gains):
 def mu_hess_formula(i_metric):
     """Eigenvalue expression 2 (l_min + l_max) / l_min for the Hessian bound.
 
-    Always >= 4 for SPD input; compare with the sampled estimate from
-    `estimate_mu_hess` when a tight region bound matters.
+    Always >= 4 for SPD input (inf past the float range); compare with
+    the sampled estimate from `estimate_mu_hess` when a tight region
+    bound matters.
     """
     eig = np.linalg.eigvalsh(np.asarray(i_metric, dtype=float))
-    return float(2.0 * (eig[0] + eig[-1]) / eig[0])
+    with np.errstate(all="ignore"):
+        return float(2.0 * (eig[0] + eig[-1]) / eig[0])
 
 
 def lambda_sup_formula(i_metric):
-    """Eigenvalue expression 2 l_max / l_min^2 for the gradient-ratio bound."""
+    """Eigenvalue expression 2 l_max / l_min^2 for the gradient-ratio
+    bound; 0, inf or NaN when a term leaves the float range."""
     eig = np.linalg.eigvalsh(np.asarray(i_metric, dtype=float))
-    return float(2.0 * eig[-1] / eig[0] ** 2)
+    with np.errstate(all="ignore"):
+        return float(2.0 * eig[-1] / eig[0] ** 2)
 
 
 def nav_hessian(p, i_metric, e):
@@ -550,10 +550,18 @@ def synthesize_gains(i_metric, kd=3.0):
     The bounds mu_hess and lambda_sup are the eigenvalue formulas of
     ``i_metric``.  Fixed placement: kappa halfway along (1/mu_hess,
     2/mu_hess), k_I at 0.2 of `GainSet.ki_bound`, k_p at 1.1 times its
-    floor.  The result passes `gain_feasible` by construction.
+    floor.  Raises GainSynthesisError when a bound, a gain or its
+    certificate leaves the float range, or the result fails to certify.
     """
     mu_hess = mu_hess_formula(i_metric)
-    probe = gain_derive(1.0, kd, 1.0, _default_kappa(mu_hess), mu_hess,
-                        lambda_sup_formula(i_metric))
-    probe = dataclasses.replace(probe, ki=0.2 * probe.ki_bound)
-    return dataclasses.replace(probe, kp=1.1 * gain_feasible(probe).kp_floor)
+    bounds = (_default_kappa(mu_hess), mu_hess, lambda_sup_formula(i_metric))
+    try:
+        ki = 0.2 * gain_derive(1.0, kd, 1.0, *bounds).ki_bound
+        kp = 1.1 * gain_feasible(gain_derive(1.0, kd, ki, *bounds)).kp_floor
+        gains = gain_derive(kp, kd, ki, *bounds)
+    except ValueError as exc:
+        raise GainSynthesisError(
+            f"cannot synthesize gains for this inertia: {exc}") from None
+    if not gain_feasible(gains).feasible:
+        raise GainSynthesisError("synthesized gains fail to certify")
+    return gains

@@ -15,7 +15,8 @@ The rotor plant's accelerations solve the 6x6 block system
     [[I+K, K], [K, K]] @ [dOmega, dOmegaR] = [Pi x Omega, u_int]
 
 by elimination: the difference of the two block rows gives
-I dOmega = Pi x Omega - u_int, and K is diagonal, so
+I dOmega = Pi x Omega - u_int, and K is diagonal (`InertiaParams` takes
+it as the three rotor inertias), so
 
     dOmega = I^{-1}(Pi x Omega - u_int),   dOmegaR = K^{-1} u_int - dOmega
 
@@ -34,41 +35,19 @@ from functools import cached_property
 import numpy as np
 
 from .so3 import (_conn, _cross, _matvec, components, from_components,
-                  metric_constants)
-
-
-def rotor_inertia_matrix(k):
-    """Validate a rotor-inertia spec (3-vector or 3x3 diagonal) as 3x3.
-
-    Raises:
-        ValueError: unless the spec is diagonal with finite positive entries.
-    """
-    k = np.asarray(k, dtype=float)
-    if not np.isfinite(k).all():
-        raise ValueError("rotor inertias must be finite")
-    if k.shape == (3,):
-        k = np.diag(k)
-    elif k.shape == (3, 3):
-        off = k - np.diag(np.diag(k))
-        if np.abs(off).max() > 0.0:
-            raise ValueError("rotor inertia matrix must be diagonal")
-        k = k.copy()
-    else:
-        raise ValueError(
-            "rotor inertia must be a 3-vector or 3x3 diagonal matrix")
-    if np.diag(k).min() <= 0.0:
-        raise ValueError("rotor inertias must be positive")
-    return k
+                  metric_constants, spd_eigenvalues)
 
 
 @dataclass(frozen=True)
 class InertiaParams:
     """Inertia of the carrier body (I) and of the three rotors (K).
 
-    I is the 3x3 SPD body-frame inertia of the carrier, K = diag(k1, k2, k3)
-    with k_i > 0 the spin-axis inertias of the rotors; both are therefore
-    invertible, which is all the rotor block solve needs (see the module
-    docstring).  Only I+K is cached; the kernels' constants come from
+    I is the 3x3 SPD body-frame inertia of the carrier; K is given as the
+    three spin-axis inertias k_i > 0 of the rotors and stored as the
+    diagonal matrix diag(k1, k2, k3).  Both are therefore invertible,
+    which is all the rotor block solve needs (see the module docstring).
+    A rejected input raises ValueError whose message starts with "body"
+    or "rotor".  Only I+K is cached; the kernels' constants come from
     `kernel_constants` and `so3.metric_constants`, built by each caller.
     """
 
@@ -76,16 +55,14 @@ class InertiaParams:
     rotor_inertia: np.ndarray
 
     def __init__(self, body_inertia, rotor_inertia):
-        i = np.asarray(body_inertia, dtype=float)
-        if i.shape != (3, 3) or not np.isfinite(i).all():
-            raise ValueError("body inertia must be a finite 3x3 matrix")
-        if np.abs(i - i.T).max() > 1e-12:
-            raise ValueError("body inertia must be symmetric within 1e-12")
-        if np.linalg.eigvalsh(i).min() <= 0.0:
-            raise ValueError("body inertia must be positive definite")
-        k = rotor_inertia_matrix(rotor_inertia)
+        i, _ = spd_eigenvalues(body_inertia, "body inertia")
+        k = np.asarray(rotor_inertia, dtype=float)
+        if k.shape != (3,) or not np.isfinite(k).all():
+            raise ValueError("rotor inertias must be three finite numbers")
+        if k.min() <= 0.0:
+            raise ValueError("rotor inertias must be positive")
         object.__setattr__(self, "body_inertia", i)
-        object.__setattr__(self, "rotor_inertia", k)
+        object.__setattr__(self, "rotor_inertia", np.diag(k))
 
     @cached_property
     def locked(self):

@@ -65,3 +65,7 @@ class ConfigParseError(GyrotrackError):
 
 class SchemaMismatchError(GyrotrackError):
     """CSV file does not follow the telemetry column schema."""
+
+
+class GainSynthesisError(GyrotrackError):
+    """No certified gain set can be placed for the given inertia."""

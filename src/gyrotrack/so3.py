@@ -289,6 +289,21 @@ def metric_constants(i_metric):
     return components(i_metric, 2), components(i_inv, 2), components(gamma, 2)
 
 
+def spd_eigenvalues(m, name):
+    """``m`` as a float array and its ascending eigenvalues; a ValueError
+    that starts with ``name`` unless ``m`` is a finite 3x3 matrix,
+    symmetric within 1e-12 and positive definite."""
+    m = np.asarray(m, dtype=float)
+    if m.shape != (3, 3) or not np.isfinite(m).all():
+        raise ValueError(f"{name} must be a finite 3x3 matrix")
+    if np.abs(m - m.T).max() > 1e-12:
+        raise ValueError(f"{name} must be symmetric within 1e-12")
+    eig = np.linalg.eigvalsh(m)
+    if eig.min() <= 0.0:
+        raise ValueError(f"{name} must be positive definite")
+    return m, eig
+
+
 def _conn(gamma, a, b):
     """nabla_a b from the components of a `metric_constants` table Gamma."""
     (x00, y00, z00, x01, y01, z01, x02, y02, z02,

@@ -212,24 +212,67 @@ class TestConfigFormat:
             parse_config(text)
         assert err.value.key == "gains.kappa"
 
+    # one edit per validated key, whether the text check or a record
+    # rejects it; the error names the key and the line that holds it
     @pytest.mark.parametrize("old, new, key", [
         ("plant.K = 5 6 7", "plant.K = 0 6 7", "plant.K"),
         ("reference.K = 4 3 2", "reference.K = 4 -3 2", "reference.K"),
         ("plant.I = 4 1 1 1 5.2 2 1 2 6.3", "plant.I = 4 1 1 1 -5.2 2 1 2 6.3",
          "plant.I"),
         ("reference.I = 1 0 0 0 1.2 0 0 0 2",
-         "reference.I = 1 0 0 1 1.2 0 0 0 2", "reference.I")])
+         "reference.I = 1 0 0 1 1.2 0 0 0 2", "reference.I"),
+        ("plant.R0 = 0.36 0.48 -0.8 -0.8 0.6 0 0.48 0.64 0.6",
+         "plant.R0 = 1 0 0 0 1 0 0 0 -1", "plant.R0"),
+        ("reference.R0 = 1 0 0 0 1 0 0 0 1",
+         "reference.R0 = 2 0 0 0 2 0 0 0 2", "reference.R0"),
+        ("plant.IOmega0 = 1 2.2 5.1", "plant.Omega0 = 1 2.2 nan",
+         "plant.Omega0"),
+        ("reference.IOmega0 = -0.8 -0.3 -0.5", "reference.Omega0 = 1e999 0 0",
+         "reference.Omega0"),
+        ("plant.IOmega0 = 1 2.2 5.1", "plant.IOmega0 = 1 2.2",
+         "plant.IOmega0"),
+        ("reference.IOmega0 = -0.8 -0.3 -0.5",
+         "reference.IOmega0 = -0.8 x -0.5", "reference.IOmega0"),
+        ("plant.OmegaR0 = 0.5 1.9 1.5", "plant.OmegaR0 = derive",
+         "plant.OmegaR0"),
+        # the momentum that derives the reference rotor rate overflows
+        ("plant.IOmega0 = 1 2.2 5.1", "plant.IOmega0 = 1e308 -1e308 1e308",
+         "reference.OmegaR0"),
+        ("plant.Theta0 = 0 0 0", "plant.Theta0 = 0 0 inf", "plant.Theta0"),
+        ("reference.Theta0 = 0 0 0", "reference.Theta0 = 0 0",
+         "reference.Theta0"),
+        ("weights.P = 1 0 0 0 1 0 0 0 1", "weights.P = 1 0 0 0 -1 0 0 0 1",
+         "weights.P"),
+        ("gains.kp = 1", "gains.kp = 0", "gains.kp"),
+        ("gains.kd = 3", "gains.kd = 0", "gains.kd"),
+        ("gains.ki = 1", "gains.ki = -1", "gains.ki"),
+        ("gains.kappa = 0.6", "gains.kappa = 5", "gains.kappa"),
+        ("gains.mu_hess = 2.0048", "gains.mu_hess = -1", "gains.mu_hess"),
+        ("gains.lambda_sup = 1.42", "gains.lambda_sup = 0",
+         "gains.lambda_sup"),
+        ("integrator.step = 0.001", "integrator.step = 0", "integrator.step"),
+        ("integrator.duration = 30", "integrator.duration = 1e308",
+         "integrator.duration")])
     def test_inertia_error_named(self, old, new, key):
-        text = ZERO_CFG.read_text().replace(old, new)
+        text = ZERO_CFG.read_text()
+        assert old in text
+        text = text.replace(old, new)
+        line = next(n for n, entry in enumerate(text.splitlines(), start=1)
+                    if entry.startswith(f"{key} = "))
         with pytest.raises(ConfigParseError) as err:
             parse_config(text)
-        assert err.value.key == key
+        assert (err.value.key, err.value.line) == (key, line)
 
     def test_nonpositive_mu_rejected(self):
-        text = ZERO_CFG.read_text().replace("gains.mu_hess = 2.0048",
-                                            "gains.mu_hess = -1")
-        with pytest.raises(ConfigParseError):
-            parse_config(text)
+        # also with no kappa, whose default is placed from mu_hess
+        text = ZERO_CFG.read_text()
+        for old, new in [("gains.mu_hess = 2.0048", "gains.mu_hess = -1"),
+                         ("gains.kappa = 0.6\ngains.mu_hess = 2.0048",
+                          "gains.mu_hess = 0")]:
+            assert old in text
+            with pytest.raises(ConfigParseError) as err:
+                parse_config(text.replace(old, new))
+            assert err.value.key == "gains.mu_hess"
 
     def test_non_finite_rate_named(self):
         text = ZERO_CFG.read_text().replace(
@@ -380,6 +423,21 @@ class TestTuneGains:
         assert main(["tune-gains", str(cfg)]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("inertia", ["1e300 0 0 0 1e300 0 0 0 1e300",
+                                         "1e-200 0 0 0 1 0 0 0 1",
+                                         "1e308 0 0 0 1e308 0 0 0 1e308"],
+                             ids=["huge", "tiny", "largest"])
+    def test_synthesis_failure_exit_1(self, inertia, tmp_path, capsys,
+                                      recwarn):
+        # the config is valid; the eigenvalue bounds of its inertia are not
+        cfg = write_short_config(tmp_path, extra=[(
+            "plant.I = 4 1 1 1 5.2 2 1 2 6.3", f"plant.I = {inertia}")])
+        assert main(["check", str(cfg)]) == 0
+        capsys.readouterr()
+        err = _run_one_error(["tune-gains", str(cfg), "--synthesize"], capsys)
+        assert "cannot synthesize gains" in err
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+
 
 class TestCompare:
     def test_writes_paired_outputs(self, tmp_path):
@@ -402,6 +460,21 @@ class TestCompare:
         cfg = write_short_config(tmp_path)
         assert main(["compare", str(cfg),
                      "-o", str(tmp_path / "no" / "such" / "dir")]) == 1
+
+    def test_divergence_exit_2_leaves_no_directory(self, tmp_path):
+        cfg = write_short_config(
+            tmp_path, duration="50",
+            extra=[("integrator.step = 0.001", "integrator.step = 1.0"),
+                   ("gains.kp = 1", "gains.kp = 500000")])
+        assert main(["compare", str(cfg), "-o", str(tmp_path / "cmpout")]) == 2
+        assert not (tmp_path / "cmpout").exists()
+
+    def test_output_is_file_exit_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "compare_efforts", never_integrate)
+        cfg = write_short_config(tmp_path)
+        (tmp_path / "cmp").write_text("")
+        assert main(["compare", str(cfg), "-o", str(tmp_path / "cmp")]) == 1
+        assert "cmp is not a directory" in capsys.readouterr().err
 
     def test_summary_is_directory_exit_1(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "compare_efforts", never_integrate)
@@ -431,8 +504,11 @@ class TestPlot:
         assert "attitude entry (1,2)" not in text
 
     def test_bad_entry_exit_1(self, bundled_run, tmp_path):
-        assert main(["plot", str(bundled_run), "-o", str(tmp_path / "x.svg"),
-                     "--entries", "14"]) == 1
+        for entries in ("14", "x", "11,0"):
+            assert main(["plot", str(bundled_run),
+                         "-o", str(tmp_path / "x.svg"),
+                         "--entries", entries]) == 1
+        assert not list(tmp_path.iterdir())
 
     def test_header_only_csv_exit_1_no_partials(self, tmp_path, recwarn):
         empty = tmp_path / "empty.csv"
@@ -530,12 +606,15 @@ class TestCheck:
         assert not [w for w in recwarn if w.category is RuntimeWarning]
 
 
-# inputs whose step count or gain certificate leaves the float range
+# inputs whose step count or gain certificate leaves the float range,
+# above or below
 OVERFLOW_EDITS = {
     "duration 1e308": {"integrator.duration": "1e308"},
     "step 1e-300": {"integrator.step": "1e-300"},
     "kappa 1.5e300": {"gains.mu_hess": "1e-300", "gains.kappa": "1.5e300"},
     "kappa 1e200": {"gains.mu_hess": "1.5e-200", "gains.kappa": "1e200"},
+    "ki 1e-110": {"gains.ki": "1e-110"},
+    "kd 1e-90": {"gains.kd": "1e-90"},
 }
 
 

@@ -58,15 +58,22 @@ class TestGainDerive:
             with pytest.raises(ValueError, match="finite"):
                 gain_derive(1.0, 3.0, 1.0, 0.6, 2.0048, lambda_sup=bad)
 
-    @pytest.mark.parametrize("mu_hess, kappa, kd", [
-        (1e-300, 1.5e300, 3.0),    # kappa ** 2 raises OverflowError
-        (1.5e-200, 1e200, 3.0),
-        (2.0048, 0.6, 1e50)],      # the positivity floor becomes inf
-        ids=["kappa 1.5e300", "kappa 1e200", "kd 1e50"])
-    def test_rejects_certificate_overflow(self, mu_hess, kappa, kd, recwarn):
+    @pytest.mark.parametrize("mu_hess, kappa, kd, ki, message", [
+        # kappa ** 2 raises OverflowError
+        (1e-300, 1.5e300, 3.0, 1.0, "certificate overflows"),
+        (1.5e-200, 1e200, 3.0, 1.0, "certificate overflows"),
+        # the positivity floor becomes inf
+        (2.0048, 0.6, 1e50, 1.0, "certificate overflows"),
+        # ki ** 3 and kd ** 4 underflow to 0 and are divided by
+        (2.0048, 0.6, 3.0, 1e-110, "certificate underflows"),
+        (2.0048, 0.6, 1e-90, 1.0, "certificate underflows")],
+        ids=["kappa 1.5e300", "kappa 1e200", "kd 1e50", "ki 1e-110",
+             "kd 1e-90"])
+    def test_rejects_certificate_overflow(self, mu_hess, kappa, kd, ki,
+                                          message, recwarn):
         assert 1.0 / mu_hess < kappa < 2.0 / mu_hess
-        with pytest.raises(ValueError, match="certificate overflows"):
-            gain_derive(1.0, kd, 1.0, kappa, mu_hess)
+        with pytest.raises(ValueError, match=message):
+            gain_derive(1.0, kd, ki, kappa, mu_hess)
         assert not [w for w in recwarn if w.category is RuntimeWarning]
 
     def test_benchmark_inputs_accepted(self):
