@@ -50,7 +50,7 @@ print("momentum reproduced          :", back, "(residual",
 cfg = resolve_reference(benchmark_config(program="sinusoid", duration=10.0))
 traj, metrics = run_closed_loop(cfg)
 p = cfg.reference.params
-pi = traj.Omega_d @ p.locked.T + traj.OmegaR_d @ p.rotor_inertia.T
+pi = traj.Omega_d @ p.locked.T + traj.OmegaR_d * p.rotor_inertia
 mu_t = np.einsum("nij,nj->ni", traj.R_d, pi)
 print(f"\nsinusoid-driven reference, 10 s: spatial momentum drift "
       f"{np.abs(mu_t - mu_t[0]).max():.2e}")

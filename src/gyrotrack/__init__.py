@@ -21,8 +21,7 @@ from .dynamics import (InertiaParams, free_body_field, kinetic_energy,
 from .errors import (ConfigParseError, DegenerateMatrixError,
                      DivergedStateError, GainSynthesisError, GyrotrackError,
                      KappaOutOfRangeError, NotSkewError, SchemaMismatchError,
-                     SingularInertiaError, SingularMetricError,
-                     SingularRotorInertiaError)
+                     SingularInertiaError, SingularMetricError)
 from .integrators import (History, IntegratorConfig, integrate_components,
                           step_lie)
 from .scenario import (BodySetup, ClosedLoopTrajectory, EffortComparison,

@@ -219,7 +219,7 @@ def load_config(path):
 
 def serialize_config(cfg):
     """Canonical text for a (resolved) ScenarioConfig: every `_KEYS` entry
-    with an attribute, in order; K as its three rotor inertias."""
+    with an attribute, in order, as held; K is the three rotor inertias."""
     cfg = resolve_reference(cfg)
     lines = []
     for key, (count, _, attribute) in _KEYS.items():
@@ -229,7 +229,6 @@ def serialize_config(cfg):
         if count is None:   # a word, or the reproject flag's bool
             text = str(value).lower()
         else:
-            nums = np.diag(value) if key.endswith(".K") else value
-            text = " ".join(map(repr, np.ravel(nums).astype(float).tolist()))
+            text = " ".join(map(repr, np.ravel(value).astype(float).tolist()))
         lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"

@@ -15,8 +15,8 @@ The rotor plant's accelerations solve the 6x6 block system
     [[I+K, K], [K, K]] @ [dOmega, dOmegaR] = [Pi x Omega, u_int]
 
 by elimination: the difference of the two block rows gives
-I dOmega = Pi x Omega - u_int, and K is diagonal (`InertiaParams` takes
-it as the three rotor inertias), so
+I dOmega = Pi x Omega - u_int, and K = diag(k) with k the three rotor
+inertias that `InertiaParams` holds, so
 
     dOmega = I^{-1}(Pi x Omega - u_int),   dOmegaR = K^{-1} u_int - dOmega
 
@@ -42,12 +42,12 @@ from .so3 import (_conn, _cross, _matvec, components, from_components,
 class InertiaParams:
     """Inertia of the carrier body (I) and of the three rotors (K).
 
-    I is the 3x3 SPD body-frame inertia of the carrier; K is given as the
-    three spin-axis inertias k_i > 0 of the rotors and stored as the
-    diagonal matrix diag(k1, k2, k3).  Both are therefore invertible,
-    which is all the rotor block solve needs (see the module docstring).
-    A rejected input raises ValueError whose message starts with "body"
-    or "rotor".  Only I+K is cached; the kernels' constants come from
+    I is the 3x3 SPD body-frame inertia of the carrier; K is the three
+    spin-axis inertias k_i > 0 of the rotors, kept as given (shape (3,));
+    `locked` alone forms diag(k).  Both are therefore invertible, which is
+    all the rotor block solve needs (see the module docstring).  A
+    rejected input raises ValueError whose message starts with "body" or
+    "rotor".  Only I+K is cached; the kernels' constants come from
     `kernel_constants` and `so3.metric_constants`, built by each caller.
     """
 
@@ -62,21 +62,21 @@ class InertiaParams:
         if k.min() <= 0.0:
             raise ValueError("rotor inertias must be positive")
         object.__setattr__(self, "body_inertia", i)
-        object.__setattr__(self, "rotor_inertia", np.diag(k))
+        object.__setattr__(self, "rotor_inertia", k)
 
     @cached_property
     def locked(self):
-        """Locked inertia tensor I + K (body frame)."""
-        return self.body_inertia + self.rotor_inertia
+        """Locked inertia tensor I + diag(k) (body frame)."""
+        return self.body_inertia + np.diag(self.rotor_inertia)
 
 
 def kernel_constants(params):
-    """Float components of ``params`` that the kernels read: I+K, K's
-    diagonal, and I^{-1} from `so3.metric_constants`.  Callers build them
-    once per run.
+    """Float components of ``params`` that the kernels read: I+K, the
+    three rotor inertias k (K = diag(k)), and I^{-1} from
+    `so3.metric_constants`.  Callers build them once per run.
     """
     return (components(params.locked, 2),
-            np.diag(params.rotor_inertia).tolist(),
+            params.rotor_inertia.tolist(),
             metric_constants(params.body_inertia)[1])
 
 
@@ -128,8 +128,8 @@ def _rotor_accels(consts, omega, omega_r, u_int):
 
     The first block row minus the second is I dOmega = f - u with
     f = Pi x Omega, and the second is K (dOmega + dOmegaR) = u; K is
-    diagonal, so dOmega = I^{-1}(f - u) and dOmegaR = K^{-1} u - dOmega,
-    with I^{-1} and K's diagonal from `kernel_constants`.
+    diag(k), so dOmega = I^{-1}(f - u) and dOmegaR = u / k - dOmega,
+    with I^{-1} and the rotor inertias k from `kernel_constants`.
     """
     _, (k0, k1, k2), i_inv = consts
     f0, f1, f2 = _cross(_momentum(consts, omega, omega_r), omega)
@@ -178,4 +178,4 @@ def kinetic_energy(params, omega, omega_r):
     """Kinetic energy of the rotor assembly (the Lagrangian; no potential)."""
     rel = omega + omega_r
     return 0.5 * float(omega @ params.body_inertia @ omega) \
-        + 0.5 * float(rel @ params.rotor_inertia @ rel)
+        + 0.5 * float(rel @ (params.rotor_inertia * rel))

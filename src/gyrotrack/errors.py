@@ -21,10 +21,6 @@ class SingularInertiaError(GyrotrackError):
     """Inertia is singular, so the rotor block system has no solution."""
 
 
-class SingularRotorInertiaError(GyrotrackError):
-    """Rotor inertia matrix is singular; rotor rates cannot be recovered."""
-
-
 class KappaOutOfRangeError(GyrotrackError):
     """kappa lies outside the open interval (1/mu, 2/mu)."""
 

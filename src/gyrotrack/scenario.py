@@ -40,7 +40,6 @@ from .control import (FeasibilityVerdict, GainSet, NavigationWeights,
 from .dynamics import (InertiaParams, _external_accel, _momentum,
                        kernel_constants, momentum_body)
 from .dynamics import _rotor_accels as rotor_accels
-from .errors import SingularRotorInertiaError
 from .integrators import IntegratorConfig
 from .integrators import integrate_components as integrate
 from .so3 import (_matvec, components, from_components, is_rotation,
@@ -270,15 +269,14 @@ def consistent_rotor_velocity(ref_params, r_d0, omega_d0, mu_spatial):
 
         OmegaR_d(0) = K_d^{-1} (R_d(0)^T mu - (I_d + K_d) Omega_d(0))
 
-    Feeding the result back through the momentum map reproduces mu exactly.
+    K_d is the three rotor inertias (positive by `InertiaParams`); an
+    overflowing rate is for `BodySetup` to reject.  Feeding the result
+    back through the momentum map reproduces mu exactly.
     """
-    k_diag = np.diag(ref_params.rotor_inertia)
-    if np.abs(k_diag).min() < 1e-15:
-        raise SingularRotorInertiaError("rotor inertia matrix is singular")
     r_d0 = np.asarray(r_d0, dtype=float)
     residual = r_d0.T @ np.asarray(mu_spatial, dtype=float) \
         - ref_params.locked @ np.asarray(omega_d0, dtype=float)
-    return residual / k_diag
+    return residual / ref_params.rotor_inertia
 
 
 def plant_spatial_momentum(setup):

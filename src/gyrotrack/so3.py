@@ -195,9 +195,13 @@ def expm(v):
     Rodrigues coefficients.  Assembled entrywise (hat(v)^2 = v v^T - |v|^2)
     to keep the integration hot path cheap.  An infinite or NaN angle, as
     from an overflowed state, gives a NaN matrix, which the integrator's
-    finiteness check reports as a divergence.
+    finiteness check reports as a divergence.  ``v`` must be one
+    3-vector; any other shape raises ValueError naming it.
     """
-    return from_components(_rodrigues(components(v)), (3, 3))
+    v = np.asarray(v, dtype=float)
+    if v.shape != (3,):
+        raise ValueError(f"expm takes one 3-vector, got shape {v.shape}")
+    return from_components(_rodrigues(v.tolist()), (3, 3))
 
 
 def logm(r):

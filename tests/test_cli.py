@@ -172,7 +172,7 @@ class TestConfigFormat:
         mu = scenario.plant_spatial_momentum(cfg.plant)
         back = cfg.reference.R0 @ (
             cfg.reference.params.locked @ cfg.reference.Omega0
-            + cfg.reference.params.rotor_inertia @ cfg.reference.OmegaR0)
+            + cfg.reference.params.rotor_inertia * cfg.reference.OmegaR0)
         assert np.abs(back - mu).max() < 1e-12
 
     def test_unknown_key_named(self):
@@ -650,6 +650,28 @@ class TestOutOfRangeInputs:
         assert f"key '{section}." in err
         assert not [w for w in recwarn if w.category is RuntimeWarning]
         assert not (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    @pytest.mark.parametrize("rotors", ["1e-20 3 2", "1e-320 3 2"])
+    def test_tiny_reference_rotor_inertia(self, rotors, command, tmp_path,
+                                          capsys, recwarn):
+        # positivity (`InertiaParams`) is the one rule on K: 1e-20 derives
+        # a huge but finite OmegaR_d(0) and runs; 1e-320 overflows it, a
+        # non-finite rate named by its key
+        assert "reference.OmegaR0 = derive" in ZERO_CFG.read_text()
+        cfg = write_short_config(
+            tmp_path, extra=[("reference.K = 4 3 2", f"reference.K = {rotors}")])
+        argv = [command, str(cfg)]
+        if command == "simulate":
+            argv += ["-o", str(tmp_path / "run.csv")]
+        if rotors == "1e-20 3 2":
+            assert main(argv) == 0
+            assert capsys.readouterr().err == ""
+        else:
+            err = _run_one_error(argv, capsys)
+            assert "key 'reference.OmegaR0'" in err
+            assert not (tmp_path / "run.csv").exists()
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
 
     def test_memory_error_exit_1(self, tmp_path, monkeypatch, capsys):
         # a valid horizon too long for memory, e.g. duration 1e12 at the

@@ -37,6 +37,12 @@ def free_body_accel(i, omega):
 
 
 class TestInertiaParams:
+    def test_rotor_inertia_kept_as_given(self):
+        p = dynamics.InertiaParams(np.eye(3), [5, 6, 7])
+        assert p.rotor_inertia.shape == (3,)
+        assert p.rotor_inertia.tolist() == [5.0, 6.0, 7.0]
+        assert np.array_equal(p.locked, np.eye(3) + np.diag([5.0, 6.0, 7.0]))
+
     def test_rejects_asymmetric(self):
         i = np.eye(3)
         i[0, 1] = 1e-6
@@ -142,7 +148,7 @@ class TestConnectionAndLockedInertia:
     def test_locked_body_frame(self):
         p = benchmark_params()
         assert np.array_equal(dynamics.locked_inertia(p),
-                              p.body_inertia + p.rotor_inertia)
+                              p.body_inertia + np.diag(p.rotor_inertia))
 
     def test_locked_inertial_identity(self):
         p = benchmark_params()
@@ -176,7 +182,7 @@ class TestRotorPlant:
         rng = np.random.default_rng(19)
         p = benchmark_params()
         i_inv = np.linalg.inv(p.body_inertia)
-        k_inv = np.linalg.inv(p.rotor_inertia)
+        k_inv = np.diag(1.0 / p.rotor_inertia)
         for _ in range(1000):
             omega, omega_r = rng.normal(size=3), rng.normal(size=3)
             u = rng.normal(size=3)
@@ -225,7 +231,7 @@ class TestRotorPlant:
             field, ((r0,), np.concatenate([np.zeros(3), omega0, omega_r0])),
             IntegratorConfig(step=1e-3, duration=5.0))
         pi = hist.vectors[:, 3:6] @ p.locked.T \
-            + hist.vectors[:, 6:9] @ p.rotor_inertia.T
+            + hist.vectors[:, 6:9] * p.rotor_inertia
         mu = np.einsum("nij,nj->ni", hist.rotations[0], pi)
         assert np.abs(mu - mu[0]).max() < 1e-8
 

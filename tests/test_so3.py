@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,11 @@ class TestExpLog:
             v = rng.normal(size=3)
             v *= rng.uniform(0.0, np.pi) / np.linalg.norm(v)
             assert np.abs(so3.expm(v) @ so3.expm(-v) - np.eye(3)).max() < 1e-12
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 3), (4,), (), (3, 1)])
+    def test_expm_rejects_all_but_one_3_vector(self, shape):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            so3.expm(np.zeros(shape))
 
     def test_logm_identity(self):
         assert np.array_equal(so3.logm(np.eye(3)), np.zeros(3))
