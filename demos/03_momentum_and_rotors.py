@@ -14,9 +14,9 @@ import numpy as np
 
 from gyrotrack import (benchmark_config, benchmark_plant,
                        benchmark_reference, consistent_rotor_velocity,
-                       locked_inertia, mechanical_connection, momentum_body,
-                       momentum_spatial, plant_spatial_momentum,
-                       resolve_reference, run_closed_loop)
+                       mechanical_connection, momentum_body, momentum_spatial,
+                       plant_spatial_momentum, resolve_reference,
+                       run_closed_loop)
 
 np.set_printoptions(precision=6, suppress=True)
 
@@ -29,7 +29,7 @@ print("plant spatial momentum mu   :", mu)
 # The locked inertia tensor (rotors frozen) relates the momentum to the
 # mechanical connection: A = (I+K)^{-1} Pi.
 conn = mechanical_connection(plant.params, plant.Omega0, plant.OmegaR0)
-check = np.linalg.solve(locked_inertia(plant.params),
+check = np.linalg.solve(plant.params.locked,
                         momentum_body(plant.params, plant.Omega0,
                                       plant.OmegaR0))
 print("connection A                :", conn)

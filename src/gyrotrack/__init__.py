@@ -15,13 +15,11 @@ from .control import (BENCHMARK_LAMBDA_SUP, BENCHMARK_MU_HESS,
                       gain_derive, gain_feasible, lambda_sup_formula,
                       mu_hess_formula, nav_dpsi, nav_hessian, nav_psi,
                       pd_variant, q_matrix, synthesize_gains, xi_I_deriv)
-from .dynamics import (InertiaParams, free_body_field, kinetic_energy,
-                       locked_inertia, mechanical_connection, momentum_body,
-                       momentum_spatial)
-from .errors import (ConfigParseError, DegenerateMatrixError,
-                     DivergedStateError, GainSynthesisError, GyrotrackError,
-                     KappaOutOfRangeError, NotSkewError, SchemaMismatchError,
-                     SingularInertiaError, SingularMetricError)
+from .dynamics import (InertiaParams, free_body_field, mechanical_connection,
+                       momentum_body, momentum_spatial)
+from .errors import (ConfigParseError, DivergedStateError, GainSynthesisError,
+                     GyrotrackError, KappaOutOfRangeError, NotSkewError,
+                     SchemaMismatchError, SingularMetricError)
 from .integrators import (History, IntegratorConfig, integrate_components,
                           step_lie)
 from .scenario import (BodySetup, ClosedLoopTrajectory, EffortComparison,
@@ -32,5 +30,5 @@ from .scenario import (BodySetup, ClosedLoopTrajectory, EffortComparison,
                        consistent_rotor_velocity, on_reference_variant,
                        plant_spatial_momentum, resolve_reference,
                        run_closed_loop)
-from .so3 import (adstar, connection_term, cross3, expm, geodesic_distance,
-                  hat, is_rotation, logm, project_so3, rotation_angle, vee)
+from .so3 import (connection_term, cross3, expm, geodesic_distance, hat,
+                  is_rotation, logm, rotation_angle, vee)

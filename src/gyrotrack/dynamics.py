@@ -22,8 +22,9 @@ inertias that `InertiaParams` holds, so
 
 with I^{-1} from `so3.metric_constants`; no 6x6 matrix is formed.
 
-Also here: the momentum map in body and inertial frames, the mechanical
-connection, and the locked inertia tensor of the assembly.  The kernels
+Also here: the momentum map in body and inertial frames and the
+mechanical connection; `InertiaParams.locked` is the locked inertia
+tensor I+K of the assembly (body frame).  The kernels
 read the inertia as the floats of `kernel_constants`; `momentum_body`
 and `rotor_accels` are the array adapters of ``_momentum`` and
 ``_rotor_accels``.
@@ -109,20 +110,6 @@ def mechanical_connection(params, omega, omega_r):
                            momentum_body(params, omega, omega_r))
 
 
-def locked_inertia(params, r=None, frame="body"):
-    """Inertia of the assembly with rotors locked.
-
-    frame="body" returns I+K (independent of attitude); frame="inertial"
-    returns R (I+K) R^T.
-    """
-    if frame == "body":
-        return params.locked.copy()
-    if frame == "inertial":
-        r = np.asarray(r, dtype=float)
-        return r @ params.locked @ r.T
-    raise ValueError("frame must be 'body' or 'inertial'")
-
-
 def _rotor_accels(consts, omega, omega_r, u_int):
     """(dOmega, dOmegaR) of the block system, by elimination.
 
@@ -173,9 +160,3 @@ def free_body_field(i_inertia):
         return (vec,), _external_accel(gamma, vec, zero)
     return field
 
-
-def kinetic_energy(params, omega, omega_r):
-    """Kinetic energy of the rotor assembly (the Lagrangian; no potential)."""
-    rel = omega + omega_r
-    return 0.5 * float(omega @ params.body_inertia @ omega) \
-        + 0.5 * float(rel @ (params.rotor_inertia * rel))

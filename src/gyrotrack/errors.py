@@ -9,16 +9,8 @@ class NotSkewError(GyrotrackError):
     """Matrix handed to vee() is not skew-symmetric within tolerance."""
 
 
-class DegenerateMatrixError(GyrotrackError):
-    """Matrix is too close to singular for a polar decomposition."""
-
-
 class SingularMetricError(GyrotrackError):
     """Metric tensor is not invertible."""
-
-
-class SingularInertiaError(GyrotrackError):
-    """Inertia is singular, so the rotor block system has no solution."""
 
 
 class KappaOutOfRangeError(GyrotrackError):

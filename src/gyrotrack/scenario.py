@@ -38,7 +38,7 @@ from .control import (FeasibilityVerdict, GainSet, NavigationWeights,
 # these bindings, as it calls `_loop_kernel`, so per-call traces keep the
 # names
 from .dynamics import (InertiaParams, _external_accel, _momentum,
-                       kernel_constants, momentum_body)
+                       kernel_constants, momentum_body, momentum_spatial)
 from .dynamics import _rotor_accels as rotor_accels
 from .integrators import IntegratorConfig
 from .integrators import integrate_components as integrate
@@ -131,6 +131,12 @@ class BodySetup:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One tracking experiment: the plant, the reference ("dummy") body
+    with its torque program, the navigation weights P, the PID gains and
+    the integrator settings.  `config.load_config` reads one from a file;
+    `benchmark_config` builds the bundled ones.
+    """
+
     plant: BodySetup
     reference: BodySetup
     program: ReferenceProgram
@@ -209,6 +215,8 @@ _PROGRAM_AMPLITUDES = {
 
 
 def benchmark_plant():
+    """The bundled plant body, built from the ``BENCHMARK_PLANT_*``
+    constants; Omega0 solves I Omega0 = ``BENCHMARK_PLANT_IOMEGA0``."""
     params = InertiaParams(BENCHMARK_PLANT_I, BENCHMARK_PLANT_K)
     omega0 = np.linalg.solve(BENCHMARK_PLANT_I, BENCHMARK_PLANT_IOMEGA0)
     return BodySetup(params=params, R0=BENCHMARK_PLANT_R0, Omega0=omega0,
@@ -216,6 +224,9 @@ def benchmark_plant():
 
 
 def benchmark_reference():
+    """The bundled reference body, built from the ``BENCHMARK_REF_*``
+    constants, starting at R0 = 1.  Its rotor rates are left unset for
+    `resolve_reference` to put it on the plant's momentum level set."""
     params = InertiaParams(BENCHMARK_REF_I, BENCHMARK_REF_K)
     omega0 = np.linalg.solve(BENCHMARK_REF_I, BENCHMARK_REF_IOMEGA0)
     return BodySetup(params=params, R0=np.eye(3), Omega0=omega0, OmegaR0=None)
@@ -280,9 +291,9 @@ def consistent_rotor_velocity(ref_params, r_d0, omega_d0, mu_spatial):
 
 
 def plant_spatial_momentum(setup):
-    """Spatial angular momentum of a body setup at its initial state."""
-    pi0 = momentum_body(setup.params, setup.Omega0, setup.OmegaR0)
-    return setup.R0 @ pi0
+    """Spatial angular momentum R Pi of a body setup at its initial state."""
+    return momentum_spatial(setup.R0, momentum_body(setup.params, setup.Omega0,
+                                                    setup.OmegaR0))
 
 
 def resolve_reference(cfg):

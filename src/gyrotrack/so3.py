@@ -4,10 +4,11 @@ Conventions used throughout the package are fixed here:
 
 * ``hat(e3)`` carries +1 at entry (2, 1) (0-based: [1, 0]), i.e. the
   standard right-handed cross-product matrix, ``hat(v) @ w == cross(v, w)``.
-* ``adstar(xi, mu) == cross(mu, xi)``, the sign that turns the reduced
-  rigid-body equation into the classical Euler equation
-  ``I dOmega/dt = (I Omega) x Omega``.  The free-spin conservation tests
-  pin this choice.
+* ``connection_term(I, a, a) == -I^{-1}((I a) x a)``: the Euler term
+  that `metric_constants` builds carries the sign that turns the
+  geodesic equation dOmega/dt = -nabla_Omega Omega into the classical
+  Euler equation ``I dOmega/dt = (I Omega) x Omega``.  The free-body
+  value and conservation tests pin this sign.
 
 Componentwise kernels.  Each per-sample formula of the closed loop
 (here: the cross product, matrix products, the skew part, the
@@ -33,7 +34,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateMatrixError, NotSkewError, SingularMetricError
+from .errors import NotSkewError, SingularMetricError
 
 _SMALL_ANGLE = 1e-8
 _SKEW_TOL = 1e-12
@@ -156,11 +157,15 @@ def vee(m):
     """Inverse of ``hat``: extract the 3-vector from a skew matrix.
 
     Entries are read off directly, so ``vee(hat(v)) == v`` bit-exactly.
+    ``m`` must be one 3x3 matrix; any other shape raises ValueError
+    naming it.
 
     Raises:
         NotSkewError: if ``m + m.T`` deviates from zero by more than 1e-12.
     """
     m = np.asarray(m, dtype=float)
+    if m.shape != (3, 3):
+        raise ValueError(f"vee takes one 3x3 matrix, got shape {m.shape}")
     if np.abs(m + m.T).max() > _SKEW_TOL:
         raise NotSkewError(
             f"matrix is not skew-symmetric within {_SKEW_TOL:g}")
@@ -233,34 +238,6 @@ def logm(r):
     return theta * axis
 
 
-def project_so3(m):
-    """Project a near-rotation matrix onto SO(3) (orthogonal polar factor).
-
-    Used to repair orthogonality drift accumulated by the integrator.
-    Idempotent on members of SO(3).
-
-    Raises:
-        DegenerateMatrixError: if a singular value falls below 1e-12 or the
-            input has non-positive determinant.
-    """
-    u, sv, vt = np.linalg.svd(np.asarray(m, dtype=float))
-    if sv[-1] < 1e-12:
-        raise DegenerateMatrixError("matrix is numerically rank deficient")
-    r = u @ vt
-    if np.linalg.det(r) < 0.0:
-        raise DegenerateMatrixError("input has negative determinant")
-    return r
-
-
-def adstar(xi, mu):
-    """Coadjoint action ad*_xi mu on so(3)* ~ R^3.
-
-    Sign convention: ad*_xi mu = mu x xi, so the forced Euler-Poincare
-    equation reads I dOmega/dt = (I Omega) x Omega + torque.
-    """
-    return cross3(mu, xi)
-
-
 def metric_constants(i_metric):
     """Float components of (I, I^{-1}, Gamma) for the metric ``i_metric``:
     the constants the kernels read.  The one place the metric is inverted.
@@ -270,7 +247,8 @@ def metric_constants(i_metric):
 
         nabla_a b = 1/2 ( [a, b] - I^{-1} ad*_a (I b) - I^{-1} ad*_b (I a) )
 
-    so that geodesics satisfy the free rigid-body equation:
+    with [a, b] = a x b and the coadjoint action ad*_a m = m x a, so that
+    geodesics satisfy the free rigid-body equation:
     nabla_a a = -I^{-1}((I a) x a), the Euler term.  The formula is
     bilinear, so it is evaluated once on the basis pairs: row 3 i + j of
     the (9, 3) table Gamma is nabla_{e_i} e_j.  `_conn` extends it to any

@@ -22,6 +22,16 @@ def _matvec(m, v):
     return [sum(m[i][j] * v[j] for j in range(3)) for i in range(3)]
 
 
+def lagrangian(params, omega, omega_r):
+    # plain-Python oracle of the Lagrangian (no potential):
+    # 1/2 Omega.I Omega + 1/2 sum_i k_i (Omega_i + OmegaR_i)^2
+    body = sum(w * x for w, x in
+               zip(omega, _matvec(params.body_inertia, omega)))
+    rotors = sum(k * (w + wr) ** 2 for k, w, wr in
+                 zip(params.rotor_inertia, omega, omega_r))
+    return 0.5 * body + 0.5 * rotors
+
+
 def external_accel(i, omega, u_ext):
     """dOmega of the externally actuated body, through the production kernel."""
     _, _, gamma = so3.metric_constants(i)
@@ -130,7 +140,7 @@ class TestConnectionAndLockedInertia:
         for _ in range(100):
             omega, omega_r = rng.normal(size=3), rng.normal(size=3)
             lhs = dynamics.mechanical_connection(p, omega, omega_r)
-            rhs = np.linalg.solve(dynamics.locked_inertia(p),
+            rhs = np.linalg.solve(p.locked,
                                   dynamics.momentum_body(p, omega, omega_r))
             assert np.abs(lhs - rhs).max() < 1e-12
 
@@ -147,23 +157,8 @@ class TestConnectionAndLockedInertia:
 
     def test_locked_body_frame(self):
         p = benchmark_params()
-        assert np.array_equal(dynamics.locked_inertia(p),
+        assert np.array_equal(p.locked,
                               p.body_inertia + np.diag(p.rotor_inertia))
-
-    def test_locked_inertial_identity(self):
-        p = benchmark_params()
-        assert np.allclose(dynamics.locked_inertia(p, np.eye(3), "inertial"),
-                           p.locked, atol=1e-15)
-
-    def test_locked_inertial_similarity(self):
-        rng = np.random.default_rng(13)
-        p = benchmark_params()
-        for _ in range(20):
-            r = so3.expm(rng.normal(size=3))
-            out = dynamics.locked_inertia(p, r, "inertial")
-            assert np.allclose(np.sort(np.linalg.eigvalsh(out)),
-                               np.sort(np.linalg.eigvalsh(p.locked)),
-                               atol=1e-10)
 
 
 class TestRotorPlant:
@@ -244,7 +239,7 @@ class TestRotorPlant:
             field, ((np.eye(3),),
                     np.concatenate([np.zeros(3), omega0, omega_r0])),
             IntegratorConfig(step=1e-3, duration=5.0))
-        energy = [dynamics.kinetic_energy(p, v[3:6], v[6:9])
+        energy = [lagrangian(p, v[3:6], v[6:9])
                   for v in hist.vectors[::500]]
         assert np.abs(np.array(energy) - energy[0]).max() < 1e-10
 
@@ -261,7 +256,7 @@ class TestRotorPlant:
             ((np.eye(3),),
              np.array([0.0, 0.0, 0.0, 0.2, 0.5, -0.3, 1.0, -2.0, 0.5])),
             IntegratorConfig(step=h, duration=5.0))
-        energy = np.array([dynamics.kinetic_energy(p, v[3:6], v[6:9])
+        energy = np.array([lagrangian(p, v[3:6], v[6:9])
                            for v in hist.vectors])
         power = np.array([np.dot(u_prog(t), hist.vectors[k, 6:9])
                           for k, t in enumerate(hist.times)])

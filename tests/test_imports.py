@@ -1,8 +1,11 @@
-"""Each module of the package uses every name it imports.
+"""Each module of the package uses every name it imports, and every
+function and class the package exports has a docstring of its own.
 
-The check reads the source with `ast`: a name bound by an import
+The checks read the source with `ast`: a name bound by an import
 statement must appear as a name somewhere else in the module.  It keeps
-an import from outliving the code that used it.
+an import from outliving the code that used it.  A dataclass without a
+docstring still has a ``__doc__`` (its generated signature), so the
+export check looks for the docstring in the definition itself.
 
 The per-layer benchmark trace (``bench/tracing.py``) times the layers by
 rebinding module-level names through which they call each other; a
@@ -42,6 +45,32 @@ def test_unused_import_is_found(tmp_path):
     module.write_text("import os.path\nimport numpy as np\n"
                       "from math import pi, tau\n\nprint(np.pi, tau)\n")
     assert unused_imports(module) == ["os", "pi"]
+
+
+def undocumented_exports():
+    """Names `gyrotrack/__init__.py` imports whose function or class
+    definition has no docstring; a name bound any other way counts
+    unless it is an upper-case constant."""
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    missing = []
+    for node in init.body:
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = ast.parse((SRC / f"{node.module}.py").read_text(
+            encoding="utf-8"))
+        defs = {d.name: d for d in module.body
+                if isinstance(d, (ast.FunctionDef, ast.ClassDef))}
+        for alias in node.names:
+            if alias.name in defs:
+                if ast.get_docstring(defs[alias.name]) is None:
+                    missing.append(alias.name)
+            elif not alias.name.isupper():
+                missing.append(alias.name)
+    return sorted(missing)
+
+
+def test_every_export_is_documented():
+    assert undocumented_exports() == []
 
 
 # (module, attribute) of every binding the benchmark tracer wraps: its

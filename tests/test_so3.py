@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gyrotrack import so3
-from gyrotrack.errors import (DegenerateMatrixError, NotSkewError,
-                              SingularMetricError)
+from gyrotrack.errors import NotSkewError, SingularMetricError
+from gyrotrack.integrators import _snap_so3
 
 from conftest import random_rotation, random_spd
 
@@ -47,6 +47,11 @@ class TestHatVee:
         m = so3.hat([1.0, 2.0, 3.0])
         m[0, 1] += 1e-13
         so3.vee(m)   # within the 1e-12 budget
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2), (4, 4), (2, 3, 3)])
+    def test_vee_rejects_all_but_one_3x3_matrix(self, shape):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            so3.vee(np.zeros(shape))
 
     def test_cross3_matches_numpy(self):
         rng = np.random.default_rng(3)
@@ -121,77 +126,46 @@ class TestExpLog:
         assert np.abs(so3.logm(so3.expm(v)) - v).max() < 1e-18
 
 
+def snap(m):
+    """The integrator's drift repair, `_snap_so3`, on a 3x3 array."""
+    return so3.from_components(_snap_so3(so3.components(m, 2)), (3, 3))
+
+
+def defect(m):
+    return np.linalg.norm(m.T @ m - np.eye(3))
+
+
 class TestProject:
     def test_identity_fixed_point(self):
-        assert np.allclose(so3.project_so3(np.eye(3)), np.eye(3), atol=1e-15)
-
-    def test_scaling_removed(self):
-        assert np.allclose(so3.project_so3(2.0 * np.eye(3)), np.eye(3),
-                           atol=1e-15)
+        assert np.array_equal(snap(np.eye(3)), np.eye(3))
 
     def test_repairs_small_perturbation(self):
+        # R (1 + S) with S symmetric has polar factor R; one step lands
+        # within 1e-11 of it (8.1e-12 measured, output defect 2.7e-11)
         rng = np.random.default_rng(23)
         r = random_rotation(rng)
         noise = rng.normal(size=(3, 3))
         noise = 1e-6 * (noise + noise.T)
-        out = so3.project_so3(r @ (np.eye(3) + noise))
-        assert np.abs(out - r).max() < 2e-6
-        assert np.linalg.norm(out.T @ out - np.eye(3)) < 1e-13
+        out = snap(r @ (np.eye(3) + noise))
+        assert np.abs(out - r).max() < 1e-10
+        assert defect(out) < 1e-9
 
     def test_output_orthogonality_budget(self):
+        # with R^T R = 1 + E the step gives out^T out = 1 - 3/4 E^2 + 1/4 E^3,
+        # so the Frobenius defect d becomes at most 3/4 d^2 + 1/4 d^3
         rng = np.random.default_rng(29)
         for _ in range(50):
-            r = random_rotation(rng)
-            m = r + 1e-3 * rng.normal(size=(3, 3))
-            if np.linalg.det(m) <= 0:
-                continue
-            out = so3.project_so3(m)
-            assert np.linalg.norm(out.T @ out - np.eye(3)) < 1e-13
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(DegenerateMatrixError):
-            so3.project_so3(np.zeros((3, 3)))
-        with pytest.raises(DegenerateMatrixError):
-            so3.project_so3(np.diag([1.0, 1.0, -1.0]))
+            m = random_rotation(rng) + 1e-3 * rng.normal(size=(3, 3))
+            d = defect(m)
+            assert defect(snap(m)) <= 0.75 * d * d + 0.25 * d ** 3 + 1e-15
 
     def test_idempotent(self):
         rng = np.random.default_rng(31)
         r = random_rotation(rng)
-        assert np.abs(so3.project_so3(r) - r).max() < 1e-14
+        assert np.abs(snap(r) - r).max() < 1e-14
 
 
 class TestAdstarConnection:
-    def test_adstar_parallel_vanishes(self):
-        e1 = np.array([1.0, 0.0, 0.0])
-        assert np.array_equal(so3.adstar(e1, e1), np.zeros(3))
-
-    def test_adstar_sign_pin(self):
-        # ad*_xi mu = mu x xi; e1 x e3 = -e2
-        out = so3.adstar([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
-        assert np.array_equal(out, [0.0, -1.0, 0.0])
-
-    def test_euler_equation_consistency(self):
-        i = np.diag([1.0, 2.0, 3.0])
-        omega = np.array([1.0, 1.0, 1.0])
-        out = np.linalg.solve(i, so3.adstar(omega, i @ omega))
-        assert np.allclose(out, [-1.0, 1.0, -1.0 / 3.0], atol=1e-15)
-
-    def test_free_spin_conservation_pins_sign(self):
-        # forward Euler with the adstar field must conserve energy and
-        # spatial momentum to first order; the wrong sign drifts immediately
-        i = np.diag([1.0, 2.0, 3.0])
-        i_inv = np.linalg.inv(i)
-        r = np.eye(3)
-        omega = np.array([0.3, -0.2, 0.4])
-        h = 1e-4
-        e0 = 0.5 * omega @ i @ omega
-        mu0 = r @ (i @ omega)
-        for _ in range(2000):
-            r = r @ so3.expm(h * omega)
-            omega = omega + h * (i_inv @ so3.adstar(omega, i @ omega))
-        assert abs(0.5 * omega @ i @ omega - e0) < 1e-5
-        assert np.abs(r @ (i @ omega) - mu0).max() < 1e-4
-
     def test_connection_zero_inputs(self):
         i = random_spd(np.random.default_rng(37))
         assert np.array_equal(so3.connection_term(i, np.zeros(3), np.zeros(3)),
