@@ -27,6 +27,10 @@ stack, which is how the run post-pass calls it.  Arrays appear only at
 the adapters (`error_state`, `nav_dpsi`, `xi_I_deriv`, `control_uext`,
 `control_uint`), which unpack their arguments, call the kernel and pack
 the result; the metric's constants come from `so3.metric_constants`.
+`_loop_kernel` forms the connection matrix C(eta) (`so3._conn_matrix`)
+once and applies it to both eta and xi_I, and takes the Euler term
+-I^{-1}((I Omega) x Omega) in closed form (`so3._euler`), not through
+the connection table.
 The functions of psi take the weights P as a 3x3 matrix
 (`NavigationWeights.P`).
 
@@ -51,8 +55,9 @@ import numpy as np
 
 from .dynamics import kernel_constants
 from .errors import GainSynthesisError, KappaOutOfRangeError
-from .so3 import (_conn, _cross, _matmul_t, _matvec, _matvec_t, components,
-                  expm, from_components, hat, metric_constants, skew_vee,
+from .so3 import (_conn_matrix, _cross, _euler, _matmul_t, _matvec,
+                  _matvec_t, components, expm, from_components, hat,
+                  metric_constants, metric_inverse, skew_vee,
                   spd_eigenvalues)
 
 # Certification constants used by the bundled benchmark gain set (k_p, k_d,
@@ -234,15 +239,16 @@ def error_state(r, omega, r_d, omega_d):
 # integral state transport
 # ---------------------------------------------------------------------------
 
-def _transport(gamma, i_inv, dpsi, eta, xi_i):
+def _transport(i_inv, dpsi, c_eta, xi_i):
     """Metric gradient of psi and the integral-state rate.
 
+    ``c_eta`` is the connection matrix C(eta) of `so3._conn_matrix`.
     Returns (grad, xi_dot) with grad = I^{-1} dpsi and
-    xi_dot = grad - conn(eta, xi_I).
+    xi_dot = grad - C(eta) xi_I = grad - conn(eta, xi_I).
     """
     grad = _matvec(i_inv, dpsi)
     g0, g1, g2 = grad
-    c0, c1, c2 = _conn(gamma, eta, xi_i)
+    c0, c1, c2 = _matvec(c_eta, xi_i)
     return grad, (g0 - c0, g1 - c1, g2 - c2)
 
 
@@ -259,7 +265,7 @@ def xi_I_deriv(p_metric, p, e, eta, xi_i):
     """
     _, i_inv, gamma = metric_constants(p_metric)
     dpsi = _dpsi(components(p, 2), components(e, 2))
-    _, xi_dot = _transport(gamma, i_inv, dpsi, components(eta),
+    _, xi_dot = _transport(i_inv, dpsi, _conn_matrix(gamma, components(eta)),
                            components(xi_i))
     return from_components(xi_dot)
 
@@ -268,24 +274,25 @@ def xi_I_deriv(p_metric, p, e, eta, xi_i):
 # tracking laws
 # ---------------------------------------------------------------------------
 
-def _loop_kernel(gamma, i_inv, p_mat, gains, r, omega, r_d, omega_d,
+def _loop_kernel(metric, p_mat, gains, r, omega, r_d, omega_d,
                  omega_d_dot, xi_i):
     """Commanded acceleration and integral-state rate, componentwise.
 
-    ``gamma`` and ``i_inv`` are the metric's `so3.metric_constants` and
+    ``metric`` is the (I, I^{-1}, Gamma) of `so3.metric_constants` and
     ``p_mat`` the components of the weights, precomputed by the caller;
     the state arguments are components of one sample (floats, the
     integrator's hot path) or of a stack (columns, the run post-pass).
-    Intermediates (error rotation, error velocity, gradient) are shared
-    between the control and the integral-state transport.  Returns
-    (u, xi_dot).
+    Intermediates (error rotation, error velocity, gradient, the
+    connection matrix C(eta)) are shared between the control and the
+    integral-state transport.  Returns (u, xi_dot).
     """
+    i_metric, i_inv, gamma = metric
     e, eta = _error(r, omega, r_d, omega_d)
-    (g0, g1, g2), xi_dot = _transport(gamma, i_inv, _dpsi(p_mat, e), eta,
-                                      xi_i)
+    c_eta = _conn_matrix(gamma, eta)
+    (g0, g1, g2), xi_dot = _transport(i_inv, _dpsi(p_mat, e), c_eta, xi_i)
     e0, e1, e2 = eta
     x0, x1, x2 = xi_i
-    c0, c1, c2 = _conn(gamma, eta, eta)
+    c0, c1, c2 = _matvec(c_eta, eta)
     kp, kd, ki = gains.kp, gains.kd, gains.ki
     fb = (kp * g0 + kd * e0 + ki * x0 + c0,
           kp * g1 + kd * e1 + ki * x1 + c1,
@@ -293,7 +300,7 @@ def _loop_kernel(gamma, i_inv, p_mat, gains, r, omega, r_d, omega_d,
     # the Euler term -I^{-1}((I Omega) x Omega) is conn(Omega, Omega)
     a0, a1, a2 = omega_d_dot
     w0, w1, w2 = _cross(omega, omega_d)
-    n0, n1, n2 = _conn(gamma, omega, omega)
+    n0, n1, n2 = _euler(i_metric, i_inv, omega)
     f0, f1, f2 = _matvec_t(r, fb)
     return (a0 + w0 + n0 + f0, a1 + w1 + n1 + f1, a2 + w2 + n2 + f2), xi_dot
 
@@ -307,8 +314,7 @@ def control_uext(i_metric, p, gains, r, omega, r_d, omega_d, omega_d_dot, xi_i):
     mapped through the metric sharp, and carried to the plant body frame
     by R^T; the feed-forward is dOmega_d + Omega x Omega_d.
     """
-    _, i_inv, gamma = metric_constants(i_metric)
-    u, _ = _loop_kernel(gamma, i_inv, components(p, 2), gains,
+    u, _ = _loop_kernel(metric_constants(i_metric), components(p, 2), gains,
                         components(r, 2), components(omega),
                         components(r_d, 2), components(omega_d),
                         components(omega_d_dot), components(xi_i))
@@ -379,7 +385,7 @@ def ecl_rate_bound(p_metric, p, gains, e, eta, xi):
     where the Hessian bound mu_hess holds.  Arguments as for `ecl_value`.
     """
     i = np.asarray(p_metric, dtype=float)
-    i_inv = from_components(metric_constants(i)[1], (3, 3))
+    i_inv = from_components(metric_inverse(i)[1], (3, 3))
     dpsi = nav_dpsi(p, e)
     eta, xi = np.asarray(eta, dtype=float), np.asarray(xi, dtype=float)
     v = np.sqrt(np.stack([np.vecdot(eta, eta @ i),
@@ -539,7 +545,7 @@ def estimate_lambda_sup(p, i_metric, n_samples=2000):
     psi = nav_psi(p, e)
     keep = (psi <= 1.0) & (psi >= 1e-12)
     dpsi = nav_dpsi(p, e[keep])
-    i_inv = from_components(metric_constants(i_metric)[1], (3, 3))
+    i_inv = from_components(metric_inverse(i_metric)[1], (3, 3))
     ratio = np.vecdot(dpsi, dpsi @ i_inv) / (2.0 * psi[keep])
     return float(ratio.max(initial=0.0))
 

@@ -20,7 +20,7 @@ inertias that `InertiaParams` holds, so
 
     dOmega = I^{-1}(Pi x Omega - u_int),   dOmegaR = K^{-1} u_int - dOmega
 
-with I^{-1} from `so3.metric_constants`; no 6x6 matrix is formed.
+with I^{-1} from `so3.metric_inverse`; no 6x6 matrix is formed.
 
 Also here: the momentum map in body and inertial frames and the
 mechanical connection; `InertiaParams.locked` is the locked inertia
@@ -35,8 +35,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .so3 import (_conn, _cross, _matvec, components, from_components,
-                  metric_constants, spd_eigenvalues)
+from .so3 import (_cross, _euler, _matvec, components, from_components,
+                  metric_inverse, spd_eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class InertiaParams:
     all the rotor block solve needs (see the module docstring).  A
     rejected input raises ValueError whose message starts with "body" or
     "rotor".  Only I+K is cached; the kernels' constants come from
-    `kernel_constants` and `so3.metric_constants`, built by each caller.
+    `kernel_constants` and `so3.metric_inverse`, built by each caller.
     """
 
     body_inertia: np.ndarray
@@ -74,11 +74,11 @@ class InertiaParams:
 def kernel_constants(params):
     """Float components of ``params`` that the kernels read: I+K, the
     three rotor inertias k (K = diag(k)), and I^{-1} from
-    `so3.metric_constants`.  Callers build them once per run.
+    `so3.metric_inverse`.  Callers build them once per run.
     """
     return (components(params.locked, 2),
             params.rotor_inertia.tolist(),
-            metric_constants(params.body_inertia)[1])
+            metric_inverse(params.body_inertia)[1])
 
 
 def _momentum(consts, omega, omega_r):
@@ -99,8 +99,10 @@ def momentum_body(params, omega, omega_r):
 
 
 def momentum_spatial(r, pi):
-    """Inertial-frame angular momentum mu = R Pi (conserved by the rotor plant)."""
-    return np.asarray(r) @ np.asarray(pi)
+    """Inertial-frame angular momentum mu = R Pi (conserved by the rotor
+    plant).  Either argument may be one sample or a stack, (n, 3, 3) and
+    (n, 3), paired sample by sample."""
+    return from_components(_matvec(components(r, 2), components(pi)))
 
 
 def mechanical_connection(params, omega, omega_r):
@@ -138,9 +140,10 @@ def rotor_accels(params, omega, omega_r, u_int):
     return from_components(d_omega), from_components(d_omega_r)
 
 
-def _external_accel(gamma, omega, u_ext):
-    """dOmega = u_ext - conn(Omega, Omega); ``gamma`` as in `so3._conn`."""
-    (u0, u1, u2), (n0, n1, n2) = u_ext, _conn(gamma, omega, omega)
+def _external_accel(i_metric, i_inv, omega, u_ext):
+    """dOmega = u_ext - conn(Omega, Omega), the Euler term `so3._euler`
+    of the components of `so3.metric_inverse`."""
+    (u0, u1, u2), (n0, n1, n2) = u_ext, _euler(i_metric, i_inv, omega)
     return u0 - n0, u1 - n1, u2 - n2
 
 
@@ -150,13 +153,13 @@ def free_body_field(i_inertia):
     On components (see `integrators`): one attitude moving with body
     velocity Omega and the vector state Omega, whose rate is the Euler
     term dOmega = -conn(Omega, Omega) = I^{-1}((I Omega) x Omega), the
-    ``u_ext = 0`` case of `_external_accel`.  The connection table is
-    built once, here.
+    ``u_ext = 0`` case of `_external_accel`.  The metric is inverted
+    once, here.
     """
-    _, _, gamma = metric_constants(i_inertia)
+    i_metric, i_inv = metric_inverse(i_inertia)
     zero = (0.0, 0.0, 0.0)
 
     def field(t, rots, vec):
-        return (vec,), _external_accel(gamma, vec, zero)
+        return (vec,), _external_accel(i_metric, i_inv, vec, zero)
     return field
 

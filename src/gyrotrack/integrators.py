@@ -119,16 +119,6 @@ def _dexpinv_right(sigma, b):
             b2 + 0.5 * x2 + y2 / 12.0)
 
 
-def _scaled(c, v):
-    v0, v1, v2 = v
-    return c * v0, c * v1, c * v2
-
-
-def _rotated(rots, sigmas):
-    """R expm(sigma) for each attitude, as components."""
-    return [_matmul(r, _rodrigues(s)) for r, s in zip(rots, sigmas)]
-
-
 def _finite(rots, vec):
     """True if every component is finite.  A finite sum proves it; only a
     NaN or inf entry, or an overflowing sum, needs the entrywise check."""
@@ -144,32 +134,35 @@ def step_lie(vector_field, t, state, h, scheme="rk4_munthe_kaas",
     Attitudes update as R <- R expm(sigma) with the stage combination of
     the chosen scheme; vector components follow the matching classical
     Runge-Kutta stages.  With ``reproject`` the updated rotations are
-    snapped back to SO(3) by polar projection.  All on components.
+    snapped back to SO(3) by polar projection.  All on components; each
+    update R expm(sigma) is `so3._matmul` of R and `so3._rodrigues`.
     """
     rots, vec = state
     if scheme == "lie_euler":
         omegas, vdot = vector_field(t, rots, vec)
-        new_rots = _rotated(rots, [_scaled(h, w) for w in omegas])
+        new_rots = [_matmul(r, _rodrigues((h * w0, h * w1, h * w2)))
+                    for r, (w0, w1, w2) in zip(rots, omegas)]
         new_vec = [x + h * d for x, d in zip(vec, vdot)]
     elif scheme == "rk4_munthe_kaas":
         k, v = vector_field(t, rots, vec)
         ks, vs = [k], [v]
         # stages 2-4 start from the previous stage scaled by c = h/2, h/2, h
         for c in (0.5 * h, 0.5 * h, h):
-            sigma = [_scaled(c, k) for k in ks[-1]]
-            b, v = vector_field(t + c, _rotated(rots, sigma),
-                                [x + c * d for x, d in zip(vec, vs[-1])])
+            sigma = [(c * w0, c * w1, c * w2) for w0, w1, w2 in ks[-1]]
+            b, v = vector_field(
+                t + c, [_matmul(r, _rodrigues(s)) for r, s in zip(rots, sigma)],
+                [x + c * d for x, d in zip(vec, vs[-1])])
             ks.append([_dexpinv_right(s, w) for s, w in zip(sigma, b)])
             vs.append(v)
         (k1, k2, k3, k4), (v1, v2, v3, v4) = ks, vs
 
         sixth = h / 6.0
-        sigma = [(sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
-                  sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
-                  sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2))
-                 for (a0, a1, a2), (b0, b1, b2), (c0, c1, c2), (d0, d1, d2)
-                 in zip(k1, k2, k3, k4)]
-        new_rots = _rotated(rots, sigma)
+        new_rots = [
+            _matmul(r, _rodrigues((sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
+                                   sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+                                   sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2))))
+            for r, (a0, a1, a2), (b0, b1, b2), (c0, c1, c2), (d0, d1, d2)
+            in zip(rots, k1, k2, k3, k4)]
         new_vec = [x + sixth * (a + 2.0 * b + 2.0 * c + d)
                    for x, a, b, c, d in zip(vec, v1, v2, v3, v4)]
     else:

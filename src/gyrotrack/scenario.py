@@ -2,10 +2,11 @@
 
 A scenario pairs a rotor-driven plant with a reference attitude produced
 by a second ("dummy") rotor body flying under a chosen torque program.
-Both bodies move by one rate, `_rotor_rates`, co-integrated in one state
-so the controller always sees exact reference values, never interpolated
-ones; the `_d` half of a run's `ClosedLoopTrajectory` is the reference
-record, bit for bit the reference's `_rotor_field` integrated alone.  The
+Both bodies move by one rate, (dTheta, dOmega, dOmegaR) = (OmegaR, the
+block solve `rotor_accels`), co-integrated in one state so the
+controller always sees exact reference values, never interpolated ones;
+the `_d` half of a run's `ClosedLoopTrajectory` is the reference record,
+bit for bit the reference's `_rotor_field` integrated alone.  The
 integrator calls the closed loop on floats; the post-pass calls it once
 on the stored history as columns, so the reported torques are the ones
 that drove the plant.
@@ -320,25 +321,22 @@ def on_reference_variant(cfg):
 # the rotor body
 # ---------------------------------------------------------------------------
 
-def _rotor_rates(consts, omega, omega_r, u_int):
-    """Rates of a rotor body's 9 vector slots, (dTheta, dOmega, dOmegaR) =
-    (OmegaR, block solve), under the rotor torque ``u_int``."""
-    d_omega, d_omega_r = rotor_accels(consts, omega, omega_r, u_int)
-    return (*omega_r, *d_omega, *d_omega_r)
-
-
 def _rotor_field(params, torque):
     """Vector field of a rotor body under a componentwise torque program
     ``torque(t)`` (`ReferenceProgram._torque`).
 
-    Vector state Theta 0:3 | Omega 3:6 | OmegaR 6:9; the attitude moves
+    Vector state Theta 0:3 | Omega 3:6 | OmegaR 6:9, with rates
+    (dTheta, dOmega, dOmegaR) = (OmegaR, block solve); the attitude moves
     with body velocity Omega.
     """
     consts = kernel_constants(params)
 
     def field(t, rots, vec):
-        omega = vec[3:6]
-        return (omega,), _rotor_rates(consts, omega, vec[6:9], torque(t))
+        _, _, _, w0, w1, w2, r0, r1, r2 = vec
+        omega = w0, w1, w2
+        (a0, a1, a2), (b0, b1, b2) = rotor_accels(consts, omega,
+                                                  (r0, r1, r2), torque(t))
+        return (omega,), (r0, r1, r2, a0, a1, a2, b0, b1, b2)
     return field
 
 
@@ -357,11 +355,14 @@ def _closed_loop(cfg, actuation):
     vec: Theta 0:3 | Omega 3:6 | OmegaR 6:9 | Theta_d 9:12 | Omega_d 12:15
          | OmegaR_d 15:18 | xi_I 18:21.
     The plant and reference halves are two rotor bodies, each moved by
-    `_rotor_rates`: the reference under its torque program, whose dOmega_d
+    (dTheta, dOmega, dOmegaR) = (OmegaR, block solve), as in
+    `_rotor_field`: the reference under its torque program, whose dOmega_d
     is the control's feed-forward, and the plant under u_int.  Under
     external actuation the carrier body is torqued directly, u_int is zero
-    and the plant's Theta and OmegaR slots stay zero.  On components (see
-    `integrators`): floats in the stepper, columns in the post-pass.
+    and the plant's Theta and OmegaR slots stay zero.  The state is
+    unpacked once and the 21 rates are one tuple of named components.  On
+    components (see `integrators`): floats in the stepper, columns in the
+    post-pass.
     """
     plant = cfg.plant.params
     plant_c = kernel_constants(plant)
@@ -369,26 +370,33 @@ def _closed_loop(cfg, actuation):
     torque = cfg.program._torque
     gains = cfg.gains
     p_mat = components(cfg.weights.P, 2)
-    i_metric, i_inv, gamma = metric_constants(plant.body_inertia)
+    metric = metric_constants(plant.body_inertia)
+    i_metric, i_inv, _ = metric
     internal = actuation == "internal"
 
     def loop(t, rots, vec):
         r, r_d = rots
-        omega, omega_r = vec[3:6], vec[6:9]
-        omega_d = vec[12:15]
-        ref = _rotor_rates(ref_c, omega_d, vec[15:18], torque(t))
-        u, xi_dot = _loop_kernel(gamma, i_inv, p_mat, gains, r, omega, r_d,
-                                 omega_d, ref[3:6], vec[18:21])
+        (_, _, _, w0, w1, w2, r0, r1, r2,
+         _, _, _, v0, v1, v2, s0, s1, s2, x0, x1, x2) = vec
+        omega, omega_r, omega_d = (w0, w1, w2), (r0, r1, r2), (v0, v1, v2)
+        d_omega_d, (b0, b1, b2) = rotor_accels(ref_c, omega_d, (s0, s1, s2),
+                                               torque(t))
+        u, (y0, y1, y2) = _loop_kernel(metric, p_mat, gains, r, omega, r_d,
+                                       omega_d, d_omega_d, (x0, x1, x2))
+        a0, a1, a2 = d_omega_d
         u_ext = _matvec(i_metric, u)
         if internal:
             u_int = _uint(plant_c, u_ext, omega, omega_r)
-            body = _rotor_rates(plant_c, omega, omega_r, u_int)
+            (c0, c1, c2), (d0, d1, d2) = rotor_accels(plant_c, omega,
+                                                      omega_r, u_int)
         else:
             zero = 0.0 * t   # +0.0 as a float, or a column like t (t >= 0)
-            u_int = d_omega_r = (zero, zero, zero)
-            d_omega = _external_accel(gamma, omega, u)
-            body = (*omega_r, *d_omega, *d_omega_r)
-        return (omega, omega_d), (*body, *ref, *xi_dot), u_ext, u_int
+            u_int = d0, d1, d2 = zero, zero, zero
+            c0, c1, c2 = _external_accel(i_metric, i_inv, omega, u)
+        return ((omega, omega_d),
+                (r0, r1, r2, c0, c1, c2, d0, d1, d2,
+                 s0, s1, s2, a0, a1, a2, b0, b1, b2, y0, y1, y2),
+                u_ext, u_int)
     return loop
 
 

@@ -5,10 +5,10 @@ Conventions used throughout the package are fixed here:
 * ``hat(e3)`` carries +1 at entry (2, 1) (0-based: [1, 0]), i.e. the
   standard right-handed cross-product matrix, ``hat(v) @ w == cross(v, w)``.
 * ``connection_term(I, a, a) == -I^{-1}((I a) x a)``: the Euler term
-  that `metric_constants` builds carries the sign that turns the
-  geodesic equation dOmega/dt = -nabla_Omega Omega into the classical
-  Euler equation ``I dOmega/dt = (I Omega) x Omega``.  The free-body
-  value and conservation tests pin this sign.
+  carries the sign that turns the geodesic equation
+  dOmega/dt = -nabla_Omega Omega into the classical Euler equation
+  ``I dOmega/dt = (I Omega) x Omega``.  The free-body value and
+  conservation tests pin this sign.
 
 Componentwise kernels.  Each per-sample formula of the closed loop
 (here: the cross product, matrix products, the skew part, the
@@ -28,6 +28,13 @@ so the kernels use no ``**`` and divide by a state-derived value only
 behind a branch that keeps it away from zero and from inf (the Rodrigues
 coefficients): an overflowing state gives inf or NaN on floats as on
 arrays, not an exception.
+
+The connection is written once, as the matrix C(a) of b -> nabla_a b
+(`_conn_matrix`, 45 float operations from the table Gamma); `_conn` is
+C(a) b, and a caller that needs nabla_a of two vectors forms C(a) once.
+Its diagonal nabla_a a, the Euler term, has the closed form
+I^{-1}(a x (I a)) (`_euler`, 39 operations against 60 through Gamma),
+which needs only `metric_inverse`, not the table.
 """
 
 import math
@@ -238,21 +245,10 @@ def logm(r):
     return theta * axis
 
 
-def metric_constants(i_metric):
-    """Float components of (I, I^{-1}, Gamma) for the metric ``i_metric``:
-    the constants the kernels read.  The one place the metric is inverted.
-
-    Gamma is the Levi-Civita connection of the left-invariant metric
-    induced by the SPD tensor ``i_metric``, trivialized to the algebra:
-
-        nabla_a b = 1/2 ( [a, b] - I^{-1} ad*_a (I b) - I^{-1} ad*_b (I a) )
-
-    with [a, b] = a x b and the coadjoint action ad*_a m = m x a, so that
-    geodesics satisfy the free rigid-body equation:
-    nabla_a a = -I^{-1}((I a) x a), the Euler term.  The formula is
-    bilinear, so it is evaluated once on the basis pairs: row 3 i + j of
-    the (9, 3) table Gamma is nabla_{e_i} e_j.  `_conn` extends it to any
-    a, b.
+def metric_inverse(i_metric):
+    """Float components of (I, I^{-1}) for the metric ``i_metric``.  The
+    one place the metric is inverted; the Euler term (`_euler`) and the
+    rotor block solve read nothing else of it.
 
     Raises:
         SingularMetricError: if ``i_metric`` is not invertible.
@@ -262,13 +258,39 @@ def metric_constants(i_metric):
         i_inv = np.linalg.inv(i_metric)
     except np.linalg.LinAlgError as exc:
         raise SingularMetricError("metric tensor is singular") from exc
+    return components(i_metric, 2), components(i_inv, 2)
+
+
+def metric_constants(i_metric):
+    """Float components of (I, I^{-1}, Gamma) for the metric ``i_metric``:
+    `metric_inverse` plus the connection table, for the kernels that read
+    the connection.
+
+    Gamma is the Levi-Civita connection of the left-invariant metric
+    induced by the SPD tensor ``i_metric``, trivialized to the algebra:
+
+        nabla_a b = 1/2 ( [a, b] - I^{-1} ad*_a (I b) - I^{-1} ad*_b (I a) )
+
+    with [a, b] = a x b and the coadjoint action ad*_a m = m x a, so that
+    geodesics satisfy the free rigid-body equation:
+    nabla_a a = -I^{-1}((I a) x a), the Euler term (`_euler`).  The
+    formula is bilinear, so it is evaluated once on the basis pairs: row
+    3 i + j of the (9, 3) table Gamma is nabla_{e_i} e_j.  `_conn_matrix`
+    contracts it with a, `_conn` extends it to any a, b.
+
+    Raises:
+        SingularMetricError: if ``i_metric`` is not invertible.
+    """
+    i_c, i_inv_c = metric_inverse(i_metric)
+    i_metric = from_components(i_c, (3, 3))
+    i_inv = from_components(i_inv_c, (3, 3))
     # rows a, b run over the basis pairs (e_i, e_j); I and I^{-1} are
     # symmetric, so they act on these row vectors from the right
     a = np.repeat(np.eye(3), 3, axis=0)
     b = np.tile(np.eye(3), (3, 1))
     rhs = cross3(b @ i_metric, a) + cross3(a @ i_metric, b)
     gamma = 0.5 * (cross3(a, b) - rhs @ i_inv)
-    return components(i_metric, 2), components(i_inv, 2), components(gamma, 2)
+    return i_c, i_inv_c, components(gamma, 2)
 
 
 def spd_eigenvalues(m, name):
@@ -286,22 +308,34 @@ def spd_eigenvalues(m, name):
     return m, eig
 
 
-def _conn(gamma, a, b):
-    """nabla_a b from the components of a `metric_constants` table Gamma."""
+def _conn_matrix(gamma, a):
+    """Row-major entries of the matrix of b -> nabla_a b, from the
+    components of a `metric_constants` table Gamma: entry (k, j) is
+    sum_i a_i Gamma[3 i + j, k].  One matrix serves every b."""
     (x00, y00, z00, x01, y01, z01, x02, y02, z02,
      x10, y10, z10, x11, y11, z11, x12, y12, z12,
      x20, y20, z20, x21, y21, z21, x22, y22, z22) = gamma
     a0, a1, a2 = a
-    b0, b1, b2 = b
-    w00, w01, w02 = a0 * b0, a0 * b1, a0 * b2
-    w10, w11, w12 = a1 * b0, a1 * b1, a1 * b2
-    w20, w21, w22 = a2 * b0, a2 * b1, a2 * b2
-    return (w00 * x00 + w01 * x01 + w02 * x02 + w10 * x10 + w11 * x11
-            + w12 * x12 + w20 * x20 + w21 * x21 + w22 * x22,
-            w00 * y00 + w01 * y01 + w02 * y02 + w10 * y10 + w11 * y11
-            + w12 * y12 + w20 * y20 + w21 * y21 + w22 * y22,
-            w00 * z00 + w01 * z01 + w02 * z02 + w10 * z10 + w11 * z11
-            + w12 * z12 + w20 * z20 + w21 * z21 + w22 * z22)
+    return (a0 * x00 + a1 * x10 + a2 * x20,
+            a0 * x01 + a1 * x11 + a2 * x21,
+            a0 * x02 + a1 * x12 + a2 * x22,
+            a0 * y00 + a1 * y10 + a2 * y20,
+            a0 * y01 + a1 * y11 + a2 * y21,
+            a0 * y02 + a1 * y12 + a2 * y22,
+            a0 * z00 + a1 * z10 + a2 * z20,
+            a0 * z01 + a1 * z11 + a2 * z21,
+            a0 * z02 + a1 * z12 + a2 * z22)
+
+
+def _conn(gamma, a, b):
+    """nabla_a b from the components of a `metric_constants` table Gamma."""
+    return _matvec(_conn_matrix(gamma, a), b)
+
+
+def _euler(i_metric, i_inv, a):
+    """The Euler term nabla_a a = -I^{-1}((I a) x a), in closed form as
+    I^{-1}(a x (I a)), from the components of `metric_inverse`."""
+    return _matvec(i_inv, _cross(a, _matvec(i_metric, a)))
 
 
 def connection_term(i_metric, a, b):

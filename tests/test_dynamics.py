@@ -34,9 +34,9 @@ def lagrangian(params, omega, omega_r):
 
 def external_accel(i, omega, u_ext):
     """dOmega of the externally actuated body, through the production kernel."""
-    _, _, gamma = so3.metric_constants(i)
+    i_metric, i_inv = so3.metric_inverse(i)
     return so3.from_components(dynamics._external_accel(
-        gamma, so3.components(omega), so3.components(u_ext)))
+        i_metric, i_inv, so3.components(omega), so3.components(u_ext)))
 
 
 def free_body_accel(i, omega):
@@ -117,6 +117,16 @@ class TestMomentum:
         r = so3.expm([0.0, 0.0, np.pi])
         out = dynamics.momentum_spatial(r, [1.0, 0.0, 0.0])
         assert np.allclose(out, [-1.0, 0.0, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_spatial_stack_is_per_sample(self, n):
+        # an (n, 3, 3) stack with (n, 3) momenta pairs sample k with k
+        rng = np.random.default_rng(n)
+        r = np.array([so3.expm(v) for v in rng.normal(size=(n, 3))])
+        pi = rng.normal(size=(n, 3))
+        out = dynamics.momentum_spatial(r, pi)
+        assert out.shape == (n, 3)
+        assert np.abs(out - np.einsum("nij,nj->ni", r, pi)).max() <= 1e-12
 
     def test_momentum_class_consistency(self):
         p = benchmark_params()

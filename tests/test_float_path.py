@@ -123,9 +123,11 @@ def test_final_state_pinned(key):
 _PLANT = scenario.benchmark_plant().params
 _GAINS = scenario.certified_gains()
 _P = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
+_METRIC = so3.metric_constants(_PLANT.body_inertia)
 _CONSTANTS = {
-    "gamma": so3.metric_constants(_PLANT.body_inertia)[2],
-    "i_inv": so3.metric_constants(_PLANT.body_inertia)[1],
+    "i": _METRIC[0],
+    "i_inv": _METRIC[1],
+    "gamma": _METRIC[2],
     "p": so3.components(_P, 2),
     "plant": dynamics.kernel_constants(_PLANT),
 }
@@ -140,6 +142,10 @@ KERNELS = {
     "skew_vee": (so3._skew_vee, ((3, 3),)),
     "conn": (lambda a, b: so3._conn(_CONSTANTS["gamma"], a, b),
              ((3,), (3,))),
+    "conn_matrix": (lambda a: so3._conn_matrix(_CONSTANTS["gamma"], a),
+                    ((3,),)),
+    "euler": (lambda a: so3._euler(_CONSTANTS["i"], _CONSTANTS["i_inv"], a),
+              ((3,),)),
     "momentum": (lambda w, wr: dynamics._momentum(_CONSTANTS["plant"], w, wr),
                  ((3,), (3,))),
     "rotor_accels": (lambda w, wr, u: dynamics._rotor_accels(
@@ -148,11 +154,11 @@ KERNELS = {
     "error": (control._error, ((3, 3), (3,), (3, 3), (3,))),
     "dpsi": (lambda e: control._dpsi(_CONSTANTS["p"], e), ((3, 3),)),
     "transport": (lambda d, eta, xi: control._transport(
-        _CONSTANTS["gamma"], _CONSTANTS["i_inv"], d, eta, xi),
-        ((3,), (3,), (3,))),
+        _CONSTANTS["i_inv"], d, so3._conn_matrix(_CONSTANTS["gamma"], eta),
+        xi), ((3,), (3,), (3,))),
     "loop_kernel": (lambda *args: control._loop_kernel(
-        _CONSTANTS["gamma"], _CONSTANTS["i_inv"], _CONSTANTS["p"], _GAINS,
-        *args), ((3, 3), (3,), (3, 3), (3,), (3,), (3,))),
+        _METRIC, _CONSTANTS["p"], _GAINS, *args),
+        ((3, 3), (3,), (3, 3), (3,), (3,), (3,))),
     "uint": (lambda u, w, wr: control._uint(_CONSTANTS["plant"], u, w, wr),
              ((3,), (3,), (3,))),
     "dexpinv_right": (integrators._dexpinv_right, ((3,), (3,))),
@@ -224,3 +230,50 @@ def test_snap_so3_equals_full_gram_step(r):
     m = so3._matmul(so3._matmul_t(r, r), r)
     assert integrators._snap_so3(r) == tuple(
         1.5 * a - 0.5 * b for a, b in zip(r, m))
+
+
+# The connection kernels against independent oracles, on random metrics.
+# The bound is relative to the largest sum of term magnitudes
+# sum_ij |a_i b_j Gamma_ij^k| over k, since the table Gamma itself carries
+# rounding of that relative size in every entry (the closed-form Euler
+# term does not share it); below the normal float range rounding is
+# absolute.
+
+def _spd(m):
+    return m @ m.T + 0.5 * np.eye(3)
+
+
+def _close(got, want, gamma, a, b):
+    table = np.abs(np.reshape(gamma, (3, 3, 3)))
+    scale = np.einsum("i,j,ijk->k", np.abs(a), np.abs(b), table)
+    return np.all(np.abs(np.subtract(got, want))
+                  <= 1e-12 * scale.max() + np.finfo(float).tiny)
+
+
+def _contract27(gamma, a, b):
+    """nabla_a b as the plain 27-term sum over the table Gamma."""
+    table = np.reshape(gamma, (3, 3, 3))
+    return [sum(a[i] * b[j] * table[i, j, k]
+                for i in range(3) for j in range(3)) for k in range(3)]
+
+
+_VECTOR = arrays(np.float64, 3, elements=st.floats(-3.0, 3.0))
+_MATRIX = arrays(np.float64, (3, 3), elements=st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=_MATRIX, a=_VECTOR, b=_VECTOR)
+def test_conn_matches_27_term_contraction(m, a, b):
+    _, _, gamma = so3.metric_constants(_spd(m))
+    a, b = a.tolist(), b.tolist()
+    assert _close(so3._conn(gamma, a, b), _contract27(gamma, a, b),
+                  gamma, a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=_MATRIX, a=_VECTOR)
+def test_euler_is_diagonal_of_connection(m, a):
+    i, i_inv, gamma = so3.metric_constants(_spd(m))
+    a = a.tolist()
+    assert _close(so3._euler(i, i_inv, a), so3._conn(gamma, a, a),
+                  gamma, a, a)

@@ -33,8 +33,7 @@ def _case(name, rng):
     if name == "skew_vee":
         return so3.skew_vee, (rng.normal(size=(N, 3, 3)),)
     if name == "loop_kernel":
-        _, i_inv, gamma = so3.metric_constants(i)
-        consts = [gamma, i_inv, so3.components(p, 2)]
+        consts = [so3.metric_constants(i), so3.components(p, 2)]
 
         def kernel(r, omega, r_d, omega_d, omega_d_dot, xi):
             u, xi_dot = control._loop_kernel(
