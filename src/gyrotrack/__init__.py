@@ -11,10 +11,11 @@ __version__ = "0.1.0"
 from .control import (BENCHMARK_LAMBDA_SUP, BENCHMARK_MU_HESS,
                       FeasibilityVerdict, GainSet, NavigationWeights,
                       control_uext, control_uint, ecl_rate_bound, ecl_value,
-                      error_state, estimate_lambda_sup, estimate_mu_hess,
-                      gain_derive, gain_feasible, lambda_sup_formula,
-                      mu_hess_formula, nav_dpsi, nav_hessian, nav_psi,
-                      pd_variant, q_matrix, synthesize_gains, xi_I_deriv)
+                      error_field, error_state, estimate_lambda_sup,
+                      estimate_mu_hess, gain_derive, gain_feasible,
+                      lambda_sup_formula, mu_hess_formula, nav_dpsi,
+                      nav_hessian, nav_psi, pd_variant, q_matrix,
+                      synthesize_gains)
 from .dynamics import (InertiaParams, free_body_field, mechanical_connection,
                        momentum_body, momentum_spatial)
 from .errors import (ConfigParseError, DivergedStateError, GainSynthesisError,

@@ -256,8 +256,9 @@ def cmd_plot(csv_path, out_svg, entries=(11, 12, 21, 22)):
                               ylabel="psi(E)",
                               series=[Series(t, data["psi_E"], "psi(E)",
                                              _PLANT_COLOR)])])
-    effort = np.sqrt(data["uint1"] ** 2 + data["uint2"] ** 2
-                     + data["uint3"] ** 2)
+    with np.errstate(over="ignore"):   # capped past the float range
+        effort = np.minimum(np.hypot(np.hypot(data["uint1"], data["uint2"]),
+                                     data["uint3"]), np.finfo(float).max)
     write_svg(effort_out, [Panel(title="rotor torque magnitude",
                                  xlabel="t [s]", ylabel="|u_int| [N m]",
                                  series=[Series(t, effort, "|u_int|",

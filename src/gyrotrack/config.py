@@ -16,8 +16,10 @@ rule on the values lives in the record that owns it (`InertiaParams`,
 ValueError or KappaOutOfRangeError is reported as ConfigParseError on
 the key of the field the message names first, with that key's line, or
 on the record's default key if it names none (``R0``'s "not a rotation
-matrix", the gain certificate leaving the float range).  `parse_config` resolves every default and derived quantity, so
-serialize(parse(text)) is canonical and parsing it again is idempotent.
+matrix"; none for a gain certificate leaving the float range, which no
+single input causes).  `parse_config` resolves every default and derived
+quantity, so serialize(parse(text)) is canonical, a fixed point of
+serialize(parse(.)).
 """
 
 import warnings
@@ -125,8 +127,8 @@ def _located(pairs, keys, default, make, *args):
     """``make(*args)``, a record's failure reported on its key.
 
     A ValueError or KappaOutOfRangeError becomes a ConfigParseError on
-    ``keys[first word of the message]``, or on ``default`` when ``keys``
-    has no such field, with that key's line if the file gives it.
+    ``keys[first word of the message]``, or on ``default`` (maybe None)
+    when ``keys`` has no such field, with that key's line if any.
     """
     try:
         return make(*args)
@@ -186,7 +188,7 @@ def parse_config(text):
 
     i_plant = plant.params.body_inertia
     mu = _numbers(pairs, "gains.mu_hess", mu_hess_formula(i_plant))
-    gains = _located(pairs, _keys_of("gains"), "gains.kp", gain_derive,
+    gains = _located(pairs, _keys_of("gains"), None, gain_derive,
                      _numbers(pairs, "gains.kp"), _numbers(pairs, "gains.kd"),
                      _numbers(pairs, "gains.ki"),
                      _numbers(pairs, "gains.kappa", _default_kappa(mu)), mu,

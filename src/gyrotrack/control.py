@@ -6,31 +6,32 @@ initial condition.  The error rotation is E = R_d R^T with left-trivialized
 error velocity eta = R (Omega_d - Omega).  The commanded body-frame
 acceleration is
 
-    u = dOmega_d + Omega x Omega_d - I^{-1}((I Omega) x Omega)
-        + R^T ( conn(eta, eta) + I^{-1}(k_p dpsi(E)) + k_d eta + k_I xi_I )
+    u = dOmega_d + Omega x Omega_d - I^{-1}((I Omega) x Omega) + R^T fb,
+    fb = k_p grad + k_d eta + k_I xi_I + conn(eta, eta),
 
-where dpsi is the differential of the navigation function
-psi(E) = trace(P (1 - E)) and conn is the trivialized Levi-Civita
-connection of the I metric.  With this u the closed-loop error curve obeys
+where grad = I^{-1} dpsi(E), dpsi is the differential of the navigation
+function psi(E) = trace(P (1 - E)) and conn is the trivialized
+Levi-Civita connection of the I metric.  With this u and the integral
+state's rate xi_dot = grad - conn(eta, xi_I), the closed-loop error obeys
 
-    (covariant) d(eta)/dt = -k_p grad psi - k_d eta - k_I xi_I,
+    dE/dt = E hat(eta),   d(eta)/dt = -fb,   d(xi_I)/dt = xi_dot,
 
-a dissipative system whose energy function `ecl_value` decreases at a rate
-bounded by the quadratic form of `q_matrix` whenever the gains satisfy the
+an autonomous flow (`error_field`) of I, P and the gains alone.
+Covariantly, d(eta)/dt = -k_p grad - k_d eta - k_I xi_I: a dissipative
+system whose energy function `ecl_value` decreases at a rate bounded by
+the quadratic form of `q_matrix` whenever the gains satisfy the
 inequalities checked by `gain_feasible`.
 
 Each per-sample formula of the law is a componentwise kernel
-(`_error`, `_dpsi`, `_transport`, `_loop_kernel`, `_uint`; see the `so3`
+(`_error`, `_dpsi`, `_feedback`, `_loop_kernel`, `_uint`; see the `so3`
 module docstring): it runs on Python floats for one sample, which is how
 the integrator's vector field calls it, and on (n,) sample columns for a
-stack, which is how the run post-pass calls it.  Arrays appear only at
-the adapters (`error_state`, `nav_dpsi`, `xi_I_deriv`, `control_uext`,
-`control_uint`), which unpack their arguments, call the kernel and pack
-the result; the metric's constants come from `so3.metric_constants`.
-`_loop_kernel` forms the connection matrix C(eta) (`so3._conn_matrix`)
-once and applies it to both eta and xi_I, and takes the Euler term
--I^{-1}((I Omega) x Omega) in closed form (`so3._euler`), not through
-the connection table.
+stack, which is how the run post-pass calls it.  `_feedback` is the one
+formula of fb and xi_dot; `_loop_kernel` adds the feed-forward and the
+Euler term (in closed form, `so3._euler`).  Arrays appear only at the
+adapters (`error_state`, `nav_dpsi`, `control_uext`, `control_uint`),
+which unpack their arguments, call the kernel and pack the result; the
+metric's constants come from `so3.metric_constants`.
 The functions of psi take the weights P as a 3x3 matrix
 (`NavigationWeights.P`).
 
@@ -39,11 +40,12 @@ realized torque through `control_uint`; torques applied to the rotors are
 internal, so the plant's spatial angular momentum stays conserved while it
 tracks.
 
-Sign and frame choices in the torque expression are pinned by three
+Sign and frame choices in the torque expression are pinned by four
 oracles in the test suite: a plant started exactly on the reference stays
 on it (feed-forward), the rotor plant under `control_uint` reproduces the
-externally actuated closed loop in (R, Omega), and the energy decrease
-bound holds along certified trajectories.
+externally actuated closed loop in (R, Omega), the error of a run is
+`error_field` integrated alone from the run's initial error, and the
+energy decrease bound holds along certified trajectories.
 """
 
 import dataclasses
@@ -207,12 +209,8 @@ def _dpsi(p_mat, e):
 
 
 def nav_dpsi(p, e):
-    """vee(PE - (PE)^T) (`_dpsi`) of one rotation or of each of a stack.
-
-    The differential of psi along a one-parameter subgroup:
-    d/dt psi(E expm(t v))|_0 = <nav_dpsi(P, E), v>, the scale being pinned
-    by the finite-difference tests.  Vanishes at critical points.
-    """
+    """`_dpsi` of one rotation or of each of a stack; its scale is pinned
+    by the finite-difference tests."""
     return from_components(_dpsi(components(p, 2), components(e, 2)))
 
 
@@ -236,84 +234,71 @@ def error_state(r, omega, r_d, omega_d):
 
 
 # ---------------------------------------------------------------------------
-# integral state transport
+# the feedback, its error flow and the tracking laws
 # ---------------------------------------------------------------------------
 
-def _transport(i_inv, dpsi, c_eta, xi_i):
-    """Metric gradient of psi and the integral-state rate.
-
-    ``c_eta`` is the connection matrix C(eta) of `so3._conn_matrix`.
-    Returns (grad, xi_dot) with grad = I^{-1} dpsi and
-    xi_dot = grad - C(eta) xi_I = grad - conn(eta, xi_I).
-    """
-    grad = _matvec(i_inv, dpsi)
-    g0, g1, g2 = grad
+def _feedback(metric, p_mat, gains, e, eta, xi_i):
+    """(fb, xi_dot) of the module docstring, with the connection matrix
+    C(eta) (`so3._conn_matrix`) formed once for both; ``metric`` is the
+    (I, I^{-1}, Gamma) of `so3.metric_constants`."""
+    _, i_inv, gamma = metric
+    c_eta = _conn_matrix(gamma, eta)
+    g0, g1, g2 = _matvec(i_inv, _dpsi(p_mat, e))
     c0, c1, c2 = _matvec(c_eta, xi_i)
-    return grad, (g0 - c0, g1 - c1, g2 - c2)
+    (e0, e1, e2), (x0, x1, x2) = eta, xi_i
+    n0, n1, n2 = _matvec(c_eta, eta)
+    kp, kd, ki = gains.kp, gains.kd, gains.ki
+    return ((kp * g0 + kd * e0 + ki * x0 + n0,
+             kp * g1 + kd * e1 + ki * x1 + n1,
+             kp * g2 + kd * e2 + ki * x2 + n2),
+            (g0 - c0, g1 - c1, g2 - c2))
 
 
-def xi_I_deriv(p_metric, p, e, eta, xi_i):
-    """Time derivative of the integral state in trivialized coordinates.
-
-    Integrating
-        d(xi_I)/dt = metric^{-1} dpsi(E) - conn(eta, xi_I)
-    realizes the covariant transport rule: the covariant derivative of
-    xi_I along the error curve equals the metric gradient of psi.
+def error_field(i_metric, p, gains):
+    """The closed-loop error flow as a vector field for
+    `integrators.integrate_components`: one attitude E moving with body
+    velocity eta, and the vector state eta 0:3 | xi_I 3:6 with rates
+    (-fb, xi_dot) of `_feedback`.  Any run of the tracking law moves its
+    (E, eta, xi_I) by this flow.
 
     Raises:
-        SingularMetricError: if ``p_metric`` is not invertible.
+        SingularMetricError: if ``i_metric`` is not invertible.
     """
-    _, i_inv, gamma = metric_constants(p_metric)
-    dpsi = _dpsi(components(p, 2), components(e, 2))
-    _, xi_dot = _transport(i_inv, dpsi, _conn_matrix(gamma, components(eta)),
-                           components(xi_i))
-    return from_components(xi_dot)
+    metric = metric_constants(i_metric)
+    p_mat = components(p, 2)
 
+    def field(t, rots, vec):
+        e0, e1, e2, x0, x1, x2 = vec
+        (f0, f1, f2), xi_dot = _feedback(metric, p_mat, gains, rots[0],
+                                         (e0, e1, e2), (x0, x1, x2))
+        return ((e0, e1, e2),), (-f0, -f1, -f2, *xi_dot)
+    return field
 
-# ---------------------------------------------------------------------------
-# tracking laws
-# ---------------------------------------------------------------------------
 
 def _loop_kernel(metric, p_mat, gains, r, omega, r_d, omega_d,
                  omega_d_dot, xi_i):
-    """Commanded acceleration and integral-state rate, componentwise.
+    """Commanded acceleration u and integral-state rate, componentwise:
+    `_error`, then `_feedback`, then u of the module docstring.
 
     ``metric`` is the (I, I^{-1}, Gamma) of `so3.metric_constants` and
     ``p_mat`` the components of the weights, precomputed by the caller;
     the state arguments are components of one sample (floats, the
     integrator's hot path) or of a stack (columns, the run post-pass).
-    Intermediates (error rotation, error velocity, gradient, the
-    connection matrix C(eta)) are shared between the control and the
-    integral-state transport.  Returns (u, xi_dot).
     """
-    i_metric, i_inv, gamma = metric
     e, eta = _error(r, omega, r_d, omega_d)
-    c_eta = _conn_matrix(gamma, eta)
-    (g0, g1, g2), xi_dot = _transport(i_inv, _dpsi(p_mat, e), c_eta, xi_i)
-    e0, e1, e2 = eta
-    x0, x1, x2 = xi_i
-    c0, c1, c2 = _matvec(c_eta, eta)
-    kp, kd, ki = gains.kp, gains.kd, gains.ki
-    fb = (kp * g0 + kd * e0 + ki * x0 + c0,
-          kp * g1 + kd * e1 + ki * x1 + c1,
-          kp * g2 + kd * e2 + ki * x2 + c2)
-    # the Euler term -I^{-1}((I Omega) x Omega) is conn(Omega, Omega)
+    fb, xi_dot = _feedback(metric, p_mat, gains, e, eta, xi_i)
     a0, a1, a2 = omega_d_dot
     w0, w1, w2 = _cross(omega, omega_d)
-    n0, n1, n2 = _euler(i_metric, i_inv, omega)
+    n0, n1, n2 = _euler(metric[0], metric[1], omega)
     f0, f1, f2 = _matvec_t(r, fb)
     return (a0 + w0 + n0 + f0, a1 + w1 + n1 + f1, a2 + w2 + n2 + f2), xi_dot
 
 
 def control_uext(i_metric, p, gains, r, omega, r_d, omega_d, omega_d_dot, xi_i):
-    """Tracking control for the externally actuated body.
-
-    Returns the algebra-valued command u (rad/s^2) entering
+    """Tracking control for the externally actuated body: the command u
+    (rad/s^2) of the module docstring, entering
     dOmega = I^{-1}((I Omega) x Omega) + u; the physical torque realized on
-    the body is I @ u.  Feedback terms are formed in the error frame,
-    mapped through the metric sharp, and carried to the plant body frame
-    by R^T; the feed-forward is dOmega_d + Omega x Omega_d.
-    """
+    the body is I @ u."""
     u, _ = _loop_kernel(metric_constants(i_metric), components(p, 2), gains,
                         components(r, 2), components(omega),
                         components(r_d, 2), components(omega_d),

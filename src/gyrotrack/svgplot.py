@@ -13,6 +13,7 @@ import numpy as np
 _MAX_POINTS = 4000
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 56, 16, 28, 40
 _WIDTH, _PANEL_HEIGHT = 720, 260
+_FMAX, _UNIT = float(np.finfo(float).max), 2.0 ** 11
 
 
 @dataclass
@@ -38,10 +39,14 @@ def _thin(arr):
     return arr[::stride]
 
 
-def _ticks(lo, hi):
-    if hi <= lo:
-        hi = lo + 1.0
-    return np.linspace(lo, hi, 5)
+def _axis(arrs):
+    """Data range (lo, hi) of an axis in its unit, _UNIT for data past
+    _FMAX / _UNIT or else 1, so that a span times a pixel width (< 2**10)
+    and every coordinate stay finite; a power of two scales exactly."""
+    lo = min(float(a.min()) for a in arrs)
+    hi = max(float(a.max()) for a in arrs)
+    unit = _UNIT if max(-lo, hi) > _FMAX / _UNIT else 1.0
+    return lo / unit, hi / unit, unit
 
 
 def _panel_svg(panel, width, height, y_offset):
@@ -51,16 +56,20 @@ def _panel_svg(panel, width, height, y_offset):
 
     xs = [_thin(np.asarray(s.x, dtype=float)) for s in panel.series]
     ys = [_thin(np.asarray(s.y, dtype=float)) for s in panel.series]
-    xlo = min(float(x.min()) for x in xs)
-    xhi = max(float(x.max()) for x in xs)
-    ylo = min(float(y.min()) for y in ys)
-    yhi = max(float(y.max()) for y in ys)
+    xlo, xhi, xunit = _axis(xs)
+    ylo, yhi, yunit = _axis(ys)
+    # a flat range is widened by 1 (x; down at the top of the float range)
+    # or 0.5 each way (y), or by 2**-30 of its value if that is more
     if xhi == xlo:
-        xhi = xlo + 1.0
+        width = max(1.0, abs(xlo) * 2.0 ** -30)
+        xlo, xhi = ((xlo, xlo + width) if xlo + width <= _FMAX / xunit
+                    else (xlo - width, xlo))
     if yhi == ylo:
-        yhi, ylo = ylo + 0.5, ylo - 0.5
+        half = max(0.5, abs(ylo) * 2.0 ** -30)
+        yhi, ylo = ylo + half, ylo - half
     pad = 0.05 * (yhi - ylo)
-    ylo, yhi = ylo - pad, yhi + pad
+    # padded only as far as tick labels, scaled back, stay finite
+    ylo, yhi = max(ylo - pad, -_FMAX / yunit), min(yhi + pad, _FMAX / yunit)
 
     def px(x):
         return x0 + pw * (x - xlo) / (xhi - xlo)
@@ -79,22 +88,22 @@ def _panel_svg(panel, width, height, y_offset):
         f'font-size="11" font-family="sans-serif" '
         f'transform="rotate(-90 {x0 - 44} {y0 + ph / 2:.1f})">{panel.ylabel}</text>',
     ]
-    for tx in _ticks(xlo, xhi):
+    for tx in np.linspace(xlo, xhi, 5):
         parts.append(f'<line x1="{px(tx):.1f}" y1="{y0 + ph}" x2="{px(tx):.1f}" '
                      f'y2="{y0 + ph + 4}" stroke="#444"/>')
         parts.append(f'<text x="{px(tx):.1f}" y="{y0 + ph + 16}" '
                      f'text-anchor="middle" font-size="10" '
-                     f'font-family="sans-serif">{tx:.3g}</text>')
-    for ty in _ticks(ylo, yhi):
+                     f'font-family="sans-serif">{tx * xunit:.3g}</text>')
+    for ty in np.linspace(ylo, yhi, 5):
         parts.append(f'<line x1="{x0 - 4}" y1="{py(ty):.1f}" x2="{x0}" '
                      f'y2="{py(ty):.1f}" stroke="#444"/>')
         parts.append(f'<text x="{x0 - 6}" y="{py(ty):.1f}" text-anchor="end" '
                      f'dominant-baseline="middle" font-size="10" '
-                     f'font-family="sans-serif">{ty:.3g}</text>')
+                     f'font-family="sans-serif">{ty * yunit:.3g}</text>')
 
     for s, x, y in zip(panel.series, xs, ys):
         xy = np.empty(2 * len(x))
-        xy[0::2], xy[1::2] = px(x), py(y)
+        xy[0::2], xy[1::2] = px(x / xunit), py(y / yunit)
         pts = " ".join(["%.2f,%.2f"] * len(x)) % tuple(xy.tolist())
         parts.append(f'<polyline points="{pts}" fill="none" '
                      f'stroke="{s.color}" stroke-width="1.2"/>')

@@ -535,6 +535,26 @@ class TestPlot:
         assert main(["plot", str(csv), "-o", str(out)]) == 0
         assert svg_digests(out) == PINNED_SVG_SHA256
 
+    @pytest.mark.parametrize("edits", [
+        {(2, "uint1"): "1e200"},
+        {(1, "R11"): "1e308", (3, "R11"): "-1e308", (2, "psi_E"): "1.7e308",
+         (1, "uint1"): "1e308", (1, "uint2"): "-1e308", (1, "uint3"): "1e308"}],
+        ids=["effort 1e200", "entries 1e308"])
+    def test_huge_finite_telemetry_plots_finite(self, edits, tmp_path,
+                                                recwarn):
+        # neither the effort norm nor an axis span overflows
+        names = GOLDEN_HEADER.split(",")
+        rows = [row.split(",") for row in PINNED_ROWS]
+        for (k, name), value in edits.items():
+            rows[k][names.index(name)] = value
+        csv = write_telemetry(tmp_path / "huge.csv", map(",".join, rows))
+        out = tmp_path / "huge.svg"
+        assert main(["plot", str(csv), "-o", str(out)]) == 0
+        for name in svg_digests(out):
+            assert not re.search(r"\b(nan|inf)\b",
+                                 (tmp_path / name).read_text())
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+
     def test_single_row_plots(self, tmp_path):
         csv = write_telemetry(tmp_path / "one.csv", PINNED_ROWS[:1])
         assert main(["plot", str(csv), "-o", str(tmp_path / "one.svg")]) == 0
@@ -607,14 +627,19 @@ class TestCheck:
 
 
 # inputs whose step count or gain certificate leaves the float range,
-# above or below
+# above or below, with the key the error names: the step count's is
+# integrator.duration; a certificate names none, since no single input
+# is at fault
 OVERFLOW_EDITS = {
-    "duration 1e308": {"integrator.duration": "1e308"},
-    "step 1e-300": {"integrator.step": "1e-300"},
-    "kappa 1.5e300": {"gains.mu_hess": "1e-300", "gains.kappa": "1.5e300"},
-    "kappa 1e200": {"gains.mu_hess": "1.5e-200", "gains.kappa": "1e200"},
-    "ki 1e-110": {"gains.ki": "1e-110"},
-    "kd 1e-90": {"gains.kd": "1e-90"},
+    "duration 1e308": ({"integrator.duration": "1e308"}, "integrator.duration"),
+    "step 1e-300": ({"integrator.step": "1e-300"}, "integrator.duration"),
+    "kappa 1.5e300": ({"gains.mu_hess": "1e-300", "gains.kappa": "1.5e300"},
+                      None),
+    "kappa 1e200": ({"gains.mu_hess": "1.5e-200", "gains.kappa": "1e200"},
+                    None),
+    "ki 1e-110": ({"gains.ki": "1e-110"}, None),
+    "kd 1e-90": ({"gains.kd": "1e-90"}, None),
+    "kd 1e80": ({"gains.kd": "1e80"}, None),
 }
 
 
@@ -628,26 +653,25 @@ def _run_one_error(argv, capsys):
 
 
 class TestOutOfRangeInputs:
-    @pytest.mark.parametrize("edits", OVERFLOW_EDITS.values(),
+    @pytest.mark.parametrize("edits, key", OVERFLOW_EDITS.values(),
                              ids=OVERFLOW_EDITS.keys())
     @pytest.mark.parametrize("command", ["check", "tune-gains", "simulate"])
-    def test_named_config_error(self, edits, command, tmp_path, capsys,
+    def test_named_config_error(self, edits, key, command, tmp_path, capsys,
                                 recwarn):
         text = ZERO_CFG.read_text()
         for name, value in edits.items():
             text = re.sub(rf"^{re.escape(name)} = .*$", f"{name} = {value}",
                           text, flags=re.MULTILINE)
-        section = next(iter(edits)).split(".")[0]
         with pytest.raises(ConfigParseError) as exc:
             parse_config(text)
-        assert exc.value.key.startswith(section + ".")
+        assert exc.value.key == key
         cfg = tmp_path / "out_of_range.cfg"
         cfg.write_text(text)
         argv = [command, str(cfg)]
         if command == "simulate":
             argv += ["-o", str(tmp_path / "run.csv")]
         err = _run_one_error(argv, capsys)
-        assert f"key '{section}." in err
+        assert f"key '{key}'" in err if key else "key '" not in err
         assert not [w for w in recwarn if w.category is RuntimeWarning]
         assert not (tmp_path / "run.csv").exists()
 

@@ -93,11 +93,19 @@ class TestErrorState:
                        - control.nav_psi(p, g @ np.linalg.inv(h))) < 1e-10
 
 
+def xi_dot(i, p, e, eta, xi):
+    """The integral-state rate: `error_field`'s last three slots."""
+    field = control.error_field(i, p, scenario.benchmark_gains())
+    _, rates = field(0.0, [so3.components(e, 2)],
+                     [*so3.components(eta), *so3.components(xi)])
+    assert all(type(x) is float for x in rates)
+    return np.array(rates[3:])
+
+
 class TestIntegralTransport:
     def test_stationary_minimum(self):
         i = random_spd(np.random.default_rng(23))
-        out = control.xi_I_deriv(i, np.eye(3), np.eye(3), np.zeros(3),
-                                 np.zeros(3))
+        out = xi_dot(i, np.eye(3), np.eye(3), np.zeros(3), np.zeros(3))
         assert np.allclose(out, np.zeros(3), atol=1e-15)
 
     def test_transport_term_vanishes_at_rest(self):
@@ -106,14 +114,14 @@ class TestIntegralTransport:
         p = _random_weights(rng)
         e = random_rotation(rng)
         xi = rng.normal(size=3)
-        out = control.xi_I_deriv(i, p, e, np.zeros(3), xi)
+        out = xi_dot(i, p, e, np.zeros(3), xi)
         dpsi = control.nav_dpsi(p, e)
         assert np.allclose(out, np.linalg.solve(i, dpsi), atol=1e-12)
 
     def test_singular_metric_rejected(self):
         with pytest.raises(SingularMetricError):
-            control.xi_I_deriv(np.zeros((3, 3)), np.eye(3), np.eye(3),
-                               np.ones(3), np.ones(3))
+            xi_dot(np.zeros((3, 3)), np.eye(3), np.eye(3), np.ones(3),
+                   np.ones(3))
 
     def test_covariant_transport_along_trajectory(self, certified_zero_run):
         # (xi(t+h) - xi(t))/h + conn(eta, xi) == grad psi up to O(h)

@@ -131,6 +131,7 @@ _CONSTANTS = {
     "p": so3.components(_P, 2),
     "plant": dynamics.kernel_constants(_PLANT),
 }
+_ERROR_FIELD = control.error_field(_PLANT.body_inertia, _P, _GAINS)
 
 # name -> (kernel, per-sample shapes of its arguments)
 KERNELS = {
@@ -153,9 +154,11 @@ KERNELS = {
                      ((3,), (3,), (3,))),
     "error": (control._error, ((3, 3), (3,), (3, 3), (3,))),
     "dpsi": (lambda e: control._dpsi(_CONSTANTS["p"], e), ((3, 3),)),
-    "transport": (lambda d, eta, xi: control._transport(
-        _CONSTANTS["i_inv"], d, so3._conn_matrix(_CONSTANTS["gamma"], eta),
-        xi), ((3,), (3,), (3,))),
+    "feedback": (lambda e, eta, xi: control._feedback(
+        _METRIC, _CONSTANTS["p"], _GAINS, e, eta, xi),
+                 ((3, 3), (3,), (3,))),
+    "error_field": (lambda e, vec: _ERROR_FIELD(0.0, [e], vec),
+                    ((3, 3), (6,))),
     "loop_kernel": (lambda *args: control._loop_kernel(
         _METRIC, _CONSTANTS["p"], _GAINS, *args),
         ((3, 3), (3,), (3, 3), (3,), (3,), (3,))),

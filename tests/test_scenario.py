@@ -271,36 +271,73 @@ def _haar_rotation(u1, u2, u3):
         [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
 
 
+def error_flow_gap(cfg, traj, duration=None):
+    """Largest entry gap between a run's (E, eta, xi_I) and
+    `control.error_field` integrated alone from the run's initial error,
+    over the run's first ``duration`` seconds (all of it by default)."""
+    e, eta = control.error_state(traj.R, traj.Omega, traj.R_d, traj.Omega_d)
+    integrator = dataclasses.replace(
+        cfg.integrator, duration=duration or cfg.integrator.duration)
+    field = control.error_field(cfg.plant.params.body_inertia, cfg.weights.P,
+                                cfg.gains)
+    hist = integrate_components(
+        field, ((e[0],), np.concatenate([eta[0], traj.xi_I[0]])), integrator)
+    n = len(hist.times)
+    return max(np.abs(hist.rotations[0] - e[:n]).max(),
+               np.abs(hist.vectors - np.hstack([eta, traj.xi_I])[:n]).max())
+
+
+def _inertia(axes, moments, log_rotors):
+    q = so3.expm(axes)
+    i = q @ np.diag(moments) @ q.T
+    return dynamics.InertiaParams(0.5 * (i + i.T), 10.0 ** log_rotors)
+
+
 @settings(max_examples=5, deadline=None)
 @given(axes=_vectors(-3.0, 3.0), moments=_vectors(0.5, 4.0),
-       log_rotors=_vectors(-20.0, 1.0), amplitude=_vectors(-5.0, 5.0),
-       haar=_vectors(0.0, 1.0))
+       log_rotors=_vectors(-20.0, 1.0), plant_axes=_vectors(-3.0, 3.0),
+       plant_moments=_vectors(0.5, 4.0), plant_log_rotors=_vectors(-20.0, 1.0),
+       amplitude=_vectors(-5.0, 5.0), haar=_vectors(0.0, 1.0))
 def test_error_state_independent_of_reference_program(
-        axes, moments, log_rotors, amplitude, haar):
+        axes, moments, log_rotors, plant_axes, plant_moments,
+        plant_log_rotors, amplitude, haar):
     # the feed-forward makes the error dynamics autonomous: under the same
     # initial error, every torque program driving the reference (of any
     # SPD inertia and rotor inertias from 1e-20 to 10) gives one error
-    # curve; a sign or frame error in dOmega_d, Omega x Omega_d or the
-    # Euler term breaks it
-    q = so3.expm(axes)
-    i_d = q @ np.diag(moments) @ q.T
+    # curve, the error flow `control.error_field` integrated alone from
+    # that error, whatever the plant's inertias; a sign or frame error in
+    # dOmega_d, Omega x Omega_d, the Euler term or `_uint` breaks it
     base = short_config(duration=0.5)
     reference = dataclasses.replace(
-        base.reference,
-        params=dynamics.InertiaParams(0.5 * (i_d + i_d.T), 10.0 ** log_rotors))
-    plant = dataclasses.replace(base.plant, R0=_haar_rotation(*haar))
+        base.reference, params=_inertia(axes, moments, log_rotors))
+    plant = dataclasses.replace(
+        base.plant, params=_inertia(plant_axes, plant_moments,
+                                    plant_log_rotors),
+        R0=_haar_rotation(*haar))
     runs = {}
     for kind in scenario.PROGRAM_KINDS:
         cfg = dataclasses.replace(
             base, plant=plant, reference=reference,
             program=scenario.ReferenceProgram(kind, amplitude))
         traj, metrics = scenario.run_closed_loop(cfg)
+        assert error_flow_gap(cfg, traj) <= 1e-10
         _, eta = control.error_state(traj.R, traj.Omega, traj.R_d,
                                      traj.Omega_d)
         runs[kind] = metrics.psi_e, eta, traj.xi_I
     for kind in ("constant", "sinusoid"):
         for zero, other in zip(runs["zero"], runs[kind]):
             assert np.abs(other - zero).max() <= 1e-9
+
+
+@pytest.mark.parametrize("fixture, index", [
+    ("equivalence_runs", 1), ("equivalence_runs", 2),
+    ("certified_zero_run", None)],
+    ids=["stored internal", "stored external", "certified internal"])
+def test_run_error_is_error_flow(fixture, index, request):
+    # 10 s of the bundled runs, both gain sets and both actuations
+    run = request.getfixturevalue(fixture)
+    traj = run[1] if index is None else run[index][0]
+    assert error_flow_gap(run[0], traj, duration=10.0) <= 1e-10
 
 
 @pytest.fixture(scope="module")

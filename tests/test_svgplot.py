@@ -3,10 +3,12 @@
 ``_panel_svg`` computes each series' pixel coordinates as arrays and
 formats the whole polyline in one ``%`` operation.  The arithmetic is the
 same as the per-point closures', in the same order, so the text must be
-identical, including at the ``.xx5`` rounding ties.
+identical, including at the ``.xx5`` rounding ties.  Over the whole float
+range, the text holds no non-finite number.
 """
 
 import re
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
@@ -73,3 +75,19 @@ def test_bulk_polyline_matches_per_point_loop(panel, y_offset):
     text = "\n".join(svgplot._panel_svg(panel, 720, 260, y_offset))
     assert (re.findall(r'<polyline points="([^"]*)"', text)
             == per_point_polylines(panel, 720, 260, y_offset))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=6))
+def test_finite_data_gives_finite_text(data, n):
+    # spans, pads and tick labels of any finite data stay in the float range
+    x, y = (np.array(data.draw(st.lists(_FINITE, min_size=n, max_size=n)))
+            for _ in range(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text = "\n".join(svgplot._panel_svg(
+            Panel(series=[Series(x, y)]), 720, 260, 0))
+    assert not re.search(r"\b(nan|inf)\b", text)
