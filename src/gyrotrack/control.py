@@ -57,9 +57,8 @@ import numpy as np
 
 from .dynamics import kernel_constants
 from .errors import GainSynthesisError, KappaOutOfRangeError
-from .so3 import (_conn_matrix, _cross, _euler, _matmul_t, _matvec,
-                  _matvec_t, components, expm, from_components, hat,
-                  metric_constants, metric_inverse, skew_vee,
+from .so3 import (_conn_matrix, _euler, components, expm, from_components,
+                  hat, metric_constants, metric_inverse, skew_vee,
                   spd_eigenvalues)
 
 # Certification constants used by the bundled benchmark gain set (k_p, k_d,
@@ -216,9 +215,17 @@ def nav_dpsi(p, e):
 
 def _error(r, omega, r_d, omega_d):
     """E = R_d R^T and eta = R (Omega_d - Omega)."""
-    w0, w1, w2 = omega
-    d0, d1, d2 = omega_d
-    return _matmul_t(r_d, r), _matvec(r, (d0 - w0, d1 - w1, d2 - w2))
+    r0, r1, r2, r3, r4, r5, r6, r7, r8 = r
+    q0, q1, q2, q3, q4, q5, q6, q7, q8 = r_d
+    (w0, w1, w2), (d0, d1, d2) = omega, omega_d
+    v0, v1, v2 = d0 - w0, d1 - w1, d2 - w2
+    return ((q0 * r0 + q1 * r1 + q2 * r2, q0 * r3 + q1 * r4 + q2 * r5,
+             q0 * r6 + q1 * r7 + q2 * r8, q3 * r0 + q4 * r1 + q5 * r2,
+             q3 * r3 + q4 * r4 + q5 * r5, q3 * r6 + q4 * r7 + q5 * r8,
+             q6 * r0 + q7 * r1 + q8 * r2, q6 * r3 + q7 * r4 + q8 * r5,
+             q6 * r6 + q7 * r7 + q8 * r8),
+            (r0 * v0 + r1 * v1 + r2 * v2, r3 * v0 + r4 * v1 + r5 * v2,
+             r6 * v0 + r7 * v1 + r8 * v2))
 
 
 def error_state(r, omega, r_d, omega_d):
@@ -242,16 +249,23 @@ def _feedback(metric, p_mat, gains, e, eta, xi_i):
     C(eta) (`so3._conn_matrix`) formed once for both; ``metric`` is the
     (I, I^{-1}, Gamma) of `so3.metric_constants`."""
     _, i_inv, gamma = metric
-    c_eta = _conn_matrix(gamma, eta)
-    g0, g1, g2 = _matvec(i_inv, _dpsi(p_mat, e))
-    c0, c1, c2 = _matvec(c_eta, xi_i)
+    c0, c1, c2, c3, c4, c5, c6, c7, c8 = _conn_matrix(gamma, eta)
+    m0, m1, m2, m3, m4, m5, m6, m7, m8 = i_inv
+    d0, d1, d2 = _dpsi(p_mat, e)
     (e0, e1, e2), (x0, x1, x2) = eta, xi_i
-    n0, n1, n2 = _matvec(c_eta, eta)
+    g0 = m0 * d0 + m1 * d1 + m2 * d2
+    g1 = m3 * d0 + m4 * d1 + m5 * d2
+    g2 = m6 * d0 + m7 * d1 + m8 * d2
+    n0 = c0 * e0 + c1 * e1 + c2 * e2
+    n1 = c3 * e0 + c4 * e1 + c5 * e2
+    n2 = c6 * e0 + c7 * e1 + c8 * e2
     kp, kd, ki = gains.kp, gains.kd, gains.ki
     return ((kp * g0 + kd * e0 + ki * x0 + n0,
              kp * g1 + kd * e1 + ki * x1 + n1,
              kp * g2 + kd * e2 + ki * x2 + n2),
-            (g0 - c0, g1 - c1, g2 - c2))
+            (g0 - (c0 * x0 + c1 * x1 + c2 * x2),
+             g1 - (c3 * x0 + c4 * x1 + c5 * x2),
+             g2 - (c6 * x0 + c7 * x1 + c8 * x2)))
 
 
 def error_field(i_metric, p, gains):
@@ -286,12 +300,14 @@ def _loop_kernel(metric, p_mat, gains, r, omega, r_d, omega_d,
     integrator's hot path) or of a stack (columns, the run post-pass).
     """
     e, eta = _error(r, omega, r_d, omega_d)
-    fb, xi_dot = _feedback(metric, p_mat, gains, e, eta, xi_i)
-    a0, a1, a2 = omega_d_dot
-    w0, w1, w2 = _cross(omega, omega_d)
+    (b0, b1, b2), xi_dot = _feedback(metric, p_mat, gains, e, eta, xi_i)
+    r0, r1, r2, r3, r4, r5, r6, r7, r8 = r
+    (a0, a1, a2), (w0, w1, w2), (v0, v1, v2) = omega_d_dot, omega, omega_d
     n0, n1, n2 = _euler(metric[0], metric[1], omega)
-    f0, f1, f2 = _matvec_t(r, fb)
-    return (a0 + w0 + n0 + f0, a1 + w1 + n1 + f1, a2 + w2 + n2 + f2), xi_dot
+    return ((a0 + (w1 * v2 - w2 * v1) + n0 + (r0 * b0 + r3 * b1 + r6 * b2),
+             a1 + (w2 * v0 - w0 * v2) + n1 + (r1 * b0 + r4 * b1 + r7 * b2),
+             a2 + (w0 * v1 - w1 * v0) + n2 + (r2 * b0 + r5 * b1 + r8 * b2)),
+            xi_dot)
 
 
 def control_uext(i_metric, p, gains, r, omega, r_d, omega_d, omega_d_dot, xi_i):
@@ -312,10 +328,10 @@ def _uint(consts, u_ext, omega, omega_r):
     _, (k0, k1, k2), _ = consts
     w0, w1, w2 = omega
     r0, r1, r2 = omega_r
-    c0, c1, c2 = _cross((k0 * (w0 + r0), k1 * (w1 + r1), k2 * (w2 + r2)),
-                        omega)
+    p0, p1, p2 = k0 * (w0 + r0), k1 * (w1 + r1), k2 * (w2 + r2)
     u0, u1, u2 = u_ext
-    return c0 - u0, c1 - u1, c2 - u2
+    return ((p1 * w2 - p2 * w1) - u0, (p2 * w0 - p0 * w2) - u1,
+            (p0 * w1 - p1 * w0) - u2)
 
 
 def control_uint(params, u_ext, omega, omega_r):

@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .so3 import (_cross, _euler, _matvec, components, from_components,
+from .so3 import (_euler, _matvec, components, from_components,
                   metric_inverse, spd_eigenvalues)
 
 
@@ -121,9 +121,15 @@ def _rotor_accels(consts, omega, omega_r, u_int):
     with I^{-1} and the rotor inertias k from `kernel_constants`.
     """
     _, (k0, k1, k2), i_inv = consts
-    f0, f1, f2 = _cross(_momentum(consts, omega, omega_r), omega)
-    u0, u1, u2 = u_int
-    d0, d1, d2 = _matvec(i_inv, (f0 - u0, f1 - u1, f2 - u2))
+    m0, m1, m2, m3, m4, m5, m6, m7, m8 = i_inv
+    p0, p1, p2 = _momentum(consts, omega, omega_r)
+    (w0, w1, w2), (u0, u1, u2) = omega, u_int
+    f0 = (p1 * w2 - p2 * w1) - u0
+    f1 = (p2 * w0 - p0 * w2) - u1
+    f2 = (p0 * w1 - p1 * w0) - u2
+    d0 = m0 * f0 + m1 * f1 + m2 * f2
+    d1 = m3 * f0 + m4 * f1 + m5 * f2
+    d2 = m6 * f0 + m7 * f1 + m8 * f2
     return (d0, d1, d2), (u0 / k0 - d0, u1 / k1 - d1, u2 / k2 - d2)
 
 

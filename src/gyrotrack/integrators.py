@@ -6,7 +6,8 @@ order and ``vectors`` one flat sequence of Python floats holding every
 vector-valued state.  A vector field maps ``(t, rotations, vectors)`` to
 ``(body_velocities, vector_derivative)``: 3 floats per rotation and one
 per vector slot.  The integrator owns the group update, advancing each
-rotation by a right-multiplied exponential.
+rotation by a right-multiplied exponential, each update R expm(sigma)
+one call of `so3._mul_expm`.
 
 `integrate_components` is the one integration loop and takes such a
 field directly; the package's own fields (`scenario`'s closed loop and
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergedStateError
-from .so3 import _cross, _matmul, _rodrigues, components
+from .so3 import _matmul, _mul_expm, components
 
 SCHEMES = ("lie_euler", "rk4_munthe_kaas")
 
@@ -112,12 +113,12 @@ def _dexpinv_right(sigma, b):
     For R(t) = R0 expm(sigma(t)) and dR = R hat(b):
     d(sigma)/dt = b + 1/2 sigma x b + 1/12 sigma x (sigma x b).
     """
+    s0, s1, s2 = sigma
     b0, b1, b2 = b
-    sxb = _cross(sigma, b)
-    x0, x1, x2 = sxb
-    y0, y1, y2 = _cross(sigma, sxb)
-    return (b0 + 0.5 * x0 + y0 / 12.0, b1 + 0.5 * x1 + y1 / 12.0,
-            b2 + 0.5 * x2 + y2 / 12.0)
+    x0, x1, x2 = s1 * b2 - s2 * b1, s2 * b0 - s0 * b2, s0 * b1 - s1 * b0
+    return (b0 + 0.5 * x0 + (s1 * x2 - s2 * x1) / 12.0,
+            b1 + 0.5 * x1 + (s2 * x0 - s0 * x2) / 12.0,
+            b2 + 0.5 * x2 + (s0 * x1 - s1 * x0) / 12.0)
 
 
 def _finite(rots, vec):
@@ -136,12 +137,12 @@ def step_lie(vector_field, t, state, h, scheme="rk4_munthe_kaas",
     the chosen scheme; vector components follow the matching classical
     Runge-Kutta stages.  With ``reproject`` the updated rotations are
     snapped back to SO(3) by polar projection.  All on components; each
-    update R expm(sigma) is `so3._matmul` of R and `so3._rodrigues`.
+    update R expm(sigma) is `so3._mul_expm`.
     """
     rots, vec = state
     if scheme == "lie_euler":
         omegas, vdot = vector_field(t, rots, vec)
-        new_rots = [_matmul(r, _rodrigues((h * w0, h * w1, h * w2)))
+        new_rots = [_mul_expm(r, (h * w0, h * w1, h * w2))
                     for r, (w0, w1, w2) in zip(rots, omegas)]
         new_vec = [x + h * d for x, d in zip(vec, vdot)]
     elif scheme == "rk4_munthe_kaas":
@@ -151,7 +152,7 @@ def step_lie(vector_field, t, state, h, scheme="rk4_munthe_kaas",
         for c in (0.5 * h, 0.5 * h, h):
             sigma = [(c * w0, c * w1, c * w2) for w0, w1, w2 in ks[-1]]
             b, v = vector_field(
-                t + c, [_matmul(r, _rodrigues(s)) for r, s in zip(rots, sigma)],
+                t + c, [_mul_expm(r, s) for r, s in zip(rots, sigma)],
                 [x + c * d for x, d in zip(vec, vs[-1])])
             ks.append([_dexpinv_right(s, w) for s, w in zip(sigma, b)])
             vs.append(v)
@@ -159,9 +160,9 @@ def step_lie(vector_field, t, state, h, scheme="rk4_munthe_kaas",
 
         sixth = h / 6.0
         new_rots = [
-            _matmul(r, _rodrigues((sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
-                                   sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
-                                   sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2))))
+            _mul_expm(r, (sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
+                          sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+                          sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)))
             for r, (a0, a1, a2), (b0, b1, b2), (c0, c1, c2), (d0, d1, d2)
             in zip(rots, k1, k2, k3, k4)]
         new_vec = [x + sixth * (a + 2.0 * b + 2.0 * c + d)

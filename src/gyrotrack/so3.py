@@ -12,22 +12,35 @@ Conventions used throughout the package are fixed here:
 
 Componentwise kernels.  Each per-sample formula of the closed loop
 (here: the cross product, matrix products, the skew part, the
-Levi-Civita connection and the Rodrigues exponential) is written once,
-as a private function over scalar components: a vector is a sequence of
-3 components, a matrix a sequence of 9 in row-major order.  The same
-source runs on Python floats for one sample (``components`` of a (3,) or
-(3, 3) array, i.e. its ``tolist()``), which is what the integrator's hot
-path uses, and on (n,) sample columns for a stack (``components`` of an
-(n, 3) or (n, 3, 3) array, the transposed stack), which is what the run
-post-pass uses.  numpy arrays appear only at the adapters: the public
-functions (``cross3``, ``skew_vee``, ``connection_term``, ``expm``, ...)
-unpack their arguments with ``components``, call the kernel and pack the
-result with ``from_components``.  Python floats raise where numpy
-returns inf or NaN (``**`` overflow, division by zero, ``math.sin(inf)``),
-so the kernels use no ``**`` and divide by a state-derived value only
-behind a branch that keeps it away from zero and from inf (the Rodrigues
-coefficients): an overflowing state gives inf or NaN on floats as on
-arrays, not an exception.
+Levi-Civita connection and the exponential update R expm(v)) is written
+once, as a private function over scalar components: a vector is a
+sequence of 3 components, a matrix a sequence of 9 in row-major order.
+The same source runs on Python floats for one sample (``components`` of
+a (3,) or (3, 3) array, i.e. its ``tolist()``), which is what the
+integrator's hot path uses, and on (n,) sample columns for a stack
+(``components`` of an (n, 3) or (n, 3, 3) array, the transposed stack),
+which is what the run post-pass uses.  numpy arrays appear only at the
+adapters: the public functions (``cross3``, ``skew_vee``,
+``connection_term``, ``expm``, ...) unpack their arguments with
+``components``, call the kernel and pack the result with
+``from_components``.  Python floats raise where numpy returns inf or NaN
+(``**`` overflow, division by zero, ``math.sin(inf)``), so the kernels
+use no ``**`` and divide by a state-derived value only behind a branch
+that keeps it away from zero and from inf (the Rodrigues coefficients):
+an overflowing state gives inf or NaN on floats as on arrays, not an
+exception.
+
+The paper's formulas are kernels that call each other: `_euler` here,
+the error, feedback, control and torque-conversion kernels of
+`control`, the block solve of `dynamics` and the dexp^{-1} series of
+`integrators`.  The generic 3x3 products inside them (cross products,
+matrix-vector and matrix-matrix products) are written out in place,
+with the same products in the same order as the primitive here forms
+them, which saves a Python call per product on the integrator's hot
+path; the test suite pins each such kernel bit-equal to the composition
+of primitives it replaces.  `_mul_expm` likewise forms the Rodrigues
+entries Q of expm(v) and then R Q as `_matmul` does, so each group
+update of a step is one call; `expm` is `_mul_expm` of the identity.
 
 The connection is written once, as the matrix C(a) of b -> nabla_a b
 (`_conn_matrix`, 45 float operations from the table Gamma); `_conn` is
@@ -46,6 +59,7 @@ from .errors import NotSkewError, SingularMetricError
 _SMALL_ANGLE = 1e-8
 _SKEW_TOL = 1e-12
 _ROTATION_TOL = 1e-9
+_IDENTITY = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 
 
 def hat(v):
@@ -179,8 +193,10 @@ def vee(m):
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
-def _rodrigues(v):
-    """Entries of expm(v), row-major; see `expm`."""
+def _mul_expm(r, v):
+    """Entries of R expm(v), row-major; see `expm`.  The Rodrigues
+    entries Q of expm(v) are formed first, then R Q as `_matmul` forms
+    it."""
     x, y, z = v
     theta2 = x * x + y * y + z * z
     theta = math.sqrt(theta2)
@@ -195,9 +211,19 @@ def _rodrigues(v):
     d = 1.0 - b * theta2
     ax, ay, az = a * x, a * y, a * z
     bxy, byz, bxz = b * x * y, b * y * z, b * x * z
-    return (d + b * x * x, bxy - az, bxz + ay,
-            bxy + az, d + b * y * y, byz - ax,
-            bxz - ay, byz + ax, d + b * z * z)
+    q0, q1, q2 = d + b * x * x, bxy - az, bxz + ay
+    q3, q4, q5 = bxy + az, d + b * y * y, byz - ax
+    q6, q7, q8 = bxz - ay, byz + ax, d + b * z * z
+    r0, r1, r2, r3, r4, r5, r6, r7, r8 = r
+    return (r0 * q0 + r1 * q3 + r2 * q6,
+            r0 * q1 + r1 * q4 + r2 * q7,
+            r0 * q2 + r1 * q5 + r2 * q8,
+            r3 * q0 + r4 * q3 + r5 * q6,
+            r3 * q1 + r4 * q4 + r5 * q7,
+            r3 * q2 + r4 * q5 + r5 * q8,
+            r6 * q0 + r7 * q3 + r8 * q6,
+            r6 * q1 + r7 * q4 + r8 * q7,
+            r6 * q2 + r7 * q5 + r8 * q8)
 
 
 def expm(v):
@@ -213,7 +239,7 @@ def expm(v):
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expm takes one 3-vector, got shape {v.shape}")
-    return from_components(_rodrigues(v.tolist()), (3, 3))
+    return from_components(_mul_expm(_IDENTITY, v.tolist()), (3, 3))
 
 
 def logm(r):
@@ -335,7 +361,16 @@ def _conn(gamma, a, b):
 def _euler(i_metric, i_inv, a):
     """The Euler term nabla_a a = -I^{-1}((I a) x a), in closed form as
     I^{-1}(a x (I a)), from the components of `metric_inverse`."""
-    return _matvec(i_inv, _cross(a, _matvec(i_metric, a)))
+    i0, i1, i2, i3, i4, i5, i6, i7, i8 = i_metric
+    n0, n1, n2, n3, n4, n5, n6, n7, n8 = i_inv
+    a0, a1, a2 = a
+    p0 = i0 * a0 + i1 * a1 + i2 * a2
+    p1 = i3 * a0 + i4 * a1 + i5 * a2
+    p2 = i6 * a0 + i7 * a1 + i8 * a2
+    c0, c1, c2 = a1 * p2 - a2 * p1, a2 * p0 - a0 * p2, a0 * p1 - a1 * p0
+    return (n0 * c0 + n1 * c1 + n2 * c2,
+            n3 * c0 + n4 * c1 + n5 * c2,
+            n6 * c0 + n7 * c1 + n8 * c2)
 
 
 def connection_term(i_metric, a, b):

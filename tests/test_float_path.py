@@ -235,16 +235,151 @@ def test_snap_so3_equals_full_gram_step(r):
         1.5 * a - 0.5 * b for a, b in zip(r, m))
 
 
+# The paper-level kernels write out their 3x3 products; each equals, bit
+# for bit, the composition of the `so3` primitives it replaces.
+
+def _spd(m):
+    return m @ m.T + 0.5 * np.eye(3)
+
+
+_VECTOR = arrays(np.float64, 3, elements=st.floats(-3.0, 3.0))
+_MATRIX = arrays(np.float64, (3, 3), elements=st.floats(-2.0, 2.0))
+_POSITIVES = st.tuples(*[st.floats(0.1, 10.0)] * 3)
+_COMPOSED = settings(max_examples=200, deadline=None)
+
+
+def _vectors(n):
+    return st.tuples(*[_VECTOR] * n).map(lambda vs: [v.tolist() for v in vs])
+
+
+def _matrices(n):
+    return st.tuples(*[_MATRIX] * n).map(
+        lambda ms: [m.ravel().tolist() for m in ms])
+
+
+def _diff(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _composed_error(r, omega, r_d, omega_d):
+    return so3._matmul_t(r_d, r), so3._matvec(r, _diff(omega_d, omega))
+
+
+def _composed_feedback(metric, p, gains, e, eta, xi):
+    _, i_inv, gamma = metric
+    c_eta = so3._conn_matrix(gamma, eta)
+    g = so3._matvec(i_inv, control._dpsi(p, e))
+    n = so3._matvec(c_eta, eta)
+    fb = tuple(gains.kp * gk + gains.kd * ek + gains.ki * xk + nk
+               for gk, ek, xk, nk in zip(g, eta, xi, n))
+    return fb, _diff(g, so3._matvec(c_eta, xi))
+
+
+def _composed_loop_kernel(metric, p, gains, r, omega, r_d, omega_d,
+                          omega_d_dot, xi):
+    e, eta = control._error(r, omega, r_d, omega_d)
+    fb, xi_dot = control._feedback(metric, p, gains, e, eta, xi)
+    u = (a + w + n + f for a, w, n, f in zip(
+        omega_d_dot, so3._cross(omega, omega_d),
+        so3._euler(metric[0], metric[1], omega), so3._matvec_t(r, fb)))
+    return tuple(u), xi_dot
+
+
+def _composed_rotor_accels(consts, omega, omega_r, u):
+    _, k, i_inv = consts
+    f = so3._cross(dynamics._momentum(consts, omega, omega_r), omega)
+    d = so3._matvec(i_inv, _diff(f, u))
+    return d, tuple(uj / kj - dj for uj, kj, dj in zip(u, k, d))
+
+
+def _composed_dexpinv_right(sigma, b):
+    sxb = so3._cross(sigma, b)
+    return tuple(bj + 0.5 * xj + yj / 12.0 for bj, xj, yj in zip(
+        b, sxb, so3._cross(sigma, sxb)))
+
+
+def _gains(kp, kd, ki):
+    return control.GainSet(kp, kd, ki, 0.6, 2.0048, 1.42)
+
+
+def _plant(m, k):
+    return dynamics.kernel_constants(dynamics.InertiaParams(_spd(m), k))
+
+
+@_COMPOSED
+@given(m=_MATRIX, a=_VECTOR)
+def test_euler_equals_composed_products(m, a):
+    i, i_inv = so3.metric_inverse(_spd(m))
+    a = a.tolist()
+    assert so3._euler(i, i_inv, a) == so3._matvec(
+        i_inv, so3._cross(a, so3._matvec(i, a)))
+
+
+@_COMPOSED
+@given(rs=_matrices(2), ws=_vectors(2))
+def test_error_equals_composed_products(rs, ws):
+    args = rs[0], ws[0], rs[1], ws[1]
+    assert control._error(*args) == _composed_error(*args)
+
+
+@_COMPOSED
+@given(m=_MATRIX, ms=_matrices(2), vs=_vectors(2),
+       gains=_POSITIVES)
+def test_feedback_equals_composed_products(m, ms, vs, gains):
+    args = (so3.metric_constants(_spd(m)), ms[0], _gains(*gains), ms[1],
+            *vs)
+    assert control._feedback(*args) == _composed_feedback(*args)
+
+
+@_COMPOSED
+@given(m=_MATRIX, ms=_matrices(3), vs=_vectors(4),
+       gains=_POSITIVES)
+def test_loop_kernel_equals_composed_products(m, ms, vs, gains):
+    args = (so3.metric_constants(_spd(m)), ms[0], _gains(*gains), ms[1],
+            vs[0], ms[2], *vs[1:])
+    assert control._loop_kernel(*args) == _composed_loop_kernel(*args)
+
+
+@_COMPOSED
+@given(m=_MATRIX, k=_POSITIVES,
+       vs=_vectors(3))
+def test_uint_equals_composed_products(m, k, vs):
+    (u, w, wr), k = vs, list(k)
+    spin = tuple(kj * (wj + rj) for kj, wj, rj in zip(k, w, wr))
+    assert control._uint(_plant(m, k), u, w, wr) == _diff(
+        so3._cross(spin, w), u)
+
+
+@_COMPOSED
+@given(m=_MATRIX, k=_POSITIVES,
+       vs=_vectors(3))
+def test_rotor_accels_equals_composed_products(m, k, vs):
+    consts = _plant(m, list(k))
+    assert dynamics._rotor_accels(consts, *vs) == _composed_rotor_accels(
+        consts, *vs)
+
+
+@_COMPOSED
+@given(vs=_vectors(2))
+def test_dexpinv_right_equals_composed_products(vs):
+    assert integrators._dexpinv_right(*vs) == _composed_dexpinv_right(*vs)
+
+
+@_COMPOSED
+@given(r=_MATRIX, v=_VECTOR, scale=st.sampled_from([1.0, 1e-9]))
+def test_mul_expm_equals_product_with_exponential(r, v, scale):
+    # scale 1e-9 reaches the small-angle branch of the coefficients
+    r, v = r.ravel().tolist(), (scale * v).tolist()
+    assert so3._mul_expm(r, v) == so3._matmul(
+        r, so3._mul_expm(so3._IDENTITY, v))
+
+
 # The connection kernels against independent oracles, on random metrics.
 # The bound is relative to the largest sum of term magnitudes
 # sum_ij |a_i b_j Gamma_ij^k| over k, since the table Gamma itself carries
 # rounding of that relative size in every entry (the closed-form Euler
 # term does not share it); below the normal float range rounding is
 # absolute.
-
-def _spd(m):
-    return m @ m.T + 0.5 * np.eye(3)
-
 
 def _close(got, want, gamma, a, b):
     table = np.abs(np.reshape(gamma, (3, 3, 3)))
@@ -258,10 +393,6 @@ def _contract27(gamma, a, b):
     table = np.reshape(gamma, (3, 3, 3))
     return [sum(a[i] * b[j] * table[i, j, k]
                 for i in range(3) for j in range(3)) for k in range(3)]
-
-
-_VECTOR = arrays(np.float64, 3, elements=st.floats(-3.0, 3.0))
-_MATRIX = arrays(np.float64, (3, 3), elements=st.floats(-2.0, 2.0))
 
 
 @settings(max_examples=200, deadline=None)

@@ -88,3 +88,36 @@ TRACED_BINDINGS = (
 def test_traced_binding_exists(module, name):
     assert callable(getattr(importlib.import_module(f"gyrotrack.{module}"),
                             name, None))
+
+
+
+def test_closed_loop_step_calls_the_traced_bindings(monkeypatch):
+    # the trace's per-step counts (4 field evaluations, each one control
+    # kernel and two block solves) are calls through these bindings, so a
+    # kernel inlined past them fails here instead of reading 0
+    from gyrotrack import integrators, scenario
+    counts = {"step_lie": 0, "rotor_accels": 0, "_loop_kernel": 0}
+    stepping = [False]   # the run's post-pass calls the loop outside a step
+    step_lie = integrators.step_lie
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += stepping[0]
+            return fn(*args)
+        return wrapper
+
+    def counted_step(*args, **kwargs):
+        counts["step_lie"] += 1
+        stepping[0] = True
+        try:
+            return step_lie(*args, **kwargs)
+        finally:
+            stepping[0] = False
+
+    for name in ("rotor_accels", "_loop_kernel"):
+        monkeypatch.setattr(scenario, name,
+                            counted(name, getattr(scenario, name)))
+    monkeypatch.setattr(integrators, "step_lie", counted_step)
+    scenario.run_closed_loop(scenario.benchmark_config(
+        "sinusoid", gains="certified", duration=0.01))
+    assert counts == {"step_lie": 10, "rotor_accels": 80, "_loop_kernel": 40}
