@@ -83,10 +83,11 @@ def kernel_constants(params):
 
 def _momentum(consts, omega, omega_r):
     """Pi = (I+K) Omega + K OmegaR; ``consts`` from `kernel_constants`."""
-    locked, (k0, k1, k2), _ = consts
-    p0, p1, p2 = _matvec(locked, omega)
-    r0, r1, r2 = omega_r
-    return p0 + k0 * r0, p1 + k1 * r1, p2 + k2 * r2
+    (l0, l1, l2, l3, l4, l5, l6, l7, l8), (k0, k1, k2), _ = consts
+    (w0, w1, w2), (r0, r1, r2) = omega, omega_r
+    return (l0 * w0 + l1 * w1 + l2 * w2 + k0 * r0,
+            l3 * w0 + l4 * w1 + l5 * w2 + k1 * r1,
+            l6 * w0 + l7 * w1 + l8 * w2 + k2 * r2)
 
 
 def momentum_body(params, omega, omega_r):

@@ -5,9 +5,11 @@ kernels of `so3` take them: each attitude is its 9 entries in row-major
 order and ``vectors`` one flat sequence of Python floats holding every
 vector-valued state.  A vector field maps ``(t, rotations, vectors)`` to
 ``(body_velocities, vector_derivative)``: 3 floats per rotation and one
-per vector slot.  The integrator owns the group update, advancing each
-rotation by a right-multiplied exponential, each update R expm(sigma)
-one call of `so3._mul_expm`.
+per vector slot, then any records the integrator ignores (the closed
+loop's torques); on a non-finite state it returns inf or NaN, as the
+kernels of `so3` do, rather than raising.  The integrator owns the group
+update, advancing each rotation by a right-multiplied exponential, each
+update R expm(c k) one call of `so3._mul_expm` at the stage scale c.
 
 `integrate_components` is the one integration loop and takes such a
 field directly; the package's own fields (`scenario`'s closed loop and
@@ -22,9 +24,9 @@ stages are corrected with the inverse-dexp series truncated at two
 commutators (sufficient for order 4).
 
 Everything is pure float arithmetic with a fixed step, so rerunning an
-integration reproduces it bit for bit on the same platform.  The step and
-the per-step divergence check run on Python floats; arrays appear only in
-the dense history, written row by row.
+integration reproduces it bit for bit on the same platform.  The step
+runs on Python floats; arrays appear only in the dense history, stored
+and checked for non-finite entries in blocks of 128 rows.
 """
 
 import math
@@ -33,9 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergedStateError
-from .so3 import _matmul, _mul_expm, components
+from .so3 import _mul_expm, components
 
 SCHEMES = ("lie_euler", "rk4_munthe_kaas")
+_BLOCK = 128   # history rows gathered, stored and checked at once
 
 
 def _snap_so3(r):
@@ -44,20 +47,25 @@ def _snap_so3(r):
     Written as 1.5 r - 0.5 (r r^T) r.  Equals the orthogonal polar factor
     to machine precision for the near-orthogonal matrices produced by
     exponential updates; far cheaper than an SVD in the per-step repair.
-    The Gram matrix r r^T is symmetric, so only its six distinct entries
-    are formed, each as `so3._matmul_t` forms it.
+    The Gram matrix r r^T is symmetric; its six distinct entries and
+    (r r^T) r are formed as `so3._matmul_t` and `so3._matmul` form them.
     """
     r0, r1, r2, r3, r4, r5, r6, r7, r8 = r
+    g00 = r0 * r0 + r1 * r1 + r2 * r2
+    g11 = r3 * r3 + r4 * r4 + r5 * r5
+    g22 = r6 * r6 + r7 * r7 + r8 * r8
     g01 = r0 * r3 + r1 * r4 + r2 * r5
     g02 = r0 * r6 + r1 * r7 + r2 * r8
     g12 = r3 * r6 + r4 * r7 + r5 * r8
-    gram = (r0 * r0 + r1 * r1 + r2 * r2, g01, g02,
-            g01, r3 * r3 + r4 * r4 + r5 * r5, g12,
-            g02, g12, r6 * r6 + r7 * r7 + r8 * r8)
-    m0, m1, m2, m3, m4, m5, m6, m7, m8 = _matmul(gram, r)
-    return (1.5 * r0 - 0.5 * m0, 1.5 * r1 - 0.5 * m1, 1.5 * r2 - 0.5 * m2,
-            1.5 * r3 - 0.5 * m3, 1.5 * r4 - 0.5 * m4, 1.5 * r5 - 0.5 * m5,
-            1.5 * r6 - 0.5 * m6, 1.5 * r7 - 0.5 * m7, 1.5 * r8 - 0.5 * m8)
+    return (1.5 * r0 - 0.5 * (g00 * r0 + g01 * r3 + g02 * r6),
+            1.5 * r1 - 0.5 * (g00 * r1 + g01 * r4 + g02 * r7),
+            1.5 * r2 - 0.5 * (g00 * r2 + g01 * r5 + g02 * r8),
+            1.5 * r3 - 0.5 * (g01 * r0 + g11 * r3 + g12 * r6),
+            1.5 * r4 - 0.5 * (g01 * r1 + g11 * r4 + g12 * r7),
+            1.5 * r5 - 0.5 * (g01 * r2 + g11 * r5 + g12 * r8),
+            1.5 * r6 - 0.5 * (g02 * r0 + g12 * r3 + g22 * r6),
+            1.5 * r7 - 0.5 * (g02 * r1 + g12 * r4 + g22 * r7),
+            1.5 * r8 - 0.5 * (g02 * r2 + g12 * r5 + g22 * r8))
 
 
 @dataclass(frozen=True)
@@ -107,26 +115,20 @@ class History:
     vectors: np.ndarray
 
 
-def _dexpinv_right(sigma, b):
+def _dexpinv_right(c, k, b):
     """Inverse right-trivialized dexp, truncated for 4th-order accuracy.
 
     For R(t) = R0 expm(sigma(t)) and dR = R hat(b):
-    d(sigma)/dt = b + 1/2 sigma x b + 1/12 sigma x (sigma x b).
+    d(sigma)/dt = b + 1/2 sigma x b + 1/12 sigma x (sigma x b), at
+    sigma = c k, the stage scale c times the previous stage's slope k.
     """
-    s0, s1, s2 = sigma
+    k0, k1, k2 = k
+    s0, s1, s2 = c * k0, c * k1, c * k2
     b0, b1, b2 = b
     x0, x1, x2 = s1 * b2 - s2 * b1, s2 * b0 - s0 * b2, s0 * b1 - s1 * b0
     return (b0 + 0.5 * x0 + (s1 * x2 - s2 * x1) / 12.0,
             b1 + 0.5 * x1 + (s2 * x0 - s0 * x2) / 12.0,
             b2 + 0.5 * x2 + (s0 * x1 - s1 * x0) / 12.0)
-
-
-def _finite(rots, vec):
-    """True if every component is finite.  A finite sum proves it; only a
-    NaN or inf entry, or an overflowing sum, needs the entrywise check."""
-    if math.isfinite(sum(vec) + sum(map(sum, rots))):
-        return True
-    return all(math.isfinite(x) for c in (vec, *rots) for x in c)
 
 
 def step_lie(vector_field, t, state, h, scheme="rk4_munthe_kaas",
@@ -136,43 +138,53 @@ def step_lie(vector_field, t, state, h, scheme="rk4_munthe_kaas",
     Attitudes update as R <- R expm(sigma) with the stage combination of
     the chosen scheme; vector components follow the matching classical
     Runge-Kutta stages.  With ``reproject`` the updated rotations are
-    snapped back to SO(3) by polar projection.  All on components; each
-    update R expm(sigma) is `so3._mul_expm`.
+    snapped back to SO(3) by polar projection.  All on components; records
+    the field returns after its rates are ignored.  Each RK4 stage visits
+    each rotation once: the dexp^{-1} correction of its slope, then the
+    next stage's exponential or, in the last stage, the update and snap.
     """
     rots, vec = state
     if scheme == "lie_euler":
-        omegas, vdot = vector_field(t, rots, vec)
-        new_rots = [_mul_expm(r, (h * w0, h * w1, h * w2))
-                    for r, (w0, w1, w2) in zip(rots, omegas)]
-        new_vec = [x + h * d for x, d in zip(vec, vdot)]
-    elif scheme == "rk4_munthe_kaas":
-        k, v = vector_field(t, rots, vec)
-        ks, vs = [k], [v]
-        # stages 2-4 start from the previous stage scaled by c = h/2, h/2, h
-        for c in (0.5 * h, 0.5 * h, h):
-            sigma = [(c * w0, c * w1, c * w2) for w0, w1, w2 in ks[-1]]
-            b, v = vector_field(
-                t + c, [_mul_expm(r, s) for r, s in zip(rots, sigma)],
-                [x + c * d for x, d in zip(vec, vs[-1])])
-            ks.append([_dexpinv_right(s, w) for s, w in zip(sigma, b)])
-            vs.append(v)
-        (k1, k2, k3, k4), (v1, v2, v3, v4) = ks, vs
-
-        sixth = h / 6.0
-        new_rots = [
-            _mul_expm(r, (sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
-                          sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
-                          sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)))
-            for r, (a0, a1, a2), (b0, b1, b2), (c0, c1, c2), (d0, d1, d2)
-            in zip(rots, k1, k2, k3, k4)]
-        new_vec = [x + sixth * (a + 2.0 * b + 2.0 * c + d)
-                   for x, a, b, c, d in zip(vec, v1, v2, v3, v4)]
-    else:
+        omegas, vdot = vector_field(t, rots, vec)[:2]
+        new_rots = [_mul_expm(r, h, w) for r, w in zip(rots, omegas)]
+        if reproject:
+            new_rots = [_snap_so3(r) for r in new_rots]
+        return new_rots, [x + h * d for x, d in zip(vec, vdot)]
+    if scheme != "rk4_munthe_kaas":
         raise ValueError(f"unknown scheme '{scheme}'")
 
-    if reproject:
-        new_rots = [_snap_so3(r) for r in new_rots]
-    return new_rots, new_vec
+    half, sixth = 0.5 * h, h / 6.0
+    k1, v = vector_field(t, rots, vec)[:2]
+    ks, vs, stage = [k1], [v], []
+    for r, k in zip(rots, k1):
+        stage.append(_mul_expm(r, half, k))
+    # stages 2 and 3 at t + h/2 start from the previous slope k scaled by
+    # c = h/2 and correct theirs by dexp^{-1} at sigma = c k
+    for c, c_next in ((half, half), (half, h)):
+        omegas, v = vector_field(t + c, stage,
+                                 [x + c * d for x, d in zip(vec, v)])[:2]
+        slopes, stage = [], []
+        for r, k, w in zip(rots, ks[-1], omegas):
+            k = _dexpinv_right(c, k, w)
+            slopes.append(k)
+            stage.append(_mul_expm(r, c_next, k))
+        ks.append(slopes)
+        vs.append(v)
+    (k1, k2, k3), (v1, v2, v3) = ks, vs
+
+    # stage 4 at t + h starts from h k3; then the update
+    omegas, v4 = vector_field(t + h, stage,
+                              [x + h * d for x, d in zip(vec, v3)])[:2]
+    new_rots = []
+    for r, (a0, a1, a2), (b0, b1, b2), k, w in zip(rots, k1, k2, k3, omegas):
+        c0, c1, c2 = k
+        d0, d1, d2 = _dexpinv_right(h, k, w)
+        r = _mul_expm(r, sixth, (a0 + 2.0 * b0 + 2.0 * c0 + d0,
+                                 a1 + 2.0 * b1 + 2.0 * c1 + d1,
+                                 a2 + 2.0 * b2 + 2.0 * c2 + d2))
+        new_rots.append(_snap_so3(r) if reproject else r)
+    return new_rots, [x + sixth * (a + 2.0 * b + 2.0 * c + d)
+                      for x, a, b, c, d in zip(vec, v1, v2, v3, v4)]
 
 
 def integrate_components(vector_field, initial, cfg):
@@ -181,24 +193,38 @@ def integrate_components(vector_field, initial, cfg):
     ``initial`` holds arrays at t = 0.  Returns a dense `History` with
     n_steps+1 uniformly spaced samples (duration == step gives two).  Raises
     DivergedStateError with the first offending step index if any state
-    entry turns non-finite.
+    entry turns non-finite.  Each block of 128 samples is stored with one
+    array conversion and checked with one `np.isfinite`, so the steps
+    after a divergence up to the block's end run on inf or NaN (the field
+    contract above); a field that raises there still reports it.
     """
     rots, vec = initial
     state = ([components(r, 2) for r in rots], components(vec))
     n = cfg.n_steps
     times = cfg.step * np.arange(n + 1)
-    rot_hist = [np.empty((n + 1, 3, 3)) for _ in rots]
-    vec_hist = np.empty((n + 1, len(state[1])))
-    # sample i goes to row i of each attitude's (n+1, 9) view and of vec_hist
-    rows = [r.reshape(n + 1, 9) for r in rot_hist] + [vec_hist]
-    for i in range(n + 1):
-        if i:   # step_lie is looked up per call, so it can be wrapped
-            state = step_lie(vector_field, times.item(i - 1), state,
-                             cfg.step, scheme=cfg.scheme,
-                             reproject=cfg.reproject)
-            if not _finite(*state):
+    # a row is each attitude's 9 entries, then the vector state
+    hists = [np.empty((n + 1, 9)) for _ in rots]
+    hists.append(np.empty((n + 1, len(state[1]))))
+    edges = np.cumsum([0] + [hist.shape[1] for hist in hists]).tolist()
+    h, scheme, reproject = cfg.step, cfg.scheme, cfg.reproject
+    for start in range(0, n + 1, _BLOCK):
+        rows = []
+        try:
+            for i in range(start, min(start + _BLOCK, n + 1)):
+                if i:   # step_lie is looked up per call, so it can be wrapped
+                    state = step_lie(vector_field, times.item(i - 1), state,
+                                     h, scheme, reproject)
+                for r in state[0]:
+                    rows += r
+                rows += state[1]
+        finally:
+            block = np.array(rows).reshape(-1, edges[-1] or 1)   # or empty
+            finite = np.isfinite(block).all(axis=1)
+            finite[:1] |= not start   # a bad initial state fails at step 1
+            if not finite.all():
+                i = start + int(finite.argmin())
                 raise DivergedStateError(i, times.item(i))
-        for hist, x in zip(rows, (*state[0], state[1])):
-            hist[i] = x
-    return History(times=times, rotations=rot_hist, vectors=vec_hist)
-
+        for hist, lo, hi in zip(hists, edges, edges[1:]):
+            hist[start:start + len(block)] = block[:, lo:hi]
+    return History(times, [r.reshape(n + 1, 3, 3) for r in hists[:-1]],
+                   hists[-1])

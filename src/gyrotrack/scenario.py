@@ -359,10 +359,9 @@ def _closed_loop(cfg, actuation):
     `_rotor_field`: the reference under its torque program, whose dOmega_d
     is the control's feed-forward, and the plant under u_int.  Under
     external actuation the carrier body is torqued directly, u_int is zero
-    and the plant's Theta and OmegaR slots stay zero.  The state is
-    unpacked once and the 21 rates are one tuple of named components.  On
-    components (see `integrators`): floats in the stepper, columns in the
-    post-pass.
+    and the plant's Theta and OmegaR slots stay zero.  The 21 rates are one
+    tuple of named components.  On components (see `integrators`): floats
+    in the stepper, which ignores the torques, columns in the post-pass.
     """
     plant = cfg.plant.params
     plant_c = kernel_constants(plant)
@@ -372,6 +371,7 @@ def _closed_loop(cfg, actuation):
     p_mat = components(cfg.weights.P, 2)
     metric = metric_constants(plant.body_inertia)
     i_metric, i_inv, _ = metric
+    i0, i1, i2, i3, i4, i5, i6, i7, i8 = i_metric
     internal = actuation == "internal"
 
     def loop(t, rots, vec):
@@ -383,8 +383,9 @@ def _closed_loop(cfg, actuation):
                                                torque(t))
         u, (y0, y1, y2) = _loop_kernel(metric, p_mat, gains, r, omega, r_d,
                                        omega_d, d_omega_d, (x0, x1, x2))
-        a0, a1, a2 = d_omega_d
-        u_ext = _matvec(i_metric, u)
+        (a0, a1, a2), (u0, u1, u2) = d_omega_d, u
+        u_ext = (i0 * u0 + i1 * u1 + i2 * u2, i3 * u0 + i4 * u1 + i5 * u2,
+                 i6 * u0 + i7 * u1 + i8 * u2)   # I u, as `_matvec` forms it
         if internal:
             u_int = _uint(plant_c, u_ext, omega, omega_r)
             (c0, c1, c2), (d0, d1, d2) = rotor_accels(plant_c, omega,
@@ -420,8 +421,7 @@ def run_closed_loop(cfg, actuation="internal"):
     vec0 = np.concatenate([theta0, plant.Omega0, omega_r0,
                            ref.Theta0, ref.Omega0, ref.OmegaR0, _ZERO3])
     loop = _closed_loop(cfg, actuation)
-    hist = integrate(lambda t, rots, vec: loop(t, rots, vec)[:2],
-                     ((plant.R0, ref.R0), vec0), cfg.integrator)
+    hist = integrate(loop, ((plant.R0, ref.R0), vec0), cfg.integrator)
 
     # the post-pass: the same loop once, on the stored history as columns
     vec = hist.vectors

@@ -12,7 +12,7 @@ Conventions used throughout the package are fixed here:
 
 Componentwise kernels.  Each per-sample formula of the closed loop
 (here: the cross product, matrix products, the skew part, the
-Levi-Civita connection and the exponential update R expm(v)) is written
+Levi-Civita connection and the exponential update R expm(c v)) is written
 once, as a private function over scalar components: a vector is a
 sequence of 3 components, a matrix a sequence of 9 in row-major order.
 The same source runs on Python floats for one sample (``components`` of
@@ -38,9 +38,9 @@ matrix-vector and matrix-matrix products) are written out in place,
 with the same products in the same order as the primitive here forms
 them, which saves a Python call per product on the integrator's hot
 path; the test suite pins each such kernel bit-equal to the composition
-of primitives it replaces.  `_mul_expm` likewise forms the Rodrigues
-entries Q of expm(v) and then R Q as `_matmul` does, so each group
-update of a step is one call; `expm` is `_mul_expm` of the identity.
+of primitives it replaces.  `_mul_expm(r, c, v)` likewise scales v by
+the stage scale c, forms the Rodrigues entries Q of expm(c v), then R Q
+as `_matmul` does; `expm(v)` is `_mul_expm` of the identity, c = 1.
 
 The connection is written once, as the matrix C(a) of b -> nabla_a b
 (`_conn_matrix`, 45 float operations from the table Gamma); `_conn` is
@@ -193,11 +193,12 @@ def vee(m):
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
-def _mul_expm(r, v):
-    """Entries of R expm(v), row-major; see `expm`.  The Rodrigues
-    entries Q of expm(v) are formed first, then R Q as `_matmul` forms
-    it."""
-    x, y, z = v
+def _mul_expm(r, c, v):
+    """Entries of R expm(c v), row-major; see `expm`.  The scale c is
+    applied to each entry of v first, then the Rodrigues entries Q of
+    expm(c v) are formed, then R Q as `_matmul` forms it."""
+    v0, v1, v2 = v
+    x, y, z = c * v0, c * v1, c * v2
     theta2 = x * x + y * y + z * z
     theta = math.sqrt(theta2)
     if theta < _SMALL_ANGLE:
@@ -239,7 +240,7 @@ def expm(v):
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expm takes one 3-vector, got shape {v.shape}")
-    return from_components(_mul_expm(_IDENTITY, v.tolist()), (3, 3))
+    return from_components(_mul_expm(_IDENTITY, 1.0, v.tolist()), (3, 3))
 
 
 def logm(r):

@@ -8,6 +8,8 @@ numbers.  The final states of short benchmark runs are pinned to values
 recorded before the stepper moved onto floats.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,6 +134,8 @@ _CONSTANTS = {
     "plant": dynamics.kernel_constants(_PLANT),
 }
 _ERROR_FIELD = control.error_field(_PLANT.body_inertia, _P, _GAINS)
+_LOOP_CFG = scenario.resolve_reference(
+    scenario.benchmark_config("sinusoid", gains="certified"))
 
 # name -> (kernel, per-sample shapes of its arguments)
 KERNELS = {
@@ -164,7 +168,8 @@ KERNELS = {
         ((3, 3), (3,), (3, 3), (3,), (3,), (3,))),
     "uint": (lambda u, w, wr: control._uint(_CONSTANTS["plant"], u, w, wr),
              ((3,), (3,), (3,))),
-    "dexpinv_right": (integrators._dexpinv_right, ((3,), (3,))),
+    "dexpinv_right": (lambda k, b: integrators._dexpinv_right(0.5, k, b),
+                      ((3,), (3,))),
     "snap_so3": (integrators._snap_so3, ((3, 3),)),
 }
 
@@ -360,9 +365,11 @@ def test_rotor_accels_equals_composed_products(m, k, vs):
 
 
 @_COMPOSED
-@given(vs=_vectors(2))
-def test_dexpinv_right_equals_composed_products(vs):
-    assert integrators._dexpinv_right(*vs) == _composed_dexpinv_right(*vs)
+@given(c=st.floats(-2.0, 2.0), vs=_vectors(2))
+def test_dexpinv_right_equals_composed_products(c, vs):
+    k, b = vs
+    assert integrators._dexpinv_right(c, k, b) == _composed_dexpinv_right(
+        tuple(c * kj for kj in k), b)
 
 
 @_COMPOSED
@@ -370,8 +377,60 @@ def test_dexpinv_right_equals_composed_products(vs):
 def test_mul_expm_equals_product_with_exponential(r, v, scale):
     # scale 1e-9 reaches the small-angle branch of the coefficients
     r, v = r.ravel().tolist(), (scale * v).tolist()
-    assert so3._mul_expm(r, v) == so3._matmul(
-        r, so3._mul_expm(so3._IDENTITY, v))
+    assert so3._mul_expm(r, 1.0, v) == so3._matmul(
+        r, so3._mul_expm(so3._IDENTITY, 1.0, v))
+
+
+@_COMPOSED
+@given(r=_MATRIX, c=st.floats(-2.0, 2.0), v=_VECTOR,
+       scale=st.sampled_from([1.0, 1e-9]),
+       bad=st.one_of(st.none(), st.tuples(
+           st.integers(0, 3), st.sampled_from([math.inf, -math.inf,
+                                               math.nan]))))
+def test_mul_expm_applies_its_scale_first(r, c, v, scale, bad):
+    # the stage scale multiplies each entry of v before anything else; an
+    # inf or NaN in c or v (entry 3 of ``bad`` is c) gives a NaN matrix
+    r, v = r.ravel().tolist(), (scale * v).tolist()
+    if bad is not None:
+        where, x = bad
+        if where == 3:
+            c = x
+        else:
+            v[where] = x
+    got = so3._mul_expm(r, c, v)
+    want = so3._mul_expm(r, 1.0, [c * x for x in v])
+    if bad is None:
+        assert got == want
+    else:
+        assert all(math.isnan(x) for x in got + want)
+
+
+@_COMPOSED
+@given(m=_MATRIX, k=_POSITIVES, vs=_vectors(2))
+def test_momentum_equals_composed_products(m, k, vs):
+    consts, (w, wr) = _plant(m, list(k)), vs
+    assert dynamics._momentum(consts, w, wr) == tuple(
+        p + kj * rj for p, kj, rj in zip(so3._matvec(consts[0], w), k, wr))
+
+
+@pytest.mark.parametrize("actuation", ["internal", "external"])
+@_COMPOSED
+@given(ms=_matrices(2), vec=arrays(np.float64, 21,
+                                   elements=st.floats(-3.0, 3.0)),
+       t=st.floats(0.0, 30.0))
+def test_closed_loop_torque_is_inertia_times_command(actuation, ms, vec, t):
+    # the loop's u_ext is I u, with u the command of `_loop_kernel` on
+    # the same sample, as `so3._matvec` forms it
+    cfg = _LOOP_CFG
+    loop = scenario._closed_loop(cfg, actuation)
+    vec = vec.tolist()
+    d_omega_d, _ = dynamics._rotor_accels(
+        dynamics.kernel_constants(cfg.reference.params), vec[12:15],
+        vec[15:18], cfg.program._torque(t))
+    u, _ = control._loop_kernel(_METRIC, so3.components(cfg.weights.P, 2),
+                                cfg.gains, ms[0], vec[3:6], ms[1],
+                                vec[12:15], d_omega_d, vec[18:21])
+    assert loop(t, ms, vec)[2] == so3._matvec(_METRIC[0], u)
 
 
 # The connection kernels against independent oracles, on random metrics.
