@@ -3,7 +3,9 @@
 Subcommands:
 
 * ``simulate <config> -o <csv>``   run the tracking loop, write telemetry
-  CSV plus a JSON metadata sidecar
+  CSV plus a JSON metadata sidecar; on Linux a forked writer process
+  formats the CSV block by block while the run integrates, under a
+  temporary name that becomes the output only once the run has succeeded
 * ``tune-gains <config> [--synthesize]``   evaluate (or synthesize) gains
   against the certification inequalities
 * ``compare <config> -o <dir>``    effort comparison against the
@@ -16,9 +18,9 @@ Subcommands:
 Errors.  Commands return 0 or raise; `main` alone turns an error into
 an exit code and prints ``error: <message>`` to stderr: 2 numerical
 divergence, 1 any other GyrotrackError (config, schema, gain synthesis),
-OSError (a file that cannot be read or written) or MemoryError (a run too
-long to hold in memory).  A usage error, a bad ``--entries`` among them,
-exits 1 after argparse prints it.  An output file whose directory is
+OSError (a file that cannot be read or written, or a failed telemetry
+writer) or MemoryError (a run too long to hold in memory).  A usage
+error, a bad ``--entries`` among them, exits 1 after argparse prints it.  An output file whose directory is
 missing, or which is itself a directory, fails once the input has loaded,
 before anything is integrated or written; ``compare`` creates its output
 directory only after the run.
@@ -29,8 +31,12 @@ All dynamics are deterministic, and reruns produce byte-identical files.
 """
 
 import argparse
+import contextlib
 import json
+import os
 import sys
+import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -41,7 +47,7 @@ from .config import load_config, serialize_config
 from .control import (gain_feasible, lambda_sup_formula, mu_hess_formula,
                       q_matrix, synthesize_gains)
 from .errors import DivergedStateError, GyrotrackError, SchemaMismatchError
-from .scenario import compare_efforts, run_closed_loop
+from .scenario import block_records, compare_efforts, run_closed_loop
 from .svgplot import Panel, Series, write_svg
 
 COLUMNS = (
@@ -59,6 +65,7 @@ _REFERENCE_COLOR = "#d62728"   # reference drawn in red
 _PLANT_COLOR = "#1f77b4"       # controlled trajectory in blue
 
 
+
 def _check_outputs(*paths):
     """Raise OSError unless each path's parent directory exists and the
     path is not itself a directory."""
@@ -70,14 +77,120 @@ def _check_outputs(*paths):
             raise IsADirectoryError(f"output {path} is a directory")
 
 
-def _write_csv(path, table, columns=COLUMNS):
-    """Header and "%.17g" rows, 128 per write through one row format."""
+def _write_csv(path, tables, columns=COLUMNS):
+    """Header, then the "%.17g" rows of each table in turn, 128 per write
+    through one row format.  ``path`` may also be an open file descriptor,
+    which is closed at the end."""
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        for start in range(0, len(table), 128):
-            block = table[start:start + 128]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+        for table in tables:
+            for start in range(0, len(table), 128):
+                block = table[start:start + 128]
+                fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _telemetry(traj, metrics):
+    """The CSV's columns (COLUMNS) of a run's record, or of a block's."""
+    return np.column_stack([
+        traj.times,
+        traj.R.reshape(len(traj), 9),
+        traj.R_d.reshape(len(traj), 9),
+        traj.Omega, traj.OmegaR,
+        np.mod(traj.Theta, 2.0 * np.pi),
+        traj.u_int,
+        metrics.psi_e, metrics.geo_err, metrics.ecl,
+        metrics.momentum_drift_series,
+    ])
+
+
+def _received(fd):
+    """The ``(start, block)`` pairs that `_run_with_writer` sends down the
+    pipe ``fd``, up to its end mark, a header of zero rows.  A pipe that
+    closes before the mark, because the run failed or its process died,
+    raises EOFError."""
+    with open(fd, "rb") as pipe:
+        while len(header := pipe.read(24)) == 24:
+            start, rows, width = np.frombuffer(header, np.int64).tolist()
+            if not rows:
+                return
+            block = np.frombuffer(pipe.read(8 * rows * width))
+            yield start, block.reshape(rows, width)
+    raise EOFError("the run ended before its last block")
+
+
+def _fork_writer():
+    """Whether `simulate` forks its CSV writer: on Linux only, since
+    Windows has no fork and on macOS forking after the system frameworks
+    have loaded is unsafe, and only from a process running no other Python
+    thread, whose locks the writer could inherit held."""
+    return sys.platform.startswith("linux") and threading.active_count() == 1
+
+
+def _run_with_writer(cfg, out):
+    """`run_closed_loop` of cfg, with its CSV written to ``out`` by a forked
+    writer process that formats each block of samples while the next one
+    integrates.  Returns the run's (trajectory, metrics).
+
+    The writer reads the observed blocks from a pipe and writes the rows
+    under a temporary name in out's directory, which replaces ``out``
+    once the run and the writer have both succeeded.  The writer prints
+    nothing and always leaves by `os._exit`; if it fails, or the pipe
+    closes before the run's end mark (this process failed or died), it
+    removes the temporary file.  Any exception in this process closes the
+    pipe, reaps the writer, makes sure the temporary file is gone and
+    propagates; a writer that fails raises OSError.
+    """
+    out = out.resolve()   # an output symlink's target is replaced
+    fd, tmp = tempfile.mkstemp(prefix=f".{out.name}.", dir=out.parent)
+    try:
+        umask = os.umask(0o022)   # the mode `open` gives a new file
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
+        read, write = os.pipe()
+        with warnings.catch_warnings():
+            # Python 3.12+ warns of any second thread at a fork; numpy's
+            # BLAS thread pool, the one here, shuts down and restarts
+            # around a fork by its own fork handlers
+            warnings.filterwarnings("ignore", ".* is multi-threaded",
+                                    DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:   # the writer
+            status = 1
+            try:
+                os.close(write)
+                _write_csv(fd, (_telemetry(*record) for record in
+                                block_records(cfg, _received(read))))
+                status = 0
+            except BaseException:
+                os.unlink(tmp)
+            finally:
+                os._exit(status)
+        os.close(read)
+        try:
+            with open(write, "wb") as pipe:
+                def send(start, block):
+                    pipe.write(np.array((start, *block.shape),
+                                        np.int64).tobytes())
+                    pipe.write(block)
+                    pipe.flush()
+                result = run_closed_loop(cfg, observer=send)
+                pipe.write(bytes(24))   # the end mark
+        except BrokenPipeError:   # the writer has died: its status says so
+            pass
+        finally:
+            status = os.waitpid(pid, 0)[1]
+        if status:
+            raise OSError("telemetry writer failed with exit status "
+                          f"{os.waitstatus_to_exitcode(status)}")
+        os.replace(tmp, out)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):   # the writer's to remove
+            os.unlink(tmp)
+        raise
+    finally:
+        os.close(fd)
+    return result
 
 
 def _feasibility_json(verdict):
@@ -123,19 +236,11 @@ def cmd_simulate(config_path, out_path):
     out = Path(out_path)
     meta = out.with_suffix(".meta.json")
     _check_outputs(out, meta)
-    traj, metrics = run_closed_loop(cfg)
-
-    table = np.column_stack([
-        traj.times,
-        traj.R.reshape(len(traj), 9),
-        traj.R_d.reshape(len(traj), 9),
-        traj.Omega, traj.OmegaR,
-        np.mod(traj.Theta, 2.0 * np.pi),
-        traj.u_int,
-        metrics.psi_e, metrics.geo_err, metrics.ecl,
-        metrics.momentum_drift_series,
-    ])
-    _write_csv(out, table)
+    if _fork_writer():
+        traj, metrics = _run_with_writer(cfg, out)
+    else:
+        traj, metrics = run_closed_loop(cfg)
+        _write_csv(out, [_telemetry(traj, metrics)])
     with open(meta, "w", encoding="utf-8") as fh:
         json.dump(_metadata(cfg, traj, metrics), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -197,8 +302,8 @@ def cmd_compare(config_path, out_dir):
     for path, metrics in zip(efforts, (cmp_result.proposed,
                                        cmp_result.baseline)):
         _write_csv(path,
-                   np.column_stack([cmp_result.times, metrics.effort_l2,
-                                    metrics.effort_uext_l2]),
+                   [np.column_stack([cmp_result.times, metrics.effort_l2,
+                                     metrics.effort_uext_l2])],
                    ("t", "uint_norm", "uext_norm"))
     summary = {
         "proposed_integral": cmp_result.proposed_integral,

@@ -26,7 +26,10 @@ commutators (sufficient for order 4).
 Everything is pure float arithmetic with a fixed step, so rerunning an
 integration reproduces it bit for bit on the same platform.  The step
 runs on Python floats; arrays appear only in the dense history, stored
-and checked for non-finite entries in blocks of 128 rows.
+and checked for non-finite entries in blocks of 128 rows.  An optional
+observer sees each block once it has passed that check, as the
+``(rows, width)`` array of its samples, so a caller can consume a run's
+samples while the next block integrates.
 """
 
 import math
@@ -187,7 +190,7 @@ def step_lie(vector_field, t, state, h, scheme="rk4_munthe_kaas",
                       for x, a, b, c, d in zip(vec, v1, v2, v3, v4)]
 
 
-def integrate_components(vector_field, initial, cfg):
+def integrate_components(vector_field, initial, cfg, observer=None):
     """Integrate a vector field on components over cfg.duration.
 
     ``initial`` holds arrays at t = 0.  Returns a dense `History` with
@@ -197,6 +200,12 @@ def integrate_components(vector_field, initial, cfg):
     array conversion and checked with one `np.isfinite`, so the steps
     after a divergence up to the block's end run on inf or NaN (the field
     contract above); a field that raises there still reports it.
+
+    ``observer(start, block)``, if given, is called after each block is
+    stored and has passed the check, in order: ``start`` is the block's
+    first sample index and ``block`` its ``(rows, width)`` float64 array,
+    one row per sample holding each attitude's 9 entries, then the vector
+    state.  A block that fails the check is not observed.
     """
     rots, vec = initial
     state = ([components(r, 2) for r in rots], components(vec))
@@ -226,5 +235,7 @@ def integrate_components(vector_field, initial, cfg):
                 raise DivergedStateError(i, times.item(i))
         for hist, lo, hi in zip(hists, edges, edges[1:]):
             hist[start:start + len(block)] = block[:, lo:hi]
+        if observer is not None:
+            observer(start, block)
     return History(times, [r.reshape(n + 1, 3, 3) for r in hists[:-1]],
                    hists[-1])

@@ -9,7 +9,8 @@ the `_d` half of a run's `ClosedLoopTrajectory` is the reference record,
 bit for bit the reference's `_rotor_field` integrated alone.  The
 integrator calls the closed loop on floats; the post-pass calls it once
 on the stored history as columns, so the reported torques are the ones
-that drove the plant.
+that drove the plant.  `block_records` gives the same record block by
+block, from the blocks a run hands its observer.
 
 Because the control torques are internal, any admissible reference must
 carry the same spatial angular momentum as the plant; `consistent_rotor_velocity`
@@ -41,7 +42,7 @@ from .control import (FeasibilityVerdict, GainSet, NavigationWeights,
 from .dynamics import (InertiaParams, _external_accel, _momentum,
                        kernel_constants, momentum_body, momentum_spatial)
 from .dynamics import _rotor_accels as rotor_accels
-from .integrators import IntegratorConfig
+from .integrators import History, IntegratorConfig
 from .integrators import integrate_components as integrate
 from .so3 import (_matvec, components, from_components, is_rotation,
                   metric_constants, orthogonality_defect, rotation_angle)
@@ -174,8 +175,8 @@ class RunMetrics:
     """Per-sample diagnostics of a closed-loop run.
 
     momentum_drift is the worst sup-norm deviation of the plant's spatial
-    angular momentum from its initial value; ortho_drift the worst
-    Frobenius defect ||R^T R - 1|| over every stored rotation.
+    angular momentum from its initial value momentum0; ortho_drift the
+    worst Frobenius defect ||R^T R - 1|| over every stored rotation.
     """
 
     psi_e: np.ndarray
@@ -184,6 +185,7 @@ class RunMetrics:
     effort_uext_l2: np.ndarray
     ecl: np.ndarray
     ecl_bound: np.ndarray
+    momentum0: np.ndarray
     momentum_drift_series: np.ndarray
     momentum_drift: float
     ortho_drift: float
@@ -401,7 +403,7 @@ def _closed_loop(cfg, actuation):
     return loop
 
 
-def run_closed_loop(cfg, actuation="internal"):
+def run_closed_loop(cfg, actuation="internal", observer=None):
     """Simulate the tracking loop; returns (ClosedLoopTrajectory, RunMetrics).
 
     actuation "internal" drives the rotor plant through the torque
@@ -411,6 +413,8 @@ def run_closed_loop(cfg, actuation="internal"):
     trajectory's R_d, Theta_d, Omega_d, OmegaR_d and Omega_d_dot are the
     reference body's record, the same under either actuation.  The
     feasibility verdict of cfg.gains is recorded in the metrics either way.
+    ``observer`` is passed to the integrator, which calls it with each
+    checked block of stored samples (see `integrators.integrate_components`).
     """
     if actuation not in ("internal", "external"):
         raise ValueError("actuation must be 'internal' or 'external'")
@@ -421,13 +425,27 @@ def run_closed_loop(cfg, actuation="internal"):
     vec0 = np.concatenate([theta0, plant.Omega0, omega_r0,
                            ref.Theta0, ref.Omega0, ref.OmegaR0, _ZERO3])
     loop = _closed_loop(cfg, actuation)
-    hist = integrate(loop, ((plant.R0, ref.R0), vec0), cfg.integrator)
+    hist = integrate(loop, ((plant.R0, ref.R0), vec0), cfg.integrator,
+                     observer)
+    return _post_pass(cfg, actuation, loop, hist)
 
-    # the post-pass: the same loop once, on the stored history as columns
+
+def _post_pass(cfg, actuation, loop, hist, momentum0=None):
+    """The record of a contiguous run of stored samples ``hist`` (a
+    `History` of the closed loop ``loop``): its `ClosedLoopTrajectory`,
+    with the loop called once on the samples as columns for the torques,
+    and its per-sample `RunMetrics`.
+
+    The momentum drift is measured from ``momentum0``, the run's initial
+    spatial momentum, which the metrics of the run's first samples carry;
+    None takes the first sample's, as for a whole run.  Every per-sample
+    value depends on its own sample alone, so the records of consecutive
+    runs of samples are, row for row, the bits of the whole run's record.
+    """
     vec = hist.vectors
-    _, vdot, u_ext, u_int = loop(
-        hist.times, [components(r, 2) for r in hist.rotations],
-        components(vec))
+    r, r_d = (components(rot, 2) for rot in hist.rotations)
+    omega, omega_d = components(vec[:, 3:6]), components(vec[:, 12:15])
+    _, vdot, u_ext, u_int = loop(hist.times, [r, r_d], components(vec))
     traj = ClosedLoopTrajectory(
         times=hist.times, R=hist.rotations[0], Theta=vec[:, 0:3],
         Omega=vec[:, 3:6], OmegaR=vec[:, 6:9], R_d=hist.rotations[1],
@@ -435,31 +453,23 @@ def run_closed_loop(cfg, actuation="internal"):
         Omega_d_dot=from_components(vdot[12:15]), xi_I=vec[:, 18:21],
         u_ext=from_components(u_ext), u_int=from_components(u_int),
         actuation=actuation)
-    metrics = _compute_metrics(cfg, traj)
-    return traj, metrics
 
-
-def _compute_metrics(cfg, traj):
-    """Per-sample diagnostics of a run, on one (n,) column per component;
-    ``traj``, whose torques are the closed loop on columns, is only read."""
     plant = cfg.plant.params
     gains, p = cfg.gains, cfg.weights.P
     i_metric = plant.body_inertia
-    internal = traj.actuation == "internal"
-    r, r_d = components(traj.R, 2), components(traj.R_d, 2)
-    omega, omega_d = components(traj.Omega), components(traj.Omega_d)
-
+    internal = actuation == "internal"
     # conservation diagnostics
     pi = _momentum(kernel_constants(plant), omega, components(traj.OmegaR)) \
         if internal else _matvec(components(i_metric, 2), omega)
     spatial = from_components(_matvec(r, pi))
-    drift_series = np.abs(spatial - spatial[0]).max(axis=1)
+    momentum0 = spatial[0] if momentum0 is None else momentum0
+    drift_series = np.abs(spatial - momentum0).max(axis=1)
     ortho = max(float(orthogonality_defect(rot).max())
                 for rot in (traj.R, traj.R_d))
 
     e, eta = _error(r, omega, r_d, omega_d)
     e, eta = from_components(e, (3, 3)), from_components(eta)
-    return RunMetrics(
+    metrics = RunMetrics(
         psi_e=nav_psi(p, e),
         geo_err=rotation_angle(e),
         effort_l2=np.linalg.norm(traj.u_int if internal else traj.u_ext,
@@ -467,11 +477,33 @@ def _compute_metrics(cfg, traj):
         effort_uext_l2=np.linalg.norm(traj.u_ext, axis=1),
         ecl=ecl_value(i_metric, p, gains, e, eta, traj.xi_I),
         ecl_bound=ecl_rate_bound(i_metric, p, gains, e, eta, traj.xi_I),
+        momentum0=momentum0,
         momentum_drift_series=drift_series,
         momentum_drift=float(drift_series.max()),
         ortho_drift=ortho,
         feasibility=gain_feasible(gains),
     )
+    return traj, metrics
+
+
+def block_records(cfg, blocks, actuation="internal"):
+    """The ``(ClosedLoopTrajectory, RunMetrics)`` record of each block of a
+    run of cfg, as `_post_pass` gives it.
+
+    ``blocks`` yields the ``(start, block)`` pairs that `run_closed_loop`
+    passes its observer, in order, from the first: each block's rows are
+    its samples, both attitudes' 9 entries and then the 21 vector slots.
+    """
+    loop = _closed_loop(cfg, actuation)
+    step = cfg.integrator.step
+    momentum0 = None
+    for start, block in blocks:
+        r, r_d, vec = np.split(block, [9, 18], axis=1)
+        hist = History(step * np.arange(start, start + len(block)),
+                       [r.reshape(-1, 3, 3), r_d.reshape(-1, 3, 3)], vec)
+        traj, metrics = _post_pass(cfg, actuation, loop, hist, momentum0)
+        momentum0 = metrics.momentum0
+        yield traj, metrics
 
 
 # ---------------------------------------------------------------------------

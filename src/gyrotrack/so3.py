@@ -247,29 +247,28 @@ def logm(r):
     """Logarithm map SO(3) -> so(3), returned in vee form.
 
     The rotation angle comes from atan2 of the skew/symmetric parts, which
-    stays well conditioned near 0 and near pi.  Output norm is <= pi.
-    For angles at (or numerically indistinguishable from) pi the axis sign
-    is arbitrary; either choice is a valid logarithm.
+    stays well conditioned near 0 and near pi.  So does the axis: for
+    angles past pi/2 (cos < 0) it comes from the symmetric part,
+    n n^T = (sym(R) - cos I) / (1 - cos), with its sign from the skew
+    part, since the skew part sin(theta) n loses its relative precision
+    as the angle nears pi.  Output norm is <= pi.  For angles at (or
+    numerically indistinguishable from) pi the axis sign is arbitrary;
+    either choice is a valid logarithm.
     """
     r = np.asarray(r, dtype=float)
     w = 0.5 * skew_vee(r)
     s = np.linalg.norm(w)                     # == sin(theta) for exact input
     c = 0.5 * (np.trace(r) - 1.0)             # == cos(theta)
     theta = np.arctan2(s, c)
+    if c < 0.0:
+        nnt = (0.5 * (r + r.T) - c * np.eye(3)) / (1.0 - c)
+        j = int(np.argmax(np.diag(nnt)))
+        axis = nnt[:, j] / np.linalg.norm(nnt[:, j])
+        return theta * (-axis if axis @ w < 0.0 else axis)
     if s > 1e-6:
         return (theta / s) * w
-    if c > 0.0:
-        # Tiny rotation: w already equals sin(theta)*axis ~ theta*axis.
-        return w * (1.0 + theta * theta / 6.0)
-    # Angle near pi: recover the axis from the symmetric part,
-    # n n^T = (sym(R) - cos(theta) I) / (1 - cos(theta)).
-    nnt = (0.5 * (r + r.T) - c * np.eye(3)) / (1.0 - c)
-    j = int(np.argmax(np.diag(nnt)))
-    axis = nnt[:, j]
-    axis = axis / np.linalg.norm(axis)
-    if s > 0.0 and axis @ w < 0.0:
-        axis = -axis
-    return theta * axis
+    # Tiny rotation: w already equals sin(theta)*axis ~ theta*axis.
+    return w * (1.0 + theta * theta / 6.0)
 
 
 def metric_inverse(i_metric):

@@ -2,8 +2,11 @@ import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -383,6 +386,147 @@ class TestSimulate:
                          "-o", str(tmp_path / "d.csv")]) == 2
 
 
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+class TestTelemetryWriter:
+    """`simulate`'s forked CSV writer: the same bytes as the in-process
+    path, nothing left behind when the run or the writer fails, and no
+    child process once `main` returns."""
+
+    def test_forked_and_in_process_writes_are_identical(self, tmp_path,
+                                                        monkeypatch, capfd):
+        # 0.5 s: three full blocks and a last one of 117 rows
+        cfg = write_short_config(tmp_path, duration="0.5")
+        outputs = {}
+        for forked in (True, False):
+            monkeypatch.setattr(cli, "_fork_writer", lambda: forked)
+            out = tmp_path / f"forked_{forked}.csv"
+            assert main(["simulate", str(cfg), "-o", str(out)]) == 0
+            assert capfd.readouterr() == (
+                f"wrote {out} (501 rows) and {out.with_suffix('.meta.json')}"
+                "\n", "")
+            outputs[forked] = (out.read_bytes(),
+                               out.with_suffix(".meta.json").read_bytes())
+            assert_no_child()
+        assert outputs[True] == outputs[False]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "forked_False.csv", "forked_False.meta.json", "forked_True.csv",
+            "forked_True.meta.json", "scenario.cfg"]
+
+    def test_symlinked_output_writes_its_target(self, tmp_path):
+        cfg = write_short_config(tmp_path, duration="0.1")
+        (tmp_path / "runs").mkdir()
+        target = tmp_path / "runs" / "t.csv"
+        target.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert main(["simulate", str(cfg), "-o", str(link)]) == 0
+        assert link.is_symlink()
+        assert len(target.read_text().splitlines()) == 102
+        assert sorted(p.name for p in target.parent.iterdir()) == ["t.csv"]
+
+    def test_no_fork_beside_another_thread(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked beside another thread")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        cfg = write_short_config(tmp_path, duration="0.1")
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert main(["simulate", str(cfg),
+                         "-o", str(tmp_path / "t.csv")]) == 0
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len((tmp_path / "t.csv").read_text().splitlines()) == 102
+
+    def test_divergent_run_leaves_the_directory_as_it_was(self, tmp_path,
+                                                          capfd):
+        cfg = write_short_config(
+            tmp_path, duration="30",
+            extra=[("integrator.step = 0.001", "integrator.step = 0.3")])
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["simulate", str(cfg), "-o", str(out / "d.csv")]) == 2
+        assert capfd.readouterr() == (
+            "", "error: state diverged at step 4 (t=1.2 s)\n")
+        assert list(out.iterdir()) == []
+        assert_no_child()
+
+    def test_interrupted_run_leaves_the_directory_as_it_was(self, tmp_path,
+                                                            monkeypatch):
+        # the writer has formatted two blocks when the run is interrupted
+        run = scenario.run_closed_loop
+
+        def interrupted(cfg, observer):
+            def forward(start, block):
+                if start == 256:
+                    raise KeyboardInterrupt
+                observer(start, block)
+            return run(cfg, observer=forward)
+
+        monkeypatch.setattr(cli, "run_closed_loop", interrupted)
+        cfg = write_short_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(KeyboardInterrupt):
+            main(["simulate", str(cfg), "-o", str(out / "i.csv")])
+        assert list(out.iterdir()) == []
+        assert_no_child()
+
+    def test_killed_run_leaves_the_directory_as_it_was(self, tmp_path):
+        # SIGTERM ends the run with no cleanup of its own; the writer, cut
+        # off before the run's end mark, removes its temporary file
+        cfg = write_short_config(tmp_path, duration="30")
+        out = tmp_path / "out"
+        out.mkdir()
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gyrotrack.cli", "simulate", str(cfg),
+             "-o", str(out / "k.csv")], env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        deadline = time.monotonic() + 60
+        try:   # until the writer has written rows
+            while not any(p.stat().st_size for p in out.iterdir()):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.02)
+        finally:
+            proc.terminate()
+        assert proc.wait(timeout=60) == -signal.SIGTERM
+        while list(out.iterdir()):
+            assert time.monotonic() < deadline
+            time.sleep(0.02)
+
+    @pytest.mark.parametrize("fault, status", [
+        ("raise", 1), ("kill", -signal.SIGKILL)])
+    def test_writer_failure_exits_1(self, fault, status, tmp_path,
+                                    monkeypatch, capfd):
+        # a writer that raises removes its file; one killed leaves it to
+        # this process
+        def broken(traj, metrics):
+            if fault == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("formatting failed")
+
+        monkeypatch.setattr(cli, "_telemetry", broken)
+        cfg = write_short_config(tmp_path, duration="0.5")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["simulate", str(cfg), "-o", str(out / "w.csv")]) == 1
+        assert capfd.readouterr() == (
+            "", f"error: telemetry writer failed with exit status {status}\n")
+        assert list(out.iterdir()) == []
+        assert_no_child()
+
+
 @pytest.mark.parametrize("command", ["simulate", "plot", "compare"])
 def test_missing_output_dir_exit_1_before_running(command, tmp_path,
                                                   monkeypatch, capsys):
@@ -700,7 +844,7 @@ class TestOutOfRangeInputs:
     def test_memory_error_exit_1(self, tmp_path, monkeypatch, capsys):
         # a valid horizon too long for memory, e.g. duration 1e12 at the
         # bundled step: the run's first allocation raises MemoryError
-        def too_long(cfg):
+        def too_long(cfg, observer=None):
             raise MemoryError("Unable to allocate 7.28 PiB for an array")
 
         path = write_short_config(tmp_path, duration="1e12")

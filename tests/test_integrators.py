@@ -188,6 +188,44 @@ class TestInvariants:
                                     IntegratorConfig(step=0.1, duration=0.3))
         assert np.array_equal(hist.vectors[-1], vec)
 
+    def test_observer_sees_each_block_once_in_order(self):
+        # 300 steps: blocks of 128, 128 and the last 45 samples, each row
+        # the bits of the History's attitudes and then its vector state
+        seen = []
+        init = ((so3.expm([0.1, 0.2, 0.3]), np.eye(3)),
+                np.array([0.5, -0.2, 0.9]))
+
+        def field(t, rots, vec):
+            omegas, vdot = free_body_field(t, rots[:1], vec)[:2]
+            return omegas + ((0.0, 1.0, 0.0),), vdot
+
+        hist = integrate_components(
+            field, init, IntegratorConfig(step=1e-3, duration=0.3),
+            lambda start, block: seen.append((start, block)))
+        assert [start for start, _ in seen] == [0, 128, 256]
+        assert [block.shape for _, block in seen] == [(128, 21), (128, 21),
+                                                      (45, 21)]
+        rows = np.column_stack([r.reshape(-1, 9) for r in hist.rotations]
+                               + [hist.vectors])
+        assert np.concatenate([b for _, b in seen]).tobytes() \
+            == rows.tobytes()
+
+    @pytest.mark.parametrize("bad_step", [4, 127, 128, 300])
+    def test_observer_never_sees_a_failing_block(self, bad_step):
+        # the blocks before the failing one are observed, that one is not
+        cfg = IntegratorConfig(step=1.0, duration=400.0)
+        seen = []
+
+        def field(t, rots, vec):
+            return [(0.0, 0.0, 0.0)], [np.inf if t > bad_step - 1 else 0.0]
+
+        with pytest.raises(DivergedStateError) as err:
+            integrate_components(
+                field, ((np.eye(3),), np.zeros(1)), cfg,
+                lambda start, block: seen.append(start))
+        assert err.value.step_index == bad_step
+        assert seen == list(range(0, bad_step // 128 * 128, 128))
+
     def test_rotor_field_matches_array_adapters(self):
         # along an integrated rotor body, the component field's rates are
         # the array adapters' (`rotor_accels`, `ReferenceProgram.torque`)

@@ -172,6 +172,46 @@ class TestClosedLoop:
         assert metrics.psi_e.max() < 1e-8
         assert np.abs(traj.xi_I).max() < 1e-8
 
+    @pytest.mark.parametrize("program", scenario.PROGRAM_KINDS)
+    @pytest.mark.parametrize("actuation", ["internal", "external"])
+    def test_block_records_are_the_run_record(self, program, actuation):
+        # 1 s: seven full 128-row blocks and a last one of 105 rows, whose
+        # records are, row for row, the bits of the whole run's
+        cfg = short_config(program, duration=1.0, gains="certified")
+        blocks = []
+        traj, metrics = scenario.run_closed_loop(
+            cfg, actuation, lambda start, block: blocks.append((start, block)))
+        records = list(scenario.block_records(cfg, blocks, actuation))
+        assert [len(t) for t, _ in records] == [128] * 7 + [105]
+        for whole, parts in ((traj, [t for t, _ in records]),
+                             (metrics, [m for _, m in records])):
+            for field in dataclasses.fields(whole):
+                value = getattr(whole, field.name)
+                if isinstance(value, np.ndarray) and value.shape[:1] == (1001,):
+                    joined = np.concatenate([getattr(p, field.name)
+                                             for p in parts])
+                    assert joined.tobytes() == value.tobytes(), field.name
+        assert all(np.array_equal(m.momentum0, metrics.momentum0)
+                   for _, m in records)
+
+    def test_fourth_order(self):
+        # the whole loop, torque program included, converges at fourth
+        # order: 2 s of the certified sinusoid against h = 2.5e-4 (largest
+        # final-state errors 0.376, 0.0248 and 0.00142, orders 3.92, 4.13)
+        def final_state(h):
+            cfg = short_config("sinusoid", gains="certified")
+            cfg = dataclasses.replace(
+                cfg, integrator=IntegratorConfig(step=h, duration=2.0))
+            rows = []
+            scenario.run_closed_loop(
+                cfg, observer=lambda start, block: rows.append(block[-1]))
+            return rows[-1]
+
+        fine = final_state(2.5e-4)
+        errs = [np.abs(final_state(h) - fine).max() for h in (0.04, 0.02, 0.01)]
+        orders = np.log2(np.array(errs[:-1]) / errs[1:])
+        assert ((3.7 <= orders) & (orders <= 4.3)).all(), orders
+
     def test_feasibility_verdict_recorded_for_any_gains(self):
         _, metrics = scenario.run_closed_loop(short_config(duration=0.5))
         assert metrics.feasibility.feasible is False

@@ -109,17 +109,21 @@ class TestExpLog:
             angle = rng.uniform(0.0, np.pi - 1e-6)
             v = angle * axis
             worst = max(worst, np.abs(so3.logm(so3.expm(v)) - v).max())
-        assert worst < 1e-9
+        assert worst < 2e-15   # 8.9e-16 measured
 
     def test_exp_log_roundtrip_near_pi(self):
+        # the axis keeps its digits up to pi: 8.9e-16 measured, where an
+        # axis from the skew part alone loses about 2.4e-16 / (pi - angle)
         rng = np.random.default_rng(19)
         for _ in range(50):
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
-            r = so3.expm((np.pi - 10 ** rng.uniform(-12, -3)) * axis)
+            v = (np.pi - 10 ** rng.uniform(-12, -3)) * axis
+            r = so3.expm(v)
             w = so3.logm(r)
             assert np.linalg.norm(w) <= np.pi + 1e-12
-            assert np.abs(so3.expm(w) - r).max() < 1e-9
+            assert np.abs(w - v).max() < 2e-15
+            assert np.abs(so3.expm(w) - r).max() < 2e-15
 
     def test_small_angle_branch(self):
         v = np.array([1e-10, -2e-10, 5e-11])
