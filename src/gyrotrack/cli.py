@@ -3,9 +3,14 @@
 Subcommands:
 
 * ``simulate <config> -o <csv>``   run the tracking loop, write telemetry
-  CSV plus a JSON metadata sidecar; on Linux a forked writer process
-  formats the CSV block by block while the run integrates, under a
-  temporary name that becomes the output only once the run has succeeded
+  CSV plus a JSON metadata sidecar; on Linux a run has up to two child
+  processes, the reference body (`scenario.run_closed_loop`) and a
+  writer that formats the CSV block by block while the run integrates,
+  under a temporary name that becomes the output only once the run has
+  succeeded; both are reaped before ``simulate`` returns.  Elsewhere, or
+  beside another Python thread (`stream.can_fork`), both run in this
+  process, the reference first and the rows after the run: the same
+  bytes, in about 1.6 times the time
 * ``tune-gains <config> [--synthesize]``   evaluate (or synthesize) gains
   against the certification inequalities
 * ``compare <config> -o <dir>``    effort comparison against the
@@ -19,8 +24,9 @@ Errors.  Commands return 0 or raise; `main` alone turns an error into
 an exit code and prints ``error: <message>`` to stderr: 2 numerical
 divergence, 1 any other GyrotrackError (config, schema, gain synthesis),
 OSError (a file that cannot be read or written, or a failed telemetry
-writer) or MemoryError (a run too long to hold in memory).  A usage
-error, a bad ``--entries`` among them, exits 1 after argparse prints it.  An output file whose directory is
+writer or reference body process) or MemoryError (a run too long to
+hold in memory).  A usage error, a bad ``--entries`` among them, exits 1
+after argparse prints it.  An output file whose directory is
 missing, or which is itself a directory, fails once the input has loaded,
 before anything is integrated or written; ``compare`` creates its output
 directory only after the run.
@@ -36,7 +42,6 @@ import json
 import os
 import sys
 import tempfile
-import threading
 import warnings
 from pathlib import Path
 
@@ -48,6 +53,7 @@ from .control import (gain_feasible, lambda_sup_formula, mu_hess_formula,
                       q_matrix, synthesize_gains)
 from .errors import DivergedStateError, GyrotrackError, SchemaMismatchError
 from .scenario import block_records, compare_efforts, run_closed_loop
+from .stream import can_fork, fork_pipe, received, send, send_end
 from .svgplot import Panel, Series, write_svg
 
 COLUMNS = (
@@ -104,29 +110,6 @@ def _telemetry(traj, metrics):
     ])
 
 
-def _received(fd):
-    """The ``(start, block)`` pairs that `_run_with_writer` sends down the
-    pipe ``fd``, up to its end mark, a header of zero rows.  A pipe that
-    closes before the mark, because the run failed or its process died,
-    raises EOFError."""
-    with open(fd, "rb") as pipe:
-        while len(header := pipe.read(24)) == 24:
-            start, rows, width = np.frombuffer(header, np.int64).tolist()
-            if not rows:
-                return
-            block = np.frombuffer(pipe.read(8 * rows * width))
-            yield start, block.reshape(rows, width)
-    raise EOFError("the run ended before its last block")
-
-
-def _fork_writer():
-    """Whether `simulate` forks its CSV writer: on Linux only, since
-    Windows has no fork and on macOS forking after the system frameworks
-    have loaded is unsafe, and only from a process running no other Python
-    thread, whose locks the writer could inherit held."""
-    return sys.platform.startswith("linux") and threading.active_count() == 1
-
-
 def _run_with_writer(cfg, out):
     """`run_closed_loop` of cfg, with its CSV written to ``out`` by a forked
     writer process that formats each block of samples while the next one
@@ -134,8 +117,8 @@ def _run_with_writer(cfg, out):
 
     The writer reads the observed blocks from a pipe and writes the rows
     under a temporary name in out's directory, which replaces ``out``
-    once the run and the writer have both succeeded.  The writer prints
-    nothing and always leaves by `os._exit`; if it fails, or the pipe
+    once the run and the writer have both succeeded.  The writer runs at
+    niceness 10, prints nothing and always leaves by `os._exit`; if it fails, or the pipe
     closes before the run's end mark (this process failed or died), it
     removes the temporary file.  Any exception in this process closes the
     pipe, reaps the writer, makes sure the temporary file is gone and
@@ -147,35 +130,28 @@ def _run_with_writer(cfg, out):
         umask = os.umask(0o022)   # the mode `open` gives a new file
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)
-        read, write = os.pipe()
-        with warnings.catch_warnings():
-            # Python 3.12+ warns of any second thread at a fork; numpy's
-            # BLAS thread pool, the one here, shuts down and restarts
-            # around a fork by its own fork handlers
-            warnings.filterwarnings("ignore", ".* is multi-threaded",
-                                    DeprecationWarning)
-            pid = os.fork()
+        pid, pipe = fork_pipe(child_reads=True)
         if pid == 0:   # the writer
             status = 1
             try:
-                os.close(write)
-                _write_csv(fd, (_telemetry(*record) for record in
-                                block_records(cfg, _received(read))))
+                # the run waits on the plant's and the reference body's
+                # processes, never on this one until its last block: on
+                # two cores, they come first
+                os.nice(10)
+                with pipe:
+                    _write_csv(fd, (_telemetry(*record) for record in
+                                    block_records(cfg, received(pipe))))
                 status = 0
             except BaseException:
                 os.unlink(tmp)
             finally:
                 os._exit(status)
-        os.close(read)
         try:
-            with open(write, "wb") as pipe:
-                def send(start, block):
-                    pipe.write(np.array((start, *block.shape),
-                                        np.int64).tobytes())
-                    pipe.write(block)
-                    pipe.flush()
-                result = run_closed_loop(cfg, observer=send)
-                pipe.write(bytes(24))   # the end mark
+            with pipe:
+                result = run_closed_loop(
+                    cfg, observer=lambda start, block: send(pipe, start,
+                                                            block))
+                send_end(pipe)
         except BrokenPipeError:   # the writer has died: its status says so
             pass
         finally:
@@ -236,7 +212,7 @@ def cmd_simulate(config_path, out_path):
     out = Path(out_path)
     meta = out.with_suffix(".meta.json")
     _check_outputs(out, meta)
-    if _fork_writer():
+    if can_fork():
         traj, metrics = _run_with_writer(cfg, out)
     else:
         traj, metrics = run_closed_loop(cfg)

@@ -3,14 +3,17 @@
 A scenario pairs a rotor-driven plant with a reference attitude produced
 by a second ("dummy") rotor body flying under a chosen torque program.
 Both bodies move by one rate, (dTheta, dOmega, dOmegaR) = (OmegaR, the
-block solve `rotor_accels`), co-integrated in one state so the
-controller always sees exact reference values, never interpolated ones;
-the `_d` half of a run's `ClosedLoopTrajectory` is the reference record,
-bit for bit the reference's `_rotor_field` integrated alone.  The
-integrator calls the closed loop on floats; the post-pass calls it once
-on the stored history as columns, so the reported torques are the ones
-that drove the plant.  `block_records` gives the same record block by
-block, from the blocks a run hands its observer.
+block solve `rotor_accels`).  The reference never depends on the plant,
+so a run integrates it on its own and streams it to the plant's
+integration: the values of R_d, Omega_d and dOmega_d at every stage of
+every step, which the controller reads as they are, never interpolated.
+The `_d` half of a run's `ClosedLoopTrajectory` is the reference record,
+bit for bit the reference's `_rotor_field` integrated alone, and the
+whole record the bits of the two bodies integrated as one state.  The
+integrator calls the plant's field on floats; the post-pass calls the
+closed loop once on the stored history as columns, so the reported
+torques are the ones that drove the plant.  `block_records` gives the
+same record block by block, from the blocks a run hands its observer.
 
 Because the control torques are internal, any admissible reference must
 carry the same spatial angular momentum as the plant; `consistent_rotor_velocity`
@@ -22,10 +25,15 @@ reference torque programs: zero, constant (0.2, 0.1, 0.2) N·m, and the
 sinusoid (sin t, cos t, sin t) N·m.
 """
 
+import contextlib
 import dataclasses
+import io
 import math
+import os
+import struct
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -42,10 +50,12 @@ from .control import (FeasibilityVerdict, GainSet, NavigationWeights,
 from .dynamics import (InertiaParams, _external_accel, _momentum,
                        kernel_constants, momentum_body, momentum_spatial)
 from .dynamics import _rotor_accels as rotor_accels
+from .errors import DivergedStateError
 from .integrators import History, IntegratorConfig
 from .integrators import integrate_components as integrate
 from .so3 import (_matvec, components, from_components, is_rotation,
                   metric_constants, orthogonality_defect, rotation_angle)
+from .stream import can_fork, fork_pipe, received, send, send_end
 
 
 PROGRAM_KINDS = ("zero", "constant", "sinusoid")
@@ -323,13 +333,18 @@ def on_reference_variant(cfg):
 # the rotor body
 # ---------------------------------------------------------------------------
 
-def _rotor_field(params, torque):
+_STAGE = 15    # floats of stage values per evaluation: R 9 | Omega | dOmega
+_FLUSH = 32    # evaluations of stage values per message, 8 RK4 steps
+
+
+def _rotor_field(params, torque, record=None):
     """Vector field of a rotor body under a componentwise torque program
     ``torque(t)`` (`ReferenceProgram._torque`).
 
     Vector state Theta 0:3 | Omega 3:6 | OmegaR 6:9, with rates
     (dTheta, dOmega, dOmegaR) = (OmegaR, block solve); the attitude moves
-    with body velocity Omega.
+    with body velocity Omega.  ``record``, if given, is called with each
+    evaluation's stage values: the attitude's 9 entries, Omega and dOmega.
     """
     consts = kernel_constants(params)
 
@@ -338,8 +353,51 @@ def _rotor_field(params, torque):
         omega = w0, w1, w2
         (a0, a1, a2), (b0, b1, b2) = rotor_accels(consts, omega,
                                                   (r0, r1, r2), torque(t))
+        if record is not None:
+            record((*rots[0], w0, w1, w2, a0, a1, a2))
         return (omega,), (r0, r1, r2, a0, a1, a2, b0, b1, b2)
     return field
+
+
+def _stream_reference(cfg, pipe):
+    """Integrate the reference body of cfg, writing it to the binary file
+    ``pipe`` in the format of `stream`.
+
+    The messages are, in order, the stage values of its evaluations
+    (`_rotor_field`), up to `_FLUSH` rows of 15 per message whose start is
+    0, and after the last stage values of each block of stored samples
+    the block itself, rows of 18: R_d 9 | Theta_d | Omega_d | OmegaR_d.  The end mark carries
+    the step at which the body diverged; the stage values of that step's
+    block are all sent first.  Any other error propagates.
+    """
+    ref = cfg.reference
+    stages = []
+
+    def flush():
+        if stages:   # never a message of no rows: that is the end mark
+            # struct packs a list of floats several times faster than numpy
+            values = struct.pack(f"{len(stages)}d", *stages)
+            send(pipe, 0, np.frombuffer(values).reshape(-1, _STAGE))
+            stages.clear()
+
+    def record(values):
+        stages.extend(values)
+        if len(stages) == _STAGE * _FLUSH:
+            flush()
+
+    def observer(start, block):
+        flush()
+        send(pipe, start, block)
+
+    field = _rotor_field(ref.params, cfg.program._torque, record)
+    vec0 = np.concatenate([ref.Theta0, ref.Omega0, ref.OmegaR0])
+    try:
+        integrate(field, ((ref.R0,), vec0), cfg.integrator, observer)
+    except DivergedStateError as exc:
+        flush()
+        send_end(pipe, exc.step_index)
+    else:
+        send_end(pipe)
 
 
 # ---------------------------------------------------------------------------
@@ -349,26 +407,23 @@ def _rotor_field(params, torque):
 _ZERO3 = np.zeros(3)
 
 
-def _closed_loop(cfg, actuation):
-    """``loop(t, rots, vec) -> (omegas, vdot, u_ext, u_int)``: the combined
-    plant + reference + integral-state field with the torques it applies,
-    u_ext = I u on the carrier body and the rotor torque u_int realizing it.
+def _plant_loop(cfg, actuation):
+    """``plant(t, rots, vec, ref) -> (omegas, vdot, u_ext, u_int)``: the
+    plant + integral-state field, given the reference's stage values
+    ``ref`` (R_d 9 | Omega_d | dOmega_d, as `_rotor_field` records them),
+    with the torques it applies, u_ext = I u on the carrier body and the
+    rotor torque u_int realizing it.
 
-    vec: Theta 0:3 | Omega 3:6 | OmegaR 6:9 | Theta_d 9:12 | Omega_d 12:15
-         | OmegaR_d 15:18 | xi_I 18:21.
-    The plant and reference halves are two rotor bodies, each moved by
-    (dTheta, dOmega, dOmegaR) = (OmegaR, block solve), as in
-    `_rotor_field`: the reference under its torque program, whose dOmega_d
-    is the control's feed-forward, and the plant under u_int.  Under
-    external actuation the carrier body is torqued directly, u_int is zero
-    and the plant's Theta and OmegaR slots stay zero.  The 21 rates are one
-    tuple of named components.  On components (see `integrators`): floats
-    in the stepper, which ignores the torques, columns in the post-pass.
+    vec: Theta 0:3 | Omega 3:6 | OmegaR 6:9 | xi_I 9:12.
+    The plant is a rotor body moved by (dTheta, dOmega, dOmegaR) =
+    (OmegaR, block solve), as in `_rotor_field`, under u_int; dOmega_d is
+    the control's feed-forward.  Under external actuation the carrier
+    body is torqued directly, u_int is zero and the plant's Theta and
+    OmegaR slots stay zero.  On components (see `integrators`): floats in
+    the stepper, which ignores the torques, columns in the post-pass.
     """
     plant = cfg.plant.params
     plant_c = kernel_constants(plant)
-    ref_c = kernel_constants(cfg.reference.params)
-    torque = cfg.program._torque
     gains = cfg.gains
     p_mat = components(cfg.weights.P, 2)
     metric = metric_constants(plant.body_inertia)
@@ -376,16 +431,14 @@ def _closed_loop(cfg, actuation):
     i0, i1, i2, i3, i4, i5, i6, i7, i8 = i_metric
     internal = actuation == "internal"
 
-    def loop(t, rots, vec):
-        r, r_d = rots
-        (_, _, _, w0, w1, w2, r0, r1, r2,
-         _, _, _, v0, v1, v2, s0, s1, s2, x0, x1, x2) = vec
-        omega, omega_r, omega_d = (w0, w1, w2), (r0, r1, r2), (v0, v1, v2)
-        d_omega_d, (b0, b1, b2) = rotor_accels(ref_c, omega_d, (s0, s1, s2),
-                                               torque(t))
-        u, (y0, y1, y2) = _loop_kernel(metric, p_mat, gains, r, omega, r_d,
-                                       omega_d, d_omega_d, (x0, x1, x2))
-        (a0, a1, a2), (u0, u1, u2) = d_omega_d, u
+    def loop(t, rots, vec, ref):
+        _, _, _, w0, w1, w2, r0, r1, r2, x0, x1, x2 = vec
+        q0, q1, q2, q3, q4, q5, q6, q7, q8, v0, v1, v2, a0, a1, a2 = ref
+        omega, omega_r = (w0, w1, w2), (r0, r1, r2)
+        (u0, u1, u2), (y0, y1, y2) = _loop_kernel(
+            metric, p_mat, gains, rots[0], omega,
+            (q0, q1, q2, q3, q4, q5, q6, q7, q8), (v0, v1, v2),
+            (a0, a1, a2), (x0, x1, x2))
         u_ext = (i0 * u0 + i1 * u1 + i2 * u2, i3 * u0 + i4 * u1 + i5 * u2,
                  i6 * u0 + i7 * u1 + i8 * u2)   # I u, as `_matvec` forms it
         if internal:
@@ -395,10 +448,34 @@ def _closed_loop(cfg, actuation):
         else:
             zero = 0.0 * t   # +0.0 as a float, or a column like t (t >= 0)
             u_int = d0, d1, d2 = zero, zero, zero
-            c0, c1, c2 = _external_accel(i_metric, i_inv, omega, u)
-        return ((omega, omega_d),
-                (r0, r1, r2, c0, c1, c2, d0, d1, d2,
-                 s0, s1, s2, a0, a1, a2, b0, b1, b2, y0, y1, y2),
+            c0, c1, c2 = _external_accel(i_metric, i_inv, omega,
+                                         (u0, u1, u2))
+        return ((omega,), (r0, r1, r2, c0, c1, c2, d0, d1, d2, y0, y1, y2),
+                u_ext, u_int)
+    return loop
+
+
+def _closed_loop(cfg, actuation):
+    """``loop(t, rots, vec) -> (omegas, vdot, u_ext, u_int)``: the combined
+    plant + reference + integral-state field with the torques it applies,
+    `_plant_loop` fed with the stage values of the reference body's
+    `_rotor_field`.
+
+    vec: Theta 0:3 | Omega 3:6 | OmegaR 6:9 | Theta_d 9:12 | Omega_d 12:15
+         | OmegaR_d 15:18 | xi_I 18:21.
+    A run integrates the two halves apart (`run_closed_loop`) and gives
+    the same bits; this is the loop of its record and of `block_records`.
+    """
+    reference = _rotor_field(cfg.reference.params, cfg.program._torque)
+    plant = _plant_loop(cfg, actuation)
+
+    def loop(t, rots, vec):
+        r, r_d = rots
+        (omega_d,), ref_rates = reference(t, (r_d,), vec[9:18])
+        (omega,), rates, u_ext, u_int = plant(
+            t, (r,), (*vec[:9], *vec[18:]),
+            (*r_d, *omega_d, *ref_rates[3:6]))
+        return ((omega, omega_d), (*rates[:9], *ref_rates, *rates[9:]),
                 u_ext, u_int)
     return loop
 
@@ -408,26 +485,113 @@ def run_closed_loop(cfg, actuation="internal", observer=None):
 
     actuation "internal" drives the rotor plant through the torque
     conversion; "external" drives the bare carrier body directly (used by
-    the equivalence checks).  The post-pass calls the same loop on the
+    the equivalence checks).  The post-pass calls `_closed_loop` on the
     stored history as columns for Omega_d_dot, u_ext and u_int.  The
     trajectory's R_d, Theta_d, Omega_d, OmegaR_d and Omega_d_dot are the
     reference body's record, the same under either actuation.  The
     feasibility verdict of cfg.gains is recorded in the metrics either way.
     ``observer`` is passed to the integrator, which calls it with each
-    checked block of stored samples (see `integrators.integrate_components`).
+    checked block of stored samples (see `integrators.integrate_components`),
+    rows in the layout of `_closed_loop`: R 9 | R_d 9 | vec 21.
+
+    The reference body moves on its own, so it is integrated apart and
+    streamed (`_stream_reference`) to the plant's integration, whose field
+    takes the next stage values at each evaluation: the bits of the two
+    integrated as one.  Where `stream.can_fork` allows, the reference runs
+    in a forked child while the plant integrates; otherwise it runs first,
+    in this process, into a buffer.  A run diverges at the first sample
+    with a non-finite entry in either half.  The child is reaped before
+    this returns or raises; a child that fails other than by divergence
+    raises OSError.
     """
     if actuation not in ("internal", "external"):
         raise ValueError("actuation must be 'internal' or 'external'")
     cfg = resolve_reference(cfg)
-    plant, ref = cfg.plant, cfg.reference
+    if can_fork():
+        pid, pipe = fork_pipe(child_reads=False)
+        if pid == 0:   # the reference body
+            status = 1
+            try:
+                with pipe:
+                    _stream_reference(cfg, pipe)
+                status = 0
+            finally:
+                os._exit(status)
+        hist = None
+        try:
+            with pipe:
+                hist = _plant_run(cfg, actuation, pipe, observer)
+        except EOFError:   # the child failed or died: its status says how
+            pass
+        finally:
+            status = os.waitpid(pid, 0)[1]
+        if hist is None:
+            raise OSError("reference body failed with exit status "
+                          f"{os.waitstatus_to_exitcode(status)}")
+    else:
+        pipe = io.BytesIO()
+        _stream_reference(cfg, pipe)
+        pipe.seek(0)
+        hist = _plant_run(cfg, actuation, pipe, observer)
+    return _post_pass(cfg, actuation, _closed_loop(cfg, actuation), hist)
+
+
+def _plant_run(cfg, actuation, pipe, observer):
+    """The `History` of a run of cfg, in the layout of `_closed_loop`:
+    the plant and integral state integrated by `_plant_loop` on the
+    reference stream read from ``pipe`` (`_stream_reference`), each
+    checked block joined with the reference's block of the same samples,
+    then observed."""
+    plant = cfg.plant
+    n = cfg.integrator.n_steps
+    r_d, vectors = np.empty((n + 1, 9)), np.empty((n + 1, 21))
     theta0, omega_r0 = (plant.Theta0, plant.OmegaR0) \
         if actuation == "internal" else (_ZERO3, _ZERO3)
-    vec0 = np.concatenate([theta0, plant.Omega0, omega_r0,
-                           ref.Theta0, ref.Omega0, ref.OmegaR0, _ZERO3])
-    loop = _closed_loop(cfg, actuation)
-    hist = integrate(loop, ((plant.R0, ref.R0), vec0), cfg.integrator,
-                     observer)
-    return _post_pass(cfg, actuation, loop, hist)
+    step = cfg.integrator.step
+    messages = received(pipe)
+    diverged = []   # the step at which the reference diverged
+
+    def reference_message():
+        try:
+            return next(messages)[1]
+        except StopIteration as end:
+            diverged.append(end.value)
+            raise DivergedStateError(end.value, step * end.value) from None
+
+    def stage_chunks():
+        while True:
+            yield reference_message().tolist()
+
+    stages = chain.from_iterable(stage_chunks())
+    loop = _plant_loop(cfg, actuation)
+
+    def field(t, rots, vec):
+        return loop(t, rots, vec, next(stages))
+
+    def joined(start, block):
+        ref = reference_message()
+        rows = np.concatenate([block[:, :9], ref[:, :9], block[:, 9:18],
+                               ref[:, 9:], block[:, 18:]], axis=1)
+        r_d[start:start + len(rows)] = rows[:, 9:18]
+        vectors[start:start + len(rows)] = rows[:, 18:]
+        if observer is not None:
+            observer(start, rows)
+
+    vec0 = np.concatenate([theta0, plant.Omega0, omega_r0, _ZERO3])
+    try:
+        hist = integrate(field, ((plant.R0,), vec0), cfg.integrator, joined)
+    except DivergedStateError as exc:
+        # the first non-finite sample of either half: unless it has come
+        # already, read on to the reference's verdict on the failing block
+        with contextlib.suppress(DivergedStateError, EOFError):
+            while not diverged and reference_message().shape[1] == _STAGE:
+                pass
+        if diverged and diverged[0] < exc.step_index:
+            raise DivergedStateError(diverged[0],
+                                     step * diverged[0]) from None
+        raise
+    return History(hist.times, [hist.rotations[0], r_d.reshape(-1, 3, 3)],
+                   vectors)
 
 
 def _post_pass(cfg, actuation, loop, hist, momentum0=None):

@@ -112,15 +112,6 @@ def _matvec(m, v):
             m6 * v0 + m7 * v1 + m8 * v2)
 
 
-def _matvec_t(m, v):
-    """M^T v."""
-    m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
-    v0, v1, v2 = v
-    return (m0 * v0 + m3 * v1 + m6 * v2,
-            m1 * v0 + m4 * v1 + m7 * v2,
-            m2 * v0 + m5 * v1 + m8 * v2)
-
-
 def _matmul(a, b):
     """A B."""
     a0, a1, a2, a3, a4, a5, a6, a7, a8 = a

@@ -1,0 +1,106 @@
+"""Child processes joined to this one by a pipe, and the one format of
+what the pipe carries.
+
+A stream is a run of messages, each a header of three int64s
+``(start, rows, width)`` and then ``rows * width`` raw float64s, row by
+row, and it ends with an end mark, a header of zero rows whose ``start``
+is the sender's outcome: 0, or the step at which its run diverged.
+`simulate`'s telemetry writer reads the run's blocks this way, and
+`scenario.run_closed_loop` reads its reference body's.
+"""
+
+import contextlib
+import os
+import sys
+import threading
+import warnings
+
+import numpy as np
+
+# this process's ends of the pipes to its children, as open files
+_ENDS = []
+
+
+def can_fork():
+    """Whether a child may be forked: on Linux only, since Windows has no
+    fork and on macOS forking after the system frameworks have loaded is
+    unsafe, and only from a process running no other Python thread, whose
+    locks the child could inherit held."""
+    return sys.platform.startswith("linux") and threading.active_count() == 1
+
+
+def fork_pipe(child_reads):
+    """Fork a child joined to this process by a new pipe, which the child
+    reads if ``child_reads`` and writes otherwise.
+
+    Returns ``(pid, pipe)``: in this process the child's pid and this
+    end, in the child 0 and the other end, each opened as a binary file.
+    The child holds no other end of a pipe that this process opened here
+    for another child: each is closed in it, so a child reads the end of
+    its stream once the process at the other end has closed or lost it.
+    A child must leave by `os._exit`.
+    """
+    import fcntl   # here, not at the top: there is no fcntl on Windows
+    read, write = os.pipe()
+    with contextlib.suppress(OSError):   # a larger pipe is only faster
+        # 1 MiB, the most an unprivileged process may ask for by default:
+        # the sender of a 1 s run never waits for its reader, where at
+        # the default 64 KiB it would block and be woken every few steps
+        fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, 1 << 20)
+    ours, theirs = (write, read) if child_reads else (read, write)
+    with warnings.catch_warnings():
+        # Python 3.12+ warns of any second thread at a fork; numpy's BLAS
+        # thread pool, the one here, shuts down and restarts around a
+        # fork by its own fork handlers
+        warnings.filterwarnings("ignore", ".* is multi-threaded",
+                                DeprecationWarning)
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
+    if pid == 0:
+        os.close(ours)
+        # the other ends' fds alone: closing their files could write the
+        # parent's buffered data from here
+        for end in _ENDS:
+            if not end.closed:
+                os.close(end.fileno())
+        _ENDS.clear()
+        return 0, open(theirs, "rb" if child_reads else "wb")
+    os.close(theirs)
+    _ENDS[:] = [end for end in _ENDS if not end.closed]
+    _ENDS.append(open(ours, "wb" if child_reads else "rb"))
+    return pid, _ENDS[-1]
+
+
+def send(pipe, start, block):
+    """Write and flush the message of a C-contiguous ``(rows, width)``
+    float64 ``block`` whose first row is sample ``start``."""
+    pipe.write(np.array((start, *block.shape), np.int64).tobytes())
+    pipe.write(block)
+    pipe.flush()
+
+
+def send_end(pipe, diverged=0):
+    """Write and flush the end mark: 0 once the run has succeeded, else
+    the step at which it diverged."""
+    pipe.write(np.array((diverged, 0, 0), np.int64).tobytes())
+    pipe.flush()
+
+
+def received(pipe):
+    """The ``(start, block)`` messages of the binary file ``pipe``, up to
+    its end mark, whose outcome the generator returns.  A stream that
+    ends before the mark, because its sender failed or died, raises
+    EOFError."""
+    while len(header := pipe.read(24)) == 24:
+        start, rows, width = np.frombuffer(header, np.int64).tolist()
+        if not rows:
+            return start
+        payload = pipe.read(8 * rows * width)
+        if len(payload) < 8 * rows * width:
+            break
+        yield start, np.frombuffer(payload).reshape(rows, width)
+    raise EOFError("the stream ended before its end mark")

@@ -403,7 +403,7 @@ class TestTelemetryWriter:
         cfg = write_short_config(tmp_path, duration="0.5")
         outputs = {}
         for forked in (True, False):
-            monkeypatch.setattr(cli, "_fork_writer", lambda: forked)
+            monkeypatch.setattr(cli, "can_fork", lambda: forked)
             out = tmp_path / f"forked_{forked}.csv"
             assert main(["simulate", str(cfg), "-o", str(out)]) == 0
             assert capfd.readouterr() == (

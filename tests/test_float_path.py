@@ -137,11 +137,18 @@ _ERROR_FIELD = control.error_field(_PLANT.body_inertia, _P, _GAINS)
 _LOOP_CFG = scenario.resolve_reference(
     scenario.benchmark_config("sinusoid", gains="certified"))
 
+
+def _transpose(m):
+    """The components of M^T, from those of M."""
+    return tuple(m[3 * j + i] for i in range(3) for j in range(3))
+
+
 # name -> (kernel, per-sample shapes of its arguments)
 KERNELS = {
     "cross": (so3._cross, ((3,), (3,))),
     "matvec": (so3._matvec, ((3, 3), (3,))),
-    "matvec_t": (so3._matvec_t, ((3, 3), (3,))),
+    "matvec_t": (lambda m, v: so3._matvec(_transpose(m), v),
+                 ((3, 3), (3,))),
     "matmul": (so3._matmul, ((3, 3), (3, 3))),
     "matmul_t": (so3._matmul_t, ((3, 3), (3, 3))),
     "skew_vee": (so3._skew_vee, ((3, 3),)),
@@ -286,7 +293,8 @@ def _composed_loop_kernel(metric, p, gains, r, omega, r_d, omega_d,
     fb, xi_dot = control._feedback(metric, p, gains, e, eta, xi)
     u = (a + w + n + f for a, w, n, f in zip(
         omega_d_dot, so3._cross(omega, omega_d),
-        so3._euler(metric[0], metric[1], omega), so3._matvec_t(r, fb)))
+        so3._euler(metric[0], metric[1], omega),
+        so3._matvec(_transpose(r), fb)))
     return tuple(u), xi_dot
 
 

@@ -1,0 +1,195 @@
+"""The reference body streamed to the plant's integration.
+
+`run_closed_loop` integrates the reference body apart from the plant, in
+a forked child or first in this process, and feeds its stage values to
+the plant's field.  Both ways give the bits of the loop integrated as
+one state, report divergence at the first non-finite sample of either
+half, and leave no child process behind.
+"""
+
+import dataclasses
+import os
+
+import numpy as np
+import pytest
+
+from gyrotrack import control, scenario, stream
+from gyrotrack.errors import DivergedStateError
+
+MAX = np.finfo(float).max
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(params=["forked", "in process"])
+def path(request, monkeypatch):
+    """Each test runs once per way of running the reference body."""
+    if request.param == "in process":
+        monkeypatch.setattr(scenario, "can_fork", lambda: False)
+    elif not stream.can_fork():
+        pytest.skip("this platform does not fork")
+    return request.param
+
+
+def diverging(amplitude=0.0, kp=None, step=1e-3, theta_row=None):
+    """A 3 s constant-torque scenario of the given torque ``amplitude``
+    per axis, with certified gains or gains of ``kp``.  With
+    ``theta_row``, the reference starts at rest with its third rotor
+    spinning at 1e300 rad/s from an angle that leaves the float range at
+    that row: only Theta_d becomes non-finite, and nothing the plant
+    reads does."""
+    gains = "certified" if kp is None else control.gain_derive(
+        kp, 3.0, 1.0, 0.6, 2.0048, 1.42)
+    cfg = scenario.benchmark_config("constant", gains=gains, duration=3.0)
+    cfg = dataclasses.replace(
+        cfg, program=scenario.ReferenceProgram("constant",
+                                               np.full(3, amplitude)),
+        integrator=dataclasses.replace(cfg.integrator, step=step))
+    if theta_row is not None:
+        rate = 1e300
+        theta = MAX - (theta_row - 0.5) * step * rate
+        cfg = dataclasses.replace(cfg, reference=dataclasses.replace(
+            cfg.reference, Omega0=np.zeros(3), Theta0=np.array([0, 0, theta]),
+            OmegaR0=np.array([0, 0, rate])))
+    return cfg
+
+
+# name -> (arguments of `diverging`, (step, time) of the DivergedStateError),
+# as the loop integrated as one state reported them; blocks hold samples
+# 0-127, 128-255, ...; "plant i, reference j" gives each half's first
+# non-finite sample.  The reference sends its stage values 8 steps at a
+# time, and those of steps 121-127 at the end of block 0.
+DIVERGENCES = {
+    "reference alone, last sample of block 0": (
+        dict(theta_row=127, step=0.01), (127, 1.27)),
+    "reference alone, first sample of block 1": (
+        dict(theta_row=128, step=0.01), (128, 1.28)),
+    "plant alone": (dict(kp=1e5, step=0.01), (11, 0.11)),
+    "plant 12, reference 10": (
+        dict(kp=1e5, theta_row=10, step=0.01), (10, 0.1)),
+    "plant 12, reference 13": (
+        dict(kp=1e5, theta_row=13, step=0.01), (12, 0.12)),
+    "plant 126, reference 127": (dict(amplitude=20925.0), (126, 0.126)),
+    "plant 127, reference 128": (dict(amplitude=20750.0), (127, 0.127)),
+    "plant and reference 128": (dict(amplitude=20637.5), (128, 0.128)),
+    "plant and reference 127": (dict(amplitude=20787.5), (127, 0.127)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIVERGENCES))
+def test_divergence_is_the_first_non_finite_sample(case, path):
+    kwargs, want = DIVERGENCES[case]
+    blocks = []
+    with pytest.raises(DivergedStateError) as err:
+        scenario.run_closed_loop(
+            diverging(**kwargs),
+            observer=lambda start, block: blocks.append(start))
+    assert (err.value.step_index, err.value.time) == want
+    # no block holding a non-finite sample is observed
+    assert blocks == list(range(0, want[0] - want[0] % 128, 128))
+    assert_no_child()
+
+
+@pytest.mark.parametrize("program", scenario.PROGRAM_KINDS)
+@pytest.mark.parametrize("actuation", ["internal", "external"])
+def test_forked_and_in_process_runs_are_identical(program, actuation,
+                                                  monkeypatch):
+    if not stream.can_fork():
+        pytest.skip("this platform does not fork")
+    # 0.3 s: two full blocks and a last one of 45 rows
+    cfg = scenario.benchmark_config(program, gains="certified", duration=0.3)
+    runs = []
+    for forks in (True, False):
+        monkeypatch.setattr(scenario, "can_fork", lambda: forks)
+        blocks = []
+        record = scenario.run_closed_loop(
+            cfg, actuation, lambda start, block: blocks.append(block))
+        runs.append([np.concatenate(blocks).tobytes()] + [
+            value.tobytes() for part in record
+            for value in vars(part).values()
+            if isinstance(value, np.ndarray)])
+    assert runs[0] == runs[1]
+    assert len(runs[0]) == 22   # the blocks and 21 arrays of the record
+
+
+@pytest.mark.parametrize("end", ["success", "divergence", "raising observer"])
+def test_no_child_is_left(end, path):
+    cfg = scenario.benchmark_config("sinusoid", gains="certified",
+                                    duration=0.5)
+
+    def observer(start, block):
+        if end == "raising observer" and start == 256:
+            raise KeyboardInterrupt
+
+    if end == "divergence":
+        cfg = diverging(kp=1e5, step=0.01)
+    if end == "success":
+        scenario.run_closed_loop(cfg, observer=observer)
+    else:
+        with pytest.raises((DivergedStateError, KeyboardInterrupt)):
+            scenario.run_closed_loop(cfg, observer=observer)
+    assert_no_child()
+
+
+def test_failing_reference_body(path, monkeypatch):
+    # forked, the child's failure reaches this process as its exit
+    # status; in this process, as the error itself
+    def broken(cfg, pipe):
+        raise RuntimeError("reference body broken")
+
+    monkeypatch.setattr(scenario, "_stream_reference", broken)
+    cfg = scenario.benchmark_config("zero", duration=0.1)
+    error = OSError if path == "forked" else RuntimeError
+    with pytest.raises(error, match="exit status 1" if path == "forked"
+                       else "broken"):
+        scenario.run_closed_loop(cfg)
+    assert_no_child()
+
+
+@pytest.mark.skipif(not stream.can_fork(),
+                    reason="this platform does not fork")
+def test_a_child_holds_no_other_childs_pipe_end():
+    # the second child must not hold the write end of the first one's
+    # pipe, or the first would not see its stream end when this process
+    # dies
+    first, to_first = stream.fork_pipe(child_reads=True)
+    if first == 0:
+        to_first.read()
+        os._exit(0)
+    second, from_second = stream.fork_pipe(child_reads=False)
+    if second == 0:
+        from_second.write(bytes([_is_open(to_first.fileno())]))
+        from_second.close()
+        os._exit(0)
+    try:
+        with from_second:
+            assert from_second.read() == b"\x00"
+    finally:
+        assert os.waitpid(second, 0)[1] == 0
+        to_first.close()
+        assert os.waitpid(first, 0)[1] == 0
+    assert_no_child()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="no /proc/self/fd")
+def test_a_failed_fork_leaves_no_pipe_end(monkeypatch):
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    before = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError):
+        stream.fork_pipe(child_reads=False)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+
+
+def _is_open(fd):
+    try:
+        os.fstat(fd)
+    except OSError:
+        return False
+    return True
