@@ -12,20 +12,16 @@ Run:  python demos/05_gain_certification.py
 import numpy as np
 
 from gyrotrack import (benchmark_config, benchmark_gains, compare_efforts,
-                       estimate_lambda_sup, estimate_mu_hess, gain_feasible,
-                       lambda_sup_formula, mu_hess_formula, q_matrix,
-                       synthesize_gains)
+                       gain_feasible, lambda_sup_formula, mu_hess_formula,
+                       q_matrix, synthesize_gains)
 from gyrotrack.scenario import BENCHMARK_PLANT_I
 
 np.set_printoptions(precision=5, suppress=True)
 
-# Two routes to the certification bounds: eigenvalue formulas and direct
-# sampling of the Hessian / gradient-ratio over a sublevel set of psi.
+# The certification bounds of the plant inertia, from its eigenvalues.
 i_plant = BENCHMARK_PLANT_I
 print("mu    (formula):", mu_hess_formula(i_plant))
-print("mu    (sampled):", estimate_mu_hess(np.eye(3), i_plant))
 print("lambda(formula):", lambda_sup_formula(i_plant))
-print("lambda(sampled):", estimate_lambda_sup(np.eye(3), i_plant))
 
 for label, gains in (("stored benchmark", benchmark_gains()),
                      ("synthesized", synthesize_gains(i_plant))):

@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 from .control import (BENCHMARK_LAMBDA_SUP, BENCHMARK_MU_HESS,
                       FeasibilityVerdict, GainSet, NavigationWeights,
                       control_uext, control_uint, ecl_rate_bound, ecl_value,
-                      error_field, error_state, estimate_lambda_sup,
-                      estimate_mu_hess, gain_derive, gain_feasible,
+                      error_field, error_state, gain_derive, gain_feasible,
                       lambda_sup_formula, mu_hess_formula, nav_dpsi,
                       nav_hessian, nav_psi, pd_variant, q_matrix,
                       synthesize_gains)

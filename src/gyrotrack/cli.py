@@ -3,14 +3,14 @@
 Subcommands:
 
 * ``simulate <config> -o <csv>``   run the tracking loop, write telemetry
-  CSV plus a JSON metadata sidecar; on Linux a run has up to two child
-  processes, the reference body (`scenario.run_closed_loop`) and a
-  writer that formats the CSV block by block while the run integrates,
-  under a temporary name that becomes the output only once the run has
-  succeeded; both are reaped before ``simulate`` returns.  Elsewhere, or
-  beside another Python thread (`stream.can_fork`), both run in this
-  process, the reference first and the rows after the run: the same
-  bytes, in about 1.6 times the time
+  CSV plus a JSON metadata sidecar; the run's two helpers, the reference
+  body (`scenario.run_closed_loop`) and a writer that formats the CSV
+  from the run's blocks under a temporary name that becomes the output
+  only once the run has succeeded, are each a `stream.child`: on Linux a
+  child process, reaped before ``simulate`` returns, and elsewhere, or
+  beside another Python thread, work in this process, the reference
+  before the run and the rows after it: the same bytes, in about 1.65
+  times the time
 * ``tune-gains <config> [--synthesize]``   evaluate (or synthesize) gains
   against the certification inequalities
 * ``compare <config> -o <dir>``    effort comparison against the
@@ -41,7 +41,6 @@ import contextlib
 import json
 import os
 import sys
-import tempfile
 import warnings
 from pathlib import Path
 
@@ -53,7 +52,7 @@ from .control import (gain_feasible, lambda_sup_formula, mu_hess_formula,
                       q_matrix, synthesize_gains)
 from .errors import DivergedStateError, GyrotrackError, SchemaMismatchError
 from .scenario import block_records, compare_efforts, run_closed_loop
-from .stream import can_fork, fork_pipe, received, send, send_end
+from .stream import child, received, send, send_end
 from .svgplot import Panel, Series, write_svg
 
 COLUMNS = (
@@ -85,8 +84,7 @@ def _check_outputs(*paths):
 
 def _write_csv(path, tables, columns=COLUMNS):
     """Header, then the "%.17g" rows of each table in turn, 128 per write
-    through one row format.  ``path`` may also be an open file descriptor,
-    which is closed at the end."""
+    through one row format."""
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
@@ -111,61 +109,41 @@ def _telemetry(traj, metrics):
 
 
 def _run_with_writer(cfg, out):
-    """`run_closed_loop` of cfg, with its CSV written to ``out`` by a forked
-    writer process that formats each block of samples while the next one
-    integrates.  Returns the run's (trajectory, metrics).
+    """`run_closed_loop` of cfg, with its CSV written to ``out`` by a
+    reading `stream.child`, which formats the run's blocks of samples
+    (`block_records`): forked, each block while the next one integrates,
+    or in this process after the run.  Returns the run's (trajectory,
+    metrics).
 
-    The writer reads the observed blocks from a pipe and writes the rows
-    under a temporary name in out's directory, which replaces ``out``
-    once the run and the writer have both succeeded.  The writer runs at
-    niceness 10, prints nothing and always leaves by `os._exit`; if it fails, or the pipe
-    closes before the run's end mark (this process failed or died), it
-    removes the temporary file.  Any exception in this process closes the
-    pipe, reaps the writer, makes sure the temporary file is gone and
-    propagates; a writer that fails raises OSError.
+    The rows go to a temporary dot-name in out's directory, created here
+    with the mode `open` gives a new file, which replaces ``out`` once
+    the run and the writer have both succeeded.  A writer that fails, or
+    whose stream closes before the run's end mark (this process failed or
+    died), removes the temporary file; any exception here makes sure it
+    is gone and propagates, and a forked writer that fails raises OSError.
     """
     out = out.resolve()   # an output symlink's target is replaced
-    fd, tmp = tempfile.mkstemp(prefix=f".{out.name}.", dir=out.parent)
-    try:
-        umask = os.umask(0o022)   # the mode `open` gives a new file
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
-        pid, pipe = fork_pipe(child_reads=True)
-        if pid == 0:   # the writer
-            status = 1
-            try:
-                # the run waits on the plant's and the reference body's
-                # processes, never on this one until its last block: on
-                # two cores, they come first
-                os.nice(10)
-                with pipe:
-                    _write_csv(fd, (_telemetry(*record) for record in
-                                    block_records(cfg, received(pipe))))
-                status = 0
-            except BaseException:
-                os.unlink(tmp)
-            finally:
-                os._exit(status)
+    tmp = out.with_name(f".{out.name}.{os.urandom(4).hex()}")
+    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+
+    def write(pipe):
         try:
-            with pipe:
-                result = run_closed_loop(
-                    cfg, observer=lambda start, block: send(pipe, start,
-                                                            block))
-                send_end(pipe)
-        except BrokenPipeError:   # the writer has died: its status says so
-            pass
-        finally:
-            status = os.waitpid(pid, 0)[1]
-        if status:
-            raise OSError("telemetry writer failed with exit status "
-                          f"{os.waitstatus_to_exitcode(status)}")
+            _write_csv(tmp, (_telemetry(*record) for record in
+                             block_records(cfg, received(pipe))))
+        except BaseException:
+            os.unlink(tmp)
+            raise
+
+    try:
+        with child(write, child_reads=True, what="telemetry writer") as pipe:
+            result = run_closed_loop(
+                cfg, observer=lambda start, block: send(pipe, start, block))
+            send_end(pipe)
         os.replace(tmp, out)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):   # the writer's to remove
             os.unlink(tmp)
         raise
-    finally:
-        os.close(fd)
     return result
 
 
@@ -212,11 +190,7 @@ def cmd_simulate(config_path, out_path):
     out = Path(out_path)
     meta = out.with_suffix(".meta.json")
     _check_outputs(out, meta)
-    if can_fork():
-        traj, metrics = _run_with_writer(cfg, out)
-    else:
-        traj, metrics = run_closed_loop(cfg)
-        _write_csv(out, [_telemetry(traj, metrics)])
+    traj, metrics = _run_with_writer(cfg, out)
     with open(meta, "w", encoding="utf-8") as fh:
         json.dump(_metadata(cfg, traj, metrics), fh, indent=2, sort_keys=True)
         fh.write("\n")

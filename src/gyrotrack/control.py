@@ -57,7 +57,7 @@ import numpy as np
 
 from .dynamics import kernel_constants
 from .errors import GainSynthesisError, KappaOutOfRangeError
-from .so3 import (_conn_matrix, _euler, components, expm, from_components,
+from .so3 import (_conn_matrix, _euler, components, from_components,
                   hat, metric_constants, metric_inverse, skew_vee,
                   spd_eigenvalues)
 
@@ -474,9 +474,7 @@ def gain_feasible(gains):
 def mu_hess_formula(i_metric):
     """Eigenvalue expression 2 (l_min + l_max) / l_min for the Hessian bound.
 
-    Always >= 4 for SPD input (inf past the float range); compare with
-    the sampled estimate from `estimate_mu_hess` when a tight region
-    bound matters.
+    Always >= 4 for SPD input (inf past the float range).
     """
     eig = np.linalg.eigvalsh(np.asarray(i_metric, dtype=float))
     with np.errstate(all="ignore"):
@@ -517,38 +515,6 @@ def _metric_spectrum(i_metric, h):
     evals, evecs = np.linalg.eigh(np.asarray(i_metric, dtype=float))
     i_mhalf = (evecs * evals ** -0.5) @ evecs.T
     return np.linalg.eigvalsh(i_mhalf @ h @ i_mhalf)
-
-
-def _sample_rotations(rng, n):
-    axes = rng.normal(size=(n, 3))
-    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-    angles = rng.uniform(0.0, np.pi, size=n)
-    return np.array([expm(a * ax) for a, ax in zip(angles, axes)])
-
-
-def estimate_mu_hess(p, i_metric, n_samples=2000):
-    """Sampled operator-norm bound of the psi Hessian over {psi(E) <= 1}.
-
-    Draws random rotations (seed 0), keeps those inside the sublevel set,
-    and returns the largest magnitude of the metric-Hessian eigenvalues
-    seen.  Complements the closed-form `mu_hess_formula`.
-    """
-    e = _sample_rotations(np.random.default_rng(0), n_samples)
-    e = e[nav_psi(p, e) <= 1.0]
-    spectrum = _metric_spectrum(i_metric, nav_hessian(p, i_metric, e))
-    return float(np.abs(spectrum).max(initial=0.0))
-
-
-def estimate_lambda_sup(p, i_metric, n_samples=2000):
-    """Sampled bound of <grad psi, grad psi> / (2 psi) over {psi(E) <= 1},
-    on the same seed-0 rotations as `estimate_mu_hess`."""
-    e = _sample_rotations(np.random.default_rng(0), n_samples)
-    psi = nav_psi(p, e)
-    keep = (psi <= 1.0) & (psi >= 1e-12)
-    dpsi = nav_dpsi(p, e[keep])
-    i_inv = from_components(metric_inverse(i_metric)[1], (3, 3))
-    ratio = np.vecdot(dpsi, dpsi @ i_inv) / (2.0 * psi[keep])
-    return float(ratio.max(initial=0.0))
 
 
 def synthesize_gains(i_metric, kd=3.0):

@@ -27,9 +27,7 @@ sinusoid (sin t, cos t, sin t) N·m.
 
 import contextlib
 import dataclasses
-import io
 import math
-import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -55,7 +53,7 @@ from .integrators import History, IntegratorConfig
 from .integrators import integrate_components as integrate
 from .so3 import (_matvec, components, from_components, is_rotation,
                   metric_constants, orthogonality_defect, rotation_angle)
-from .stream import can_fork, fork_pipe, received, send, send_end
+from .stream import child, received, send, send_end
 
 
 PROGRAM_KINDS = ("zero", "constant", "sinusoid")
@@ -497,41 +495,17 @@ def run_closed_loop(cfg, actuation="internal", observer=None):
     The reference body moves on its own, so it is integrated apart and
     streamed (`_stream_reference`) to the plant's integration, whose field
     takes the next stage values at each evaluation: the bits of the two
-    integrated as one.  Where `stream.can_fork` allows, the reference runs
-    in a forked child while the plant integrates; otherwise it runs first,
-    in this process, into a buffer.  A run diverges at the first sample
-    with a non-finite entry in either half.  The child is reaped before
-    this returns or raises; a child that fails other than by divergence
-    raises OSError.
+    integrated as one.  The reference runs as a writing `stream.child`:
+    forked, while the plant integrates, or first, in this process, into a
+    buffer.  A run diverges at the first sample with a non-finite entry in
+    either half.  A forked reference body that fails other than by
+    divergence raises OSError.
     """
     if actuation not in ("internal", "external"):
         raise ValueError("actuation must be 'internal' or 'external'")
     cfg = resolve_reference(cfg)
-    if can_fork():
-        pid, pipe = fork_pipe(child_reads=False)
-        if pid == 0:   # the reference body
-            status = 1
-            try:
-                with pipe:
-                    _stream_reference(cfg, pipe)
-                status = 0
-            finally:
-                os._exit(status)
-        hist = None
-        try:
-            with pipe:
-                hist = _plant_run(cfg, actuation, pipe, observer)
-        except EOFError:   # the child failed or died: its status says how
-            pass
-        finally:
-            status = os.waitpid(pid, 0)[1]
-        if hist is None:
-            raise OSError("reference body failed with exit status "
-                          f"{os.waitstatus_to_exitcode(status)}")
-    else:
-        pipe = io.BytesIO()
-        _stream_reference(cfg, pipe)
-        pipe.seek(0)
+    with child(lambda pipe: _stream_reference(cfg, pipe), child_reads=False,
+               what="reference body") as pipe:
         hist = _plant_run(cfg, actuation, pipe, observer)
     return _post_pass(cfg, actuation, _closed_loop(cfg, actuation), hist)
 

@@ -1,6 +1,10 @@
 """Child processes joined to this one by a pipe, and the one format of
 what the pipe carries.
 
+`child` runs each helper process of the program: it forks one where
+`can_fork` allows, and runs its work in this process otherwise, with the
+same data on the way.
+
 A stream is a run of messages, each a header of three int64s
 ``(start, rows, width)`` and then ``rows * width`` raw float64s, row by
 row, and it ends with an end mark, a header of zero rows whose ``start``
@@ -10,6 +14,7 @@ is the sender's outcome: 0, or the step at which its run diverged.
 """
 
 import contextlib
+import io
 import os
 import sys
 import threading
@@ -73,6 +78,61 @@ def fork_pipe(child_reads):
     _ENDS[:] = [end for end in _ENDS if not end.closed]
     _ENDS.append(open(ours, "wb" if child_reads else "rb"))
     return pid, _ENDS[-1]
+
+
+@contextlib.contextmanager
+def child(work, child_reads, what):
+    """A context manager giving this process's end of a pipe to a child
+    that runs ``work(pipe)`` on the other end, reading it if
+    ``child_reads`` and writing it otherwise; ``what`` names the child in
+    errors.
+
+    Where `can_fork` allows, the child is forked (`fork_pipe`), a reading
+    one at niceness 10, since the process that feeds it comes first, and
+    it leaves by `os._exit`: status 0 once ``work`` has returned, 1 if it
+    raised.  The child is reaped however the block ends.  An exception in
+    the block propagates unchanged; a child that fails raises
+    OSError("<what> failed with exit status N") once the block has ended,
+    in place of the EOFError or BrokenPipeError its death caused there.
+
+    Elsewhere ``work`` runs in this process on an in-memory file: a
+    writing child's before the block, which reads what it wrote, and a
+    reading child's after the block has succeeded, on what the block
+    wrote.  Its errors propagate as they are.
+    """
+    if not can_fork():
+        pipe = io.BytesIO()
+        if not child_reads:
+            work(pipe)
+            pipe.seek(0)
+        yield pipe
+        if child_reads:
+            pipe.seek(0)
+            work(pipe)
+        return
+    pid, pipe = fork_pipe(child_reads)
+    if pid == 0:
+        status = 1
+        try:
+            if child_reads:
+                os.nice(10)
+            with pipe:
+                work(pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    try:
+        try:
+            with pipe:
+                yield pipe
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    except (EOFError, BrokenPipeError):
+        if not status:
+            raise
+    if status:
+        raise OSError(f"{what} failed with exit status "
+                      f"{os.waitstatus_to_exitcode(status)}")
 
 
 def send(pipe, start, block):

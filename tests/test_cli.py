@@ -3,6 +3,7 @@ import json
 import os
 import re
 import signal
+import stat
 import subprocess
 import sys
 import threading
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gyrotrack import cli, scenario
+from gyrotrack import cli, scenario, stream
 from gyrotrack.cli import COLUMNS, _load_csv, main
 from gyrotrack.config import load_config, parse_config, serialize_config
 from gyrotrack.errors import ConfigParseError
@@ -393,17 +394,22 @@ def assert_no_child():
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 class TestTelemetryWriter:
-    """`simulate`'s forked CSV writer: the same bytes as the in-process
-    path, nothing left behind when the run or the writer fails, and no
-    child process once `main` returns."""
+    """`simulate`'s CSV writer, forked or in process: the same bytes on
+    both paths, nothing left behind when the run or the writer fails, and
+    no child process once `main` returns."""
 
     def test_forked_and_in_process_writes_are_identical(self, tmp_path,
                                                         monkeypatch, capfd):
-        # 0.5 s: three full blocks and a last one of 117 rows
+        # 0.5 s: three full blocks and a last one of 117 rows; both paths
+        # format the rows of `block_records`, so the oracle is the CSV of
+        # the whole run's record
         cfg = write_short_config(tmp_path, duration="0.5")
+        oracle = tmp_path / "oracle.csv"
+        cli._write_csv(oracle, [cli._telemetry(
+            *scenario.run_closed_loop(load_config(cfg)))])
         outputs = {}
         for forked in (True, False):
-            monkeypatch.setattr(cli, "can_fork", lambda: forked)
+            monkeypatch.setattr(stream, "can_fork", lambda: forked)
             out = tmp_path / f"forked_{forked}.csv"
             assert main(["simulate", str(cfg), "-o", str(out)]) == 0
             assert capfd.readouterr() == (
@@ -413,9 +419,28 @@ class TestTelemetryWriter:
                                out.with_suffix(".meta.json").read_bytes())
             assert_no_child()
         assert outputs[True] == outputs[False]
+        assert outputs[True][0] == oracle.read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "forked_False.csv", "forked_False.meta.json", "forked_True.csv",
-            "forked_True.meta.json", "scenario.cfg"]
+            "forked_True.meta.json", "oracle.csv", "scenario.cfg"]
+
+    @pytest.mark.parametrize("forked", [True, False])
+    def test_csv_mode_follows_the_umask(self, forked, tmp_path,
+                                        monkeypatch):
+        # the mode of a file that `open` creates, not the 0600 of a
+        # private temporary file
+        monkeypatch.setattr(stream, "can_fork", lambda: forked)
+        cfg = write_short_config(tmp_path, duration="0.01")
+        umask = os.umask(0o027)
+        try:
+            open(tmp_path / "plain", "w").close()
+            assert main(["simulate", str(cfg),
+                         "-o", str(tmp_path / "t.csv")]) == 0
+        finally:
+            os.umask(umask)
+        want = stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+        assert want == 0o640
+        assert stat.S_IMODE((tmp_path / "t.csv").stat().st_mode) == want
 
     def test_symlinked_output_writes_its_target(self, tmp_path):
         cfg = write_short_config(tmp_path, duration="0.1")
@@ -448,21 +473,25 @@ class TestTelemetryWriter:
         assert len((tmp_path / "t.csv").read_text().splitlines()) == 102
 
     def test_divergent_run_leaves_the_directory_as_it_was(self, tmp_path,
-                                                          capfd):
+                                                          monkeypatch, capfd):
         cfg = write_short_config(
             tmp_path, duration="30",
             extra=[("integrator.step = 0.001", "integrator.step = 0.3")])
         out = tmp_path / "out"
         out.mkdir()
-        assert main(["simulate", str(cfg), "-o", str(out / "d.csv")]) == 2
-        assert capfd.readouterr() == (
-            "", "error: state diverged at step 4 (t=1.2 s)\n")
-        assert list(out.iterdir()) == []
-        assert_no_child()
+        for forked in (True, False):
+            monkeypatch.setattr(stream, "can_fork", lambda: forked)
+            assert main(["simulate", str(cfg),
+                         "-o", str(out / "d.csv")]) == 2
+            assert capfd.readouterr() == (
+                "", "error: state diverged at step 4 (t=1.2 s)\n")
+            assert list(out.iterdir()) == []
+            assert_no_child()
 
     def test_interrupted_run_leaves_the_directory_as_it_was(self, tmp_path,
                                                             monkeypatch):
-        # the writer has formatted two blocks when the run is interrupted
+        # forked, the writer has formatted two blocks when the run is
+        # interrupted; in process, it never starts
         run = scenario.run_closed_loop
 
         def interrupted(cfg, observer):
@@ -476,10 +505,12 @@ class TestTelemetryWriter:
         cfg = write_short_config(tmp_path)
         out = tmp_path / "out"
         out.mkdir()
-        with pytest.raises(KeyboardInterrupt):
-            main(["simulate", str(cfg), "-o", str(out / "i.csv")])
-        assert list(out.iterdir()) == []
-        assert_no_child()
+        for forked in (True, False):
+            monkeypatch.setattr(stream, "can_fork", lambda: forked)
+            with pytest.raises(KeyboardInterrupt):
+                main(["simulate", str(cfg), "-o", str(out / "i.csv")])
+            assert list(out.iterdir()) == []
+            assert_no_child()
 
     def test_killed_run_leaves_the_directory_as_it_was(self, tmp_path):
         # SIGTERM ends the run with no cleanup of its own; the writer, cut

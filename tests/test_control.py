@@ -225,9 +225,23 @@ class TestHessianDiagnostics:
             assert abs(got - expected) < 1e-5
 
     def test_sampled_bounds_stay_below_formulas(self):
+        # the oracle: both bounds sampled over the sublevel set
+        # {psi(E) <= 1} at seed-0 rotations of uniform axis and angle
         i = scenario.BENCHMARK_PLANT_I
-        mu_sampled = control.estimate_mu_hess(np.eye(3), i, n_samples=300)
-        lam_sampled = control.estimate_lambda_sup(np.eye(3), i, n_samples=300)
+        p = np.eye(3)
+        rng = np.random.default_rng(0)
+        axes = rng.normal(size=(300, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        angles = rng.uniform(0.0, np.pi, size=300)
+        e = np.array([so3.expm(a * ax) for a, ax in zip(angles, axes)])
+        psi = control.nav_psi(p, e)
+        inside = e[psi <= 1.0]
+        mu_sampled = float(np.abs(control._metric_spectrum(
+            i, control.nav_hessian(p, i, inside))).max(initial=0.0))
+        keep = (psi <= 1.0) & (psi >= 1e-12)
+        dpsi = control.nav_dpsi(p, e[keep])
+        ratio = np.vecdot(dpsi, dpsi @ np.linalg.inv(i)) / (2.0 * psi[keep])
+        lam_sampled = float(ratio.max(initial=0.0))
         assert 0.0 < mu_sampled < control.mu_hess_formula(i)
         assert 0.0 < lam_sampled < control.lambda_sup_formula(i)
 

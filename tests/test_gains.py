@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gyrotrack import control, scenario
 from gyrotrack.control import (ecl_rate_bound, ecl_value, gain_derive,
@@ -176,6 +178,25 @@ class TestFeasibility:
             g = synthesize_gains(i)
             assert g.ki == 0.2 * g.ki_bound
             assert g.kp == 1.1 * gain_feasible(g).kp_floor
+
+    @settings(max_examples=200, deadline=None)
+    @given(kd=st.floats(0.1, 10.0), mu=st.floats(1.01, 20.0),
+           kappa_at=st.floats(0.01, 0.99), lam=st.floats(0.1, 10.0),
+           ki_at=st.floats(1e-3, 1.0, exclude_max=True),
+           kp_over=st.floats(1.0, 10.0, exclude_min=True))
+    def test_certificate_implies_local_stability(self, kd, mu, kappa_at, lam,
+                                                 ki_at, kp_over):
+        # a certified set passes the Routh-Hurwitz test of the error flow
+        # linearized at E = I: k_p k_d > 2 kappa k_d^3 > k_I.  k_I is drawn
+        # below its bound and k_p above its floor, so most draws certify
+        kappa = (1.0 + kappa_at) / mu
+        sigma = 2.0 - mu * kappa
+        ki = ki_at * (kd ** 3 / mu) * (1.0 - sigma ** 2)
+        floor = gain_feasible(gain_derive(1.0, kd, ki, kappa, mu,
+                                          lam)).kp_floor
+        g = gain_derive(kp_over * floor, kd, ki, kappa, mu, lam)
+        if gain_feasible(g).feasible:
+            assert g.ki < g.kp * g.kd
 
     def test_pd_variant_drops_integral_channel(self):
         g = pd_variant(scenario.benchmark_gains())

@@ -98,7 +98,7 @@ def test_closed_loop_step_calls_the_traced_bindings(monkeypatch):
     # reading 0; with the reference body in this process, both bodies'
     # steps are counted: 10 steps each, 8 block solves and 4 control
     # kernels per closed-loop step
-    from gyrotrack import integrators, scenario
+    from gyrotrack import integrators, scenario, stream
     counts = {"step_lie": 0, "rotor_accels": 0, "_loop_kernel": 0}
     stepping = [False]   # the run's post-pass calls the loop outside a step
     step_lie = integrators.step_lie
@@ -121,7 +121,7 @@ def test_closed_loop_step_calls_the_traced_bindings(monkeypatch):
         monkeypatch.setattr(scenario, name,
                             counted(name, getattr(scenario, name)))
     monkeypatch.setattr(integrators, "step_lie", counted_step)
-    monkeypatch.setattr(scenario, "can_fork", lambda: False)
+    monkeypatch.setattr(stream, "can_fork", lambda: False)
     scenario.run_closed_loop(scenario.benchmark_config(
         "sinusoid", gains="certified", duration=0.01))
     assert counts == {"step_lie": 20, "rotor_accels": 80, "_loop_kernel": 40}

@@ -28,7 +28,7 @@ def assert_no_child():
 def path(request, monkeypatch):
     """Each test runs once per way of running the reference body."""
     if request.param == "in process":
-        monkeypatch.setattr(scenario, "can_fork", lambda: False)
+        monkeypatch.setattr(stream, "can_fork", lambda: False)
     elif not stream.can_fork():
         pytest.skip("this platform does not fork")
     return request.param
@@ -103,7 +103,7 @@ def test_forked_and_in_process_runs_are_identical(program, actuation,
     cfg = scenario.benchmark_config(program, gains="certified", duration=0.3)
     runs = []
     for forks in (True, False):
-        monkeypatch.setattr(scenario, "can_fork", lambda: forks)
+        monkeypatch.setattr(stream, "can_fork", lambda: forks)
         blocks = []
         record = scenario.run_closed_loop(
             cfg, actuation, lambda start, block: blocks.append(block))

@@ -1,0 +1,129 @@
+"""The contract of `stream.child`, the one way the program runs a helper
+process: a reading and a writing child, each forked and in this process,
+carry the data both ways, fail by name, reap their process and leave the
+caller's niceness alone."""
+
+import os
+
+import numpy as np
+import pytest
+
+from gyrotrack import stream
+
+BLOCKS = [(0, np.arange(12.0).reshape(4, 3)), (4, np.full((1, 3), -0.5))]
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(params=["forked", "in process"])
+def forked(request, monkeypatch):
+    """Each test runs once per way of running the child, and must leave
+    this process's niceness as it found it: a process cannot lower it
+    again, so one test's renice would hide the next one's."""
+    if request.param == "in process":
+        monkeypatch.setattr(stream, "can_fork", lambda: False)
+    elif not stream.can_fork():
+        pytest.skip("this platform does not fork")
+    before = os.nice(0)
+    yield request.param == "forked"
+    assert os.nice(0) == before
+
+
+def send_blocks(pipe):
+    for start, block in BLOCKS:
+        stream.send(pipe, start, block)
+    stream.send_end(pipe)
+
+
+def received_list(pipe):
+    return [(start, block.tolist()) for start, block in stream.received(pipe)]
+
+
+def test_writing_child_round_trip(forked):
+    with stream.child(send_blocks, child_reads=False, what="sender") as pipe:
+        got = received_list(pipe)
+    assert got == [(start, block.tolist()) for start, block in BLOCKS]
+    assert_no_child()
+
+
+def test_reading_child_round_trip(forked, tmp_path):
+    # the child reports what it read through a file
+    out = tmp_path / "received.txt"
+
+    def work(pipe):
+        out.write_text(repr(received_list(pipe)))
+
+    with stream.child(work, child_reads=True, what="reader") as pipe:
+        send_blocks(pipe)
+    assert out.read_text() == repr(
+        [(start, block.tolist()) for start, block in BLOCKS])
+    assert_no_child()
+
+
+def broken(pipe):
+    raise RuntimeError("work broken")
+
+
+@pytest.mark.parametrize("child_reads", [True, False])
+def test_failing_work(child_reads, forked):
+    # forked, the failure reaches this process as the child's exit status,
+    # in place of the broken stream; in this process, as the error itself
+    error, match = ((OSError, "^courier failed with exit status 1$")
+                    if forked else (RuntimeError, "work broken"))
+    with pytest.raises(error, match=match):
+        with stream.child(broken, child_reads, what="courier") as pipe:
+            if child_reads:
+                send_blocks(pipe)
+            else:
+                received_list(pipe)
+    assert_no_child()
+
+
+@pytest.mark.parametrize("child_reads", [True, False])
+def test_error_in_the_block_propagates_unchanged(child_reads, forked):
+    ran = []
+
+    def work(pipe):
+        ran.append(True)
+        if child_reads:
+            received_list(pipe)
+        else:
+            send_blocks(pipe)
+
+    raised = KeyError("the block failed")
+    with pytest.raises(KeyError) as err:
+        with stream.child(work, child_reads, what="courier") as pipe:
+            if child_reads:
+                stream.send(pipe, *BLOCKS[0])
+            raise raised
+    assert err.value is raised
+    assert_no_child()
+    if not forked:   # a reading child never runs after a failed block
+        assert ran == ([] if child_reads else [True])
+
+
+@pytest.mark.parametrize("child_reads", [True, False])
+def test_niceness(child_reads, forked, tmp_path):
+    # only a forked reading child runs at niceness 10; the caller's
+    # niceness never changes (the fixture checks it)
+    before = os.nice(0)
+    seen = tmp_path / "nice.txt"
+
+    def work(pipe):
+        seen.write_text(str(os.nice(0)))
+        if child_reads:
+            received_list(pipe)
+        else:
+            send_blocks(pipe)
+
+    with stream.child(work, child_reads, what="courier") as pipe:
+        if child_reads:
+            send_blocks(pipe)
+        else:
+            received_list(pipe)
+    want = min(before + 10, 19) if forked and child_reads else before
+    assert int(seen.read_text()) == want
+    assert_no_child()
