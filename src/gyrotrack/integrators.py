@@ -12,11 +12,11 @@ update, advancing each rotation by a right-multiplied exponential, each
 update R expm(c k) one call of `so3._mul_expm` at the stage scale c.
 
 `integrate_components` is the one integration loop and takes such a
-field directly; the package's own fields (`scenario`'s closed loop and
-rotor body, `dynamics.free_body_field`, `control.error_field`) are
-written for it.  It returns the dense `History`, the one record of this
-module; `scenario.ClosedLoopTrajectory` names the slots of a closed-loop
-run.
+field directly; the package's own fields (`scenario`'s rotor body and
+the plant fed with its stage values, `dynamics.free_body_field`,
+`control.error_field`) are written for it.  It returns the dense
+`History`, the one record of this module; `scenario.ClosedLoopTrajectory`
+names the slots of a closed-loop run.
 
 Two schemes are provided: first-order Lie-Euler and a fourth-order
 Munthe-Kaas variant of the classical RK4 tableau, whose algebra-valued

@@ -7,13 +7,16 @@ block solve `rotor_accels`).  The reference never depends on the plant,
 so a run integrates it on its own and streams it to the plant's
 integration: the values of R_d, Omega_d and dOmega_d at every stage of
 every step, which the controller reads as they are, never interpolated.
-The `_d` half of a run's `ClosedLoopTrajectory` is the reference record,
-bit for bit the reference's `_rotor_field` integrated alone, and the
-whole record the bits of the two bodies integrated as one state.  The
-integrator calls the plant's field on floats; the post-pass calls the
-closed loop once on the stored history as columns, so the reported
-torques are the ones that drove the plant.  `block_records` gives the
-same record block by block, from the blocks a run hands its observer.
+A run's row is each body's own integrator row side by side, the plant's
+and then the reference's.  The `_d` half of a run's
+`ClosedLoopTrajectory` is the reference record, bit for bit the
+reference's `_rotor_field` integrated alone, and the whole record the
+bits of the two bodies integrated as one state.  The integrators call
+the two fields, `_rotor_field` and `_plant_loop`, on floats; the
+post-pass calls each once on its own body's stored columns, so the
+reported torques are the ones that drove the plant.  `block_records`
+gives the same record block by block, from the blocks a run hands its
+observer.
 
 Because the control torques are internal, any admissible reference must
 carry the same spatial angular momentum as the plant; `consistent_rotor_velocity`
@@ -49,7 +52,7 @@ from .dynamics import (InertiaParams, _external_accel, _momentum,
                        kernel_constants, momentum_body, momentum_spatial)
 from .dynamics import _rotor_accels as rotor_accels
 from .errors import DivergedStateError
-from .integrators import History, IntegratorConfig
+from .integrators import IntegratorConfig
 from .integrators import integrate_components as integrate
 from .so3 import (_matvec, components, from_components, is_rotation,
                   metric_constants, orthogonality_defect, rotation_angle)
@@ -453,44 +456,19 @@ def _plant_loop(cfg, actuation):
     return loop
 
 
-def _closed_loop(cfg, actuation):
-    """``loop(t, rots, vec) -> (omegas, vdot, u_ext, u_int)``: the combined
-    plant + reference + integral-state field with the torques it applies,
-    `_plant_loop` fed with the stage values of the reference body's
-    `_rotor_field`.
-
-    vec: Theta 0:3 | Omega 3:6 | OmegaR 6:9 | Theta_d 9:12 | Omega_d 12:15
-         | OmegaR_d 15:18 | xi_I 18:21.
-    A run integrates the two halves apart (`run_closed_loop`) and gives
-    the same bits; this is the loop of its record and of `block_records`.
-    """
-    reference = _rotor_field(cfg.reference.params, cfg.program._torque)
-    plant = _plant_loop(cfg, actuation)
-
-    def loop(t, rots, vec):
-        r, r_d = rots
-        (omega_d,), ref_rates = reference(t, (r_d,), vec[9:18])
-        (omega,), rates, u_ext, u_int = plant(
-            t, (r,), (*vec[:9], *vec[18:]),
-            (*r_d, *omega_d, *ref_rates[3:6]))
-        return ((omega, omega_d), (*rates[:9], *ref_rates, *rates[9:]),
-                u_ext, u_int)
-    return loop
-
-
 def run_closed_loop(cfg, actuation="internal", observer=None):
     """Simulate the tracking loop; returns (ClosedLoopTrajectory, RunMetrics).
 
     actuation "internal" drives the rotor plant through the torque
     conversion; "external" drives the bare carrier body directly (used by
-    the equivalence checks).  The post-pass calls `_closed_loop` on the
-    stored history as columns for Omega_d_dot, u_ext and u_int.  The
-    trajectory's R_d, Theta_d, Omega_d, OmegaR_d and Omega_d_dot are the
-    reference body's record, the same under either actuation.  The
-    feasibility verdict of cfg.gains is recorded in the metrics either way.
-    ``observer`` is passed to the integrator, which calls it with each
-    checked block of stored samples (see `integrators.integrate_components`),
-    rows in the layout of `_closed_loop`: R 9 | R_d 9 | vec 21.
+    the equivalence checks).  The trajectory's R_d, Theta_d, Omega_d,
+    OmegaR_d and Omega_d_dot are the reference body's record, the same
+    under either actuation.  The feasibility verdict of cfg.gains is
+    recorded in the metrics either way.  ``observer`` is called with each
+    checked block of stored samples as `integrators.integrate_components`
+    calls its observer, each row the plant's integrator row and then the
+    reference's: R 9 | Theta Omega OmegaR xi_I 12 | R_d 9 | Theta_d
+    Omega_d OmegaR_d 9.
 
     The reference body moves on its own, so it is integrated apart and
     streamed (`_stream_reference`) to the plant's integration, whose field
@@ -499,26 +477,26 @@ def run_closed_loop(cfg, actuation="internal", observer=None):
     forked, while the plant integrates, or first, in this process, into a
     buffer.  A run diverges at the first sample with a non-finite entry in
     either half.  A forked reference body that fails other than by
-    divergence raises OSError.
+    divergence raises OSError.  The record is the run's one block
+    through `block_records`.
     """
     if actuation not in ("internal", "external"):
         raise ValueError("actuation must be 'internal' or 'external'")
     cfg = resolve_reference(cfg)
     with child(lambda pipe: _stream_reference(cfg, pipe), child_reads=False,
                what="reference body") as pipe:
-        hist = _plant_run(cfg, actuation, pipe, observer)
-    return _post_pass(cfg, actuation, _closed_loop(cfg, actuation), hist)
+        rows = _plant_run(cfg, actuation, pipe, observer)
+    return next(block_records(cfg, [(0, rows)], actuation))
 
 
 def _plant_run(cfg, actuation, pipe, observer):
-    """The `History` of a run of cfg, in the layout of `_closed_loop`:
+    """The ``(n+1, 39)`` rows of a run of cfg, as its observer sees them:
     the plant and integral state integrated by `_plant_loop` on the
     reference stream read from ``pipe`` (`_stream_reference`), each
-    checked block joined with the reference's block of the same samples,
-    then observed."""
+    checked block followed, row by row, by the reference's block of the
+    same samples, then observed."""
     plant = cfg.plant
-    n = cfg.integrator.n_steps
-    r_d, vectors = np.empty((n + 1, 9)), np.empty((n + 1, 21))
+    rows = np.empty((cfg.integrator.n_steps + 1, 39))
     theta0, omega_r0 = (plant.Theta0, plant.OmegaR0) \
         if actuation == "internal" else (_ZERO3, _ZERO3)
     step = cfg.integrator.step
@@ -543,17 +521,15 @@ def _plant_run(cfg, actuation, pipe, observer):
         return loop(t, rots, vec, next(stages))
 
     def joined(start, block):
-        ref = reference_message()
-        rows = np.concatenate([block[:, :9], ref[:, :9], block[:, 9:18],
-                               ref[:, 9:], block[:, 18:]], axis=1)
-        r_d[start:start + len(rows)] = rows[:, 9:18]
-        vectors[start:start + len(rows)] = rows[:, 18:]
+        joint = rows[start:start + len(block)]
+        np.concatenate([block, reference_message()], axis=1, out=joint)
         if observer is not None:
-            observer(start, rows)
+            observer(start, joint)
 
     vec0 = np.concatenate([theta0, plant.Omega0, omega_r0, _ZERO3])
     try:
-        hist = integrate(field, ((plant.R0,), vec0), cfg.integrator, joined)
+        # the History it returns repeats the plant's columns of rows
+        integrate(field, ((plant.R0,), vec0), cfg.integrator, joined)
     except DivergedStateError as exc:
         # the first non-finite sample of either half: unless it has come
         # already, read on to the reference's verdict on the failing block
@@ -564,15 +540,16 @@ def _plant_run(cfg, actuation, pipe, observer):
             raise DivergedStateError(diverged[0],
                                      step * diverged[0]) from None
         raise
-    return History(hist.times, [hist.rotations[0], r_d.reshape(-1, 3, 3)],
-                   vectors)
+    return rows
 
 
-def _post_pass(cfg, actuation, loop, hist, momentum0=None):
-    """The record of a contiguous run of stored samples ``hist`` (a
-    `History` of the closed loop ``loop``): its `ClosedLoopTrajectory`,
-    with the loop called once on the samples as columns for the torques,
-    and its per-sample `RunMetrics`.
+def _post_pass(cfg, actuation, fields, start, rows, momentum0):
+    """The record of the contiguous run of stored samples ``rows``, the
+    first of them sample ``start``, in the layout `run_closed_loop` gives
+    its observer: its `ClosedLoopTrajectory`, and its per-sample
+    `RunMetrics`.  ``fields`` is the reference's `_rotor_field` and the
+    `_plant_loop`, each called once on its own body's columns, for
+    Omega_d_dot and for the torques.
 
     The momentum drift is measured from ``momentum0``, the run's initial
     spatial momentum, which the metrics of the run's first samples carry;
@@ -580,15 +557,19 @@ def _post_pass(cfg, actuation, loop, hist, momentum0=None):
     value depends on its own sample alone, so the records of consecutive
     runs of samples are, row for row, the bits of the whole run's record.
     """
-    vec = hist.vectors
-    r, r_d = (components(rot, 2) for rot in hist.rotations)
-    omega, omega_d = components(vec[:, 3:6]), components(vec[:, 12:15])
-    _, vdot, u_ext, u_int = loop(hist.times, [r, r_d], components(vec))
+    reference, loop = fields
+    times = cfg.integrator.step * np.arange(start, start + len(rows))
+    col = components(rows)
+    r, omega, r_d, omega_d = col[:9], col[12:15], col[21:30], col[33:36]
+    _, ref_rates = reference(times, [r_d], col[30:39])
+    _, _, u_ext, u_int = loop(times, [r], col[9:21],
+                              (*r_d, *omega_d, *ref_rates[3:6]))
     traj = ClosedLoopTrajectory(
-        times=hist.times, R=hist.rotations[0], Theta=vec[:, 0:3],
-        Omega=vec[:, 3:6], OmegaR=vec[:, 6:9], R_d=hist.rotations[1],
-        Theta_d=vec[:, 9:12], Omega_d=vec[:, 12:15], OmegaR_d=vec[:, 15:18],
-        Omega_d_dot=from_components(vdot[12:15]), xi_I=vec[:, 18:21],
+        times=times, R=rows[:, :9].reshape(-1, 3, 3), Theta=rows[:, 9:12],
+        Omega=rows[:, 12:15], OmegaR=rows[:, 15:18], xi_I=rows[:, 18:21],
+        R_d=rows[:, 21:30].reshape(-1, 3, 3), Theta_d=rows[:, 30:33],
+        Omega_d=rows[:, 33:36], OmegaR_d=rows[:, 36:39],
+        Omega_d_dot=from_components(ref_rates[3:6]),
         u_ext=from_components(u_ext), u_int=from_components(u_int),
         actuation=actuation)
 
@@ -597,7 +578,7 @@ def _post_pass(cfg, actuation, loop, hist, momentum0=None):
     i_metric = plant.body_inertia
     internal = actuation == "internal"
     # conservation diagnostics
-    pi = _momentum(kernel_constants(plant), omega, components(traj.OmegaR)) \
+    pi = _momentum(kernel_constants(plant), omega, col[15:18]) \
         if internal else _matvec(components(i_metric, 2), omega)
     spatial = from_components(_matvec(r, pi))
     momentum0 = spatial[0] if momentum0 is None else momentum0
@@ -630,16 +611,14 @@ def block_records(cfg, blocks, actuation="internal"):
 
     ``blocks`` yields the ``(start, block)`` pairs that `run_closed_loop`
     passes its observer, in order, from the first: each block's rows are
-    its samples, both attitudes' 9 entries and then the 21 vector slots.
+    its samples, the plant's integrator row and then the reference's.
     """
-    loop = _closed_loop(cfg, actuation)
-    step = cfg.integrator.step
+    fields = (_rotor_field(cfg.reference.params, cfg.program._torque),
+              _plant_loop(cfg, actuation))
     momentum0 = None
     for start, block in blocks:
-        r, r_d, vec = np.split(block, [9, 18], axis=1)
-        hist = History(step * np.arange(start, start + len(block)),
-                       [r.reshape(-1, 3, 3), r_d.reshape(-1, 3, 3)], vec)
-        traj, metrics = _post_pass(cfg, actuation, loop, hist, momentum0)
+        traj, metrics = _post_pass(cfg, actuation, fields, start, block,
+                                   momentum0)
         momentum0 = metrics.momentum0
         yield traj, metrics
 

@@ -18,6 +18,8 @@ from hypothesis.extra.numpy import arrays
 
 from gyrotrack import control, dynamics, integrators, scenario, so3
 
+from conftest import joint_loop
+
 # final (R, Omega, xi_I, psi_E) of 1 s runs of the benchmark scenario,
 # recorded with the array-based stepper; keyed (program, gains, actuation)
 PINNED = {
@@ -430,7 +432,7 @@ def test_closed_loop_torque_is_inertia_times_command(actuation, ms, vec, t):
     # the loop's u_ext is I u, with u the command of `_loop_kernel` on
     # the same sample, as `so3._matvec` forms it
     cfg = _LOOP_CFG
-    loop = scenario._closed_loop(cfg, actuation)
+    loop = joint_loop(cfg, actuation)
     vec = vec.tolist()
     d_omega_d, _ = dynamics._rotor_accels(
         dynamics.kernel_constants(cfg.reference.params), vec[12:15],

@@ -11,7 +11,7 @@ from gyrotrack.errors import DivergedStateError
 from gyrotrack.integrators import IntegratorConfig, integrate_components
 from gyrotrack.so3 import components, from_components
 
-from conftest import random_rotation
+from conftest import joint_initial, joint_loop, random_rotation
 
 
 def short_config(program="zero", duration=2.0, **kw):
@@ -194,6 +194,43 @@ class TestClosedLoop:
         assert all(np.array_equal(m.momentum0, metrics.momentum0)
                    for _, m in records)
 
+    @pytest.mark.parametrize("program", scenario.PROGRAM_KINDS)
+    @pytest.mark.parametrize("actuation", ["internal", "external"])
+    def test_run_is_the_bodies_integrated_as_one(self, program, actuation):
+        # 0.3 s: the two bodies integrated apart give, bit for bit, the
+        # record of the two integrated as one state (`joint_loop`), and
+        # each observed row is the plant's integrator row, then the
+        # reference's
+        cfg = scenario.resolve_reference(
+            short_config(program, duration=0.3, gains="certified"))
+        blocks = []
+        traj, metrics = scenario.run_closed_loop(
+            cfg, actuation, lambda start, block: blocks.append(block))
+        loop = joint_loop(cfg, actuation)
+        hist = integrate_components(loop, joint_initial(cfg, actuation),
+                                    cfg.integrator)
+        (r, r_d), vec = hist.rotations, hist.vectors
+        _, vdot, u_ext, u_int = loop(
+            hist.times, [components(r, 2), components(r_d, 2)],
+            components(vec))
+        joint = dict(
+            times=hist.times, R=r, Theta=vec[:, 0:3], Omega=vec[:, 3:6],
+            OmegaR=vec[:, 6:9], R_d=r_d, Theta_d=vec[:, 9:12],
+            Omega_d=vec[:, 12:15], OmegaR_d=vec[:, 15:18],
+            Omega_d_dot=from_components(vdot[12:15]), xi_I=vec[:, 18:21],
+            u_ext=from_components(u_ext), u_int=from_components(u_int))
+        for name, value in joint.items():
+            assert getattr(traj, name).tobytes() == value.tobytes(), name
+        rows = np.column_stack([r.reshape(-1, 9), vec[:, :9], vec[:, 18:],
+                                r_d.reshape(-1, 9), vec[:, 9:18]])
+        assert blocks[-1][-1].tobytes() == rows[-1].tobytes()
+        (_, joint_metrics), = scenario.block_records(cfg, [(0, rows)],
+                                                     actuation)
+        for name, value in vars(metrics).items():
+            if isinstance(value, np.ndarray):
+                assert value.tobytes() == \
+                    getattr(joint_metrics, name).tobytes(), name
+
     def test_fourth_order(self):
         # the whole loop, torque program included, converges at fourth
         # order: 2 s of the certified sinusoid against h = 2.5e-4 (largest
@@ -247,7 +284,7 @@ class TestClosedLoop:
         # the stepper calls the loop on floats, the post-pass on columns
         cfg = scenario.resolve_reference(short_config(program, duration=0.2))
         traj, _ = scenario.run_closed_loop(cfg, actuation)
-        loop = scenario._closed_loop(cfg, actuation)
+        loop = joint_loop(cfg, actuation)
         rots = (traj.R, traj.R_d)
         vec = np.column_stack([traj.Theta, traj.Omega, traj.OmegaR,
                                traj.Theta_d, traj.Omega_d, traj.OmegaR_d,

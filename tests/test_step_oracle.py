@@ -20,6 +20,8 @@ from gyrotrack import control, dynamics, integrators, scenario, so3
 from gyrotrack.errors import DivergedStateError
 from gyrotrack.integrators import IntegratorConfig, integrate_components
 
+from conftest import joint_initial, joint_loop
+
 
 def _finite(rots, vec):
     if math.isfinite(sum(vec) + sum(map(sum, rots))):
@@ -93,18 +95,11 @@ def oracle_integrate(vector_field, initial, cfg):
 
 
 def closed_loop(program, actuation):
-    """The run's field and initial state, as `run_closed_loop` builds
-    them; the field returns the torques after its rates."""
+    """The run's two bodies integrated as one state (`joint_loop`) and
+    their initial state; the field returns the torques after its rates."""
     cfg = scenario.resolve_reference(
         scenario.benchmark_config(program, gains="certified"))
-    plant, ref = cfg.plant, cfg.reference
-    zero = np.zeros(3)
-    theta0, omega_r0 = (plant.Theta0, plant.OmegaR0) \
-        if actuation == "internal" else (zero, zero)
-    vec0 = np.concatenate([theta0, plant.Omega0, omega_r0, ref.Theta0,
-                           ref.Omega0, ref.OmegaR0, zero])
-    return (scenario._closed_loop(cfg, actuation),
-            ((plant.R0, ref.R0), vec0))
+    return joint_loop(cfg, actuation), joint_initial(cfg, actuation)
 
 
 def rotor_body():
