@@ -170,7 +170,7 @@ def _metadata(cfg, traj, metrics):
                   "lambda_sup": g.lambda_sup,
                   "mu_hess_formula": mu_hess_formula(i_plant),
                   "lambda_sup_formula": lambda_sup_formula(i_plant)},
-        "feasibility": _feasibility_json(metrics.feasibility),
+        "feasibility": _feasibility_json(gain_feasible(g)),
         "conservation": {"momentum_drift": metrics.momentum_drift,
                          "orthogonality_drift": metrics.ortho_drift},
         "tracking": {"psi_final": float(metrics.psi_e[-1]),

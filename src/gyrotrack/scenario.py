@@ -13,10 +13,11 @@ and then the reference's.  The `_d` half of a run's
 reference's `_rotor_field` integrated alone, and the whole record the
 bits of the two bodies integrated as one state.  The integrators call
 the two fields, `_rotor_field` and `_plant_loop`, on floats; the
-post-pass calls each once on its own body's stored columns, so the
-reported torques are the ones that drove the plant.  `block_records`
-gives the same record block by block, from the blocks a run hands its
-observer.
+post-pass, `block_records`, calls each once on its own body's stored
+columns, so the reported torques are the ones that drove the plant.  A
+block's record is a function of its samples and the config alone, so
+the blocks a run hands its observer give the run's record block by
+block.
 
 Because the control torques are internal, any admissible reference must
 carry the same spatial angular momentum as the plant; `consistent_rotor_velocity`
@@ -38,11 +39,10 @@ from itertools import chain
 
 import numpy as np
 
-from .control import (FeasibilityVerdict, GainSet, NavigationWeights,
-                      _error, _loop_kernel, _metric_spectrum, _uint,
-                      ecl_rate_bound, ecl_value, error_state, gain_derive,
-                      gain_feasible, nav_hessian, nav_psi, pd_variant,
-                      synthesize_gains, BENCHMARK_MU_HESS,
+from .control import (GainSet, NavigationWeights, _error, _loop_kernel,
+                      _metric_spectrum, _uint, ecl_rate_bound, ecl_value,
+                      error_state, gain_derive, nav_hessian, nav_psi,
+                      pd_variant, synthesize_gains, BENCHMARK_MU_HESS,
                       BENCHMARK_LAMBDA_SUP)
 # the componentwise block solve and the component loop, bound under the
 # public names of their array adapters: this module calls them through
@@ -175,7 +175,6 @@ class ClosedLoopTrajectory:
     xi_I: np.ndarray
     u_ext: np.ndarray          # realized carrier-body torque, N·m
     u_int: np.ndarray          # rotor torque, N·m (zero for external runs)
-    actuation: str = "internal"
 
     def __len__(self):
         return len(self.times)
@@ -185,9 +184,10 @@ class ClosedLoopTrajectory:
 class RunMetrics:
     """Per-sample diagnostics of a closed-loop run.
 
-    momentum_drift is the worst sup-norm deviation of the plant's spatial
-    angular momentum from its initial value momentum0; ortho_drift the
-    worst Frobenius defect ||R^T R - 1|| over every stored rotation.
+    momentum_drift_series is the sup-norm deviation of the plant's
+    spatial angular momentum from its value at t = 0, momentum_drift its
+    worst; ortho_drift the worst Frobenius defect ||R^T R - 1|| over
+    every stored rotation.
     """
 
     psi_e: np.ndarray
@@ -196,11 +196,9 @@ class RunMetrics:
     effort_uext_l2: np.ndarray
     ecl: np.ndarray
     ecl_bound: np.ndarray
-    momentum0: np.ndarray
     momentum_drift_series: np.ndarray
     momentum_drift: float
     ortho_drift: float
-    feasibility: FeasibilityVerdict
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +248,7 @@ def benchmark_gains():
     """The bundled (1, 3, 1) gain triple with its certification inputs.
 
     These gains fail their own feasibility inequalities (k_p never clears
-    2 kappa k_d^2 for any admissible kappa); runs record that verdict.
+    2 kappa k_d^2 for any admissible kappa), as `gain_feasible` reports.
     """
     kp, kd, ki = BENCHMARK_GAINS
     return gain_derive(kp, kd, ki, BENCHMARK_KAPPA,
@@ -463,8 +461,7 @@ def run_closed_loop(cfg, actuation="internal", observer=None):
     conversion; "external" drives the bare carrier body directly (used by
     the equivalence checks).  The trajectory's R_d, Theta_d, Omega_d,
     OmegaR_d and Omega_d_dot are the reference body's record, the same
-    under either actuation.  The feasibility verdict of cfg.gains is
-    recorded in the metrics either way.  ``observer`` is called with each
+    under either actuation.  ``observer`` is called with each
     checked block of stored samples as `integrators.integrate_components`
     calls its observer, each row the plant's integrator row and then the
     reference's: R 9 | Theta Omega OmegaR xi_I 12 | R_d 9 | Theta_d
@@ -543,84 +540,75 @@ def _plant_run(cfg, actuation, pipe, observer):
     return rows
 
 
-def _post_pass(cfg, actuation, fields, start, rows, momentum0):
-    """The record of the contiguous run of stored samples ``rows``, the
-    first of them sample ``start``, in the layout `run_closed_loop` gives
-    its observer: its `ClosedLoopTrajectory`, and its per-sample
-    `RunMetrics`.  ``fields`` is the reference's `_rotor_field` and the
-    `_plant_loop`, each called once on its own body's columns, for
-    Omega_d_dot and for the torques.
-
-    The momentum drift is measured from ``momentum0``, the run's initial
-    spatial momentum, which the metrics of the run's first samples carry;
-    None takes the first sample's, as for a whole run.  Every per-sample
-    value depends on its own sample alone, so the records of consecutive
-    runs of samples are, row for row, the bits of the whole run's record.
-    """
-    reference, loop = fields
-    times = cfg.integrator.step * np.arange(start, start + len(rows))
-    col = components(rows)
-    r, omega, r_d, omega_d = col[:9], col[12:15], col[21:30], col[33:36]
-    _, ref_rates = reference(times, [r_d], col[30:39])
-    _, _, u_ext, u_int = loop(times, [r], col[9:21],
-                              (*r_d, *omega_d, *ref_rates[3:6]))
-    traj = ClosedLoopTrajectory(
-        times=times, R=rows[:, :9].reshape(-1, 3, 3), Theta=rows[:, 9:12],
-        Omega=rows[:, 12:15], OmegaR=rows[:, 15:18], xi_I=rows[:, 18:21],
-        R_d=rows[:, 21:30].reshape(-1, 3, 3), Theta_d=rows[:, 30:33],
-        Omega_d=rows[:, 33:36], OmegaR_d=rows[:, 36:39],
-        Omega_d_dot=from_components(ref_rates[3:6]),
-        u_ext=from_components(u_ext), u_int=from_components(u_int),
-        actuation=actuation)
-
-    plant = cfg.plant.params
-    gains, p = cfg.gains, cfg.weights.P
-    i_metric = plant.body_inertia
-    internal = actuation == "internal"
-    # conservation diagnostics
-    pi = _momentum(kernel_constants(plant), omega, col[15:18]) \
-        if internal else _matvec(components(i_metric, 2), omega)
-    spatial = from_components(_matvec(r, pi))
-    momentum0 = spatial[0] if momentum0 is None else momentum0
-    drift_series = np.abs(spatial - momentum0).max(axis=1)
-    ortho = max(float(orthogonality_defect(rot).max())
-                for rot in (traj.R, traj.R_d))
-
-    e, eta = _error(r, omega, r_d, omega_d)
-    e, eta = from_components(e, (3, 3)), from_components(eta)
-    metrics = RunMetrics(
-        psi_e=nav_psi(p, e),
-        geo_err=rotation_angle(e),
-        effort_l2=np.linalg.norm(traj.u_int if internal else traj.u_ext,
-                                 axis=1),
-        effort_uext_l2=np.linalg.norm(traj.u_ext, axis=1),
-        ecl=ecl_value(i_metric, p, gains, e, eta, traj.xi_I),
-        ecl_bound=ecl_rate_bound(i_metric, p, gains, e, eta, traj.xi_I),
-        momentum0=momentum0,
-        momentum_drift_series=drift_series,
-        momentum_drift=float(drift_series.max()),
-        ortho_drift=ortho,
-        feasibility=gain_feasible(gains),
-    )
-    return traj, metrics
-
-
 def block_records(cfg, blocks, actuation="internal"):
-    """The ``(ClosedLoopTrajectory, RunMetrics)`` record of each block of a
-    run of cfg, as `_post_pass` gives it.
+    """The ``(ClosedLoopTrajectory, RunMetrics)`` record of each block of
+    samples of a run of cfg.
 
-    ``blocks`` yields the ``(start, block)`` pairs that `run_closed_loop`
-    passes its observer, in order, from the first: each block's rows are
-    its samples, the plant's integrator row and then the reference's.
+    ``blocks`` yields ``(start, block)`` pairs as `run_closed_loop` passes
+    them to its observer: ``block`` is a contiguous run of stored samples,
+    the first of them sample ``start``, each row the plant's integrator
+    row and then the reference's.  The reference's `_rotor_field` and the
+    `_plant_loop` are each called once on their own body's columns, for
+    Omega_d_dot and for the torques.  Every value of a record is a
+    function of its own sample and cfg, the momentum drift measured from
+    the spatial momentum of cfg's initial plant state, so any blocks give,
+    row for row, the bits of the whole run's record.
     """
-    fields = (_rotor_field(cfg.reference.params, cfg.program._torque),
-              _plant_loop(cfg, actuation))
-    momentum0 = None
-    for start, block in blocks:
-        traj, metrics = _post_pass(cfg, actuation, fields, start, block,
-                                   momentum0)
-        momentum0 = metrics.momentum0
-        yield traj, metrics
+    reference = _rotor_field(cfg.reference.params, cfg.program._torque)
+    loop = _plant_loop(cfg, actuation)
+    plant = cfg.plant
+    gains, p = cfg.gains, cfg.weights.P
+    i_metric = plant.params.body_inertia
+    internal = actuation == "internal"
+    consts, i_comps = kernel_constants(plant.params), components(i_metric, 2)
+
+    def spatial_momentum(r, omega, omega_r):
+        """R Pi, on floats or on columns: the plant's spatial momentum."""
+        pi = _momentum(consts, omega, omega_r) if internal \
+            else _matvec(i_comps, omega)
+        return from_components(_matvec(r, pi))
+
+    # the bits of the first sample's, as the integrators store the
+    # initial state as it is
+    momentum0 = spatial_momentum(components(plant.R0, 2),
+                                 components(plant.Omega0),
+                                 components(plant.OmegaR0))
+    for start, rows in blocks:
+        times = cfg.integrator.step * np.arange(start, start + len(rows))
+        col = components(rows)
+        r, omega, r_d, omega_d = col[:9], col[12:15], col[21:30], col[33:36]
+        _, ref_rates = reference(times, [r_d], col[30:39])
+        _, _, u_ext, u_int = loop(times, [r], col[9:21],
+                                  (*r_d, *omega_d, *ref_rates[3:6]))
+        traj = ClosedLoopTrajectory(
+            times=times, R=rows[:, :9].reshape(-1, 3, 3),
+            Theta=rows[:, 9:12], Omega=rows[:, 12:15],
+            OmegaR=rows[:, 15:18], xi_I=rows[:, 18:21],
+            R_d=rows[:, 21:30].reshape(-1, 3, 3), Theta_d=rows[:, 30:33],
+            Omega_d=rows[:, 33:36], OmegaR_d=rows[:, 36:39],
+            Omega_d_dot=from_components(ref_rates[3:6]),
+            u_ext=from_components(u_ext), u_int=from_components(u_int))
+
+        # conservation diagnostics
+        drift_series = np.abs(spatial_momentum(r, omega, col[15:18])
+                              - momentum0).max(axis=1)
+        ortho = max(float(orthogonality_defect(rot).max())
+                    for rot in (traj.R, traj.R_d))
+
+        e, eta = _error(r, omega, r_d, omega_d)
+        e, eta = from_components(e, (3, 3)), from_components(eta)
+        yield traj, RunMetrics(
+            psi_e=nav_psi(p, e),
+            geo_err=rotation_angle(e),
+            effort_l2=np.linalg.norm(traj.u_int if internal else traj.u_ext,
+                                     axis=1),
+            effort_uext_l2=np.linalg.norm(traj.u_ext, axis=1),
+            ecl=ecl_value(i_metric, p, gains, e, eta, traj.xi_I),
+            ecl_bound=ecl_rate_bound(i_metric, p, gains, e, eta, traj.xi_I),
+            momentum_drift_series=drift_series,
+            momentum_drift=float(drift_series.max()),
+            ortho_drift=ortho,
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -34,17 +34,39 @@ def can_fork():
     return sys.platform.startswith("linux") and threading.active_count() == 1
 
 
-def fork_pipe(child_reads):
-    """Fork a child joined to this process by a new pipe, which the child
-    reads if ``child_reads`` and writes otherwise.
+@contextlib.contextmanager
+def child(work, child_reads, what):
+    """A context manager giving this process's end of a pipe to a child
+    that runs ``work(pipe)`` on the other end, reading it if
+    ``child_reads`` and writing it otherwise; ``what`` names the child in
+    errors.
 
-    Returns ``(pid, pipe)``: in this process the child's pid and this
-    end, in the child 0 and the other end, each opened as a binary file.
-    The child holds no other end of a pipe that this process opened here
-    for another child: each is closed in it, so a child reads the end of
-    its stream once the process at the other end has closed or lost it.
-    A child must leave by `os._exit`.
+    Where `can_fork` allows, the child is forked, a reading one at
+    niceness 10, since the process that feeds it comes first, and it
+    leaves by `os._exit`: status 0 once ``work`` has returned, 1 if it
+    raised.  It holds no other end of a pipe that this process opened
+    here for another child: each is closed in it, so a child reads the
+    end of its stream once the process at the other end has closed or
+    lost it.  The child is reaped however the block ends.  An exception
+    in the block propagates unchanged; a child that fails raises
+    OSError("<what> failed with exit status N") once the block has ended,
+    in place of the EOFError or BrokenPipeError its death caused there.
+
+    Elsewhere ``work`` runs in this process on an in-memory file: a
+    writing child's before the block, which reads what it wrote, and a
+    reading child's after the block has succeeded, on what the block
+    wrote.  Its errors propagate as they are.
     """
+    if not can_fork():
+        pipe = io.BytesIO()
+        if not child_reads:
+            work(pipe)
+            pipe.seek(0)
+        yield pipe
+        if child_reads:
+            pipe.seek(0)
+            work(pipe)
+        return
     import fcntl   # here, not at the top: there is no fcntl on Windows
     read, write = os.pipe()
     with contextlib.suppress(OSError):   # a larger pipe is only faster
@@ -66,64 +88,28 @@ def fork_pipe(child_reads):
             os.close(write)
             raise
     if pid == 0:
-        os.close(ours)
-        # the other ends' fds alone: closing their files could write the
-        # parent's buffered data from here
-        for end in _ENDS:
-            if not end.closed:
-                os.close(end.fileno())
-        _ENDS.clear()
-        return 0, open(theirs, "rb" if child_reads else "wb")
-    os.close(theirs)
-    _ENDS[:] = [end for end in _ENDS if not end.closed]
-    _ENDS.append(open(ours, "wb" if child_reads else "rb"))
-    return pid, _ENDS[-1]
-
-
-@contextlib.contextmanager
-def child(work, child_reads, what):
-    """A context manager giving this process's end of a pipe to a child
-    that runs ``work(pipe)`` on the other end, reading it if
-    ``child_reads`` and writing it otherwise; ``what`` names the child in
-    errors.
-
-    Where `can_fork` allows, the child is forked (`fork_pipe`), a reading
-    one at niceness 10, since the process that feeds it comes first, and
-    it leaves by `os._exit`: status 0 once ``work`` has returned, 1 if it
-    raised.  The child is reaped however the block ends.  An exception in
-    the block propagates unchanged; a child that fails raises
-    OSError("<what> failed with exit status N") once the block has ended,
-    in place of the EOFError or BrokenPipeError its death caused there.
-
-    Elsewhere ``work`` runs in this process on an in-memory file: a
-    writing child's before the block, which reads what it wrote, and a
-    reading child's after the block has succeeded, on what the block
-    wrote.  Its errors propagate as they are.
-    """
-    if not can_fork():
-        pipe = io.BytesIO()
-        if not child_reads:
-            work(pipe)
-            pipe.seek(0)
-        yield pipe
-        if child_reads:
-            pipe.seek(0)
-            work(pipe)
-        return
-    pid, pipe = fork_pipe(child_reads)
-    if pid == 0:
         status = 1
         try:
+            os.close(ours)
+            # the other ends' fds alone: closing their files could write
+            # the parent's buffered data from here
+            for end in _ENDS:
+                if not end.closed:
+                    os.close(end.fileno())
+            _ENDS.clear()
             if child_reads:
                 os.nice(10)
-            with pipe:
+            with open(theirs, "rb" if child_reads else "wb") as pipe:
                 work(pipe)
             status = 0
         finally:
             os._exit(status)
+    os.close(theirs)
+    _ENDS[:] = [end for end in _ENDS if not end.closed]
+    _ENDS.append(open(ours, "wb" if child_reads else "rb"))
     try:
         try:
-            with pipe:
+            with _ENDS[-1] as pipe:
                 yield pipe
         finally:
             status = os.waitpid(pid, 0)[1]

@@ -74,12 +74,12 @@ def test_criterion_3_tracking_convergence(certified_runs, stored_gain_runs):
         psi_tail = metrics.psi_e[tail].max()
         geo_tail = metrics.geo_err[tail].max()
         ok &= psi_tail < 1e-2 and geo_tail < 1e-1
-        ok &= metrics.feasibility.feasible
+        ok &= control.gain_feasible(cfg.gains).feasible
         details.append(f"{program}: psi<= {psi_tail:.1e}, geo<= {geo_tail:.1e}")
     # benchmark (1, 3, 1) gains: outcome recorded, verdict must say infeasible
     for program in PROGRAMS:
-        _, _, metrics = stored_gain_runs[program]
-        ok &= not metrics.feasibility.feasible
+        cfg, _, metrics = stored_gain_runs[program]
+        ok &= not control.gain_feasible(cfg.gains).feasible
         details.append(f"{program}[kp,kd,ki=1,3,1]: psi(30)="
                        f"{metrics.psi_e[-1]:.2e}, verdict=infeasible")
     _report(3, "certified gains converge on all three programs", ok,

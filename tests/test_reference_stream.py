@@ -112,7 +112,7 @@ def test_forked_and_in_process_runs_are_identical(program, actuation,
             for value in vars(part).values()
             if isinstance(value, np.ndarray)])
     assert runs[0] == runs[1]
-    assert len(runs[0]) == 22   # the blocks and 21 arrays of the record
+    assert len(runs[0]) == 21   # the blocks and 20 arrays of the record
 
 
 @pytest.mark.parametrize("end", ["success", "divergence", "raising observer"])
@@ -155,25 +155,19 @@ def test_a_child_holds_no_other_childs_pipe_end():
     # the second child must not hold the write end of the first one's
     # pipe, or the first would not see its stream end when this process
     # dies
-    first, to_first = stream.fork_pipe(child_reads=True)
-    if first == 0:
-        to_first.read()
-        os._exit(0)
-    second, from_second = stream.fork_pipe(child_reads=False)
-    if second == 0:
-        from_second.write(bytes([_is_open(to_first.fileno())]))
-        from_second.close()
-        os._exit(0)
-    try:
-        with from_second:
+    with stream.child(lambda pipe: pipe.read(), child_reads=True,
+                      what="first") as to_first:
+        def report(pipe):
+            pipe.write(bytes([_is_open(to_first.fileno())]))
+
+        with stream.child(report, child_reads=False,
+                          what="second") as from_second:
             assert from_second.read() == b"\x00"
-    finally:
-        assert os.waitpid(second, 0)[1] == 0
-        to_first.close()
-        assert os.waitpid(first, 0)[1] == 0
     assert_no_child()
 
 
+@pytest.mark.skipif(not stream.can_fork(),
+                    reason="this platform does not fork")
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                     reason="no /proc/self/fd")
 def test_a_failed_fork_leaves_no_pipe_end(monkeypatch):
@@ -183,7 +177,9 @@ def test_a_failed_fork_leaves_no_pipe_end(monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     before = sorted(os.listdir("/proc/self/fd"))
     with pytest.raises(BlockingIOError):
-        stream.fork_pipe(child_reads=False)
+        with stream.child(lambda pipe: None, child_reads=False,
+                          what="child"):
+            pass
     assert sorted(os.listdir("/proc/self/fd")) == before
 
 

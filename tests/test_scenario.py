@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gyrotrack import control, dynamics, scenario, so3
+from gyrotrack import cli, control, dynamics, scenario, so3
+from gyrotrack.config import serialize_config
 from gyrotrack.errors import DivergedStateError
 from gyrotrack.integrators import IntegratorConfig, integrate_components
 from gyrotrack.so3 import components, from_components
@@ -191,8 +193,25 @@ class TestClosedLoop:
                     joined = np.concatenate([getattr(p, field.name)
                                              for p in parts])
                     assert joined.tobytes() == value.tobytes(), field.name
-        assert all(np.array_equal(m.momentum0, metrics.momentum0)
-                   for _, m in records)
+
+    @pytest.mark.parametrize("program", scenario.PROGRAM_KINDS)
+    @pytest.mark.parametrize("actuation", ["internal", "external"])
+    def test_a_lone_block_gives_the_same_record(self, program, actuation):
+        # samples 300-699 alone, with no block before them: every array of
+        # their record is, row for row, the bits of the whole run's
+        cfg = short_config(program, duration=1.0, gains="certified")
+        blocks = []
+        traj, metrics = scenario.run_closed_loop(
+            cfg, actuation, lambda start, block: blocks.append(block))
+        rows = np.concatenate(blocks)
+        (part_traj, part_metrics), = scenario.block_records(
+            cfg, [(300, rows[300:700])], actuation)
+        for whole, part in ((traj, part_traj), (metrics, part_metrics)):
+            for field in dataclasses.fields(whole):
+                value = getattr(whole, field.name)
+                if isinstance(value, np.ndarray):
+                    assert getattr(part, field.name).tobytes() == \
+                        value[300:700].tobytes(), field.name
 
     @pytest.mark.parametrize("program", scenario.PROGRAM_KINDS)
     @pytest.mark.parametrize("actuation", ["internal", "external"])
@@ -249,12 +268,16 @@ class TestClosedLoop:
         orders = np.log2(np.array(errs[:-1]) / errs[1:])
         assert ((3.7 <= orders) & (orders <= 4.3)).all(), orders
 
-    def test_feasibility_verdict_recorded_for_any_gains(self):
-        _, metrics = scenario.run_closed_loop(short_config(duration=0.5))
-        assert metrics.feasibility.feasible is False
-        _, metrics = scenario.run_closed_loop(
-            short_config(duration=0.5, gains="certified"))
-        assert metrics.feasibility.feasible is True
+    def test_feasibility_verdict_recorded_for_any_gains(self, tmp_path):
+        # a run's sidecar records its gains' verdict, infeasible or not
+        for gains, feasible in ((None, False), ("certified", True)):
+            path = tmp_path / f"{gains}.cfg"
+            path.write_text(serialize_config(
+                short_config(duration=0.5, gains=gains)))
+            out = tmp_path / f"{gains}.csv"
+            assert cli.main(["simulate", str(path), "-o", str(out)]) == 0
+            meta = json.loads(out.with_suffix(".meta.json").read_text())
+            assert meta["feasibility"]["feasible"] is feasible
 
     def test_metrics_aligned_with_trajectory(self):
         traj, metrics = scenario.run_closed_loop(short_config(duration=1.0))
@@ -409,6 +432,23 @@ def test_error_state_independent_of_reference_program(
             assert np.abs(other - zero).max() <= 1e-9
 
 
+@settings(max_examples=20, deadline=None)
+@given(haar=_vectors(0.0, 1.0), omega0=_vectors(-1e3, 1e3),
+       omega_r0=_vectors(-1e3, 1e3))
+def test_initial_momentum_drift_is_zero(haar, omega0, omega_r0):
+    # the drift is measured from the momentum of the config's initial
+    # state on floats, and sample 0's on columns: the same bits, so its
+    # drift is exactly zero under either actuation
+    base = short_config(duration=0.002)
+    plant = dataclasses.replace(base.plant, R0=_haar_rotation(*haar),
+                                Omega0=omega0, OmegaR0=omega_r0)
+    cfg = dataclasses.replace(base, plant=plant)
+    for actuation in ("internal", "external"):
+        _, metrics = scenario.run_closed_loop(cfg, actuation)
+        assert len(metrics.momentum_drift_series) == 3
+        assert metrics.momentum_drift_series[0] == 0.0
+
+
 @pytest.mark.parametrize("fixture, index", [
     ("equivalence_runs", 1), ("equivalence_runs", 2),
     ("certified_zero_run", None)],
@@ -441,11 +481,12 @@ class TestEffortComparison:
                                       getattr(alone, field.name))
 
     def test_constant_program_smoke(self):
-        cmp_result = scenario.compare_efforts(short_config("constant",
-                                                           duration=2.0))
+        cfg = short_config("constant", duration=2.0)
+        cmp_result = scenario.compare_efforts(cfg)
         assert np.isfinite(cmp_result.proposed.effort_l2).all()
         assert np.isfinite(cmp_result.baseline.effort_l2).all()
-        assert cmp_result.baseline.feasibility.feasible is False  # PD only
+        pd_gains = control.pd_variant(cfg.gains)
+        assert control.gain_feasible(pd_gains).feasible is False  # PD only
         assert cmp_result.proposed_integral > 0.0
 
     def test_integrals_are_trapezoid_of_effort(self, short_comparison):
