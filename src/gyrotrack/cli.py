@@ -3,14 +3,11 @@
 Subcommands:
 
 * ``simulate <config> -o <csv>``   run the tracking loop, write telemetry
-  CSV plus a JSON metadata sidecar; the run's two helpers, the reference
-  body (`scenario.run_closed_loop`) and a writer that formats the CSV
-  from the run's blocks under a temporary name that becomes the output
-  only once the run has succeeded, are each a `stream.child`: on Linux a
-  child process, reaped before ``simulate`` returns, and elsewhere, or
-  beside another Python thread, work in this process, the reference
-  before the run and the rows after it: the same bytes, in about 1.65
-  times the time
+  CSV plus a JSON metadata sidecar, from the run's blocks, which no
+  process holds whole; its helpers, the reference body and the writer,
+  are each a `stream.child`: a child process on Linux, and elsewhere, or
+  beside another Python thread, work in this process, a block at a time:
+  the same bytes, in about 1.8 times the time
 * ``tune-gains <config> [--synthesize]``   evaluate (or synthesize) gains
   against the certification inequalities
 * ``compare <config> -o <dir>``    effort comparison against the
@@ -24,9 +21,9 @@ Errors.  Commands return 0 or raise; `main` alone turns an error into
 an exit code and prints ``error: <message>`` to stderr: 2 numerical
 divergence, 1 any other GyrotrackError (config, schema, gain synthesis),
 OSError (a file that cannot be read or written, or a failed telemetry
-writer or reference body process) or MemoryError (a run too long to
-hold in memory).  A usage error, a bad ``--entries`` among them, exits 1
-after argparse prints it.  An output file whose directory is
+writer or reference body process) or MemoryError (a ``compare`` run too
+long to hold in memory).  A usage error, a bad ``--entries`` among them,
+exits 1 after argparse prints it.  An output file whose directory is
 missing, or which is itself a directory, fails once the input has loaded,
 before anything is integrated or written; ``compare`` creates its output
 directory only after the run.
@@ -38,7 +35,9 @@ All dynamics are deterministic, and reruns produce byte-identical files.
 
 import argparse
 import contextlib
+import itertools
 import json
+import math
 import os
 import sys
 import warnings
@@ -51,8 +50,8 @@ from .config import load_config, serialize_config
 from .control import (gain_feasible, lambda_sup_formula, mu_hess_formula,
                       q_matrix, synthesize_gains)
 from .errors import DivergedStateError, GyrotrackError, SchemaMismatchError
-from .scenario import block_records, compare_efforts, run_closed_loop
-from .stream import child, received, send, send_end
+from .scenario import block_records, closed_loop_blocks, compare_efforts
+from .stream import child
 from .svgplot import Panel, Series, write_svg
 
 COLUMNS = (
@@ -94,8 +93,14 @@ def _write_csv(path, tables, columns=COLUMNS):
                 fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
+def _write_json(path, data):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _telemetry(traj, metrics):
-    """The CSV's columns (COLUMNS) of a run's record, or of a block's."""
+    """The CSV's columns (COLUMNS) of a block's record."""
     return np.column_stack([
         traj.times,
         traj.R.reshape(len(traj), 9),
@@ -108,43 +113,53 @@ def _telemetry(traj, metrics):
     ])
 
 
-def _run_with_writer(cfg, out):
-    """`run_closed_loop` of cfg, with its CSV written to ``out`` by a
-    reading `stream.child`, which formats the run's blocks of samples
-    (`block_records`): forked, each block while the next one integrates,
-    or in this process after the run.  Returns the run's (trajectory,
-    metrics).
+def _run_with_writer(cfg, out, meta):
+    """Run cfg's closed loop, a reading `stream.child` writing its CSV and
+    sidecar to ``out`` and ``meta``: `block_records` of each block, the
+    run's one post-pass, and the sidecar's scalars folded as they come.
+    Each goes to a temporary dot-name, created here with the mode `open`
+    gives, that replaces it once both have succeeded; a failure removes
+    them."""
+    outs = [out.resolve(), meta.resolve()]   # a symlink's target is replaced
+    tmps = [path.with_name(f".{path.name}.{os.urandom(4).hex()}")
+            for path in outs]
+    for tmp in tmps:
+        os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
 
-    The rows go to a temporary dot-name in out's directory, created here
-    with the mode `open` gives a new file, which replaces ``out`` once
-    the run and the writer have both succeeded.  A writer that fails, or
-    whose stream closes before the run's end mark (this process failed or
-    died), removes the temporary file; any exception here makes sure it
-    is gone and propagates, and a forked writer that fails raises OSError.
-    """
-    out = out.resolve()   # an output symlink's target is replaced
-    tmp = out.with_name(f".{out.name}.{os.urandom(4).hex()}")
-    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    def tables(blocks, folded):
+        # set up once the first block has come, not while the run starts
+        blocks = itertools.chain([next(blocks)], blocks)
+        samples, worst = 0, (-math.inf,) * 3
+        for traj, metrics in block_records(cfg, blocks):
+            samples += len(traj)
+            worst = tuple(map(max, worst, (metrics.momentum_drift,
+                                           metrics.ortho_drift,
+                                           float(metrics.psi_e.max()))))
+            yield _telemetry(traj, metrics)
+        folded.update(samples=samples, worst=worst, last=metrics)
 
-    def write(pipe):
+    def write(blocks):
         try:
-            _write_csv(tmp, (_telemetry(*record) for record in
-                             block_records(cfg, received(pipe))))
+            folded = {}
+            _write_csv(tmps[0], tables(blocks, folded))
+            _write_json(tmps[1], _metadata(cfg, **folded))
         except BaseException:
-            os.unlink(tmp)
+            for tmp in tmps:
+                os.unlink(tmp)
             raise
 
     try:
-        with child(write, child_reads=True, what="telemetry writer") as pipe:
-            result = run_closed_loop(
-                cfg, observer=lambda start, block: send(pipe, start, block))
-            send_end(pipe)
-        os.replace(tmp, out)
+        with contextlib.closing(closed_loop_blocks(cfg)) as blocks, \
+                child(write, child_reads=True,
+                      what="telemetry writer") as feed:
+            feed(blocks)
+        for tmp, path in zip(tmps, outs):
+            os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(FileNotFoundError):   # the writer's to remove
-            os.unlink(tmp)
+        for tmp in tmps:
+            with contextlib.suppress(FileNotFoundError):   # the writer's
+                os.unlink(tmp)
         raise
-    return result
 
 
 def _feasibility_json(verdict):
@@ -158,12 +173,14 @@ def _feasibility_json(verdict):
     }
 
 
-def _metadata(cfg, traj, metrics):
+def _metadata(cfg, samples, worst, last):
+    """A run's sidecar: ``worst`` its largest momentum and orthogonality
+    drifts and psi, ``last`` its last block's metrics."""
     g = cfg.gains
     i_plant = cfg.plant.params.body_inertia
     return {
         "schema": {"columns": COLUMNS, "version": 1},
-        "samples": len(traj),
+        "samples": samples,
         "gains": {"kp": g.kp, "kd": g.kd, "ki": g.ki, "kappa": g.kappa,
                   "sigma": g.sigma, "alpha": g.alpha, "beta": g.beta,
                   "tau": g.tau, "delta": g.delta, "mu_hess": g.mu_hess,
@@ -171,11 +188,11 @@ def _metadata(cfg, traj, metrics):
                   "mu_hess_formula": mu_hess_formula(i_plant),
                   "lambda_sup_formula": lambda_sup_formula(i_plant)},
         "feasibility": _feasibility_json(gain_feasible(g)),
-        "conservation": {"momentum_drift": metrics.momentum_drift,
-                         "orthogonality_drift": metrics.ortho_drift},
-        "tracking": {"psi_final": float(metrics.psi_e[-1]),
-                     "geo_err_final": float(metrics.geo_err[-1]),
-                     "psi_max": float(metrics.psi_e.max())},
+        "conservation": {"momentum_drift": worst[0],
+                         "orthogonality_drift": worst[1]},
+        "tracking": {"psi_final": float(last.psi_e[-1]),
+                     "geo_err_final": float(last.geo_err[-1]),
+                     "psi_max": worst[2]},
         "integrator": {"scheme": cfg.integrator.scheme,
                        "step": cfg.integrator.step,
                        "duration": cfg.integrator.duration,
@@ -190,11 +207,8 @@ def cmd_simulate(config_path, out_path):
     out = Path(out_path)
     meta = out.with_suffix(".meta.json")
     _check_outputs(out, meta)
-    traj, metrics = _run_with_writer(cfg, out)
-    with open(meta, "w", encoding="utf-8") as fh:
-        json.dump(_metadata(cfg, traj, metrics), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {out} ({len(traj)} rows) and {meta}")
+    _run_with_writer(cfg, out, meta)
+    print(f"wrote {out} ({cfg.integrator.n_steps + 1} rows) and {meta}")
     return 0
 
 
@@ -261,9 +275,7 @@ def cmd_compare(config_path, out_dir):
         "ratio": cmp_result.proposed_integral / cmp_result.baseline_integral
         if cmp_result.baseline_integral else float("nan"),
     }
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "summary.json", summary)
     print(f"wrote {out}/effort_proposed.csv, {out}/effort_baseline.csv, "
           f"{out}/summary.json")
     return 0
@@ -397,7 +409,7 @@ def main(argv=None):
     except (GyrotrackError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MemoryError as exc:   # a horizon too long to hold in memory
+    except MemoryError as exc:   # a compare horizon too long for memory
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 

@@ -11,12 +11,11 @@ kernels of `so3` do, rather than raising.  The integrator owns the group
 update, advancing each rotation by a right-multiplied exponential, each
 update R expm(c k) one call of `so3._mul_expm` at the stage scale c.
 
-`integrate_components` is the one integration loop and takes such a
-field directly; the package's own fields (`scenario`'s rotor body and
-the plant fed with its stage values, `dynamics.free_body_field`,
-`control.error_field`) are written for it.  It returns the dense
-`History`, the one record of this module; `scenario.ClosedLoopTrajectory`
-names the slots of a closed-loop run.
+`integrate_blocks` is the one integration loop, a generator of a run's
+checked blocks that holds no more of it than the block in progress, for
+the package's own fields (`scenario`'s two rotor bodies,
+`dynamics.free_body_field`, `control.error_field`);
+`integrate_components` collects a run into the dense `History`.
 
 Two schemes are provided: first-order Lie-Euler and a fourth-order
 Munthe-Kaas variant of the classical RK4 tableau, whose algebra-valued
@@ -25,11 +24,8 @@ commutators (sufficient for order 4).
 
 Everything is pure float arithmetic with a fixed step, so rerunning an
 integration reproduces it bit for bit on the same platform.  The step
-runs on Python floats; arrays appear only in the dense history, stored
-and checked for non-finite entries in blocks of 128 rows.  An optional
-observer sees each block once it has passed that check, as the
-``(rows, width)`` array of its samples, so a caller can consume a run's
-samples while the next block integrates.
+runs on Python floats; arrays appear only in the blocks of samples,
+formed and checked for non-finite entries 128 rows at a time.
 """
 
 import math
@@ -41,7 +37,7 @@ from .errors import DivergedStateError
 from .so3 import _mul_expm, components
 
 SCHEMES = ("lie_euler", "rk4_munthe_kaas")
-_BLOCK = 128   # history rows gathered, stored and checked at once
+_BLOCK = 128   # sample rows gathered, checked and yielded at once
 
 
 def _snap_so3(r):
@@ -79,8 +75,9 @@ class IntegratorConfig:
     duration that is not a multiple of the step is rounded to the nearest
     whole number of steps.  The count must stay below 2**53, past which
     floats skip whole numbers and k * step no longer separates steps;
-    below it a history of up to 128 floats per sample stays within
-    numpy's size limit, so a run too long for memory raises MemoryError.
+    below it a whole run of up to 128 floats per sample stays within
+    numpy's size limit, so those that hold one (`integrate_components`,
+    `scenario.run_closed_loop`) raise MemoryError when it is too long.
     """
 
     step: float = 1e-3
@@ -190,52 +187,50 @@ def step_lie(vector_field, t, state, h, scheme="rk4_munthe_kaas",
                       for x, a, b, c, d in zip(vec, v1, v2, v3, v4)]
 
 
-def integrate_components(vector_field, initial, cfg, observer=None):
-    """Integrate a vector field on components over cfg.duration.
-
-    ``initial`` holds arrays at t = 0.  Returns a dense `History` with
-    n_steps+1 uniformly spaced samples (duration == step gives two).  Raises
-    DivergedStateError with the first offending step index if any state
-    entry turns non-finite.  Each block of 128 samples is stored with one
-    array conversion and checked with one `np.isfinite`, so the steps
-    after a divergence up to the block's end run on inf or NaN (the field
-    contract above); a field that raises there still reports it.
-
-    ``observer(start, block)``, if given, is called after each block is
-    stored and has passed the check, in order: ``start`` is the block's
-    first sample index and ``block`` its ``(rows, width)`` float64 array,
-    one row per sample holding each attitude's 9 entries, then the vector
-    state.  A block that fails the check is not observed.
+def integrate_blocks(vector_field, initial, cfg):
+    """Integrate a vector field on components from ``initial``, arrays at
+    t = 0, over cfg.duration: yield the n_steps+1 samples (duration ==
+    step gives two), sample i at time step * i, as ``(start, block)``:
+    the first sample's index and up to 128 rows, each attitude's 9
+    entries, then the vector state.  Each block is checked with one
+    `np.isfinite` first; a non-finite entry raises DivergedStateError at
+    its step instead, so the steps after a divergence up to the block's
+    end run on inf or NaN (the field contract above), and a field that
+    raises there still reports it.
     """
     rots, vec = initial
     state = ([components(r, 2) for r in rots], components(vec))
     n = cfg.n_steps
-    times = cfg.step * np.arange(n + 1)
-    # a row is each attitude's 9 entries, then the vector state
-    hists = [np.empty((n + 1, 9)) for _ in rots]
-    hists.append(np.empty((n + 1, len(state[1]))))
-    edges = np.cumsum([0] + [hist.shape[1] for hist in hists]).tolist()
+    width = 9 * len(rots) + len(state[1])
     h, scheme, reproject = cfg.step, cfg.scheme, cfg.reproject
     for start in range(0, n + 1, _BLOCK):
-        rows = []
+        rows, stop = [], start
         try:
             for i in range(start, min(start + _BLOCK, n + 1)):
                 if i:   # step_lie is looked up per call, so it can be wrapped
-                    state = step_lie(vector_field, times.item(i - 1), state,
-                                     h, scheme, reproject)
+                    state = step_lie(vector_field, h * (i - 1), state, h,
+                                     scheme, reproject)
                 for r in state[0]:
                     rows += r
                 rows += state[1]
+                stop = i + 1
         finally:
-            block = np.array(rows).reshape(-1, edges[-1] or 1)   # or empty
+            block = np.array(rows).reshape(stop - start, width)
             finite = np.isfinite(block).all(axis=1)
             finite[:1] |= not start   # a bad initial state fails at step 1
             if not finite.all():
                 i = start + int(finite.argmin())
-                raise DivergedStateError(i, times.item(i))
-        for hist, lo, hi in zip(hists, edges, edges[1:]):
-            hist[start:start + len(block)] = block[:, lo:hi]
-        if observer is not None:
-            observer(start, block)
-    return History(times, [r.reshape(n + 1, 3, 3) for r in hists[:-1]],
-                   hists[-1])
+                raise DivergedStateError(i, h * i)
+        yield start, block
+
+
+def integrate_components(vector_field, initial, cfg):
+    """The blocks of `integrate_blocks` collected into a dense `History`."""
+    rots, vec = initial
+    n, k = cfg.n_steps, 9 * len(rots)
+    rows = np.empty((n + 1, k + np.size(vec)))
+    for start, block in integrate_blocks(vector_field, initial, cfg):
+        rows[start:start + len(block)] = block
+    return History(cfg.step * np.arange(n + 1),
+                   [rows[:, j:j + 9].reshape(n + 1, 3, 3)
+                    for j in range(0, k, 9)], rows[:, k:])

@@ -7,17 +7,12 @@ block solve `rotor_accels`).  The reference never depends on the plant,
 so a run integrates it on its own and streams it to the plant's
 integration: the values of R_d, Omega_d and dOmega_d at every stage of
 every step, which the controller reads as they are, never interpolated.
-A run's row is each body's own integrator row side by side, the plant's
-and then the reference's.  The `_d` half of a run's
-`ClosedLoopTrajectory` is the reference record, bit for bit the
-reference's `_rotor_field` integrated alone, and the whole record the
-bits of the two bodies integrated as one state.  The integrators call
-the two fields, `_rotor_field` and `_plant_loop`, on floats; the
-post-pass, `block_records`, calls each once on its own body's stored
-columns, so the reported torques are the ones that drove the plant.  A
-block's record is a function of its samples and the config alone, so
-the blocks a run hands its observer give the run's record block by
-block.
+A run is a generator of checked blocks (`closed_loop_blocks`) that no
+process holds whole, each row the plant's integrator row and then the
+reference's: the bits of the two bodies integrated as one state.  The
+integrators call their fields, `_rotor_field` and `_plant_loop`, on
+floats; the post-pass, `block_records`, calls each once on its body's
+columns, so the reported torques are the ones that drove the plant.
 
 Because the control torques are internal, any admissible reference must
 carry the same spatial angular momentum as the plant; `consistent_rotor_velocity`
@@ -34,8 +29,8 @@ import dataclasses
 import math
 import struct
 import warnings
+from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -44,19 +39,16 @@ from .control import (GainSet, NavigationWeights, _error, _loop_kernel,
                       error_state, gain_derive, nav_hessian, nav_psi,
                       pd_variant, synthesize_gains, BENCHMARK_MU_HESS,
                       BENCHMARK_LAMBDA_SUP)
-# the componentwise block solve and the component loop, bound under the
-# public names of their array adapters: this module calls them through
-# these bindings, as it calls `_loop_kernel`, so per-call traces keep the
-# names
+# the componentwise block solve under its array adapter's public name:
+# called through this binding, as `_loop_kernel` is, for per-call traces
 from .dynamics import (InertiaParams, _external_accel, _momentum,
                        kernel_constants, momentum_body, momentum_spatial)
 from .dynamics import _rotor_accels as rotor_accels
 from .errors import DivergedStateError
-from .integrators import IntegratorConfig
-from .integrators import integrate_components as integrate
+from .integrators import IntegratorConfig, integrate_blocks
 from .so3 import (_matvec, components, from_components, is_rotation,
                   metric_constants, orthogonality_defect, rotation_angle)
-from .stream import child, received, send, send_end
+from .stream import child
 
 
 PROGRAM_KINDS = ("zero", "constant", "sinusoid")
@@ -358,17 +350,12 @@ def _rotor_field(params, torque, record=None):
     return field
 
 
-def _stream_reference(cfg, pipe):
-    """Integrate the reference body of cfg, writing it to the binary file
-    ``pipe`` in the format of `stream`.
-
-    The messages are, in order, the stage values of its evaluations
-    (`_rotor_field`), up to `_FLUSH` rows of 15 per message whose start is
-    0, and after the last stage values of each block of stored samples
-    the block itself, rows of 18: R_d 9 | Theta_d | Omega_d | OmegaR_d.  The end mark carries
-    the step at which the body diverged; the stage values of that step's
-    block are all sent first.  Any other error propagates.
-    """
+def _stream_reference(cfg, send):
+    """The reference body of cfg as a writing `stream.child`: its checked
+    blocks, rows of 18 (R_d 9 | Theta_d | Omega_d | OmegaR_d), and with
+    ``send`` its stage values (`_rotor_field`) as they come, up to
+    `_FLUSH` rows of 15 per message from start 0; it returns 0, or the
+    step at which it diverged once that block's stage values are sent."""
     ref = cfg.reference
     stages = []
 
@@ -376,7 +363,7 @@ def _stream_reference(cfg, pipe):
         if stages:   # never a message of no rows: that is the end mark
             # struct packs a list of floats several times faster than numpy
             values = struct.pack(f"{len(stages)}d", *stages)
-            send(pipe, 0, np.frombuffer(values).reshape(-1, _STAGE))
+            send(0, np.frombuffer(values).reshape(-1, _STAGE))
             stages.clear()
 
     def record(values):
@@ -384,19 +371,17 @@ def _stream_reference(cfg, pipe):
         if len(stages) == _STAGE * _FLUSH:
             flush()
 
-    def observer(start, block):
-        flush()
-        send(pipe, start, block)
-
     field = _rotor_field(ref.params, cfg.program._torque, record)
     vec0 = np.concatenate([ref.Theta0, ref.Omega0, ref.OmegaR0])
     try:
-        integrate(field, ((ref.R0,), vec0), cfg.integrator, observer)
+        for start, block in integrate_blocks(field, ((ref.R0,), vec0),
+                                             cfg.integrator):
+            flush()
+            yield start, block
     except DivergedStateError as exc:
         flush()
-        send_end(pipe, exc.step_index)
-    else:
-        send_end(pipe)
+        return exc.step_index
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -454,51 +439,30 @@ def _plant_loop(cfg, actuation):
     return loop
 
 
-def run_closed_loop(cfg, actuation="internal", observer=None):
-    """Simulate the tracking loop; returns (ClosedLoopTrajectory, RunMetrics).
+def closed_loop_blocks(cfg, actuation="internal"):
+    """The tracking loop of cfg, as a generator of its checked blocks.
 
+    It yields ``(start, rows)`` as `integrators.integrate_blocks` does,
+    each row the plant's integrator row and then the reference's: R 9 |
+    Theta Omega OmegaR xi_I 12 | R_d 9 | Theta_d Omega_d OmegaR_d 9.
     actuation "internal" drives the rotor plant through the torque
-    conversion; "external" drives the bare carrier body directly (used by
-    the equivalence checks).  The trajectory's R_d, Theta_d, Omega_d,
-    OmegaR_d and Omega_d_dot are the reference body's record, the same
-    under either actuation.  ``observer`` is called with each
-    checked block of stored samples as `integrators.integrate_components`
-    calls its observer, each row the plant's integrator row and then the
-    reference's: R 9 | Theta Omega OmegaR xi_I 12 | R_d 9 | Theta_d
-    Omega_d OmegaR_d 9.
-
-    The reference body moves on its own, so it is integrated apart and
-    streamed (`_stream_reference`) to the plant's integration, whose field
-    takes the next stage values at each evaluation: the bits of the two
-    integrated as one.  The reference runs as a writing `stream.child`:
-    forked, while the plant integrates, or first, in this process, into a
-    buffer.  A run diverges at the first sample with a non-finite entry in
-    either half.  A forked reference body that fails other than by
-    divergence raises OSError.  The record is the run's one block
-    through `block_records`.
+    conversion, "external" the bare carrier body directly.  The reference
+    body (`_stream_reference`) runs apart, forked and ahead of the plant
+    or in this process between its blocks, and the plant's field takes
+    its next stage values at each evaluation.  A run diverges at the
+    first non-finite sample of either half.  A caller that leaves early
+    closes the generator (`contextlib.closing`), which reaps the child.
     """
     if actuation not in ("internal", "external"):
         raise ValueError("actuation must be 'internal' or 'external'")
     cfg = resolve_reference(cfg)
-    with child(lambda pipe: _stream_reference(cfg, pipe), child_reads=False,
-               what="reference body") as pipe:
-        rows = _plant_run(cfg, actuation, pipe, observer)
-    return next(block_records(cfg, [(0, rows)], actuation))
-
-
-def _plant_run(cfg, actuation, pipe, observer):
-    """The ``(n+1, 39)`` rows of a run of cfg, as its observer sees them:
-    the plant and integral state integrated by `_plant_loop` on the
-    reference stream read from ``pipe`` (`_stream_reference`), each
-    checked block followed, row by row, by the reference's block of the
-    same samples, then observed."""
     plant = cfg.plant
-    rows = np.empty((cfg.integrator.n_steps + 1, 39))
     theta0, omega_r0 = (plant.Theta0, plant.OmegaR0) \
         if actuation == "internal" else (_ZERO3, _ZERO3)
-    step = cfg.integrator.step
-    messages = received(pipe)
-    diverged = []   # the step at which the reference diverged
+    vec0 = np.concatenate([theta0, plant.Omega0, omega_r0, _ZERO3])
+    step, last = cfg.integrator.step, cfg.integrator.n_steps
+    stages = deque()   # the reference's stage values the plant has not read
+    diverged = []      # the step at which the reference diverged
 
     def reference_message():
         try:
@@ -507,52 +471,55 @@ def _plant_run(cfg, actuation, pipe, observer):
             diverged.append(end.value)
             raise DivergedStateError(end.value, step * end.value) from None
 
-    def stage_chunks():
-        while True:
-            yield reference_message().tolist()
-
-    stages = chain.from_iterable(stage_chunks())
-    loop = _plant_loop(cfg, actuation)
-
     def field(t, rots, vec):
-        return loop(t, rots, vec, next(stages))
+        if not stages:
+            stages.extend(reference_message().tolist())
+        return loop(t, rots, vec, stages.popleft())
 
-    def joined(start, block):
-        joint = rows[start:start + len(block)]
-        np.concatenate([block, reference_message()], axis=1, out=joint)
-        if observer is not None:
-            observer(start, joint)
+    with child(lambda send: _stream_reference(cfg, send), child_reads=False,
+               what="reference body") as messages:
+        loop = _plant_loop(cfg, actuation)
+        try:   # a block's first stage values come before the plant steps
+            # into it: in process, the reference integrates the block here
+            stages.extend(reference_message().tolist())
+            for start, block in integrate_blocks(
+                    field, ((plant.R0,), vec0), cfg.integrator):
+                yield start, np.concatenate([block, reference_message()],
+                                            axis=1)
+                if start + len(block) <= last:
+                    stages.extend(reference_message().tolist())
+        except DivergedStateError as exc:
+            # the first non-finite sample of either half: unless it has
+            # come, read on to the reference's verdict on the failing block
+            with contextlib.suppress(DivergedStateError, EOFError):
+                while not diverged and reference_message().shape[1] == _STAGE:
+                    pass
+            first = min(diverged + [exc.step_index])
+            raise DivergedStateError(first, step * first) from None
+        next(messages, None)   # its end mark, before its pipe closes
 
-    vec0 = np.concatenate([theta0, plant.Omega0, omega_r0, _ZERO3])
-    try:
-        # the History it returns repeats the plant's columns of rows
-        integrate(field, ((plant.R0,), vec0), cfg.integrator, joined)
-    except DivergedStateError as exc:
-        # the first non-finite sample of either half: unless it has come
-        # already, read on to the reference's verdict on the failing block
-        with contextlib.suppress(DivergedStateError, EOFError):
-            while not diverged and reference_message().shape[1] == _STAGE:
-                pass
-        if diverged and diverged[0] < exc.step_index:
-            raise DivergedStateError(diverged[0],
-                                     step * diverged[0]) from None
-        raise
-    return rows
+
+def run_closed_loop(cfg, actuation="internal"):
+    """(ClosedLoopTrajectory, RunMetrics) of the run of cfg: its blocks
+    (`closed_loop_blocks`) collected into rows allocated first (MemoryError
+    before anything runs), and their record (`block_records`), whose `_d`
+    half is the reference body's record under either actuation."""
+    rows = np.empty((cfg.integrator.n_steps + 1, 39))
+    with contextlib.closing(closed_loop_blocks(cfg, actuation)) as blocks:
+        for start, block in blocks:
+            rows[start:start + len(block)] = block
+    return next(block_records(cfg, [(0, rows)], actuation))
 
 
 def block_records(cfg, blocks, actuation="internal"):
     """The ``(ClosedLoopTrajectory, RunMetrics)`` record of each block of
-    samples of a run of cfg.
-
-    ``blocks`` yields ``(start, block)`` pairs as `run_closed_loop` passes
-    them to its observer: ``block`` is a contiguous run of stored samples,
-    the first of them sample ``start``, each row the plant's integrator
-    row and then the reference's.  The reference's `_rotor_field` and the
-    `_plant_loop` are each called once on their own body's columns, for
-    Omega_d_dot and for the torques.  Every value of a record is a
-    function of its own sample and cfg, the momentum drift measured from
-    the spatial momentum of cfg's initial plant state, so any blocks give,
-    row for row, the bits of the whole run's record.
+    ``blocks``, contiguous samples of a run of cfg as `closed_loop_blocks`
+    yields them.  The reference's `_rotor_field` and the `_plant_loop`
+    are each called once on their own body's columns, for Omega_d_dot and
+    the torques.  Every value of a record is a function of its own sample
+    and cfg, the momentum drift measured from the spatial momentum of
+    cfg's initial plant state, so any blocks give, row for row, the bits
+    of the whole run's record.
     """
     reference = _rotor_field(cfg.reference.params, cfg.program._torque)
     loop = _plant_loop(cfg, actuation)

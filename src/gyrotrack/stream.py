@@ -1,24 +1,24 @@
 """Child processes joined to this one by a pipe, and the one format of
 what the pipe carries.
 
-`child` runs each helper process of the program: it forks one where
-`can_fork` allows, and runs its work in this process otherwise, with the
-same data on the way.
+`child` runs each helper of the program, forked where `can_fork`
+allows and in this process otherwise, and passes it iterators of the
+same messages either way, never a whole stream.
 
 A stream is a run of messages, each a header of three int64s
-``(start, rows, width)`` and then ``rows * width`` raw float64s, row by
-row, and it ends with an end mark, a header of zero rows whose ``start``
-is the sender's outcome: 0, or the step at which its run diverged.
+``(start, rows, width)`` and then ``rows * width`` raw float64s, and an
+end mark, a header of zero rows whose ``start`` is the sender's outcome:
+0, or the step at which its run diverged.
 `simulate`'s telemetry writer reads the run's blocks this way, and
-`scenario.run_closed_loop` reads its reference body's.
+`scenario.closed_loop_blocks` reads its reference body's.
 """
 
 import contextlib
-import io
 import os
 import sys
 import threading
 import warnings
+from collections import deque
 
 import numpy as np
 
@@ -36,10 +36,13 @@ def can_fork():
 
 @contextlib.contextmanager
 def child(work, child_reads, what):
-    """A context manager giving this process's end of a pipe to a child
-    that runs ``work(pipe)`` on the other end, reading it if
-    ``child_reads`` and writing it otherwise; ``what`` names the child in
-    errors.
+    """A context manager running ``work`` as a helper joined to this
+    process by a stream of ``(start, block)`` messages; ``what`` names it
+    in errors.  A writing child's ``work(send)`` returns an iterator of
+    messages and outcome, and ``send(start, block)`` puts one on the
+    stream at once; the block gets an iterator of them all, in order.  A
+    reading child's ``work(messages)`` must read them to their end; the
+    block gets ``feed``, which passes it an iterator's messages.
 
     Where `can_fork` allows, the child is forked, a reading one at
     niceness 10, since the process that feeds it comes first, and it
@@ -51,21 +54,16 @@ def child(work, child_reads, what):
     in the block propagates unchanged; a child that fails raises
     OSError("<what> failed with exit status N") once the block has ended,
     in place of the EOFError or BrokenPipeError its death caused there.
-
-    Elsewhere ``work`` runs in this process on an in-memory file: a
-    writing child's before the block, which reads what it wrote, and a
-    reading child's after the block has succeeded, on what the block
-    wrote.  Its errors propagate as they are.
+    Elsewhere ``work`` runs in this process as the block pulls messages,
+    and its errors propagate as they are.
     """
     if not can_fork():
-        pipe = io.BytesIO()
-        if not child_reads:
-            work(pipe)
-            pipe.seek(0)
-        yield pipe
         if child_reads:
-            pipe.seek(0)
-            work(pipe)
+            yield lambda messages: _read(work, messages, what)
+        else:
+            sent = deque()
+            with contextlib.closing(work(lambda *m: sent.append(m))) as it:
+                yield _after_sent(sent, it)
         return
     import fcntl   # here, not at the top: there is no fcntl on Windows
     read, write = os.pipe()
@@ -97,10 +95,12 @@ def child(work, child_reads, what):
                 if not end.closed:
                     os.close(end.fileno())
             _ENDS.clear()
-            if child_reads:
-                os.nice(10)
             with open(theirs, "rb" if child_reads else "wb") as pipe:
-                work(pipe)
+                if child_reads:
+                    os.nice(10)
+                    _read(work, received(pipe), what)
+                else:
+                    send_all(pipe, work(lambda *m: _send(pipe, *m)))
             status = 0
         finally:
             os._exit(status)
@@ -110,7 +110,8 @@ def child(work, child_reads, what):
     try:
         try:
             with _ENDS[-1] as pipe:
-                yield pipe
+                yield (lambda messages: send_all(pipe, messages)) \
+                    if child_reads else received(pipe)
         finally:
             status = os.waitpid(pid, 0)[1]
     except (EOFError, BrokenPipeError):
@@ -121,26 +122,50 @@ def child(work, child_reads, what):
                       f"{os.waitstatus_to_exitcode(status)}")
 
 
-def send(pipe, start, block):
+def _after_sent(sent, messages):
+    """``messages``, each after those its making put in ``sent``."""
+    while True:
+        try:
+            message = next(messages)
+        except StopIteration as end:
+            message, outcome = None, end.value
+        while sent:
+            yield sent.popleft()
+        if message is None:
+            return outcome
+        yield message
+
+
+def _read(work, messages, what):
+    """``work(messages)``; OSError if it leaves a message unread."""
+    work(messages)
+    if next(messages, None) is not None:
+        raise OSError(f"{what} stopped before the end of its stream")
+
+
+def _send(pipe, start, block):
     """Write and flush the message of a C-contiguous ``(rows, width)``
-    float64 ``block`` whose first row is sample ``start``."""
+    float64 ``block`` from sample ``start``; no rows make an end mark."""
     pipe.write(np.array((start, *block.shape), np.int64).tobytes())
     pipe.write(block)
     pipe.flush()
 
 
-def send_end(pipe, diverged=0):
-    """Write and flush the end mark: 0 once the run has succeeded, else
-    the step at which it diverged."""
-    pipe.write(np.array((diverged, 0, 0), np.int64).tobytes())
-    pipe.flush()
+def send_all(pipe, messages):
+    """`_send` each message of the iterator ``messages``, then the end
+    mark of its outcome: the iterator's return value, 0 for None."""
+    while True:
+        try:
+            _send(pipe, *next(messages))
+        except StopIteration as end:
+            _send(pipe, end.value or 0, np.empty((0, 0)))
+            return
 
 
 def received(pipe):
-    """The ``(start, block)`` messages of the binary file ``pipe``, up to
-    its end mark, whose outcome the generator returns.  A stream that
-    ends before the mark, because its sender failed or died, raises
-    EOFError."""
+    """The ``(start, block)`` messages of the binary file ``pipe`` up to
+    its end mark, whose outcome it returns; a stream that ends before the
+    mark, its sender failed or dead, raises EOFError."""
     while len(header := pipe.read(24)) == 24:
         start, rows, width = np.frombuffer(header, np.int64).tolist()
         if not rows:

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -8,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -362,13 +365,13 @@ class TestSimulate:
 
     def test_existing_directory_output_exit_1(self, tmp_path, monkeypatch,
                                               capsys):
-        monkeypatch.setattr(cli, "run_closed_loop", never_integrate)
+        monkeypatch.setattr(cli, "closed_loop_blocks", never_integrate)
         cfg = write_short_config(tmp_path, duration="0.1")
         assert main(["simulate", str(cfg), "-o", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
     def test_sidecar_is_directory_exit_1(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "run_closed_loop", never_integrate)
+        monkeypatch.setattr(cli, "closed_loop_blocks", never_integrate)
         cfg = write_short_config(tmp_path, duration="0.1")
         (tmp_path / "x.meta.json").mkdir()
         assert main(["simulate", str(cfg), "-o", str(tmp_path / "x.csv")]) == 1
@@ -490,27 +493,40 @@ class TestTelemetryWriter:
 
     def test_interrupted_run_leaves_the_directory_as_it_was(self, tmp_path,
                                                             monkeypatch):
-        # forked, the writer has formatted two blocks when the run is
-        # interrupted; in process, it never starts
-        run = scenario.run_closed_loop
+        # the run's blocks raise at sample 256, or the writer, their
+        # consumer, leaves them after two blocks; forked, the writer has
+        # formatted two blocks then, and in process, the run has stopped
+        # there
+        run, records = scenario.closed_loop_blocks, cli.block_records
 
-        def interrupted(cfg, observer):
-            def forward(start, block):
-                if start == 256:
-                    raise KeyboardInterrupt
-                observer(start, block)
-            return run(cfg, observer=forward)
+        def interrupted(cfg):
+            with contextlib.closing(run(cfg)) as blocks:
+                for start, block in blocks:
+                    if start == 256:
+                        raise KeyboardInterrupt
+                    yield start, block
 
-        monkeypatch.setattr(cli, "run_closed_loop", interrupted)
+        def abandoned(cfg, blocks):
+            yield from itertools.islice(records(cfg, blocks), 2)
+
         cfg = write_short_config(tmp_path)
         out = tmp_path / "out"
         out.mkdir()
-        for forked in (True, False):
-            monkeypatch.setattr(stream, "can_fork", lambda: forked)
-            with pytest.raises(KeyboardInterrupt):
-                main(["simulate", str(cfg), "-o", str(out / "i.csv")])
-            assert list(out.iterdir()) == []
-            assert_no_child()
+        for patch in ({"closed_loop_blocks": interrupted},
+                      {"block_records": abandoned}):
+            for name, value in patch.items():
+                monkeypatch.setattr(cli, name, value)
+            for forked in (True, False):
+                monkeypatch.setattr(stream, "can_fork", lambda: forked)
+                argv = ["simulate", str(cfg), "-o", str(out / "i.csv")]
+                if "closed_loop_blocks" in patch:
+                    with pytest.raises(KeyboardInterrupt):
+                        main(argv)
+                else:
+                    assert main(argv) == 1
+                assert list(out.iterdir()) == []
+                assert_no_child()
+            monkeypatch.undo()
 
     def test_killed_run_leaves_the_directory_as_it_was(self, tmp_path):
         # SIGTERM ends the run with no cleanup of its own; the writer, cut
@@ -558,10 +574,32 @@ class TestTelemetryWriter:
         assert_no_child()
 
 
+def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path,
+                                                       monkeypatch):
+    # in process, the peak of memory that Python allocates for a 1.25 s
+    # run is that of a 0.25 s run within 0.25 MB, less than the 1.25 s
+    # run's rows alone (1251 x 39 floats, 0.39 MB); a run that holds a
+    # whole history or stream grows by its size (1.6 MB more at 1.25 s
+    # when the reference stream and the run's rows were held whole).  A
+    # first, 0.02 s run sets up what any run allocates once.
+    monkeypatch.setattr(stream, "can_fork", lambda: False)
+    peaks = []
+    for duration in ("0.02", "0.25", "1.25"):
+        cfg = write_short_config(tmp_path, duration=duration)
+        tracemalloc.start()
+        try:
+            assert main(["simulate", str(cfg),
+                         "-o", str(tmp_path / "run.csv")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] - peaks[1] < 0.25e6, peaks
+
+
 @pytest.mark.parametrize("command", ["simulate", "plot", "compare"])
 def test_missing_output_dir_exit_1_before_running(command, tmp_path,
                                                   monkeypatch, capsys):
-    monkeypatch.setattr(cli, "run_closed_loop", never_integrate)
+    monkeypatch.setattr(cli, "closed_loop_blocks", never_integrate)
     monkeypatch.setattr(cli, "compare_efforts", never_integrate)
     source = write_telemetry(tmp_path / "in.csv", PINNED_ROWS) \
         if command == "plot" else write_short_config(tmp_path)
@@ -872,18 +910,18 @@ class TestOutOfRangeInputs:
             assert not (tmp_path / "run.csv").exists()
         assert not [w for w in recwarn if w.category is RuntimeWarning]
 
-    def test_memory_error_exit_1(self, tmp_path, monkeypatch, capsys):
-        # a valid horizon too long for memory, e.g. duration 1e12 at the
-        # bundled step: the run's first allocation raises MemoryError
-        def too_long(cfg, observer=None):
-            raise MemoryError("Unable to allocate 7.28 PiB for an array")
-
+    def test_memory_error_exit_1(self, tmp_path, capsys):
+        # a valid horizon too long for memory, duration 1e12 at the bundled
+        # step: `compare` holds each whole run, and the first one's rows
+        # are allocated before any child process starts (`simulate` holds
+        # one block at a time, at any horizon)
         path = write_short_config(tmp_path, duration="1e12")
         assert load_config(path).integrator.n_steps == 10 ** 15
-        monkeypatch.setattr(cli, "run_closed_loop", too_long)
-        err = _run_one_error(["simulate", str(path), "-o",
-                              str(tmp_path / "run.csv")], capsys)
+        err = _run_one_error(["compare", str(path), "-o",
+                              str(tmp_path / "cmp")], capsys)
         assert "out of memory" in err
+        assert not (tmp_path / "cmp").exists()
+        assert_no_child()
 
 
 def test_cli_import_leaves_scipy_out():

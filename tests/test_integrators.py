@@ -4,7 +4,8 @@ import pytest
 from gyrotrack import dynamics, scenario, so3
 from gyrotrack.errors import DivergedStateError
 from gyrotrack.integrators import (History, IntegratorConfig,
-                                   integrate_components, step_lie)
+                                   integrate_blocks, integrate_components,
+                                   step_lie)
 
 FREE_I = np.diag([1.0, 2.0, 3.0])
 free_body_field = dynamics.free_body_field(FREE_I)
@@ -189,9 +190,9 @@ class TestInvariants:
         assert np.array_equal(hist.vectors[-1], vec)
 
     def test_observer_sees_each_block_once_in_order(self):
-        # 300 steps: blocks of 128, 128 and the last 45 samples, each row
-        # the bits of the History's attitudes and then its vector state
-        seen = []
+        # whoever iterates the blocks observes them: 300 steps give blocks
+        # of 128, 128 and the last 45 samples, each row the bits of the
+        # History's attitudes and then its vector state
         init = ((so3.expm([0.1, 0.2, 0.3]), np.eye(3)),
                 np.array([0.5, -0.2, 0.9]))
 
@@ -199,9 +200,9 @@ class TestInvariants:
             omegas, vdot = free_body_field(t, rots[:1], vec)[:2]
             return omegas + ((0.0, 1.0, 0.0),), vdot
 
-        hist = integrate_components(
-            field, init, IntegratorConfig(step=1e-3, duration=0.3),
-            lambda start, block: seen.append((start, block)))
+        cfg = IntegratorConfig(step=1e-3, duration=0.3)
+        seen = list(integrate_blocks(field, init, cfg))
+        hist = integrate_components(field, init, cfg)
         assert [start for start, _ in seen] == [0, 128, 256]
         assert [block.shape for _, block in seen] == [(128, 21), (128, 21),
                                                       (45, 21)]
@@ -212,7 +213,7 @@ class TestInvariants:
 
     @pytest.mark.parametrize("bad_step", [4, 127, 128, 300])
     def test_observer_never_sees_a_failing_block(self, bad_step):
-        # the blocks before the failing one are observed, that one is not
+        # the blocks before the failing one are yielded, that one is not
         cfg = IntegratorConfig(step=1.0, duration=400.0)
         seen = []
 
@@ -220,9 +221,9 @@ class TestInvariants:
             return [(0.0, 0.0, 0.0)], [np.inf if t > bad_step - 1 else 0.0]
 
         with pytest.raises(DivergedStateError) as err:
-            integrate_components(
-                field, ((np.eye(3),), np.zeros(1)), cfg,
-                lambda start, block: seen.append(start))
+            for start, _ in integrate_blocks(
+                    field, ((np.eye(3),), np.zeros(1)), cfg):
+                seen.append(start)
         assert err.value.step_index == bad_step
         assert seen == list(range(0, bad_step // 128 * 128, 128))
 

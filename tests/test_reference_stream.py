@@ -1,12 +1,14 @@
 """The reference body streamed to the plant's integration.
 
-`run_closed_loop` integrates the reference body apart from the plant, in
-a forked child or first in this process, and feeds its stage values to
-the plant's field.  Both ways give the bits of the loop integrated as
-one state, report divergence at the first non-finite sample of either
-half, and leave no child process behind.
+`closed_loop_blocks` integrates the reference body apart from the plant,
+in a forked child or a block at a time in this process, and feeds its
+stage values to the plant's field.  Both ways give the bits of the loop
+integrated as one state, report divergence at the first non-finite
+sample of either half, and leave no child process behind, however the
+consumer of the run's blocks ends.
 """
 
+import contextlib
 import dataclasses
 import os
 
@@ -84,11 +86,10 @@ def test_divergence_is_the_first_non_finite_sample(case, path):
     kwargs, want = DIVERGENCES[case]
     blocks = []
     with pytest.raises(DivergedStateError) as err:
-        scenario.run_closed_loop(
-            diverging(**kwargs),
-            observer=lambda start, block: blocks.append(start))
+        for start, _ in scenario.closed_loop_blocks(diverging(**kwargs)):
+            blocks.append(start)
     assert (err.value.step_index, err.value.time) == want
-    # no block holding a non-finite sample is observed
+    # no block holding a non-finite sample is yielded
     assert blocks == list(range(0, want[0] - want[0] % 128, 128))
     assert_no_child()
 
@@ -104,9 +105,9 @@ def test_forked_and_in_process_runs_are_identical(program, actuation,
     runs = []
     for forks in (True, False):
         monkeypatch.setattr(stream, "can_fork", lambda: forks)
-        blocks = []
-        record = scenario.run_closed_loop(
-            cfg, actuation, lambda start, block: blocks.append(block))
+        blocks = [block for _, block in
+                  scenario.closed_loop_blocks(cfg, actuation)]
+        record = scenario.run_closed_loop(cfg, actuation)
         runs.append([np.concatenate(blocks).tobytes()] + [
             value.tobytes() for part in record
             for value in vars(part).values()
@@ -115,29 +116,40 @@ def test_forked_and_in_process_runs_are_identical(program, actuation,
     assert len(runs[0]) == 21   # the blocks and 20 arrays of the record
 
 
-@pytest.mark.parametrize("end", ["success", "divergence", "raising observer"])
+@pytest.mark.parametrize("end", ["success", "divergence", "raising observer",
+                                 "abandoned after two blocks"])
 def test_no_child_is_left(end, path):
+    # the observer is the consumer of the run's blocks; one that leaves
+    # early closes the generator, which holds the reference's child
     cfg = scenario.benchmark_config("sinusoid", gains="certified",
                                     duration=0.5)
-
-    def observer(start, block):
-        if end == "raising observer" and start == 256:
-            raise KeyboardInterrupt
-
     if end == "divergence":
         cfg = diverging(kp=1e5, step=0.01)
-    if end == "success":
-        scenario.run_closed_loop(cfg, observer=observer)
+
+    def consume():
+        with contextlib.closing(scenario.closed_loop_blocks(cfg)) as blocks:
+            for start, _ in blocks:
+                if end == "raising observer" and start == 256:
+                    raise KeyboardInterrupt
+                if end.startswith("abandoned") and start == 128:
+                    return start
+        return start
+
+    if end == "divergence":
+        with pytest.raises(DivergedStateError):
+            consume()
+    elif end == "raising observer":
+        with pytest.raises(KeyboardInterrupt):
+            consume()
     else:
-        with pytest.raises((DivergedStateError, KeyboardInterrupt)):
-            scenario.run_closed_loop(cfg, observer=observer)
+        assert consume() == (128 if end.startswith("abandoned") else 384)
     assert_no_child()
 
 
 def test_failing_reference_body(path, monkeypatch):
     # forked, the child's failure reaches this process as its exit
     # status; in this process, as the error itself
-    def broken(cfg, pipe):
+    def broken(cfg, send):
         raise RuntimeError("reference body broken")
 
     monkeypatch.setattr(scenario, "_stream_reference", broken)
@@ -155,14 +167,17 @@ def test_a_child_holds_no_other_childs_pipe_end():
     # the second child must not hold the write end of the first one's
     # pipe, or the first would not see its stream end when this process
     # dies
-    with stream.child(lambda pipe: pipe.read(), child_reads=True,
+    with stream.child(lambda messages: list(messages), child_reads=True,
                       what="first") as to_first:
-        def report(pipe):
-            pipe.write(bytes([_is_open(to_first.fileno())]))
+        ours = stream._ENDS[-1].fileno()
+
+        def report(send):
+            yield 0, np.array([[float(_is_open(ours))]])
 
         with stream.child(report, child_reads=False,
                           what="second") as from_second:
-            assert from_second.read() == b"\x00"
+            assert [block.tolist() for _, block in from_second] == [[[0.0]]]
+        to_first(iter(()))
     assert_no_child()
 
 
@@ -177,7 +192,7 @@ def test_a_failed_fork_leaves_no_pipe_end(monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     before = sorted(os.listdir("/proc/self/fd"))
     with pytest.raises(BlockingIOError):
-        with stream.child(lambda pipe: None, child_reads=False,
+        with stream.child(lambda send: iter(()), child_reads=False,
                           what="child"):
             pass
     assert sorted(os.listdir("/proc/self/fd")) == before

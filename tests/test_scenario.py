@@ -180,9 +180,8 @@ class TestClosedLoop:
         # 1 s: seven full 128-row blocks and a last one of 105 rows, whose
         # records are, row for row, the bits of the whole run's
         cfg = short_config(program, duration=1.0, gains="certified")
-        blocks = []
-        traj, metrics = scenario.run_closed_loop(
-            cfg, actuation, lambda start, block: blocks.append((start, block)))
+        blocks = list(scenario.closed_loop_blocks(cfg, actuation))
+        traj, metrics = scenario.run_closed_loop(cfg, actuation)
         records = list(scenario.block_records(cfg, blocks, actuation))
         assert [len(t) for t, _ in records] == [128] * 7 + [105]
         for whole, parts in ((traj, [t for t, _ in records]),
@@ -200,10 +199,9 @@ class TestClosedLoop:
         # samples 300-699 alone, with no block before them: every array of
         # their record is, row for row, the bits of the whole run's
         cfg = short_config(program, duration=1.0, gains="certified")
-        blocks = []
-        traj, metrics = scenario.run_closed_loop(
-            cfg, actuation, lambda start, block: blocks.append(block))
-        rows = np.concatenate(blocks)
+        rows = np.concatenate([block for _, block in
+                               scenario.closed_loop_blocks(cfg, actuation)])
+        traj, metrics = scenario.run_closed_loop(cfg, actuation)
         (part_traj, part_metrics), = scenario.block_records(
             cfg, [(300, rows[300:700])], actuation)
         for whole, part in ((traj, part_traj), (metrics, part_metrics)):
@@ -218,13 +216,13 @@ class TestClosedLoop:
     def test_run_is_the_bodies_integrated_as_one(self, program, actuation):
         # 0.3 s: the two bodies integrated apart give, bit for bit, the
         # record of the two integrated as one state (`joint_loop`), and
-        # each observed row is the plant's integrator row, then the
-        # reference's
+        # each row of the run's blocks is the plant's integrator row, then
+        # the reference's
         cfg = scenario.resolve_reference(
             short_config(program, duration=0.3, gains="certified"))
-        blocks = []
-        traj, metrics = scenario.run_closed_loop(
-            cfg, actuation, lambda start, block: blocks.append(block))
+        blocks = [block for _, block in
+                  scenario.closed_loop_blocks(cfg, actuation)]
+        traj, metrics = scenario.run_closed_loop(cfg, actuation)
         loop = joint_loop(cfg, actuation)
         hist = integrate_components(loop, joint_initial(cfg, actuation),
                                     cfg.integrator)
@@ -258,10 +256,8 @@ class TestClosedLoop:
             cfg = short_config("sinusoid", gains="certified")
             cfg = dataclasses.replace(
                 cfg, integrator=IntegratorConfig(step=h, duration=2.0))
-            rows = []
-            scenario.run_closed_loop(
-                cfg, observer=lambda start, block: rows.append(block[-1]))
-            return rows[-1]
+            *_, (_, block) = scenario.closed_loop_blocks(cfg)
+            return block[-1]
 
         fine = final_state(2.5e-4)
         errs = [np.abs(final_state(h) - fine).max() for h in (0.04, 0.02, 0.01)]

@@ -1,7 +1,7 @@
 """The contract of `stream.child`, the one way the program runs a helper
 process: a reading and a writing child, each forked and in this process,
-carry the data both ways, fail by name, reap their process and leave the
-caller's niceness alone."""
+carry the messages of an iterator both ways with its outcome, fail by
+name, reap their process and leave the caller's niceness alone."""
 
 import os
 
@@ -32,38 +32,74 @@ def forked(request, monkeypatch):
     assert os.nice(0) == before
 
 
-def send_blocks(pipe):
+def sent(outcome=0):
+    """The messages BLOCKS, then ``outcome``."""
+    yield from BLOCKS
+    return outcome
+
+
+def chatty(send):
+    """A writing child's work: each of BLOCKS sent negated, then yielded,
+    then the outcome 7."""
     for start, block in BLOCKS:
-        stream.send(pipe, start, block)
-    stream.send_end(pipe)
+        send(start, -block)
+        yield start, block
+    return 7
 
 
-def received_list(pipe):
-    return [(start, block.tolist()) for start, block in stream.received(pipe)]
+def as_lists(messages):
+    """The messages of an iterator as lists, and its outcome."""
+    got = []
+    while True:
+        try:
+            start, block = next(messages)
+        except StopIteration as end:
+            return got, end.value
+        got.append((start, block.tolist()))
+
+
+WANT = [(start, block.tolist()) for start, block in BLOCKS]
 
 
 def test_writing_child_round_trip(forked):
-    with stream.child(send_blocks, child_reads=False, what="sender") as pipe:
-        got = received_list(pipe)
-    assert got == [(start, block.tolist()) for start, block in BLOCKS]
+    # what the child sends comes before what it yields next
+    with stream.child(chatty, child_reads=False, what="sender") as messages:
+        got = as_lists(messages)
+    want = []
+    for start, block in BLOCKS:
+        want += [(start, (-block).tolist()), (start, block.tolist())]
+    assert got == (want, 7)
     assert_no_child()
 
 
 def test_reading_child_round_trip(forked, tmp_path):
-    # the child reports what it read through a file
+    # the child reports what it read through a file; forked, the outcome
+    # None goes by the stream as 0
     out = tmp_path / "received.txt"
 
-    def work(pipe):
-        out.write_text(repr(received_list(pipe)))
+    def work(messages):
+        out.write_text(repr(as_lists(messages)))
 
-    with stream.child(work, child_reads=True, what="reader") as pipe:
-        send_blocks(pipe)
-    assert out.read_text() == repr(
-        [(start, block.tolist()) for start, block in BLOCKS])
+    with stream.child(work, child_reads=True, what="reader") as feed:
+        feed(sent(None))
+    assert out.read_text() == repr((WANT, 0 if forked else None))
     assert_no_child()
 
 
-def broken(pipe):
+def test_reading_child_that_stops_early_fails(forked):
+    # a writer that stops reading before the end of the run must not pass
+    # for one that wrote it all
+    error, match = ((OSError, "^reader failed with exit status 1$")
+                    if forked else
+                    (OSError, "^reader stopped before the end of its stream$"))
+    with pytest.raises(error, match=match):
+        with stream.child(lambda messages: next(messages), child_reads=True,
+                          what="reader") as feed:
+            feed(sent())
+    assert_no_child()
+
+
+def broken(messages_or_send):
     raise RuntimeError("work broken")
 
 
@@ -76,9 +112,9 @@ def test_failing_work(child_reads, forked):
     with pytest.raises(error, match=match):
         with stream.child(broken, child_reads, what="courier") as pipe:
             if child_reads:
-                send_blocks(pipe)
+                pipe(sent())
             else:
-                received_list(pipe)
+                as_lists(pipe)
     assert_no_child()
 
 
@@ -86,18 +122,16 @@ def test_failing_work(child_reads, forked):
 def test_error_in_the_block_propagates_unchanged(child_reads, forked):
     ran = []
 
-    def work(pipe):
+    def work(messages_or_send):
         ran.append(True)
         if child_reads:
-            received_list(pipe)
+            as_lists(messages_or_send)
         else:
-            send_blocks(pipe)
+            return sent()
 
     raised = KeyError("the block failed")
     with pytest.raises(KeyError) as err:
-        with stream.child(work, child_reads, what="courier") as pipe:
-            if child_reads:
-                stream.send(pipe, *BLOCKS[0])
+        with stream.child(work, child_reads, what="courier"):
             raise raised
     assert err.value is raised
     assert_no_child()
@@ -112,18 +146,18 @@ def test_niceness(child_reads, forked, tmp_path):
     before = os.nice(0)
     seen = tmp_path / "nice.txt"
 
-    def work(pipe):
+    def work(messages_or_send):
         seen.write_text(str(os.nice(0)))
         if child_reads:
-            received_list(pipe)
+            as_lists(messages_or_send)
         else:
-            send_blocks(pipe)
+            return sent()
 
     with stream.child(work, child_reads, what="courier") as pipe:
         if child_reads:
-            send_blocks(pipe)
+            pipe(sent())
         else:
-            received_list(pipe)
+            as_lists(pipe)
     want = min(before + 10, 19) if forked and child_reads else before
     assert int(seen.read_text()) == want
     assert_no_child()
