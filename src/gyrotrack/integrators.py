@@ -11,10 +11,12 @@ kernels of `so3` do, rather than raising.  The integrator owns the group
 update, advancing each rotation by a right-multiplied exponential, each
 update R expm(c k) one call of `so3._mul_expm` at the stage scale c.
 
-`integrate_blocks` is the one integration loop, a generator of a run's
-checked blocks that holds no more of it than the block in progress, for
-the package's own fields (`scenario`'s two rotor bodies,
-`dynamics.free_body_field`, `control.error_field`);
+`_blocks` is the one integration loop, a generator of a run's unchecked
+blocks that holds no more of it than the block in progress, for the
+package's own fields (`scenario`'s two rotor bodies,
+`dynamics.free_body_field`, `control.error_field`), and `checked` the one
+finiteness check of a block.  `integrate_blocks` is the two together;
+`scenario` checks instead each row of its two bodies side by side.
 `integrate_components` collects a run into the dense `History`.
 
 Two schemes are provided: first-order Lie-Euler and a fourth-order
@@ -187,17 +189,24 @@ def step_lie(vector_field, t, state, h, scheme="rk4_munthe_kaas",
                       for x, a, b, c, d in zip(vec, v1, v2, v3, v4)]
 
 
-def integrate_blocks(vector_field, initial, cfg):
-    """Integrate a vector field on components from ``initial``, arrays at
-    t = 0, over cfg.duration: yield the n_steps+1 samples (duration ==
-    step gives two), sample i at time step * i, as ``(start, block)``:
-    the first sample's index and up to 128 rows, each attitude's 9
-    entries, then the vector state.  Each block is checked with one
-    `np.isfinite` first; a non-finite entry raises DivergedStateError at
-    its step instead, so the steps after a divergence up to the block's
-    end run on inf or NaN (the field contract above), and a field that
-    raises there still reports it.
-    """
+def checked(start, block, step):
+    """``block``, the rows of samples ``start`` on of a run of the given
+    step, once one `np.isfinite` has found them finite; a non-finite entry
+    raises DivergedStateError at its step instead.  A non-finite initial
+    state fails at step 1."""
+    finite = np.isfinite(block).all(axis=1)
+    finite[:1] |= not start
+    if not finite.all():
+        i = start + int(finite.argmin())
+        raise DivergedStateError(i, step * i)
+    return block
+
+
+def _blocks(vector_field, initial, cfg):
+    """The blocks of `integrate_blocks`, unchecked: after a non-finite
+    sample the run goes on, on inf or NaN (the field contract above).  A
+    field that raises has the block's rows so far `checked` first, so one
+    that raises on a diverged state reports the divergence."""
     rots, vec = initial
     state = ([components(r, 2) for r in rots], components(vec))
     n = cfg.n_steps
@@ -214,14 +223,25 @@ def integrate_blocks(vector_field, initial, cfg):
                     rows += r
                 rows += state[1]
                 stop = i + 1
-        finally:
-            block = np.array(rows).reshape(stop - start, width)
-            finite = np.isfinite(block).all(axis=1)
-            finite[:1] |= not start   # a bad initial state fails at step 1
-            if not finite.all():
-                i = start + int(finite.argmin())
-                raise DivergedStateError(i, h * i)
-        yield start, block
+        except BaseException:
+            checked(start, np.array(rows).reshape(stop - start, width), h)
+            raise
+        yield start, np.array(rows).reshape(stop - start, width)
+
+
+def integrate_blocks(vector_field, initial, cfg):
+    """Integrate a vector field on components from ``initial``, arrays at
+    t = 0, over cfg.duration: yield the n_steps+1 samples (duration ==
+    step gives two), sample i at time step * i, as ``(start, block)``:
+    the first sample's index and up to 128 rows, each attitude's 9
+    entries, then the vector state.  Each block is `checked` first; a
+    non-finite entry raises DivergedStateError at its step instead, so
+    the steps after a divergence up to the block's end run on inf or NaN
+    (the field contract above), and a field that raises there still
+    reports it.
+    """
+    for start, block in _blocks(vector_field, initial, cfg):
+        yield start, checked(start, block, cfg.step)
 
 
 def integrate_components(vector_field, initial, cfg):

@@ -7,9 +7,10 @@ block solve `rotor_accels`).  The reference never depends on the plant,
 so a run integrates it on its own and streams it to the plant's
 integration: the values of R_d, Omega_d and dOmega_d at every stage of
 every step, which the controller reads as they are, never interpolated.
-A run is a generator of checked blocks (`closed_loop_blocks`) that no
-process holds whole, each row the plant's integrator row and then the
-reference's: the bits of the two bodies integrated as one state.  The
+A run is a generator of blocks (`closed_loop_blocks`) that no process
+holds whole, each row the plant's integrator row and then the
+reference's: the bits of the two bodies integrated as one state, checked
+once for a non-finite entry where the two halves meet.  The
 integrators call their fields, `_rotor_field` and `_plant_loop`, on
 floats; the post-pass, `block_records`, calls each once on its body's
 columns, so the reported torques are the ones that drove the plant.
@@ -44,8 +45,7 @@ from .control import (GainSet, NavigationWeights, _error, _loop_kernel,
 from .dynamics import (InertiaParams, _external_accel, _momentum,
                        kernel_constants, momentum_body, momentum_spatial)
 from .dynamics import _rotor_accels as rotor_accels
-from .errors import DivergedStateError
-from .integrators import IntegratorConfig, integrate_blocks
+from .integrators import IntegratorConfig, _blocks, checked
 from .so3 import (_matvec, components, from_components, is_rotation,
                   metric_constants, orthogonality_defect, rotation_angle)
 from .stream import child
@@ -351,11 +351,10 @@ def _rotor_field(params, torque, record=None):
 
 
 def _stream_reference(cfg, send):
-    """The reference body of cfg as a writing `stream.child`: its checked
-    blocks, rows of 18 (R_d 9 | Theta_d | Omega_d | OmegaR_d), and with
-    ``send`` its stage values (`_rotor_field`) as they come, up to
-    `_FLUSH` rows of 15 per message from start 0; it returns 0, or the
-    step at which it diverged once that block's stage values are sent."""
+    """The reference body of cfg as a writing `stream.child`: its
+    unchecked blocks, rows of 18 (R_d 9 | Theta_d | Omega_d | OmegaR_d),
+    each after, with ``send``, its stage values (`_rotor_field`) as they
+    come, up to `_FLUSH` rows of 15 per message from start 0."""
     ref = cfg.reference
     stages = []
 
@@ -373,15 +372,9 @@ def _stream_reference(cfg, send):
 
     field = _rotor_field(ref.params, cfg.program._torque, record)
     vec0 = np.concatenate([ref.Theta0, ref.Omega0, ref.OmegaR0])
-    try:
-        for start, block in integrate_blocks(field, ((ref.R0,), vec0),
-                                             cfg.integrator):
-            flush()
-            yield start, block
-    except DivergedStateError as exc:
+    for start, block in _blocks(field, ((ref.R0,), vec0), cfg.integrator):
         flush()
-        return exc.step_index
-    return 0
+        yield start, block
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +442,11 @@ def closed_loop_blocks(cfg, actuation="internal"):
     conversion, "external" the bare carrier body directly.  The reference
     body (`_stream_reference`) runs apart, forked and ahead of the plant
     or in this process between its blocks, and the plant's field takes
-    its next stage values at each evaluation.  A run diverges at the
-    first non-finite sample of either half.  A caller that leaves early
-    closes the generator (`contextlib.closing`), which reaps the child.
+    its next stage values at each evaluation.  Neither body checks its
+    own rows: each joined block is `checked`, so a run diverges at the
+    first non-finite sample of either half, and a body that diverged
+    runs on inf or NaN until then.  A caller that leaves early closes
+    the generator (`contextlib.closing`), which reaps the child.
     """
     if actuation not in ("internal", "external"):
         raise ValueError("actuation must be 'internal' or 'external'")
@@ -462,40 +457,24 @@ def closed_loop_blocks(cfg, actuation="internal"):
     vec0 = np.concatenate([theta0, plant.Omega0, omega_r0, _ZERO3])
     step, last = cfg.integrator.step, cfg.integrator.n_steps
     stages = deque()   # the reference's stage values the plant has not read
-    diverged = []      # the step at which the reference diverged
-
-    def reference_message():
-        try:
-            return next(messages)[1]
-        except StopIteration as end:
-            diverged.append(end.value)
-            raise DivergedStateError(end.value, step * end.value) from None
 
     def field(t, rots, vec):
         if not stages:
-            stages.extend(reference_message().tolist())
+            stages.extend(next(messages)[1].tolist())
         return loop(t, rots, vec, stages.popleft())
 
     with child(lambda send: _stream_reference(cfg, send), child_reads=False,
                what="reference body") as messages:
         loop = _plant_loop(cfg, actuation)
-        try:   # a block's first stage values come before the plant steps
-            # into it: in process, the reference integrates the block here
-            stages.extend(reference_message().tolist())
-            for start, block in integrate_blocks(
-                    field, ((plant.R0,), vec0), cfg.integrator):
-                yield start, np.concatenate([block, reference_message()],
-                                            axis=1)
-                if start + len(block) <= last:
-                    stages.extend(reference_message().tolist())
-        except DivergedStateError as exc:
-            # the first non-finite sample of either half: unless it has
-            # come, read on to the reference's verdict on the failing block
-            with contextlib.suppress(DivergedStateError, EOFError):
-                while not diverged and reference_message().shape[1] == _STAGE:
-                    pass
-            first = min(diverged + [exc.step_index])
-            raise DivergedStateError(first, step * first) from None
+        # a block's first stage values come before the plant steps into
+        # it: in process, the reference integrates the block here
+        stages.extend(next(messages)[1].tolist())
+        for start, block in _blocks(field, ((plant.R0,), vec0),
+                                    cfg.integrator):
+            rows = np.concatenate([block, next(messages)[1]], axis=1)
+            yield start, checked(start, rows, step)
+            if start + len(block) <= last:
+                stages.extend(next(messages)[1].tolist())
         next(messages, None)   # its end mark, before its pipe closes
 
 

@@ -7,8 +7,8 @@ same messages either way, never a whole stream.
 
 A stream is a run of messages, each a header of three int64s
 ``(start, rows, width)`` and then ``rows * width`` raw float64s, and an
-end mark, a header of zero rows whose ``start`` is the sender's outcome:
-0, or the step at which its run diverged.
+end mark, a header of zero rows, which carries nothing else: a stream
+says what its sender sent, never how its sender's work ended.
 `simulate`'s telemetry writer reads the run's blocks this way, and
 `scenario.closed_loop_blocks` reads its reference body's.
 """
@@ -39,10 +39,11 @@ def child(work, child_reads, what):
     """A context manager running ``work`` as a helper joined to this
     process by a stream of ``(start, block)`` messages; ``what`` names it
     in errors.  A writing child's ``work(send)`` returns an iterator of
-    messages and outcome, and ``send(start, block)`` puts one on the
-    stream at once; the block gets an iterator of them all, in order.  A
-    reading child's ``work(messages)`` must read them to their end; the
-    block gets ``feed``, which passes it an iterator's messages.
+    messages, whose return value is dropped, and ``send(start, block)``
+    puts one on the stream at once; the block gets an iterator of them
+    all, in order.  A reading child's ``work(messages)`` must read them
+    to their end; the block gets ``feed``, which passes it an iterator's
+    messages.
 
     Where `can_fork` allows, the child is forked, a reading one at
     niceness 10, since the process that feeds it comes first, and it
@@ -125,14 +126,11 @@ def child(work, child_reads, what):
 def _after_sent(sent, messages):
     """``messages``, each after those its making put in ``sent``."""
     while True:
-        try:
-            message = next(messages)
-        except StopIteration as end:
-            message, outcome = None, end.value
+        message = next(messages, None)
         while sent:
             yield sent.popleft()
         if message is None:
-            return outcome
+            return
         yield message
 
 
@@ -152,24 +150,21 @@ def _send(pipe, start, block):
 
 
 def send_all(pipe, messages):
-    """`_send` each message of the iterator ``messages``, then the end
-    mark of its outcome: the iterator's return value, 0 for None."""
-    while True:
-        try:
-            _send(pipe, *next(messages))
-        except StopIteration as end:
-            _send(pipe, end.value or 0, np.empty((0, 0)))
-            return
+    """`_send` each message of the iterable ``messages``, then the end
+    mark."""
+    for message in messages:
+        _send(pipe, *message)
+    _send(pipe, 0, np.empty((0, 0)))
 
 
 def received(pipe):
     """The ``(start, block)`` messages of the binary file ``pipe`` up to
-    its end mark, whose outcome it returns; a stream that ends before the
-    mark, its sender failed or dead, raises EOFError."""
+    its end mark; a stream that ends before the mark, its sender failed
+    or dead, raises EOFError."""
     while len(header := pipe.read(24)) == 24:
         start, rows, width = np.frombuffer(header, np.int64).tolist()
         if not rows:
-            return start
+            return
         payload = pipe.read(8 * rows * width)
         if len(payload) < 8 * rows * width:
             break

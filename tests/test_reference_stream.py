@@ -116,15 +116,21 @@ def test_forked_and_in_process_runs_are_identical(program, actuation,
     assert len(runs[0]) == 21   # the blocks and 20 arrays of the record
 
 
-@pytest.mark.parametrize("end", ["success", "divergence", "raising observer",
+@pytest.mark.parametrize("end", ["success", "divergence",
+                                 "reference divergence", "raising observer",
                                  "abandoned after two blocks"])
 def test_no_child_is_left(end, path):
     # the observer is the consumer of the run's blocks; one that leaves
-    # early closes the generator, which holds the reference's child
+    # early closes the generator, which holds the reference's child.  A
+    # reference that diverges runs on, on inf or NaN, until the joined
+    # row's check stops the run: forked, its next message then breaks its
+    # pipe, at most 8 steps later; in process, its generator is closed
     cfg = scenario.benchmark_config("sinusoid", gains="certified",
                                     duration=0.5)
     if end == "divergence":
         cfg = diverging(kp=1e5, step=0.01)
+    elif end == "reference divergence":
+        cfg = diverging(theta_row=10, step=0.01)
 
     def consume():
         with contextlib.closing(scenario.closed_loop_blocks(cfg)) as blocks:
@@ -138,6 +144,10 @@ def test_no_child_is_left(end, path):
     if end == "divergence":
         with pytest.raises(DivergedStateError):
             consume()
+    elif end == "reference divergence":
+        with pytest.raises(DivergedStateError) as err:
+            consume()
+        assert (err.value.step_index, err.value.time) == (10, 0.1)
     elif end == "raising observer":
         with pytest.raises(KeyboardInterrupt):
             consume()

@@ -1,7 +1,7 @@
 """The contract of `stream.child`, the one way the program runs a helper
 process: a reading and a writing child, each forked and in this process,
-carry the messages of an iterator both ways with its outcome, fail by
-name, reap their process and leave the caller's niceness alone."""
+carry the same messages of an iterator both ways, fail by name, reap
+their process and leave the caller's niceness alone."""
 
 import os
 
@@ -32,30 +32,22 @@ def forked(request, monkeypatch):
     assert os.nice(0) == before
 
 
-def sent(outcome=0):
-    """The messages BLOCKS, then ``outcome``."""
+def sent():
+    """The messages BLOCKS."""
     yield from BLOCKS
-    return outcome
 
 
 def chatty(send):
-    """A writing child's work: each of BLOCKS sent negated, then yielded,
-    then the outcome 7."""
+    """A writing child's work: each of BLOCKS sent negated, then
+    yielded."""
     for start, block in BLOCKS:
         send(start, -block)
         yield start, block
-    return 7
 
 
 def as_lists(messages):
-    """The messages of an iterator as lists, and its outcome."""
-    got = []
-    while True:
-        try:
-            start, block = next(messages)
-        except StopIteration as end:
-            return got, end.value
-        got.append((start, block.tolist()))
+    """The messages of an iterator as lists."""
+    return [(start, block.tolist()) for start, block in messages]
 
 
 WANT = [(start, block.tolist()) for start, block in BLOCKS]
@@ -68,21 +60,20 @@ def test_writing_child_round_trip(forked):
     want = []
     for start, block in BLOCKS:
         want += [(start, (-block).tolist()), (start, block.tolist())]
-    assert got == (want, 7)
+    assert got == want
     assert_no_child()
 
 
 def test_reading_child_round_trip(forked, tmp_path):
-    # the child reports what it read through a file; forked, the outcome
-    # None goes by the stream as 0
+    # the child reports what it read through a file
     out = tmp_path / "received.txt"
 
     def work(messages):
         out.write_text(repr(as_lists(messages)))
 
     with stream.child(work, child_reads=True, what="reader") as feed:
-        feed(sent(None))
-    assert out.read_text() == repr((WANT, 0 if forked else None))
+        feed(sent())
+    assert out.read_text() == repr(WANT)
     assert_no_child()
 
 
