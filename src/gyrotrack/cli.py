@@ -6,8 +6,9 @@ Subcommands:
   CSV plus a JSON metadata sidecar, from the run's blocks, which no
   process holds whole; its helpers, the reference body and the writer,
   are each a `stream.child`: a child process on Linux, and elsewhere, or
-  beside another Python thread, work in this process, a block at a time:
-  the same bytes, in about 1.8 times the time
+  beside another Python thread, work in this process, the reference 16
+  steps at a time and the writer a block at a time: the same bytes, in
+  about 1.8 times the time
 * ``tune-gains <config> [--synthesize]``   evaluate (or synthesize) gains
   against the certification inequalities
 * ``compare <config> -o <dir>``    effort comparison against the

@@ -27,7 +27,8 @@ commutators (sufficient for order 4).
 Everything is pure float arithmetic with a fixed step, so rerunning an
 integration reproduces it bit for bit on the same platform.  The step
 runs on Python floats; arrays appear only in the blocks of samples,
-formed and checked for non-finite entries 128 rows at a time.
+formed and checked for non-finite entries 128 rows at a time (the
+reference body of `scenario` forms its rows 16 at a time).
 """
 
 import math
@@ -202,20 +203,21 @@ def checked(start, block, step):
     return block
 
 
-def _blocks(vector_field, initial, cfg):
-    """The blocks of `integrate_blocks`, unchecked: after a non-finite
-    sample the run goes on, on inf or NaN (the field contract above).  A
-    field that raises has the block's rows so far `checked` first, so one
-    that raises on a diverged state reports the divergence."""
+def _blocks(vector_field, initial, cfg, length=_BLOCK):
+    """The blocks of `integrate_blocks`, of up to ``length`` rows and
+    unchecked: after a non-finite sample the run goes on, on inf or NaN
+    (the field contract above).  A field that raises has the block's rows
+    so far `checked` first, so one that raises on a diverged state reports
+    the divergence."""
     rots, vec = initial
     state = ([components(r, 2) for r in rots], components(vec))
     n = cfg.n_steps
     width = 9 * len(rots) + len(state[1])
     h, scheme, reproject = cfg.step, cfg.scheme, cfg.reproject
-    for start in range(0, n + 1, _BLOCK):
+    for start in range(0, n + 1, length):
         rows, stop = [], start
         try:
-            for i in range(start, min(start + _BLOCK, n + 1)):
+            for i in range(start, min(start + length, n + 1)):
                 if i:   # step_lie is looked up per call, so it can be wrapped
                     state = step_lie(vector_field, h * (i - 1), state, h,
                                      scheme, reproject)

@@ -5,8 +5,9 @@ by a second ("dummy") rotor body flying under a chosen torque program.
 Both bodies move by one rate, (dTheta, dOmega, dOmegaR) = (OmegaR, the
 block solve `rotor_accels`).  The reference never depends on the plant,
 so a run integrates it on its own and streams it to the plant's
-integration: the values of R_d, Omega_d and dOmega_d at every stage of
-every step, which the controller reads as they are, never interpolated.
+integration 16 steps at a time: the values of R_d, Omega_d and dOmega_d
+at every stage of those steps, which the controller reads as they are,
+never interpolated, and then the rows the steps made.
 A run is a generator of blocks (`closed_loop_blocks`) that no process
 holds whole, each row the plant's integrator row and then the
 reference's: the bits of the two bodies integrated as one state, checked
@@ -325,7 +326,7 @@ def on_reference_variant(cfg):
 # ---------------------------------------------------------------------------
 
 _STAGE = 15    # floats of stage values per evaluation: R 9 | Omega | dOmega
-_FLUSH = 32    # evaluations of stage values per message, 8 RK4 steps
+_ROWS = 16     # reference rows per message, after their steps' stage values
 
 
 def _rotor_field(params, torque, record=None):
@@ -350,30 +351,21 @@ def _rotor_field(params, torque, record=None):
     return field
 
 
-def _stream_reference(cfg, send):
-    """The reference body of cfg as a writing `stream.child`: its
-    unchecked blocks, rows of 18 (R_d 9 | Theta_d | Omega_d | OmegaR_d),
-    each after, with ``send``, its stage values (`_rotor_field`) as they
-    come, up to `_FLUSH` rows of 15 per message from start 0."""
+def _stream_reference(cfg):
+    """The reference body of cfg as a writing `stream.child`: for each of
+    its unchecked blocks of up to `_ROWS` rows of 18 (R_d 9 | Theta_d |
+    Omega_d | OmegaR_d), the stage values of the steps that made it, rows
+    of 15 (`_rotor_field`) from start 0, and then the block."""
     ref = cfg.reference
     stages = []
-
-    def flush():
-        if stages:   # never a message of no rows: that is the end mark
-            # struct packs a list of floats several times faster than numpy
-            values = struct.pack(f"{len(stages)}d", *stages)
-            send(0, np.frombuffer(values).reshape(-1, _STAGE))
-            stages.clear()
-
-    def record(values):
-        stages.extend(values)
-        if len(stages) == _STAGE * _FLUSH:
-            flush()
-
-    field = _rotor_field(ref.params, cfg.program._torque, record)
+    field = _rotor_field(ref.params, cfg.program._torque, stages.extend)
     vec0 = np.concatenate([ref.Theta0, ref.Omega0, ref.OmegaR0])
-    for start, block in _blocks(field, ((ref.R0,), vec0), cfg.integrator):
-        flush()
+    for start, block in _blocks(field, ((ref.R0,), vec0), cfg.integrator,
+                                _ROWS):
+        # struct packs a list of floats several times faster than numpy
+        values = struct.pack(f"{len(stages)}d", *stages)
+        stages.clear()
+        yield 0, np.frombuffer(values).reshape(-1, _STAGE)
         yield start, block
 
 
@@ -441,12 +433,13 @@ def closed_loop_blocks(cfg, actuation="internal"):
     actuation "internal" drives the rotor plant through the torque
     conversion, "external" the bare carrier body directly.  The reference
     body (`_stream_reference`) runs apart, forked and ahead of the plant
-    or in this process between its blocks, and the plant's field takes
-    its next stage values at each evaluation.  Neither body checks its
-    own rows: each joined block is `checked`, so a run diverges at the
-    first non-finite sample of either half, and a body that diverged
-    runs on inf or NaN until then.  A caller that leaves early closes
-    the generator (`contextlib.closing`), which reaps the child.
+    or in this process 16 steps at a time, when the plant's field has
+    read all it sent, and the field takes its next stage values at each
+    evaluation.  Neither body checks its own rows: each joined block is
+    `checked`, so a run diverges at the first non-finite sample of either
+    half, and a body that diverged runs on inf or NaN until then.  A
+    caller that leaves early closes the generator (`contextlib.closing`),
+    which reaps the child.
     """
     if actuation not in ("internal", "external"):
         raise ValueError("actuation must be 'internal' or 'external'")
@@ -455,26 +448,23 @@ def closed_loop_blocks(cfg, actuation="internal"):
     theta0, omega_r0 = (plant.Theta0, plant.OmegaR0) \
         if actuation == "internal" else (_ZERO3, _ZERO3)
     vec0 = np.concatenate([theta0, plant.Omega0, omega_r0, _ZERO3])
-    step, last = cfg.integrator.step, cfg.integrator.n_steps
     stages = deque()   # the reference's stage values the plant has not read
+    ref_rows = []      # the reference's rows of the plant's block so far
 
     def field(t, rots, vec):
         if not stages:
             stages.extend(next(messages)[1].tolist())
+            ref_rows.append(next(messages)[1])
         return loop(t, rots, vec, stages.popleft())
 
-    with child(lambda send: _stream_reference(cfg, send), child_reads=False,
+    with child(lambda: _stream_reference(cfg), child_reads=False,
                what="reference body") as messages:
         loop = _plant_loop(cfg, actuation)
-        # a block's first stage values come before the plant steps into
-        # it: in process, the reference integrates the block here
-        stages.extend(next(messages)[1].tolist())
         for start, block in _blocks(field, ((plant.R0,), vec0),
                                     cfg.integrator):
-            rows = np.concatenate([block, next(messages)[1]], axis=1)
-            yield start, checked(start, rows, step)
-            if start + len(block) <= last:
-                stages.extend(next(messages)[1].tolist())
+            rows = np.concatenate([block, np.concatenate(ref_rows)], axis=1)
+            ref_rows.clear()
+            yield start, checked(start, rows, cfg.integrator.step)
         next(messages, None)   # its end mark, before its pipe closes
 
 

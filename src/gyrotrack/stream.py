@@ -18,7 +18,6 @@ import os
 import sys
 import threading
 import warnings
-from collections import deque
 
 import numpy as np
 
@@ -38,12 +37,11 @@ def can_fork():
 def child(work, child_reads, what):
     """A context manager running ``work`` as a helper joined to this
     process by a stream of ``(start, block)`` messages; ``what`` names it
-    in errors.  A writing child's ``work(send)`` returns an iterator of
-    messages, whose return value is dropped, and ``send(start, block)``
-    puts one on the stream at once; the block gets an iterator of them
-    all, in order.  A reading child's ``work(messages)`` must read them
-    to their end; the block gets ``feed``, which passes it an iterator's
-    messages.
+    in errors.  A writing child's ``work()`` returns an iterator of
+    messages, whose return value is dropped; the block gets an iterator
+    of them all, in order.  A reading child's ``work(messages)`` must
+    read them to their end; the block gets ``feed``, which passes it an
+    iterator's messages.
 
     Where `can_fork` allows, the child is forked, a reading one at
     niceness 10, since the process that feeds it comes first, and it
@@ -59,12 +57,8 @@ def child(work, child_reads, what):
     and its errors propagate as they are.
     """
     if not can_fork():
-        if child_reads:
-            yield lambda messages: _read(work, messages, what)
-        else:
-            sent = deque()
-            with contextlib.closing(work(lambda *m: sent.append(m))) as it:
-                yield _after_sent(sent, it)
+        yield (lambda messages: _read(work, messages, what)) \
+            if child_reads else work()
         return
     import fcntl   # here, not at the top: there is no fcntl on Windows
     read, write = os.pipe()
@@ -101,7 +95,7 @@ def child(work, child_reads, what):
                     os.nice(10)
                     _read(work, received(pipe), what)
                 else:
-                    send_all(pipe, work(lambda *m: _send(pipe, *m)))
+                    send_all(pipe, work())
             status = 0
         finally:
             os._exit(status)
@@ -121,17 +115,6 @@ def child(work, child_reads, what):
     if status:
         raise OSError(f"{what} failed with exit status "
                       f"{os.waitstatus_to_exitcode(status)}")
-
-
-def _after_sent(sent, messages):
-    """``messages``, each after those its making put in ``sent``."""
-    while True:
-        message = next(messages, None)
-        while sent:
-            yield sent.popleft()
-        if message is None:
-            return
-        yield message
 
 
 def _read(work, messages, what):

@@ -96,25 +96,27 @@ def test_closed_loop_step_calls_the_traced_bindings(monkeypatch):
     # bindings, so a kernel inlined past them fails here instead of
     # reading 0; with the reference body in this process, both bodies'
     # steps are counted: 10 steps each, 8 block solves and 4 control
-    # kernels per closed-loop step
+    # kernels per closed-loop step.  In process the reference body steps
+    # inside the plant's step that first asks for its stage values, so a
+    # call counts while any step is in progress, by depth
     from gyrotrack import integrators, scenario, stream
     counts = {"step_lie": 0, "rotor_accels": 0, "_loop_kernel": 0}
-    stepping = [False]   # the run's post-pass calls the loop outside a step
+    depth = [0]   # the run's post-pass calls the loop outside a step
     step_lie = integrators.step_lie
 
     def counted(name, fn):
         def wrapper(*args):
-            counts[name] += stepping[0]
+            counts[name] += depth[0] > 0
             return fn(*args)
         return wrapper
 
     def counted_step(*args, **kwargs):
         counts["step_lie"] += 1
-        stepping[0] = True
+        depth[0] += 1
         try:
             return step_lie(*args, **kwargs)
         finally:
-            stepping[0] = False
+            depth[0] -= 1
 
     for name in ("rotor_accels", "_loop_kernel"):
         monkeypatch.setattr(scenario, name,

@@ -1,11 +1,11 @@
 """The reference body streamed to the plant's integration.
 
 `closed_loop_blocks` integrates the reference body apart from the plant,
-in a forked child or a block at a time in this process, and feeds its
-stage values to the plant's field.  Both ways give the bits of the loop
-integrated as one state, report divergence at the first non-finite
-sample of either half, and leave no child process behind, however the
-consumer of the run's blocks ends.
+in a forked child or, in this process, 16 steps at a time as the plant
+asks for them, and feeds its stage values to the plant's field.  Both
+ways give the bits of the loop integrated as one state, report
+divergence at the first non-finite sample of either half, and leave no
+child process behind, however the consumer of the run's blocks ends.
 """
 
 import contextlib
@@ -15,7 +15,7 @@ import os
 import numpy as np
 import pytest
 
-from gyrotrack import control, scenario, stream
+from gyrotrack import control, integrators, scenario, stream
 from gyrotrack.errors import DivergedStateError
 
 MAX = np.finfo(float).max
@@ -62,8 +62,9 @@ def diverging(amplitude=0.0, kp=None, step=1e-3, theta_row=None):
 # name -> (arguments of `diverging`, (step, time) of the DivergedStateError),
 # as the loop integrated as one state reported them; blocks hold samples
 # 0-127, 128-255, ...; "plant i, reference j" gives each half's first
-# non-finite sample.  The reference sends its stage values 8 steps at a
-# time, and those of steps 121-127 at the end of block 0.
+# non-finite sample.  The reference sends its stage values and its rows
+# 16 steps at a time: steps 1-15 with rows 0-15, then steps 16-31 with
+# rows 16-31, and so on, so block 0's last message holds steps 112-127.
 DIVERGENCES = {
     "reference alone, last sample of block 0": (
         dict(theta_row=127, step=0.01), (127, 1.27)),
@@ -124,7 +125,7 @@ def test_no_child_is_left(end, path):
     # early closes the generator, which holds the reference's child.  A
     # reference that diverges runs on, on inf or NaN, until the joined
     # row's check stops the run: forked, its next message then breaks its
-    # pipe, at most 8 steps later; in process, its generator is closed
+    # pipe, at most 16 steps later; in process, its generator is closed
     cfg = scenario.benchmark_config("sinusoid", gains="certified",
                                     duration=0.5)
     if end == "divergence":
@@ -156,10 +157,38 @@ def test_no_child_is_left(end, path):
     assert_no_child()
 
 
+def test_reference_cadence(monkeypatch):
+    # the reference body sends the stage values of each 16 rows' steps as
+    # soon as it has made them, then those rows, so a forked plant waits
+    # on at most 16 of its steps, never on a whole 128-row block (on a
+    # 2-core x86-64 VM, a 128-row cadence read sweep_short 1.248 -> 1.323
+    # ref)
+    steps = [0]
+    step_lie = integrators.step_lie
+
+    def counted(*args, **kwargs):
+        steps[0] += 1
+        return step_lie(*args, **kwargs)
+
+    monkeypatch.setattr(integrators, "step_lie", counted)
+    cfg = scenario.resolve_reference(
+        scenario.benchmark_config("sinusoid", duration=0.1))
+    seen = [(steps[0], start, len(block))
+            for start, block in scenario._stream_reference(cfg)]
+    want = []
+    for start in range(0, 101, 16):
+        stop = min(start + 16, 101)
+        # steps 1 to stop - 1 (15, 31, 47, ...) are made, 4 evaluations
+        # each for RK4
+        want += [(stop - 1, 0, 4 * (stop - max(start, 1))),
+                 (stop - 1, start, stop - start)]
+    assert seen == want
+
+
 def test_failing_reference_body(path, monkeypatch):
     # forked, the child's failure reaches this process as its exit
     # status; in this process, as the error itself
-    def broken(cfg, send):
+    def broken(cfg):
         raise RuntimeError("reference body broken")
 
     monkeypatch.setattr(scenario, "_stream_reference", broken)
@@ -181,7 +210,7 @@ def test_a_child_holds_no_other_childs_pipe_end():
                       what="first") as to_first:
         ours = stream._ENDS[-1].fileno()
 
-        def report(send):
+        def report():
             yield 0, np.array([[float(_is_open(ours))]])
 
         with stream.child(report, child_reads=False,
@@ -202,7 +231,7 @@ def test_a_failed_fork_leaves_no_pipe_end(monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     before = sorted(os.listdir("/proc/self/fd"))
     with pytest.raises(BlockingIOError):
-        with stream.child(lambda send: iter(()), child_reads=False,
+        with stream.child(lambda: iter(()), child_reads=False,
                           what="child"):
             pass
     assert sorted(os.listdir("/proc/self/fd")) == before

@@ -10,7 +10,8 @@ from hypothesis.extra.numpy import arrays
 from gyrotrack import cli, control, dynamics, scenario, so3
 from gyrotrack.config import serialize_config
 from gyrotrack.errors import DivergedStateError
-from gyrotrack.integrators import IntegratorConfig, integrate_components
+from gyrotrack.integrators import (SCHEMES, IntegratorConfig,
+                                   integrate_components)
 from gyrotrack.so3 import components, from_components
 
 from conftest import joint_initial, joint_loop, random_rotation
@@ -214,39 +215,44 @@ class TestClosedLoop:
     @pytest.mark.parametrize("program", scenario.PROGRAM_KINDS)
     @pytest.mark.parametrize("actuation", ["internal", "external"])
     def test_run_is_the_bodies_integrated_as_one(self, program, actuation):
-        # 0.3 s: the two bodies integrated apart give, bit for bit, the
-        # record of the two integrated as one state (`joint_loop`), and
-        # each row of the run's blocks is the plant's integrator row, then
-        # the reference's
-        cfg = scenario.resolve_reference(
-            short_config(program, duration=0.3, gains="certified"))
-        blocks = [block for _, block in
-                  scenario.closed_loop_blocks(cfg, actuation)]
-        traj, metrics = scenario.run_closed_loop(cfg, actuation)
-        loop = joint_loop(cfg, actuation)
-        hist = integrate_components(loop, joint_initial(cfg, actuation),
-                                    cfg.integrator)
-        (r, r_d), vec = hist.rotations, hist.vectors
-        _, vdot, u_ext, u_int = loop(
-            hist.times, [components(r, 2), components(r_d, 2)],
-            components(vec))
-        joint = dict(
-            times=hist.times, R=r, Theta=vec[:, 0:3], Omega=vec[:, 3:6],
-            OmegaR=vec[:, 6:9], R_d=r_d, Theta_d=vec[:, 9:12],
-            Omega_d=vec[:, 12:15], OmegaR_d=vec[:, 15:18],
-            Omega_d_dot=from_components(vdot[12:15]), xi_I=vec[:, 18:21],
-            u_ext=from_components(u_ext), u_int=from_components(u_int))
-        for name, value in joint.items():
-            assert getattr(traj, name).tobytes() == value.tobytes(), name
-        rows = np.column_stack([r.reshape(-1, 9), vec[:, :9], vec[:, 18:],
-                                r_d.reshape(-1, 9), vec[:, 9:18]])
-        assert blocks[-1][-1].tobytes() == rows[-1].tobytes()
-        (_, joint_metrics), = scenario.block_records(cfg, [(0, rows)],
-                                                     actuation)
-        for name, value in vars(metrics).items():
-            if isinstance(value, np.ndarray):
-                assert value.tobytes() == \
-                    getattr(joint_metrics, name).tobytes(), name
+        # 0.3 s, under each scheme: the two bodies integrated apart give,
+        # bit for bit, the record of the two integrated as one state
+        # (`joint_loop`), and each row of the run's blocks is the plant's
+        # integrator row, then the reference's.  Lie-Euler evaluates each
+        # field once a step, so its reference messages hold 16 stage rows
+        # where RK4's hold 64
+        for scheme in SCHEMES:
+            cfg = short_config(program, duration=0.3, gains="certified")
+            cfg = scenario.resolve_reference(dataclasses.replace(
+                cfg, integrator=dataclasses.replace(cfg.integrator,
+                                                    scheme=scheme)))
+            blocks = [block for _, block in
+                      scenario.closed_loop_blocks(cfg, actuation)]
+            traj, metrics = scenario.run_closed_loop(cfg, actuation)
+            loop = joint_loop(cfg, actuation)
+            hist = integrate_components(loop, joint_initial(cfg, actuation),
+                                        cfg.integrator)
+            (r, r_d), vec = hist.rotations, hist.vectors
+            _, vdot, u_ext, u_int = loop(
+                hist.times, [components(r, 2), components(r_d, 2)],
+                components(vec))
+            joint = dict(
+                times=hist.times, R=r, Theta=vec[:, 0:3], Omega=vec[:, 3:6],
+                OmegaR=vec[:, 6:9], R_d=r_d, Theta_d=vec[:, 9:12],
+                Omega_d=vec[:, 12:15], OmegaR_d=vec[:, 15:18],
+                Omega_d_dot=from_components(vdot[12:15]), xi_I=vec[:, 18:21],
+                u_ext=from_components(u_ext), u_int=from_components(u_int))
+            for name, value in joint.items():
+                assert getattr(traj, name).tobytes() == value.tobytes(), name
+            rows = np.column_stack([r.reshape(-1, 9), vec[:, :9], vec[:, 18:],
+                                    r_d.reshape(-1, 9), vec[:, 9:18]])
+            assert blocks[-1][-1].tobytes() == rows[-1].tobytes()
+            (_, joint_metrics), = scenario.block_records(cfg, [(0, rows)],
+                                                         actuation)
+            for name, value in vars(metrics).items():
+                if isinstance(value, np.ndarray):
+                    assert value.tobytes() == \
+                        getattr(joint_metrics, name).tobytes(), name
 
     def test_fourth_order(self):
         # the whole loop, torque program included, converges at fourth

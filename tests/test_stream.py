@@ -37,14 +37,6 @@ def sent():
     yield from BLOCKS
 
 
-def chatty(send):
-    """A writing child's work: each of BLOCKS sent negated, then
-    yielded."""
-    for start, block in BLOCKS:
-        send(start, -block)
-        yield start, block
-
-
 def as_lists(messages):
     """The messages of an iterator as lists."""
     return [(start, block.tolist()) for start, block in messages]
@@ -54,14 +46,12 @@ WANT = [(start, block.tolist()) for start, block in BLOCKS]
 
 
 def test_writing_child_round_trip(forked):
-    # what the child sends comes before what it yields next
-    with stream.child(chatty, child_reads=False, what="sender") as messages:
-        got = as_lists(messages)
-    want = []
-    for start, block in BLOCKS:
-        want += [(start, (-block).tolist()), (start, block.tolist())]
-    assert got == want
-    assert_no_child()
+    # a generator and a plain iterator alike: in process, the block reads
+    # the very iterator work returns
+    for work in (sent, lambda: iter(BLOCKS)):
+        with stream.child(work, child_reads=False, what="sender") as messages:
+            assert as_lists(messages) == WANT
+        assert_no_child()
 
 
 def test_reading_child_round_trip(forked, tmp_path):
@@ -90,7 +80,7 @@ def test_reading_child_that_stops_early_fails(forked):
     assert_no_child()
 
 
-def broken(messages_or_send):
+def broken(*messages):
     raise RuntimeError("work broken")
 
 
@@ -113,10 +103,10 @@ def test_failing_work(child_reads, forked):
 def test_error_in_the_block_propagates_unchanged(child_reads, forked):
     ran = []
 
-    def work(messages_or_send):
+    def work(*messages):
         ran.append(True)
         if child_reads:
-            as_lists(messages_or_send)
+            as_lists(*messages)
         else:
             return sent()
 
@@ -137,10 +127,10 @@ def test_niceness(child_reads, forked, tmp_path):
     before = os.nice(0)
     seen = tmp_path / "nice.txt"
 
-    def work(messages_or_send):
+    def work(*messages):
         seen.write_text(str(os.nice(0)))
         if child_reads:
-            as_lists(messages_or_send)
+            as_lists(*messages)
         else:
             return sent()
 
