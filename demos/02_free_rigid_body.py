@@ -6,8 +6,9 @@ fourth-order group integrator, and the measured convergence order is 4.
 
 The body's vector field is `free_body_field`: the Euler equation
 I dOmega/dt = (I Omega) x Omega on Python floats, with its connection
-table built once.  `integrate_components`, the one integration loop,
-runs it directly.
+table built once, as ``field(t, R, Omega) -> (Omega, dOmega)``.
+`integrate_components` runs it directly from ``(R0, Omega0)`` and
+collects the attitudes in ``hist.R``.
 
 Run:  python demos/02_free_rigid_body.py        (writes free_body.png)
 """
@@ -19,12 +20,12 @@ from gyrotrack import IntegratorConfig, free_body_field, integrate_components
 I = np.diag([1.0, 2.0, 3.0])
 free_body = free_body_field(I)
 
-initial = ((np.eye(3),), np.array([1.0, 1.0, 1.0]))
+initial = (np.eye(3), np.array([1.0, 1.0, 1.0]))
 hist = integrate_components(free_body, initial,
                             IntegratorConfig(step=1e-3, duration=10.0))
 
 energy = 0.5 * np.einsum("ni,ij,nj->n", hist.vectors, I, hist.vectors)
-momentum = np.einsum("nij,nj->ni", hist.rotations[0], hist.vectors @ I.T)
+momentum = np.einsum("nij,nj->ni", hist.R, hist.vectors @ I.T)
 print(f"energy drift          : {np.abs(energy - energy[0]).max():.2e}")
 print(f"spatial momentum drift: {np.abs(momentum - momentum[0]).max():.2e}")
 
@@ -36,7 +37,7 @@ steps = (0.02, 0.01, 0.005)
 for h in steps:
     out = integrate_components(free_body, initial,
                                IntegratorConfig(step=h, duration=2.0))
-    errors.append(np.linalg.norm(out.rotations[0][-1] - ref.rotations[0][-1]))
+    errors.append(np.linalg.norm(out.R[-1] - ref.R[-1]))
 orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
 print(f"endpoint errors at h={steps}: {[f'{e:.2e}' for e in errors]}")
 print(f"measured order: {np.round(orders, 3)}")

@@ -270,10 +270,10 @@ def _feedback(metric, p_mat, gains, e, eta, xi_i):
 
 def error_field(i_metric, p, gains):
     """The closed-loop error flow as a vector field for
-    `integrators.integrate_components`: one attitude E moving with body
-    velocity eta, and the vector state eta 0:3 | xi_I 3:6 with rates
-    (-fb, xi_dot) of `_feedback`.  Any run of the tracking law moves its
-    (E, eta, xi_I) by this flow.
+    `integrators.integrate_components`, ``field(t, E, vec) -> (eta,
+    rates)``: the attitude E moves with body velocity eta, and the vector
+    state eta 0:3 | xi_I 3:6 with rates (-fb, xi_dot) of `_feedback`.
+    Any run of the tracking law moves its (E, eta, xi_I) by this flow.
 
     Raises:
         SingularMetricError: if ``i_metric`` is not invertible.
@@ -281,11 +281,11 @@ def error_field(i_metric, p, gains):
     metric = metric_constants(i_metric)
     p_mat = components(p, 2)
 
-    def field(t, rots, vec):
+    def field(t, r, vec):
         e0, e1, e2, x0, x1, x2 = vec
-        (f0, f1, f2), xi_dot = _feedback(metric, p_mat, gains, rots[0],
+        (f0, f1, f2), xi_dot = _feedback(metric, p_mat, gains, r,
                                          (e0, e1, e2), (x0, x1, x2))
-        return ((e0, e1, e2),), (-f0, -f1, -f2, *xi_dot)
+        return (e0, e1, e2), (-f0, -f1, -f2, *xi_dot)
     return field
 
 

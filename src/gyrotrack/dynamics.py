@@ -157,16 +157,16 @@ def _external_accel(i_metric, i_inv, omega, u_ext):
 def free_body_field(i_inertia):
     """Vector field of the torque-free rigid body with inertia ``i_inertia``.
 
-    On components (see `integrators`): one attitude moving with body
-    velocity Omega and the vector state Omega, whose rate is the Euler
-    term dOmega = -conn(Omega, Omega) = I^{-1}((I Omega) x Omega), the
-    ``u_ext = 0`` case of `_external_accel`.  The metric is inverted
-    once, here.
+    On components (see `integrators`), ``field(t, R, Omega) -> (Omega,
+    dOmega)``: the attitude R moves with body velocity Omega, the vector
+    state, whose rate is the Euler term dOmega = -conn(Omega, Omega) =
+    I^{-1}((I Omega) x Omega), the ``u_ext = 0`` case of
+    `_external_accel`.  The metric is inverted once, here.
     """
     i_metric, i_inv = metric_inverse(i_inertia)
     zero = (0.0, 0.0, 0.0)
 
-    def field(t, rots, vec):
-        return (vec,), _external_accel(i_metric, i_inv, vec, zero)
+    def field(t, r, vec):
+        return vec, _external_accel(i_metric, i_inv, vec, zero)
     return field
 

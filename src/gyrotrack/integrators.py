@@ -1,15 +1,15 @@
-"""Deterministic fixed-step integration on products of SO(3) and R^n.
+"""Deterministic fixed-step integration on SO(3) x R^n.
 
-State convention: a pair ``(rotations, vectors)`` on components, as the
-kernels of `so3` take them: each attitude is its 9 entries in row-major
-order and ``vectors`` one flat sequence of Python floats holding every
-vector-valued state.  A vector field maps ``(t, rotations, vectors)`` to
-``(body_velocities, vector_derivative)``: 3 floats per rotation and one
-per vector slot, then any records the integrator ignores (the closed
-loop's torques); on a non-finite state it returns inf or NaN, as the
-kernels of `so3` do, rather than raising.  The integrator owns the group
-update, advancing each rotation by a right-multiplied exponential, each
-update R expm(c k) one call of `so3._mul_expm` at the stage scale c.
+State convention: a pair ``(r, vec)`` on components, as the kernels of
+`so3` take them: ``r`` the attitude's 9 entries in row-major order and
+``vec`` one flat sequence of Python floats holding every vector-valued
+state.  A vector field maps ``(t, r, vec)`` to ``(omega, rates)``: the
+attitude's 3 floats of body velocity and one rate per vector slot, then
+any records the integrator ignores (the closed loop's torques); on a
+non-finite state it returns inf or NaN, as the kernels of `so3` do,
+rather than raising.  The integrator owns the group update, advancing
+the attitude by a right-multiplied exponential, each update R expm(c k)
+one call of `so3._mul_expm` at the stage scale c.
 
 `_blocks` is the one integration loop, a generator of a run's unchecked
 blocks that holds no more of it than the block in progress, for the
@@ -107,14 +107,11 @@ class IntegratorConfig:
 
 @dataclass
 class History:
-    """Dense output of `integrate_components` over a product state.
-
-    rotations[k] has shape (n+1, 3, 3) for the k-th rotation component;
-    vectors has shape (n+1, m).
-    """
+    """Dense output of `integrate_components`: the attitudes R, of shape
+    (n+1, 3, 3), and the vector states, of shape (n+1, m)."""
 
     times: np.ndarray
-    rotations: list
+    R: np.ndarray
     vectors: np.ndarray
 
 
@@ -136,58 +133,46 @@ def _dexpinv_right(c, k, b):
 
 def step_lie(vector_field, t, state, h, scheme="rk4_munthe_kaas",
              reproject=False):
-    """Advance ``state = (rotations, vectors)`` by one step of size h.
+    """Advance ``state = (r, vec)`` by one step of size h.
 
-    Attitudes update as R <- R expm(sigma) with the stage combination of
-    the chosen scheme; vector components follow the matching classical
-    Runge-Kutta stages.  With ``reproject`` the updated rotations are
+    The attitude updates as R <- R expm(sigma) with the stage combination
+    of the chosen scheme; the vector state follows the matching classical
+    Runge-Kutta stages.  With ``reproject`` the updated attitude is
     snapped back to SO(3) by polar projection.  All on components; records
-    the field returns after its rates are ignored.  Each RK4 stage visits
-    each rotation once: the dexp^{-1} correction of its slope, then the
-    next stage's exponential or, in the last stage, the update and snap.
+    the field returns after its rates are ignored.  Each RK4 stage after
+    the first corrects its slope by dexp^{-1}, then forms the next stage's
+    exponential or, in the last stage, the update and snap.
     """
-    rots, vec = state
+    r, vec = state
     if scheme == "lie_euler":
-        omegas, vdot = vector_field(t, rots, vec)[:2]
-        new_rots = [_mul_expm(r, h, w) for r, w in zip(rots, omegas)]
-        if reproject:
-            new_rots = [_snap_so3(r) for r in new_rots]
-        return new_rots, [x + h * d for x, d in zip(vec, vdot)]
+        omega, vdot = vector_field(t, r, vec)[:2]
+        r = _mul_expm(r, h, omega)
+        return (_snap_so3(r) if reproject else r,
+                [x + h * d for x, d in zip(vec, vdot)])
     if scheme != "rk4_munthe_kaas":
         raise ValueError(f"unknown scheme '{scheme}'")
 
     half, sixth = 0.5 * h, h / 6.0
-    k1, v = vector_field(t, rots, vec)[:2]
-    ks, vs, stage = [k1], [v], []
-    for r, k in zip(rots, k1):
-        stage.append(_mul_expm(r, half, k))
+    k1, v1 = vector_field(t, r, vec)[:2]
     # stages 2 and 3 at t + h/2 start from the previous slope k scaled by
     # c = h/2 and correct theirs by dexp^{-1} at sigma = c k
-    for c, c_next in ((half, half), (half, h)):
-        omegas, v = vector_field(t + c, stage,
-                                 [x + c * d for x, d in zip(vec, v)])[:2]
-        slopes, stage = [], []
-        for r, k, w in zip(rots, ks[-1], omegas):
-            k = _dexpinv_right(c, k, w)
-            slopes.append(k)
-            stage.append(_mul_expm(r, c_next, k))
-        ks.append(slopes)
-        vs.append(v)
-    (k1, k2, k3), (v1, v2, v3) = ks, vs
-
+    w, v2 = vector_field(t + half, _mul_expm(r, half, k1),
+                         [x + half * d for x, d in zip(vec, v1)])[:2]
+    k2 = _dexpinv_right(half, k1, w)
+    w, v3 = vector_field(t + half, _mul_expm(r, half, k2),
+                         [x + half * d for x, d in zip(vec, v2)])[:2]
+    k3 = _dexpinv_right(half, k2, w)
     # stage 4 at t + h starts from h k3; then the update
-    omegas, v4 = vector_field(t + h, stage,
-                              [x + h * d for x, d in zip(vec, v3)])[:2]
-    new_rots = []
-    for r, (a0, a1, a2), (b0, b1, b2), k, w in zip(rots, k1, k2, k3, omegas):
-        c0, c1, c2 = k
-        d0, d1, d2 = _dexpinv_right(h, k, w)
-        r = _mul_expm(r, sixth, (a0 + 2.0 * b0 + 2.0 * c0 + d0,
-                                 a1 + 2.0 * b1 + 2.0 * c1 + d1,
-                                 a2 + 2.0 * b2 + 2.0 * c2 + d2))
-        new_rots.append(_snap_so3(r) if reproject else r)
-    return new_rots, [x + sixth * (a + 2.0 * b + 2.0 * c + d)
-                      for x, a, b, c, d in zip(vec, v1, v2, v3, v4)]
+    w, v4 = vector_field(t + h, _mul_expm(r, h, k3),
+                         [x + h * d for x, d in zip(vec, v3)])[:2]
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = k1, k2, k3
+    d0, d1, d2 = _dexpinv_right(h, k3, w)
+    r = _mul_expm(r, sixth, (a0 + 2.0 * b0 + 2.0 * c0 + d0,
+                             a1 + 2.0 * b1 + 2.0 * c1 + d1,
+                             a2 + 2.0 * b2 + 2.0 * c2 + d2))
+    return (_snap_so3(r) if reproject else r,
+            [x + sixth * (a + 2.0 * b + 2.0 * c + d)
+             for x, a, b, c, d in zip(vec, v1, v2, v3, v4)])
 
 
 def checked(start, block, step):
@@ -208,11 +193,15 @@ def _blocks(vector_field, initial, cfg, length=_BLOCK):
     unchecked: after a non-finite sample the run goes on, on inf or NaN
     (the field contract above).  A field that raises has the block's rows
     so far `checked` first, so one that raises on a diverged state reports
-    the divergence."""
-    rots, vec = initial
-    state = ([components(r, 2) for r in rots], components(vec))
+    the divergence.  An initial attitude that is not one 3x3 array raises
+    ValueError naming its shape."""
+    r0, vec = initial
+    if np.shape(r0) != (3, 3):
+        raise ValueError("the initial attitude must be one 3x3 array, got "
+                         f"shape {np.shape(r0)}")
+    state = components(r0, 2), components(vec)
     n = cfg.n_steps
-    width = 9 * len(rots) + len(state[1])
+    width = 9 + len(state[1])
     h, scheme, reproject = cfg.step, cfg.scheme, cfg.reproject
     for start in range(0, n + 1, length):
         rows, stop = [], start
@@ -221,8 +210,7 @@ def _blocks(vector_field, initial, cfg, length=_BLOCK):
                 if i:   # step_lie is looked up per call, so it can be wrapped
                     state = step_lie(vector_field, h * (i - 1), state, h,
                                      scheme, reproject)
-                for r in state[0]:
-                    rows += r
+                rows += state[0]
                 rows += state[1]
                 stop = i + 1
         except BaseException:
@@ -232,15 +220,15 @@ def _blocks(vector_field, initial, cfg, length=_BLOCK):
 
 
 def integrate_blocks(vector_field, initial, cfg):
-    """Integrate a vector field on components from ``initial``, arrays at
-    t = 0, over cfg.duration: yield the n_steps+1 samples (duration ==
-    step gives two), sample i at time step * i, as ``(start, block)``:
-    the first sample's index and up to 128 rows, each attitude's 9
-    entries, then the vector state.  Each block is `checked` first; a
-    non-finite entry raises DivergedStateError at its step instead, so
-    the steps after a divergence up to the block's end run on inf or NaN
-    (the field contract above), and a field that raises there still
-    reports it.
+    """Integrate a vector field on components from ``initial = (R0,
+    vec0)``, arrays at t = 0, over cfg.duration: yield the n_steps+1
+    samples (duration == step gives two), sample i at time step * i, as
+    ``(start, block)``: the first sample's index and up to 128 rows, the
+    attitude's 9 entries, then the vector state.  Each block is `checked`
+    first; a non-finite entry raises DivergedStateError at its step
+    instead, so the steps after a divergence up to the block's end run on
+    inf or NaN (the field contract above), and a field that raises there
+    still reports it.
     """
     for start, block in _blocks(vector_field, initial, cfg):
         yield start, checked(start, block, cfg.step)
@@ -248,11 +236,9 @@ def integrate_blocks(vector_field, initial, cfg):
 
 def integrate_components(vector_field, initial, cfg):
     """The blocks of `integrate_blocks` collected into a dense `History`."""
-    rots, vec = initial
-    n, k = cfg.n_steps, 9 * len(rots)
-    rows = np.empty((n + 1, k + np.size(vec)))
+    n = cfg.n_steps
+    rows = np.empty((n + 1, 9 + np.size(initial[1])))
     for start, block in integrate_blocks(vector_field, initial, cfg):
         rows[start:start + len(block)] = block
     return History(cfg.step * np.arange(n + 1),
-                   [rows[:, j:j + 9].reshape(n + 1, 3, 3)
-                    for j in range(0, k, 9)], rows[:, k:])
+                   rows[:, :9].reshape(n + 1, 3, 3), rows[:, 9:])

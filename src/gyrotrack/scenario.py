@@ -331,7 +331,8 @@ _ROWS = 16     # reference rows per message, after their steps' stage values
 
 def _rotor_field(params, torque, record=None):
     """Vector field of a rotor body under a componentwise torque program
-    ``torque(t)`` (`ReferenceProgram._torque`).
+    ``torque(t)`` (`ReferenceProgram._torque`), ``field(t, R, vec) ->
+    (Omega, rates)``.
 
     Vector state Theta 0:3 | Omega 3:6 | OmegaR 6:9, with rates
     (dTheta, dOmega, dOmegaR) = (OmegaR, block solve); the attitude moves
@@ -340,14 +341,14 @@ def _rotor_field(params, torque, record=None):
     """
     consts = kernel_constants(params)
 
-    def field(t, rots, vec):
+    def field(t, r, vec):
         _, _, _, w0, w1, w2, r0, r1, r2 = vec
         omega = w0, w1, w2
         (a0, a1, a2), (b0, b1, b2) = rotor_accels(consts, omega,
                                                   (r0, r1, r2), torque(t))
         if record is not None:
-            record((*rots[0], w0, w1, w2, a0, a1, a2))
-        return (omega,), (r0, r1, r2, a0, a1, a2, b0, b1, b2)
+            record((*r, w0, w1, w2, a0, a1, a2))
+        return omega, (r0, r1, r2, a0, a1, a2, b0, b1, b2)
     return field
 
 
@@ -360,7 +361,7 @@ def _stream_reference(cfg):
     stages = []
     field = _rotor_field(ref.params, cfg.program._torque, stages.extend)
     vec0 = np.concatenate([ref.Theta0, ref.Omega0, ref.OmegaR0])
-    for start, block in _blocks(field, ((ref.R0,), vec0), cfg.integrator,
+    for start, block in _blocks(field, (ref.R0, vec0), cfg.integrator,
                                 _ROWS):
         # struct packs a list of floats several times faster than numpy
         values = struct.pack(f"{len(stages)}d", *stages)
@@ -377,8 +378,9 @@ _ZERO3 = np.zeros(3)
 
 
 def _plant_loop(cfg, actuation):
-    """``plant(t, rots, vec, ref) -> (omegas, vdot, u_ext, u_int)``: the
-    plant + integral-state field, given the reference's stage values
+    """``plant(t, r, vec, ref) -> (omega, vdot, u_ext, u_int)``: the
+    plant + integral-state field of the plant's attitude r and vector
+    state vec, given the reference's stage values
     ``ref`` (R_d 9 | Omega_d | dOmega_d, as `_rotor_field` records them),
     with the torques it applies, u_ext = I u on the carrier body and the
     rotor torque u_int realizing it.
@@ -400,12 +402,12 @@ def _plant_loop(cfg, actuation):
     i0, i1, i2, i3, i4, i5, i6, i7, i8 = i_metric
     internal = actuation == "internal"
 
-    def loop(t, rots, vec, ref):
+    def loop(t, r, vec, ref):
         _, _, _, w0, w1, w2, r0, r1, r2, x0, x1, x2 = vec
         q0, q1, q2, q3, q4, q5, q6, q7, q8, v0, v1, v2, a0, a1, a2 = ref
         omega, omega_r = (w0, w1, w2), (r0, r1, r2)
         (u0, u1, u2), (y0, y1, y2) = _loop_kernel(
-            metric, p_mat, gains, rots[0], omega,
+            metric, p_mat, gains, r, omega,
             (q0, q1, q2, q3, q4, q5, q6, q7, q8), (v0, v1, v2),
             (a0, a1, a2), (x0, x1, x2))
         u_ext = (i0 * u0 + i1 * u1 + i2 * u2, i3 * u0 + i4 * u1 + i5 * u2,
@@ -419,7 +421,7 @@ def _plant_loop(cfg, actuation):
             u_int = d0, d1, d2 = zero, zero, zero
             c0, c1, c2 = _external_accel(i_metric, i_inv, omega,
                                          (u0, u1, u2))
-        return ((omega,), (r0, r1, r2, c0, c1, c2, d0, d1, d2, y0, y1, y2),
+        return (omega, (r0, r1, r2, c0, c1, c2, d0, d1, d2, y0, y1, y2),
                 u_ext, u_int)
     return loop
 
@@ -451,17 +453,16 @@ def closed_loop_blocks(cfg, actuation="internal"):
     stages = deque()   # the reference's stage values the plant has not read
     ref_rows = []      # the reference's rows of the plant's block so far
 
-    def field(t, rots, vec):
+    def field(t, r, vec):
         if not stages:
             stages.extend(next(messages)[1].tolist())
             ref_rows.append(next(messages)[1])
-        return loop(t, rots, vec, stages.popleft())
+        return loop(t, r, vec, stages.popleft())
 
     with child(lambda: _stream_reference(cfg), child_reads=False,
                what="reference body") as messages:
         loop = _plant_loop(cfg, actuation)
-        for start, block in _blocks(field, ((plant.R0,), vec0),
-                                    cfg.integrator):
+        for start, block in _blocks(field, (plant.R0, vec0), cfg.integrator):
             rows = np.concatenate([block, np.concatenate(ref_rows)], axis=1)
             ref_rows.clear()
             yield start, checked(start, rows, cfg.integrator.step)
@@ -513,8 +514,8 @@ def block_records(cfg, blocks, actuation="internal"):
         times = cfg.integrator.step * np.arange(start, start + len(rows))
         col = components(rows)
         r, omega, r_d, omega_d = col[:9], col[12:15], col[21:30], col[33:36]
-        _, ref_rates = reference(times, [r_d], col[30:39])
-        _, _, u_ext, u_int = loop(times, [r], col[9:21],
+        _, ref_rates = reference(times, r_d, col[30:39])
+        _, _, u_ext, u_int = loop(times, r, col[9:21],
                                   (*r_d, *omega_d, *ref_rates[3:6]))
         traj = ClosedLoopTrajectory(
             times=times, R=rows[:, :9].reshape(-1, 3, 3),

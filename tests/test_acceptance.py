@@ -162,14 +162,14 @@ def test_criterion_7_numerics():
 
     # measured convergence order of the group integrator
     field = dynamics.free_body_field(np.diag([1.0, 2.0, 3.0]))
-    init = ((np.eye(3),), np.array([1.0, 1.0, 1.0]))
+    init = (np.eye(3), np.array([1.0, 1.0, 1.0]))
     ref = integrate_components(field, init,
                                IntegratorConfig(step=1e-4, duration=2.0))
     errs = []
     for step in (0.02, 0.01, 0.005):
         out = integrate_components(field, init,
                                    IntegratorConfig(step=step, duration=2.0))
-        errs.append(np.linalg.norm(out.rotations[0][-1] - ref.rotations[0][-1])
+        errs.append(np.linalg.norm(out.R[-1] - ref.R[-1])
                     + np.linalg.norm(out.vectors[-1] - ref.vectors[-1]))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
 
@@ -179,7 +179,7 @@ def test_criterion_7_numerics():
     euler = integrate_components(field, init,
                                  IntegratorConfig(step=1e-6, duration=0.1,
                                                   scheme="lie_euler"))
-    cross = max(np.abs(rk4.rotations[0][-1] - euler.rotations[0][-1]).max(),
+    cross = max(np.abs(rk4.R[-1] - euler.R[-1]).max(),
                 np.abs(rk4.vectors[-1] - euler.vectors[-1]).max())
 
     ok = (worst_fd < 1e-6 and (orders > 3.7).all() and (orders < 4.3).all()

@@ -96,7 +96,7 @@ class TestErrorState:
 def xi_dot(i, p, e, eta, xi):
     """The integral-state rate: `error_field`'s last three slots."""
     field = control.error_field(i, p, scenario.benchmark_gains())
-    _, rates = field(0.0, [so3.components(e, 2)],
+    _, rates = field(0.0, so3.components(e, 2),
                      [*so3.components(eta), *so3.components(xi)])
     assert all(type(x) is float for x in rates)
     return np.array(rates[3:])

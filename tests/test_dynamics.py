@@ -42,7 +42,7 @@ def external_accel(i, omega, u_ext):
 def free_body_accel(i, omega):
     """dOmega of `free_body_field` at ``omega``, as an array."""
     _, d_omega = dynamics.free_body_field(i)(
-        0.0, (so3.components(np.eye(3), 2),), so3.components(omega))
+        0.0, so3.components(np.eye(3), 2), so3.components(omega))
     return so3.from_components(d_omega)
 
 
@@ -176,7 +176,7 @@ class TestRotorPlant:
         p = benchmark_params()
         omega_r = [0.1, 0.2, 0.3]
         field = scenario._rotor_field(p, lambda t: (0.0, 0.0, 0.0))
-        _, d = field(0.0, (so3.components(np.eye(3), 2),),
+        _, d = field(0.0, so3.components(np.eye(3), 2),
                      [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, *omega_r])
         d = np.array(d)
         assert np.allclose(d[3:6], 0.0, atol=1e-15)
@@ -233,11 +233,11 @@ class TestRotorPlant:
         omega0 = np.array([0.2, 0.5, -0.3])
         omega_r0 = np.array([1.0, -2.0, 0.5])
         hist = integrate_components(
-            field, ((r0,), np.concatenate([np.zeros(3), omega0, omega_r0])),
+            field, (r0, np.concatenate([np.zeros(3), omega0, omega_r0])),
             IntegratorConfig(step=1e-3, duration=5.0))
         pi = hist.vectors[:, 3:6] @ p.locked.T \
             + hist.vectors[:, 6:9] * p.rotor_inertia
-        mu = np.einsum("nij,nj->ni", hist.rotations[0], pi)
+        mu = np.einsum("nij,nj->ni", hist.R, pi)
         assert np.abs(mu - mu[0]).max() < 1e-8
 
     def test_kinetic_energy_conserved_free_system(self):
@@ -246,8 +246,8 @@ class TestRotorPlant:
         omega0 = np.array([0.2, 0.5, -0.3])
         omega_r0 = np.array([1.0, -2.0, 0.5])
         hist = integrate_components(
-            field, ((np.eye(3),),
-                    np.concatenate([np.zeros(3), omega0, omega_r0])),
+            field, (np.eye(3), np.concatenate([np.zeros(3), omega0,
+                                               omega_r0])),
             IntegratorConfig(step=1e-3, duration=5.0))
         energy = [lagrangian(p, v[3:6], v[6:9])
                   for v in hist.vectors[::500]]
@@ -263,7 +263,7 @@ class TestRotorPlant:
         h = 1e-3
         hist = integrate_components(
             scenario._rotor_field(p, u_prog),
-            ((np.eye(3),),
+            (np.eye(3),
              np.array([0.0, 0.0, 0.0, 0.2, 0.5, -0.3, 1.0, -2.0, 0.5])),
             IntegratorConfig(step=h, duration=5.0))
         energy = np.array([lagrangian(p, v[3:6], v[6:9])
@@ -305,10 +305,10 @@ def test_spatial_momentum_conserved_for_any_rotor_torque(
     u = tuple(torque.tolist())
     hist = integrate_components(
         scenario._rotor_field(p, lambda t: u),
-        ((so3.expm(attitude),), np.concatenate([np.zeros(3), rates])),
+        (so3.expm(attitude), np.concatenate([np.zeros(3), rates])),
         IntegratorConfig(step=1e-2, duration=0.5))
     pi = dynamics.momentum_body(p, hist.vectors[:, 3:6], hist.vectors[:, 6:9])
-    mu = np.einsum("nij,nj->ni", hist.rotations[0], pi)
+    mu = np.einsum("nij,nj->ni", hist.R, pi)
     assert np.abs(mu - mu[0]).max() <= 1e-7 * max(1.0, np.abs(mu[0]).max())
 
 
@@ -354,7 +354,7 @@ class TestExternalBody:
         i = np.diag([1.0, 2.0, 3.0])
         hist = integrate_components(
             dynamics.free_body_field(i),
-            ((np.eye(3),), np.array([1.0, 1.0, 1.0])),
+            (np.eye(3), np.array([1.0, 1.0, 1.0])),
             IntegratorConfig(step=1e-3, duration=5.0))
         energy = 0.5 * np.einsum("ni,ij,nj->n", hist.vectors, i, hist.vectors)
         assert np.abs(energy - energy[0]).max() < 1e-10

@@ -13,9 +13,11 @@ Near the separatrix, m -> 1, the period grows without bound and the
 error of a fixed step with it, so the drawn cases keep m <= 0.9.
 """
 
+import dataclasses
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -70,11 +72,10 @@ def free_body_gaps(inertia, omega0, step, duration):
     I Omega(t), the body momentum, which tests the attitude as well."""
     hist = integrate_components(
         dynamics.free_body_field(np.diag(inertia)),
-        ((np.eye(3),), np.asarray(omega0, dtype=float)),
+        (np.eye(3), np.asarray(omega0, dtype=float)),
         IntegratorConfig(step=step, duration=duration))
     exact, _ = euler_solution(inertia, omega0, hist.times)
-    body = np.einsum("nji,j->ni", hist.rotations[0],
-                     np.asarray(inertia) * omega0)
+    body = np.einsum("nji,j->ni", hist.R, np.asarray(inertia) * omega0)
     return (np.abs(hist.vectors - exact).max(),
             np.abs(body - exact * inertia).max())
 
@@ -89,8 +90,7 @@ def rotor_body(inertia, rotors, omega0, step, duration):
                                   scenario.ReferenceProgram("zero")._torque)
     omega0 = np.asarray(omega0, dtype=float)
     hist = integrate_components(
-        field, ((np.eye(3),), np.concatenate([np.zeros(3), omega0,
-                                              -omega0])),
+        field, (np.eye(3), np.concatenate([np.zeros(3), omega0, -omega0])),
         IntegratorConfig(step=step, duration=duration))
     return hist.times, hist.vectors[:, 3:6], hist.vectors[:, 6:9]
 
@@ -194,10 +194,44 @@ def test_gyrostat_steady_spin():
     field = scenario._rotor_field(params,
                                   scenario.ReferenceProgram("zero")._torque)
     hist = integrate_components(
-        field, ((r0,), np.concatenate([np.zeros(3), omega, omega_r])),
+        field, (r0, np.concatenate([np.zeros(3), omega, omega_r])),
         IntegratorConfig(step=1e-3, duration=30.0))
     t = hist.times[:, None]
-    assert np.abs(hist.rotations[0] - r0 @ rodrigues(t * omega)).max() < 1e-13
+    assert np.abs(hist.R - r0 @ rodrigues(t * omega)).max() < 1e-13
     assert (hist.vectors[:, 3:6] == omega).all()
     assert (hist.vectors[:, 6:9] == omega_r).all()
     assert np.abs(hist.vectors[:, :3] - t * omega_r).max() < 1e-11
+
+
+def exact_reference_run(actuation, step=1e-3, duration=5.0):
+    """``(traj, metrics, exact)`` of the certified closed loop started on
+    a reference body that is Euler's free body: I_d = diag(1, 1.2, 2),
+    the zero program, R_d0 = 1, Omega_d0 = (0.8, 0, 0.5) (m = 0.32) and
+    OmegaR_d0 = -Omega_d0, with the plant on it (`on_reference_variant`);
+    ``exact`` is Euler's solution at the run's times."""
+    cfg = scenario.benchmark_config("zero", gains="certified",
+                                    duration=duration)
+    omega_d0 = np.array([0.8, 0.0, 0.5])
+    reference = scenario.BodySetup(
+        params=dynamics.InertiaParams(np.diag([1.0, 1.2, 2.0]),
+                                      scenario.BENCHMARK_REF_K),
+        R0=np.eye(3), Omega0=omega_d0, OmegaR0=-omega_d0)
+    cfg = scenario.on_reference_variant(dataclasses.replace(
+        cfg, reference=reference,
+        integrator=dataclasses.replace(cfg.integrator, step=step)))
+    traj, metrics = scenario.run_closed_loop(cfg, actuation)
+    exact, _ = euler_solution([1.0, 1.2, 2.0], omega_d0, traj.times)
+    return traj, metrics, exact
+
+
+@pytest.mark.parametrize("actuation", ["internal", "external"])
+def test_closed_loop_on_an_exact_reference(actuation):
+    # the plant started on the reference stays on it, so its own rates
+    # are Euler's solution for the reference's inertia: over 5 s at
+    # h = 1e-3 within 4.3e-15 (internal) and 4.1e-15 (external), with
+    # |R - R_d| <= 4.2e-15 and psi <= 8.9e-16; 2.8e-12 at h = 1e-2
+    traj, metrics, exact = exact_reference_run(actuation)
+    assert np.abs(traj.Omega - exact).max() < 1e-13
+    assert np.abs(traj.Omega_d - exact).max() < 1e-13
+    assert np.abs(traj.R - traj.R_d).max() < 1e-13
+    assert metrics.psi_e.max() < 1e-14

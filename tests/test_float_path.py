@@ -170,7 +170,7 @@ KERNELS = {
     "feedback": (lambda e, eta, xi: control._feedback(
         _METRIC, _CONSTANTS["p"], _GAINS, e, eta, xi),
                  ((3, 3), (3,), (3,))),
-    "error_field": (lambda e, vec: _ERROR_FIELD(0.0, [e], vec),
+    "error_field": (lambda e, vec: _ERROR_FIELD(0.0, e, vec),
                     ((3, 3), (6,))),
     "loop_kernel": (lambda *args: control._loop_kernel(
         _METRIC, _CONSTANTS["p"], _GAINS, *args),

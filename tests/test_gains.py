@@ -301,10 +301,10 @@ class TestEnergyFunction:
             Omega_d=eta[None], xi_I=xi[None])
         assume(scenario.certified_region_mask(cfg, sample)[0])
         field = control.error_field(i, p, g)
-        state = [components(e, 2)], [*eta, *xi]
+        state = components(e, 2), [*eta, *xi]
         h, values = 1e-4, []
         for dt in (h, -h):
-            (e_t,), v_t = step_lie(field, 0.0, state, dt)
+            e_t, v_t = step_lie(field, 0.0, state, dt)
             values.append(ecl_value(i, p, g, np.reshape(e_t, (3, 3)),
                                     v_t[:3], v_t[3:]))
         rate = (values[0] - values[1]) / (2.0 * h)

@@ -14,7 +14,8 @@ from gyrotrack.integrators import (SCHEMES, IntegratorConfig,
                                    integrate_components)
 from gyrotrack.so3 import components, from_components
 
-from conftest import joint_initial, joint_loop, random_rotation
+from conftest import (joint_initial, joint_loop, joint_rows, oracle_integrate,
+                      random_rotation)
 
 
 def short_config(program="zero", duration=2.0, **kw):
@@ -90,8 +91,8 @@ def reference_alone(cfg):
     ref = cfg.reference
     field = scenario._rotor_field(ref.params, cfg.program._torque)
     hist = integrate_components(
-        field, ((ref.R0,), np.concatenate([ref.Theta0, ref.Omega0,
-                                           ref.OmegaR0])), cfg.integrator)
+        field, (ref.R0, np.concatenate([ref.Theta0, ref.Omega0,
+                                        ref.OmegaR0])), cfg.integrator)
     return field, hist
 
 
@@ -112,7 +113,7 @@ class TestMakeReference:
             cfg, reference=dataclasses.replace(
                 cfg.reference, Omega0=np.zeros(3), OmegaR0=np.zeros(3)))
         _, hist = reference_alone(rest)
-        rot = hist.rotations[0]
+        rot = hist.R
         assert np.abs(rot - rot[0]).max() < 1e-12
         assert np.abs(hist.vectors[:, 3:6]).max() < 1e-12
 
@@ -123,7 +124,7 @@ class TestMakeReference:
             p = cfg.reference.params
             pi = hist.vectors[:, 3:6] @ p.locked.T \
                 + hist.vectors[:, 6:9] * p.rotor_inertia
-            mu = np.einsum("nij,nj->ni", hist.rotations[0], pi)
+            mu = np.einsum("nij,nj->ni", hist.R, pi)
             assert np.abs(mu - mu[0]).max() < 1e-6
 
     def test_omega_dot_sampled_from_field(self, two_second_runs):
@@ -156,10 +157,9 @@ class TestMakeReference:
         cfg, traj = two_second_runs[program]
         field, hist = reference_alone(cfg)
         vec = hist.vectors
-        _, vdot = field(hist.times, [components(hist.rotations[0], 2)],
-                        components(vec))
+        _, vdot = field(hist.times, components(hist.R, 2), components(vec))
         assert np.array_equal(traj.times, hist.times)
-        assert np.array_equal(traj.R_d, hist.rotations[0])
+        assert np.array_equal(traj.R_d, hist.R)
         assert np.array_equal(traj.Theta_d, vec[:, 0:3])
         assert np.array_equal(traj.Omega_d, vec[:, 3:6])
         assert np.array_equal(traj.OmegaR_d, vec[:, 6:9])
@@ -216,11 +216,11 @@ class TestClosedLoop:
     @pytest.mark.parametrize("actuation", ["internal", "external"])
     def test_run_is_the_bodies_integrated_as_one(self, program, actuation):
         # 0.3 s, under each scheme: the two bodies integrated apart give,
-        # bit for bit, the record of the two integrated as one state
-        # (`joint_loop`), and each row of the run's blocks is the plant's
-        # integrator row, then the reference's.  Lie-Euler evaluates each
-        # field once a step, so its reference messages hold 16 stage rows
-        # where RK4's hold 64
+        # bit for bit, the record of the two integrated as one state by
+        # the oracle (`joint_loop`), and each row of the run's blocks is
+        # the plant's integrator row, then the reference's.  Lie-Euler
+        # evaluates each field once a step, so its reference messages hold
+        # 16 stage rows where RK4's hold 64
         for scheme in SCHEMES:
             cfg = short_config(program, duration=0.3, gains="certified")
             cfg = scenario.resolve_reference(dataclasses.replace(
@@ -230,22 +230,20 @@ class TestClosedLoop:
                       scenario.closed_loop_blocks(cfg, actuation)]
             traj, metrics = scenario.run_closed_loop(cfg, actuation)
             loop = joint_loop(cfg, actuation)
-            hist = integrate_components(loop, joint_initial(cfg, actuation),
-                                        cfg.integrator)
-            (r, r_d), vec = hist.rotations, hist.vectors
+            times, (r, r_d), vec = oracle_integrate(
+                loop, joint_initial(cfg, actuation), cfg.integrator)
             _, vdot, u_ext, u_int = loop(
-                hist.times, [components(r, 2), components(r_d, 2)],
+                times, [components(r, 2), components(r_d, 2)],
                 components(vec))
             joint = dict(
-                times=hist.times, R=r, Theta=vec[:, 0:3], Omega=vec[:, 3:6],
+                times=times, R=r, Theta=vec[:, 0:3], Omega=vec[:, 3:6],
                 OmegaR=vec[:, 6:9], R_d=r_d, Theta_d=vec[:, 9:12],
                 Omega_d=vec[:, 12:15], OmegaR_d=vec[:, 15:18],
                 Omega_d_dot=from_components(vdot[12:15]), xi_I=vec[:, 18:21],
                 u_ext=from_components(u_ext), u_int=from_components(u_int))
             for name, value in joint.items():
                 assert getattr(traj, name).tobytes() == value.tobytes(), name
-            rows = np.column_stack([r.reshape(-1, 9), vec[:, :9], vec[:, 18:],
-                                    r_d.reshape(-1, 9), vec[:, 9:18]])
+            rows = joint_rows(r, r_d, vec)
             assert blocks[-1][-1].tobytes() == rows[-1].tobytes()
             (_, joint_metrics), = scenario.block_records(cfg, [(0, rows)],
                                                          actuation)
@@ -383,9 +381,9 @@ def error_flow_gap(cfg, traj, duration=None):
     field = control.error_field(cfg.plant.params.body_inertia, cfg.weights.P,
                                 cfg.gains)
     hist = integrate_components(
-        field, ((e[0],), np.concatenate([eta[0], traj.xi_I[0]])), integrator)
+        field, (e[0], np.concatenate([eta[0], traj.xi_I[0]])), integrator)
     n = len(hist.times)
-    return max(np.abs(hist.rotations[0] - e[:n]).max(),
+    return max(np.abs(hist.R - e[:n]).max(),
                np.abs(hist.vectors - np.hstack([eta, traj.xi_I])[:n]).max())
 
 
