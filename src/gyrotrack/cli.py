@@ -12,7 +12,8 @@ Subcommands:
 * ``tune-gains <config> [--synthesize]``   evaluate (or synthesize) gains
   against the certification inequalities
 * ``compare <config> -o <dir>``    effort comparison against the
-  integral-free baseline
+  integral-free baseline, from each run's blocks folded into its two
+  effort columns, which are all `compare` holds of a run
 * ``plot <csv> -o <svg> [--entries ...]``  render attitude-entry overlays,
   error decay and effort norms as static SVG files; a CSV whose header is
   not COLUMNS or whose rows are not all finite numbers fails with exit 1
@@ -22,8 +23,9 @@ Errors.  Commands return 0 or raise; `main` alone turns an error into
 an exit code and prints ``error: <message>`` to stderr: 2 numerical
 divergence, 1 any other GyrotrackError (config, schema, gain synthesis),
 OSError (a file that cannot be read or written, or a failed telemetry
-writer or reference body process) or MemoryError (a ``compare`` run too
-long to hold in memory).  A usage error, a bad ``--entries`` among them,
+writer or reference body process) or MemoryError (a ``compare`` whose
+effort columns, 4 floats a sample, do not fit in memory, raised before
+either run starts).  A usage error, a bad ``--entries`` among them,
 exits 1 after argparse prints it.  An output file whose directory is
 missing, or which is itself a directory, fails once the input has loaded,
 before anything is integrated or written; ``compare`` creates its output
@@ -83,15 +85,14 @@ def _check_outputs(*paths):
 
 
 def _write_csv(path, tables, columns=COLUMNS):
-    """Header, then the "%.17g" rows of each table in turn, 128 per write
-    through one row format."""
+    """Header, then the "%.17g" rows of each table in turn, a table per
+    write through one row format: tables of a run's blocks, 128 rows at
+    most, so no text of a whole run is formed."""
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         for table in tables:
-            for start in range(0, len(table), 128):
-                block = table[start:start + 128]
-                fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+            fh.write((row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def _write_json(path, data):
@@ -264,12 +265,14 @@ def cmd_compare(config_path, out_dir):
     cmp_result = compare_efforts(cfg)
     out.mkdir(exist_ok=True)   # only once the run has succeeded
 
-    for path, metrics in zip(efforts, (cmp_result.proposed,
-                                       cmp_result.baseline)):
-        _write_csv(path,
-                   [np.column_stack([cmp_result.times, metrics.effort_l2,
-                                     metrics.effort_uext_l2])],
-                   ("t", "uint_norm", "uext_norm"))
+    step, n = cmp_result.step, len(cmp_result.proposed)
+    for path, effort in zip(efforts, (cmp_result.proposed,
+                                      cmp_result.baseline)):
+        # tables of 128 rows, as `simulate` writes its blocks
+        tables = (np.column_stack([step * np.arange(s, min(s + 128, n)),
+                                   effort[s:s + 128]])
+                  for s in range(0, n, 128))
+        _write_csv(path, tables, ("t", "uint_norm", "uext_norm"))
     summary = {
         "proposed_integral": cmp_result.proposed_integral,
         "baseline_integral": cmp_result.baseline_integral,
@@ -410,7 +413,7 @@ def main(argv=None):
     except (GyrotrackError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MemoryError as exc:   # a compare horizon too long for memory
+    except MemoryError as exc:   # compare's effort columns do not fit
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 

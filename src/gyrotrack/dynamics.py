@@ -39,24 +39,36 @@ from .so3 import (_euler, _matvec, components, from_components,
                   metric_inverse, spd_eigenvalues)
 
 
+# the largest ratio of I's principal moments: past it, I^{-1}
+# (`so3.metric_inverse`) keeps fewer than 10 of a float's 16 digits
+BODY_CONDITION_LIMIT = 1e6
+
+
 @dataclass(frozen=True)
 class InertiaParams:
     """Inertia of the carrier body (I) and of the three rotors (K).
 
-    I is the 3x3 SPD body-frame inertia of the carrier; K is the three
-    spin-axis inertias k_i > 0 of the rotors, kept as given (shape (3,));
-    `locked` alone forms diag(k).  Both are therefore invertible, which is
-    all the rotor block solve needs (see the module docstring).  A
-    rejected input raises ValueError whose message starts with "body" or
-    "rotor".  Only I+K is cached; the kernels' constants come from
-    `kernel_constants` and `so3.metric_inverse`, built by each caller.
+    I is the 3x3 SPD body-frame inertia of the carrier, with condition
+    number at most `BODY_CONDITION_LIMIT`; K is the three spin-axis
+    inertias k_i > 0 of the rotors, kept as given (shape (3,)); `locked`
+    alone forms diag(k).  Both are therefore invertible, which is all the
+    rotor block solve needs (see the module docstring).  The triangle
+    inequality of principal moments is not required: the bundled plant's
+    moments (3.42, 3.80, 8.28) break it.  A rejected input raises
+    ValueError whose message starts with "body" or "rotor".  Only I+K is
+    cached; the kernels' constants come from `kernel_constants` and
+    `so3.metric_inverse`, built by each caller.
     """
 
     body_inertia: np.ndarray
     rotor_inertia: np.ndarray
 
     def __init__(self, body_inertia, rotor_inertia):
-        i, _ = spd_eigenvalues(body_inertia, "body inertia")
+        i, eig = spd_eigenvalues(body_inertia, "body inertia")
+        if eig[-1] / BODY_CONDITION_LIMIT > eig[0]:
+            raise ValueError("body inertia condition number exceeds "
+                             f"{BODY_CONDITION_LIMIT:g}, principal moments "
+                             f"{eig.tolist()}")
         k = np.asarray(rotor_inertia, dtype=float)
         if k.shape != (3,) or not np.isfinite(k).all():
             raise ValueError("rotor inertias must be three finite numbers")

@@ -22,6 +22,7 @@ from hypothesis.extra.numpy import arrays
 from gyrotrack import cli, scenario, stream
 from gyrotrack.cli import COLUMNS, _load_csv, main
 from gyrotrack.config import load_config, parse_config, serialize_config
+from gyrotrack.control import control_uext, control_uint
 from gyrotrack.errors import ConfigParseError
 from gyrotrack.so3 import expm
 
@@ -333,6 +334,13 @@ class TestSimulate:
         assert abs(meta["gains"]["mu_hess_formula"] - 6.8494) < 1e-3
         assert meta["schema"]["columns"] == COLUMNS
 
+    def test_sidecar_psi_max_is_the_largest_psi(self, bundled_run):
+        # the sidecar's fold against the CSV's psi_E column, read back
+        meta = json.loads(bundled_run.with_suffix(".meta.json").read_text())
+        psi = _load_csv(bundled_run)["psi_E"]
+        assert meta["tracking"]["psi_max"] == psi.max()
+        assert meta["tracking"]["psi_final"] == psi[-1]
+
     def test_theta_column_wrapped(self, bundled_run):
         data = _load_csv(bundled_run)
         for k in (1, 2, 3):
@@ -596,6 +604,30 @@ def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path,
     assert peaks[2] - peaks[1] < 0.25e6, peaks
 
 
+def test_compare_memory_grows_by_its_effort_columns_only(tmp_path):
+    # `compare` holds its two runs' effort columns, 32 bytes a sample,
+    # and no run whole: the peak of memory that Python allocates for a
+    # 1.4 s compare is that of a 1.1 s compare within 0.05 MB, where the
+    # two runs held whole, rows and record, grew it by 0.39 MB.  Both
+    # horizons pass two post-passes of 512 rows, each of which holds its
+    # rows while the next is joined; Lie-Euler keeps the traced runs
+    # short, and a first, 0.02 s compare sets up what any compare
+    # allocates once.
+    peaks = []
+    for duration in ("0.02", "1.1", "1.4"):
+        cfg = write_short_config(tmp_path, duration=duration, extra=[(
+            "integrator.scheme = rk4_munthe_kaas",
+            "integrator.scheme = lie_euler")])
+        tracemalloc.start()
+        try:
+            assert main(["compare", str(cfg),
+                         "-o", str(tmp_path / f"cmp_{duration}")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] - peaks[1] < 0.05e6, peaks
+
+
 @pytest.mark.parametrize("command", ["simulate", "plot", "compare"])
 def test_missing_output_dir_exit_1_before_running(command, tmp_path,
                                                   monkeypatch, capsys):
@@ -637,12 +669,13 @@ class TestTuneGains:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("inertia", ["1e300 0 0 0 1e300 0 0 0 1e300",
-                                         "1e-200 0 0 0 1 0 0 0 1",
+                                         "1e-200 0 0 0 1e-200 0 0 0 1e-200",
                                          "1e308 0 0 0 1e308 0 0 0 1e308"],
                              ids=["huge", "tiny", "largest"])
     def test_synthesis_failure_exit_1(self, inertia, tmp_path, capsys,
                                       recwarn):
-        # the config is valid; the eigenvalue bounds of its inertia are not
+        # the config is valid, each inertia of condition number 1; the
+        # eigenvalue bounds of its inertia are not
         cfg = write_short_config(tmp_path, extra=[(
             "plant.I = 4 1 1 1 5.2 2 1 2 6.3", f"plant.I = {inertia}")])
         assert main(["check", str(cfg)]) == 0
@@ -668,6 +701,32 @@ class TestCompare:
             lines = (out / name).read_text().splitlines()
             assert lines[0] == "t,uint_norm,uext_norm"
             assert len(lines) == 1002
+
+    def test_effort_columns_are_the_runs_torques(self, tmp_path):
+        # each row's |I u| and |u_int|, recomputed through the public
+        # control laws from the rows of the proposed law's run alone
+        cfg_path = write_short_config(
+            tmp_path, extra=[("reference.program = zero",
+                              "reference.program = sinusoid"),
+                             ("reference.amplitude = 0.0 0.0 0.0",
+                              "reference.amplitude = 1.0 1.0 1.0")])
+        assert main(["compare", str(cfg_path), "-o",
+                     str(tmp_path / "cmp")]) == 0
+        cfg = load_config(cfg_path)
+        traj, _ = scenario.run_closed_loop(cfg)
+        i = cfg.plant.params.body_inertia
+        u_ext = control_uext(i, cfg.weights.P, cfg.gains, traj.R, traj.Omega,
+                             traj.R_d, traj.Omega_d, traj.Omega_d_dot,
+                             traj.xi_I) @ i.T
+        u_int = control_uint(cfg.plant.params, u_ext, traj.Omega,
+                             traj.OmegaR)
+        t, uint_norm, uext_norm = np.loadtxt(
+            tmp_path / "cmp" / "effort_proposed.csv", delimiter=",",
+            skiprows=1).T
+        assert np.array_equal(t, traj.times)
+        for column, torque in ((uext_norm, u_ext), (uint_norm, u_int)):
+            np.testing.assert_allclose(
+                column, np.linalg.norm(torque, axis=1), rtol=1e-12, atol=0)
 
     def test_missing_parent_exit_1(self, tmp_path):
         cfg = write_short_config(tmp_path)
@@ -808,6 +867,19 @@ class TestCheck:
         assert main(["check", str(bad)]) == 1
         assert "plant.I" in capsys.readouterr().err
 
+    def test_near_singular_inertia_named(self, tmp_path, capsys):
+        # past the condition-number limit the plant fails by its key, not
+        # as a divergence at step 1; the triangle inequality of principal
+        # moments is not required, so diag(4, 5.2, 1e-3) passes
+        for moments, status in (("4 0 0 0 5.2 0 0 0 1e-8", 1),
+                                ("4 0 0 0 5.2 0 0 0 1e-3", 0)):
+            cfg = write_short_config(tmp_path, extra=[(
+                "plant.I = 4 1 1 1 5.2 2 1 2 6.3", f"plant.I = {moments}")])
+            assert main(["check", str(cfg)]) == status
+        err = capsys.readouterr().err
+        assert err.startswith("error: body inertia condition number")
+        assert "key 'plant.I'" in err and len(err.splitlines()) == 1
+
     def test_non_utf8_config_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "binary.cfg"
         bad.write_bytes(b"\xff\xfe plant.I = 1\n")
@@ -912,9 +984,9 @@ class TestOutOfRangeInputs:
 
     def test_memory_error_exit_1(self, tmp_path, capsys):
         # a valid horizon too long for memory, duration 1e12 at the bundled
-        # step: `compare` holds each whole run, and the first one's rows
-        # are allocated before any child process starts (`simulate` holds
-        # one block at a time, at any horizon)
+        # step: `compare` holds its two runs' effort columns, 4 floats a
+        # sample, allocated before any child process starts (`simulate`
+        # holds one block at a time, at any horizon)
         path = write_short_config(tmp_path, duration="1e12")
         assert load_config(path).integrator.n_steps == 10 ** 15
         err = _run_one_error(["compare", str(path), "-o",

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +8,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gyrotrack import dynamics, scenario, so3
+from gyrotrack.config import load_config
 from gyrotrack.integrators import IntegratorConfig, integrate_components
 
 from conftest import random_spd
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def benchmark_params():
@@ -65,6 +69,28 @@ class TestInertiaParams:
         for i in (np.diag([np.inf, 1.0, 1.0]), np.full((3, 3), np.nan)):
             with pytest.raises(ValueError, match="finite"):
                 dynamics.InertiaParams(i, (1, 1, 1))
+
+    def test_rejects_near_singular_body(self):
+        # the limit is on the ratio of the principal moments, at any scale
+        limit = dynamics.BODY_CONDITION_LIMIT
+        for scale in (1e-200, 1.0, 1e200):
+            dynamics.InertiaParams(scale * np.diag([limit, 2.0, 1.0]),
+                                   (1, 1, 1))
+            with pytest.raises(ValueError,
+                               match="^body inertia condition number"):
+                dynamics.InertiaParams(
+                    scale * np.diag([2.0 * limit, 2.0, 1.0]), (1, 1, 1))
+
+    def test_triangle_inequality_of_moments_not_required(self):
+        # the bundled plant's principal moments break it, and the bundled
+        # configs parse with that plant
+        l0, l1, l2 = np.linalg.eigvalsh(scenario.BENCHMARK_PLANT_I)
+        assert l0 + l1 < l2
+        dynamics.InertiaParams(scenario.BENCHMARK_PLANT_I, (5, 6, 7))
+        for program in scenario.PROGRAM_KINDS:
+            cfg = load_config(CONFIGS / f"benchmark_{program}.cfg")
+            assert np.array_equal(cfg.plant.params.body_inertia,
+                                  scenario.BENCHMARK_PLANT_I)
 
     def test_rejects_nondiagonal_rotors(self):
         # K is the three rotor inertias; a matrix, diagonal or not, is

@@ -469,22 +469,24 @@ def short_comparison():
 
 class TestEffortComparison:
     def test_law_against_itself_identical(self, short_comparison):
-        # each side is bit for bit the run of its own law alone
+        # each side's columns are bit for bit those of its own law's run
+        # alone, held whole, at the same times
         cfg, cmp_result = short_comparison
         pd_cfg = dataclasses.replace(cfg, gains=control.pd_variant(cfg.gains))
-        for metrics, run_cfg in ((cmp_result.proposed, cfg),
-                                 (cmp_result.baseline, pd_cfg)):
+        for effort, run_cfg in ((cmp_result.proposed, cfg),
+                                (cmp_result.baseline, pd_cfg)):
             traj, alone = scenario.run_closed_loop(run_cfg)
-            assert np.array_equal(cmp_result.times, traj.times)
-            for field in dataclasses.fields(alone):
-                assert np.array_equal(getattr(metrics, field.name),
-                                      getattr(alone, field.name))
+            assert np.array_equal(
+                cmp_result.step * np.arange(len(effort)), traj.times)
+            assert np.array_equal(effort, np.column_stack(
+                [alone.effort_l2, alone.effort_uext_l2]))
 
     def test_constant_program_smoke(self):
         cfg = short_config("constant", duration=2.0)
         cmp_result = scenario.compare_efforts(cfg)
-        assert np.isfinite(cmp_result.proposed.effort_l2).all()
-        assert np.isfinite(cmp_result.baseline.effort_l2).all()
+        assert cmp_result.proposed.shape == (2001, 2)
+        assert np.isfinite(cmp_result.proposed).all()
+        assert np.isfinite(cmp_result.baseline).all()
         pd_gains = control.pd_variant(cfg.gains)
         assert control.gain_feasible(pd_gains).feasible is False  # PD only
         assert cmp_result.proposed_integral > 0.0
@@ -493,10 +495,19 @@ class TestEffortComparison:
         cfg, cmp_result = short_comparison
         h = cfg.integrator.step
         assert cmp_result.proposed_integral == float(
-            np.trapezoid(cmp_result.proposed.effort_l2, dx=h))
+            np.trapezoid(cmp_result.proposed[:, 0], dx=h))
         assert cmp_result.baseline_integral == float(
-            np.trapezoid(cmp_result.baseline.effort_l2, dx=h))
+            np.trapezoid(cmp_result.baseline[:, 0], dx=h))
         assert cmp_result.proposed_integral != cmp_result.baseline_integral
+
+    def test_horizon_too_long_for_memory_fails_before_running(self,
+                                                              monkeypatch):
+        # both runs' columns are allocated before either run starts
+        def never_run(*args, **kwargs):
+            raise AssertionError("a run started")
+        monkeypatch.setattr(scenario, "closed_loop_blocks", never_run)
+        with pytest.raises(MemoryError):
+            scenario.compare_efforts(short_config(duration=1e12))
 
 
 class TestBodySetup:
