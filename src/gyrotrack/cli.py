@@ -97,7 +97,7 @@ def _write_csv(path, tables, columns=COLUMNS):
 
 def _write_json(path, data):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -277,7 +277,7 @@ def cmd_compare(config_path, out_dir):
         "proposed_integral": cmp_result.proposed_integral,
         "baseline_integral": cmp_result.baseline_integral,
         "ratio": cmp_result.proposed_integral / cmp_result.baseline_integral
-        if cmp_result.baseline_integral else float("nan"),
+        if cmp_result.baseline_integral else None,   # null: no baseline effort
     }
     _write_json(out / "summary.json", summary)
     print(f"wrote {out}/effort_proposed.csv, {out}/effort_baseline.csv, "

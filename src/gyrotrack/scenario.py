@@ -38,7 +38,7 @@ from itertools import islice
 import numpy as np
 
 from .control import (GainSet, NavigationWeights, _error, _loop_kernel,
-                      _metric_spectrum, _uint, ecl_rate_bound, ecl_value,
+                      _metric_spectrum, _uint, ecl_value,
                       error_state, gain_derive, nav_hessian, nav_psi,
                       pd_variant, synthesize_gains, BENCHMARK_MU_HESS,
                       BENCHMARK_LAMBDA_SUP)
@@ -154,21 +154,28 @@ class ScenarioConfig:
 
 @dataclass
 class ClosedLoopTrajectory:
-    """Plant + reference trajectories with per-sample control records."""
+    """Plant + reference trajectories with per-sample control records.
+
+    ``rows`` are the run's samples as `closed_loop_blocks` yields them;
+    R, Theta, Omega, OmegaR, xi_I, R_d, Theta_d, Omega_d and OmegaR_d are
+    read-only views of their columns, in the order a row holds them.
+    """
 
     times: np.ndarray
-    R: np.ndarray
-    Theta: np.ndarray
-    Omega: np.ndarray
-    OmegaR: np.ndarray
-    R_d: np.ndarray
-    Theta_d: np.ndarray
-    Omega_d: np.ndarray
-    OmegaR_d: np.ndarray
+    rows: np.ndarray           # (n, 39), as `closed_loop_blocks` yields them
     Omega_d_dot: np.ndarray
-    xi_I: np.ndarray
     u_ext: np.ndarray          # realized carrier-body torque, N·m
     u_int: np.ndarray          # rotor torque, N·m (zero for external runs)
+
+    R = property(lambda t: t.rows[:, :9].reshape(-1, 3, 3))
+    Theta = property(lambda t: t.rows[:, 9:12])
+    Omega = property(lambda t: t.rows[:, 12:15])
+    OmegaR = property(lambda t: t.rows[:, 15:18])
+    xi_I = property(lambda t: t.rows[:, 18:21])
+    R_d = property(lambda t: t.rows[:, 21:30].reshape(-1, 3, 3))
+    Theta_d = property(lambda t: t.rows[:, 30:33])
+    Omega_d = property(lambda t: t.rows[:, 33:36])
+    OmegaR_d = property(lambda t: t.rows[:, 36:39])
 
     def __len__(self):
         return len(self.times)
@@ -179,9 +186,11 @@ class RunMetrics:
     """Per-sample diagnostics of a closed-loop run.
 
     momentum_drift_series is the sup-norm deviation of the plant's
-    spatial angular momentum from its value at t = 0, momentum_drift its
-    worst; ortho_drift the worst Frobenius defect ||R^T R - 1|| over
-    every stored rotation.
+    spatial angular momentum from its value at t = 0, momentum_drift
+    (a read-only view) its worst; ortho_drift the worst Frobenius defect
+    ||R^T R - 1|| over every stored rotation.  The energy's decay bound
+    `control.ecl_rate_bound` certifies nothing outside
+    `certified_region_mask`, so a caller computes both on demand.
     """
 
     psi_e: np.ndarray
@@ -189,10 +198,10 @@ class RunMetrics:
     effort_l2: np.ndarray
     effort_uext_l2: np.ndarray
     ecl: np.ndarray
-    ecl_bound: np.ndarray
     momentum_drift_series: np.ndarray
-    momentum_drift: float
     ortho_drift: float
+
+    momentum_drift = property(lambda m: float(m.momentum_drift_series.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +337,7 @@ def on_reference_variant(cfg):
 
 _STAGE = 15    # floats of stage values per evaluation: R 9 | Omega | dOmega
 _ROWS = 16     # reference rows per message, after their steps' stage values
+#                (a 1 s run was measured slower with 8 rows and with 128)
 
 
 def _rotor_field(params, torque, record=None):
@@ -485,12 +495,13 @@ def run_closed_loop(cfg, actuation="internal"):
 def block_records(cfg, blocks, actuation="internal"):
     """The ``(ClosedLoopTrajectory, RunMetrics)`` record of each block of
     ``blocks``, contiguous samples of a run of cfg as `closed_loop_blocks`
-    yields them.  The reference's `_rotor_field` and the `_plant_loop`
-    are each called once on their own body's columns, for Omega_d_dot and
-    the torques.  Every value of a record is a function of its own sample
-    and cfg, the momentum drift measured from the spatial momentum of
-    cfg's initial plant state, so any blocks give, row for row, the bits
-    of the whole run's record.
+    yields them, whose trajectory holds the block's rows as they are.
+    The reference's `_rotor_field` and the `_plant_loop` are each called
+    once on their own body's columns, for Omega_d_dot and the torques.
+    Every value of a record is a function of its own sample and cfg, the
+    momentum drift measured from the spatial momentum of cfg's initial
+    plant state, so any blocks give, row for row, the bits of the whole
+    run's record.
     """
     reference = _rotor_field(cfg.reference.params, cfg.program._torque)
     loop = _plant_loop(cfg, actuation)
@@ -519,13 +530,8 @@ def block_records(cfg, blocks, actuation="internal"):
         _, _, u_ext, u_int = loop(times, r, col[9:21],
                                   (*r_d, *omega_d, *ref_rates[3:6]))
         traj = ClosedLoopTrajectory(
-            times=times, R=rows[:, :9].reshape(-1, 3, 3),
-            Theta=rows[:, 9:12], Omega=rows[:, 12:15],
-            OmegaR=rows[:, 15:18], xi_I=rows[:, 18:21],
-            R_d=rows[:, 21:30].reshape(-1, 3, 3), Theta_d=rows[:, 30:33],
-            Omega_d=rows[:, 33:36], OmegaR_d=rows[:, 36:39],
-            Omega_d_dot=from_components(ref_rates[3:6]),
-            u_ext=from_components(u_ext), u_int=from_components(u_int))
+            times, rows, from_components(ref_rates[3:6]),
+            from_components(u_ext), from_components(u_int))
 
         # conservation diagnostics
         drift_series = np.abs(spatial_momentum(r, omega, col[15:18])
@@ -542,9 +548,7 @@ def block_records(cfg, blocks, actuation="internal"):
                                      axis=1),
             effort_uext_l2=np.linalg.norm(traj.u_ext, axis=1),
             ecl=ecl_value(i_metric, p, gains, e, eta, traj.xi_I),
-            ecl_bound=ecl_rate_bound(i_metric, p, gains, e, eta, traj.xi_I),
             momentum_drift_series=drift_series,
-            momentum_drift=float(drift_series.max()),
             ortho_drift=ortho,
         )
 

@@ -104,7 +104,11 @@ def test_criterion_5_energy_decay(certified_runs):
         rate = np.diff(metrics.ecl) / h
         mask = scenario.certified_region_mask(cfg, traj)
         both = mask[:-1] & mask[1:]
-        worst = (rate[both] - metrics.ecl_bound[:-1][both]).max()
+        bound = control.ecl_rate_bound(
+            cfg.plant.params.body_inertia, cfg.weights.P, cfg.gains,
+            *control.error_state(traj.R, traj.Omega, traj.R_d, traj.Omega_d),
+            traj.xi_I)
+        worst = (rate[both] - bound[:-1][both]).max()
         step_rise = np.diff(metrics.ecl).max()
         ok &= worst <= 1e-4 and step_rise <= 1e-6 and both.any()
         details.append(f"{program}: rate-bound gap {worst:.1e} <= 1e-4 on "

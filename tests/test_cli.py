@@ -728,6 +728,26 @@ class TestCompare:
             np.testing.assert_allclose(
                 column, np.linalg.norm(torque, axis=1), rtol=1e-12, atol=0)
 
+    def test_no_baseline_effort_writes_null_ratio(self, tmp_path):
+        # the plant starts on a reference at rest, so neither law applies
+        # torque: strict JSON, which has no NaN, holds the ratio as null
+        cfg = write_short_config(tmp_path, extra=[
+            ("plant.R0 = 0.36 0.48 -0.8 -0.8 0.6 0 0.48 0.64 0.6",
+             "plant.R0 = 1 0 0 0 1 0 0 0 1"),
+            ("plant.IOmega0 = 1 2.2 5.1", "plant.IOmega0 = 0 0 0"),
+            ("plant.OmegaR0 = 0.5 1.9 1.5", "plant.OmegaR0 = 0 0 0"),
+            ("reference.IOmega0 = -0.8 -0.3 -0.5",
+             "reference.IOmega0 = 0 0 0")])
+        out = tmp_path / "cmp"
+        assert main(["compare", str(cfg), "-o", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+        summary = json.loads((out / "summary.json").read_text(),
+                             parse_constant=reject)
+        assert summary == {"baseline_integral": 0.0,
+                           "proposed_integral": 0.0, "ratio": None}
+
     def test_missing_parent_exit_1(self, tmp_path):
         cfg = write_short_config(tmp_path)
         assert main(["compare", str(cfg),

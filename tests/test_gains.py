@@ -7,9 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gyrotrack import control, scenario
-from gyrotrack.control import (ecl_rate_bound, ecl_value, gain_derive,
-                               gain_feasible, pd_variant, q_matrix,
-                               synthesize_gains)
+from gyrotrack.control import (ecl_rate_bound, ecl_value, error_state,
+                               gain_derive, gain_feasible, pd_variant,
+                               q_matrix, synthesize_gains)
 from gyrotrack.errors import KappaOutOfRangeError
 from gyrotrack.integrators import step_lie
 from gyrotrack.so3 import components
@@ -270,7 +270,11 @@ class TestEnergyFunction:
         mask = scenario.certified_region_mask(cfg, traj)
         both = mask[:-1] & mask[1:]
         assert both.any()
-        assert (rate[both] <= metrics.ecl_bound[:-1][both] + 1e-4).all()
+        bound = ecl_rate_bound(
+            cfg.plant.params.body_inertia, cfg.weights.P, cfg.gains,
+            *error_state(traj.R, traj.Omega, traj.R_d, traj.Omega_d),
+            traj.xi_I)
+        assert (rate[both] <= bound[:-1][both] + 1e-4).all()
 
     def test_ecl_value_consistent_with_run_series(self, certified_zero_run):
         cfg, traj, metrics = certified_zero_run
@@ -281,8 +285,66 @@ class TestEnergyFunction:
             err = e, eta, traj.xi_I[k]
             assert abs(ecl_value(i, cfg.weights.P, cfg.gains, *err)
                        - metrics.ecl[k]) < 1e-10
-            assert abs(ecl_rate_bound(i, cfg.weights.P, cfg.gains, *err)
-                       - metrics.ecl_bound[k]) < 1e-10
+
+    @settings(max_examples=300, deadline=None)
+    @given(axis_angle=st.tuples(*[st.floats(-1.0, 1.0)] * 3,
+                                st.floats(0.0, 3.14)),
+           eta=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+           xi=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+           i_root=st.tuples(*[st.floats(-1.0, 1.0)] * 9, st.floats(0.2, 3.0)),
+           p_root=st.tuples(*[st.floats(-1.0, 1.0)] * 9, st.floats(0.2, 3.0)),
+           gains=st.tuples(st.floats(0.1, 60.0), st.floats(0.5, 6.0),
+                           st.floats(0.01, 8.0), st.floats(1.2, 8.0),
+                           st.floats(1.01, 1.99)))
+    def test_ecl_value_is_the_papers_energy(self, axis_angle, eta, xi,
+                                            i_root, p_root, gains):
+        # V = 1/2 <eta, eta> + k_p psi + tau/2 <xi, xi> + alpha <grad, eta>
+        #     + beta <xi, eta> + delta <grad, xi>, <a, b> = a^T I b, written
+        # out here: psi(E) = tr(P (1 - E)), grad = I^{-1} dpsi with dpsi
+        # the central differences of psi along E expm(h e_k), expm by
+        # Rodrigues, and the weights from the gains as the paper derives
+        # them
+        def rodrigues(axis, angle):
+            x, y, z = axis
+            k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+            return np.eye(3) + np.sin(angle) * k \
+                + (1.0 - np.cos(angle)) * (k @ k)
+
+        def spd(root):
+            a = np.reshape(root[:9], (3, 3))
+            return a @ a.T + root[9] * np.eye(3)
+
+        *axis, angle = axis_angle
+        assume(np.linalg.norm(axis) > 1e-3)
+        e = rodrigues(np.asarray(axis) / np.linalg.norm(axis), angle)
+        eta, xi = np.array(eta), np.array(xi)
+        i, p = spd(i_root), spd(p_root)
+        kp, kd, ki, mu_hess, kappa_scale = gains
+        kappa = kappa_scale / mu_hess
+        g = gain_derive(kp, kd, ki, kappa, mu_hess)
+
+        def psi(rot):
+            return np.trace(p @ (np.eye(3) - rot))
+
+        h = 1e-4
+        dpsi = np.array([(psi(e @ rodrigues(unit, h))
+                          - psi(e @ rodrigues(unit, -h))) / (2.0 * h)
+                         for unit in np.eye(3)])
+        grad = np.linalg.solve(i, dpsi)
+
+        def inner(a, b):
+            return a @ i @ b
+
+        beta = ki / kd
+        alpha = beta / kd
+        tau = kp * beta + alpha * ki
+        delta = 2.0 * kappa * ki
+        terms = (0.5 * inner(eta, eta), kp * psi(e), 0.5 * tau * inner(xi, xi),
+                 alpha * inner(grad, eta), beta * inner(xi, eta),
+                 delta * inner(grad, xi))
+        # the differences' truncation is below 2e-9 of |dpsi|
+        assert abs(ecl_value(i, p, g, e, eta, xi) - sum(terms)) \
+            <= 1e-8 * (1.0 + sum(map(abs, terms)))
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1))

@@ -114,7 +114,7 @@ def test_forked_and_in_process_runs_are_identical(program, actuation,
             for value in vars(part).values()
             if isinstance(value, np.ndarray)])
     assert runs[0] == runs[1]
-    assert len(runs[0]) == 21   # the blocks and 20 arrays of the record
+    assert len(runs[0]) == 12   # the blocks and 11 arrays of the record
 
 
 @pytest.mark.parametrize("end", ["success", "divergence",

@@ -279,11 +279,28 @@ class TestClosedLoop:
             meta = json.loads(out.with_suffix(".meta.json").read_text())
             assert meta["feasibility"]["feasible"] is feasible
 
+    def test_trajectory_columns_are_views_of_its_rows(self):
+        traj, metrics = scenario.run_closed_loop(short_config(duration=0.5))
+        assert traj.rows.shape == (501, 39)
+        names = ("R", "Theta", "Omega", "OmegaR", "xi_I", "R_d", "Theta_d",
+                 "Omega_d", "OmegaR_d")
+        for name in names:
+            assert np.shares_memory(getattr(traj, name), traj.rows), name
+            with pytest.raises(AttributeError):
+                setattr(traj, name, getattr(traj, name))
+        widths = [getattr(traj, name).reshape(501, -1).shape[1]
+                  for name in names]
+        assert np.concatenate([getattr(traj, name).reshape(501, -1)
+                               for name in names], axis=1).tobytes() == \
+            traj.rows.tobytes() and widths == [9, 3, 3, 3, 3, 9, 3, 3, 3]
+        assert metrics.momentum_drift == metrics.momentum_drift_series.max()
+        assert not hasattr(metrics, "ecl_bound")
+
     def test_metrics_aligned_with_trajectory(self):
         traj, metrics = scenario.run_closed_loop(short_config(duration=1.0))
         n = len(traj)
         for arr in (metrics.psi_e, metrics.geo_err, metrics.effort_l2,
-                    metrics.effort_uext_l2, metrics.ecl, metrics.ecl_bound,
+                    metrics.effort_uext_l2, metrics.ecl,
                     metrics.momentum_drift_series):
             assert arr.shape == (n,)
 
