@@ -27,9 +27,10 @@ writer or reference body process) or MemoryError (a ``compare`` whose
 effort columns, 4 floats a sample, do not fit in memory, raised before
 either run starts).  A usage error, a bad ``--entries`` among them,
 exits 1 after argparse prints it.  An output file whose directory is
-missing, or which is itself a directory, fails once the input has loaded,
-before anything is integrated or written; ``compare`` creates its output
-directory only after the run.
+missing (or, for a symlink, that of the file it names), or which is
+itself a directory, fails once the input has loaded, before anything is
+integrated or written; ``compare`` creates its output directory only
+after the run.
 
 The CSV schema is a stable contract (see COLUMNS): one row per sample,
 numbers with 17 significant digits, comma separated, LF line endings.
@@ -74,12 +75,14 @@ _PLANT_COLOR = "#1f77b4"       # controlled trajectory in blue
 
 
 def _check_outputs(*paths):
-    """Raise OSError unless each path's parent directory exists and the
-    path is not itself a directory."""
+    """Raise OSError unless each path's parent directory exists (for a
+    symlink, also that of the file it names) and the path is not itself
+    a directory."""
     for path in map(Path, paths):
-        if not path.parent.is_dir():
-            raise FileNotFoundError(
-                f"parent directory {path.parent} does not exist")
+        for parent in (path.parent, path.resolve().parent):
+            if not parent.is_dir():
+                raise FileNotFoundError(
+                    f"parent directory {parent} does not exist")
         if path.is_dir():
             raise IsADirectoryError(f"output {path} is a directory")
 
@@ -121,24 +124,21 @@ def _run_with_writer(cfg, out, meta):
     run's one post-pass, and the sidecar's scalars folded as they come.
     Each goes to a temporary dot-name, created here with the mode `open`
     gives, that replaces it once both have succeeded; a failure removes
-    them."""
+    the temporaries this process created, never a file whose name it
+    found taken."""
     outs = [out.resolve(), meta.resolve()]   # a symlink's target is replaced
-    tmps = [path.with_name(f".{path.name}.{os.urandom(4).hex()}")
-            for path in outs]
-    for tmp in tmps:
-        os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    tmps = []
 
     def tables(blocks, folded):
         # set up once the first block has come, not while the run starts
         blocks = itertools.chain([next(blocks)], blocks)
-        samples, worst = 0, (-math.inf,) * 3
+        worst = (-math.inf,) * 3
         for traj, metrics in block_records(cfg, blocks):
-            samples += len(traj)
             worst = tuple(map(max, worst, (metrics.momentum_drift,
                                            metrics.ortho_drift,
                                            float(metrics.psi_e.max()))))
             yield _telemetry(traj, metrics)
-        folded.update(samples=samples, worst=worst, last=metrics)
+        folded.update(worst=worst, last=metrics)
 
     def write(blocks):
         try:
@@ -151,6 +151,10 @@ def _run_with_writer(cfg, out, meta):
             raise
 
     try:
+        for path in outs:
+            tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}")
+            os.close(os.open(tmp, os.O_CREAT | os.O_EXCL, 0o666))
+            tmps.append(tmp)
         with contextlib.closing(closed_loop_blocks(cfg)) as blocks, \
                 child(write, child_reads=True,
                       what="telemetry writer") as feed:
@@ -175,14 +179,15 @@ def _feasibility_json(verdict):
     }
 
 
-def _metadata(cfg, samples, worst, last):
+def _metadata(cfg, worst, last):
     """A run's sidecar: ``worst`` its largest momentum and orthogonality
-    drifts and psi, ``last`` its last block's metrics."""
+    drifts and psi, ``last`` its last block's metrics; a run that
+    succeeds has every sample of its integrator."""
     g = cfg.gains
     i_plant = cfg.plant.params.body_inertia
     return {
         "schema": {"columns": COLUMNS, "version": 1},
-        "samples": samples,
+        "samples": cfg.integrator.n_steps + 1,
         "gains": {"kp": g.kp, "kd": g.kd, "ki": g.ki, "kappa": g.kappa,
                   "sigma": g.sigma, "alpha": g.alpha, "beta": g.beta,
                   "tau": g.tau, "delta": g.delta, "mu_hess": g.mu_hess,

@@ -416,30 +416,38 @@ def q_matrix(gains):
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:
-    """Outcome of the gain inequalities.
+    """Outcome of the gain inequalities for ``gains``.
 
-    checks maps a label to (lhs, rhs, ok) with the convention lhs > rhs.
-    kp_floor_any_kappa is the infimum of the k_p floor over admissible
-    kappa; k_p below it fails for every kappa choice.
+    checks maps a label to (lhs, rhs, ok) with the convention lhs > rhs;
+    the rest are read-only views of the two fields: feasible (every check
+    ok), kp_floor (the larger of the two k_p floors of checks), ki_bound
+    (`GainSet.ki_bound`) and kp_floor_any_kappa = 2 k_d^2 / mu_hess, the
+    infimum of the k_p floor over admissible kappa; k_p below it fails
+    for every kappa choice.
     """
 
-    feasible: bool
-    kp_floor: float
-    ki_bound: float
-    kp_floor_any_kappa: float
+    gains: GainSet
     checks: dict
+
+    feasible = property(lambda v: all(ok for _, _, ok in v.checks.values()))
+    kp_floor = property(lambda v: max(v.checks["kp_gt_2_kappa_kd2"][1],
+                                      v.checks["kp_gt_positivity_floor"][1]))
+    ki_bound = property(lambda v: v.gains.ki_bound)
+    kp_floor_any_kappa = property(
+        lambda v: 2.0 * v.gains.kd ** 2 / v.gains.mu_hess)
 
 
 def gain_feasible(gains):
-    """Evaluate both certification inequalities for a derived GainSet.
+    """The checks of both certification inequalities for a derived
+    GainSet, as a `FeasibilityVerdict`.
 
-    feasible requires k_p > kp_floor, where kp_floor is the larger of
-    2 kappa k_d^2 and the positivity floor
+    feasible requires k_p above 2 kappa k_d^2 and above the positivity
+    floor
 
         (lambda k_I^2 / 2 k_d^4) (1 + sqrt(1 + 4 k_d^3 (k_I^2 + 4 kappa^2
         k_d^6) / (lambda k_I^3)))
 
-    together with 0 < k_I < (k_d^3/mu)(1 - sigma^2).
+    (0 when k_I = 0), together with 0 < k_I < (k_d^3/mu)(1 - sigma^2).
     """
     g = gains
     floor_q, ki_bound = g.kp_floor_q, g.ki_bound
@@ -450,21 +458,12 @@ def gain_feasible(gains):
             * (1.0 + math.sqrt(inner))
     else:
         floor_pos = 0.0
-    kp_floor = max(floor_q, floor_pos)
-    checks = {
+    return FeasibilityVerdict(g, {
         "kp_gt_2_kappa_kd2": (g.kp, floor_q, g.kp > floor_q),
         "kp_gt_positivity_floor": (g.kp, floor_pos, g.kp > floor_pos),
         "ki_gt_zero": (g.ki, 0.0, g.ki > 0.0),
         "ki_lt_bound": (ki_bound, g.ki, g.ki < ki_bound),
-    }
-    feasible = all(ok for _, _, ok in checks.values())
-    return FeasibilityVerdict(
-        feasible=feasible,
-        kp_floor=float(kp_floor),
-        ki_bound=float(ki_bound),
-        kp_floor_any_kappa=float(2.0 * g.kd ** 2 / g.mu_hess),
-        checks=checks,
-    )
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -594,13 +594,18 @@ class EffortComparison:
     their effort columns: row k of ``proposed`` and of ``baseline`` holds
     the rotor torque's norm ||u_int|| and the carrier torque's ||I u||
     (`RunMetrics.effort_l2` and ``effort_uext_l2``) of its run at time
-    ``step * k``, the time `block_records` gives sample k."""
+    ``step * k``, the time `block_records` gives sample k.
+    ``proposed_integral`` and ``baseline_integral`` are read-only views:
+    the trapezoid rule of each run's ||u_int|| column at ``step``."""
 
     step: float
     proposed: np.ndarray         # (n+1, 2): ||u_int||, ||I u||
     baseline: np.ndarray
-    proposed_integral: float     # integral of ||u_int|| dt
-    baseline_integral: float
+
+    proposed_integral = property(
+        lambda c: float(np.trapezoid(c.proposed[:, 0], dx=c.step)))
+    baseline_integral = property(
+        lambda c: float(np.trapezoid(c.baseline[:, 0], dx=c.step)))
 
 
 def compare_efforts(cfg):
@@ -608,13 +613,12 @@ def compare_efforts(cfg):
 
     The baseline is `pd_variant` of the gains: the same P, k_p and k_d
     with the integral channel removed.  Both runs see identical initial
-    states.  Each run's checked blocks (`closed_loop_blocks`) are folded
-    as they come, four to a post-pass (`block_records`), into its two
-    effort columns; both runs' columns are allocated first (MemoryError
-    before either run starts), and no run is held whole.  The integrals
-    are the trapezoid rule of ||u_int|| at the integrator step.
+    states; each `closed_loop_blocks` resolves the same reference.  Each
+    run's checked blocks are folded as they come, four to a post-pass
+    (`block_records`), into its two effort columns; both runs' columns
+    are allocated first (MemoryError before either run starts), and no
+    run is held whole.  The result holds the step and the columns.
     """
-    cfg = resolve_reference(cfg)
     efforts = np.empty((2, cfg.integrator.n_steps + 1, 2))
     for out, gains in zip(efforts, (cfg.gains, pd_variant(cfg.gains))):
         run, stop = dataclasses.replace(cfg, gains=gains), 0
@@ -626,6 +630,4 @@ def compare_efforts(cfg):
                 start, stop = stop, stop + len(metrics.effort_l2)
                 out[start:stop, 0] = metrics.effort_l2
                 out[start:stop, 1] = metrics.effort_uext_l2
-    dt = cfg.integrator.step
-    integrals = (float(np.trapezoid(out[:, 0], dx=dt)) for out in efforts)
-    return EffortComparison(dt, *efforts, *integrals)
+    return EffortComparison(cfg.integrator.step, *efforts)

@@ -1,0 +1,286 @@
+"""The mutant catalogue: small edits of the package that Tier-1 must fail.
+
+    python tests/mutants.py [--list] [--only NAME ...] [--tests PATH ...]
+
+Each mutant is applied alone to a copy of the repository in a temporary
+directory: the one occurrence of its old text in its module is replaced
+by its new text, and the Tier-1 suite runs there with ``-x``.  A line per
+mutant reports KILLED with the first failing test, or SURVIVED; a
+survivor with a reason is an equivalent (or near-equivalent) mutant,
+which no test can fail.  An entry whose old text no longer occurs exactly
+once in its module reports STALE.  ``--tests`` runs only those test
+files or ids (relative to the repository), for a property that should
+kill a mutant on its own.  The run takes minutes: a killed mutant stops
+at its first failure, a survivor runs the whole suite.  The exit status
+is 1 if any mutant without a reason survived or any entry is stale.
+
+pytest does not collect this file (its name does not start with
+``test_``).
+"""
+
+import argparse
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+# (name, module of src/gyrotrack, old text, new text, reason or None);
+# the reason says why a mutant is equivalent
+MUTANTS = [
+    # so3
+    ("conn_matrix transposed", "so3",
+     """    return (a0 * x00 + a1 * x10 + a2 * x20,
+            a0 * x01 + a1 * x11 + a2 * x21,
+            a0 * x02 + a1 * x12 + a2 * x22,
+            a0 * y00 + a1 * y10 + a2 * y20,
+            a0 * y01 + a1 * y11 + a2 * y21,
+            a0 * y02 + a1 * y12 + a2 * y22,
+            a0 * z00 + a1 * z10 + a2 * z20,""",
+     """    return (a0 * x00 + a1 * x10 + a2 * x20,
+            a0 * y00 + a1 * y10 + a2 * y20,
+            a0 * z00 + a1 * z10 + a2 * z20,
+            a0 * x01 + a1 * x11 + a2 * x21,
+            a0 * y01 + a1 * y11 + a2 * y21,
+            a0 * z01 + a1 * z11 + a2 * z21,
+            a0 * x02 + a1 * x12 + a2 * x22,""", None),
+    ("euler term's sign", "so3",
+     "c0, c1, c2 = a1 * p2 - a2 * p1, a2 * p0 - a0 * p2, a0 * p1 - a1 * p0",
+     "c0, c1, c2 = a2 * p1 - a1 * p2, a0 * p2 - a2 * p0, a1 * p0 - a0 * p1",
+     None),
+    ("euler sum re-associated", "so3",
+     "p0 = i0 * a0 + i1 * a1 + i2 * a2",
+     "p0 = i0 * a0 + (i1 * a1 + i2 * a2)", None),
+    ("mul_expm Q R for R Q", "so3",
+     "    return (r0 * q0 + r1 * q3 + r2 * q6,",
+     "    (r0, r1, r2, r3, r4, r5, r6, r7, r8), (q0, q1, q2, q3, q4, q5, q6,\n"
+     "        q7, q8) = (q0, q1, q2, q3, q4, q5, q6, q7, q8), r\n"
+     "    return (r0 * q0 + r1 * q3 + r2 * q6,", None),
+    ("mul_expm theta^2 from c^2 (v . v)", "so3",
+     "theta2 = x * x + y * y + z * z",
+     "theta2 = c * c * (v0 * v0 + v1 * v1 + v2 * v2)", None),
+    ("mul_expm product re-associated", "so3",
+     "q0, q1, q2 = d + b * x * x, bxy - az, bxz + ay",
+     "q0, q1, q2 = d + b * (x * x), bxy - az, bxz + ay", None),
+    # integrators
+    ("snap coefficient 1.5 -> 1.4", "integrators",
+     "return (1.5 * r0 - 0.5 * (g00 * r0 + g01 * r3 + g02 * r6),",
+     "return (1.4 * r0 - 0.5 * (g00 * r0 + g01 * r3 + g02 * r6),", None),
+    ("dexpinv without its 1/12 term", "integrators",
+     """    return (b0 + 0.5 * x0 + (s1 * x2 - s2 * x1) / 12.0,
+            b1 + 0.5 * x1 + (s2 * x0 - s0 * x2) / 12.0,
+            b2 + 0.5 * x2 + (s0 * x1 - s1 * x0) / 12.0)""",
+     "    return b0 + 0.5 * x0, b1 + 0.5 * x1, b2 + 0.5 * x2", None),
+    ("stage 2 without dexpinv", "integrators",
+     "k2 = _dexpinv_right(half, k1, w)", "k2 = w", None),
+    ("stage 3 from k1", "integrators",
+     "w, v3 = vector_field(t + half, _mul_expm(r, half, k2),",
+     "w, v3 = vector_field(t + half, _mul_expm(r, half, k1),", None),
+    ("stage-3 slope from k1", "integrators",
+     "k3 = _dexpinv_right(half, k2, w)", "k3 = _dexpinv_right(half, k1, w)",
+     None),
+    ("stage 4 at the step's start", "integrators",
+     "w, v4 = vector_field(t + h, _mul_expm(r, h, k3),",
+     "w, v4 = vector_field(t, _mul_expm(r, h, k3),", None),
+    ("final combination reordered", "integrators",
+     "r = _mul_expm(r, sixth, (a0 + 2.0 * b0 + 2.0 * c0 + d0,",
+     "r = _mul_expm(r, sixth, (a0 + d0 + 2.0 * b0 + 2.0 * c0,", None),
+    ("check exempts each block's first row", "integrators",
+     "finite[:1] |= not start", "finite[:1] = True", None),
+    ("check reports the next row", "integrators",
+     "i = start + int(finite.argmin())",
+     "i = start + int(finite.argmin()) + 1", None),
+    # dynamics
+    ("external Euler term's sign", "dynamics",
+     "return u0 - n0, u1 - n1, u2 - n2", "return u0 + n0, u1 + n1, u2 + n2",
+     None),
+    ("block solve's rows swapped", "dynamics",
+     "return (d0, d1, d2), (u0 / k0 - d0, u1 / k1 - d1, u2 / k2 - d2)",
+     "return (u0 / k0 - d0, u1 / k1 - d1, u2 / k2 - d2), (d0, d1, d2)",
+     None),
+    ("Pi x Omega's sign", "dynamics",
+     """    f0 = (p1 * w2 - p2 * w1) - u0
+    f1 = (p2 * w0 - p0 * w2) - u1
+    f2 = (p0 * w1 - p1 * w0) - u2""",
+     """    f0 = (p2 * w1 - p1 * w2) - u0
+    f1 = (p0 * w2 - p2 * w0) - u1
+    f2 = (p1 * w0 - p0 * w1) - u2""", None),
+    ("momentum sum re-associated", "dynamics",
+     "return (l0 * w0 + l1 * w1 + l2 * w2 + k0 * r0,",
+     "return (l0 * w0 + l1 * w1 + (l2 * w2 + k0 * r0),", None),
+    # control
+    ("feed-forward's x dropped", "control",
+     "return ((a0 + (w1 * v2 - w2 * v1) + n0",
+     "return (((w1 * v2 - w2 * v1) + n0", None),
+    ("Omega_d x Omega for Omega x Omega_d", "control",
+     """    return ((a0 + (w1 * v2 - w2 * v1) + n0 + (r0 * b0 + r3 * b1 + r6 * b2),
+             a1 + (w2 * v0 - w0 * v2) + n1 + (r1 * b0 + r4 * b1 + r7 * b2),
+             a2 + (w0 * v1 - w1 * v0) + n2""",
+     """    return ((a0 + (v1 * w2 - v2 * w1) + n0 + (r0 * b0 + r3 * b1 + r6 * b2),
+             a1 + (v2 * w0 - v0 * w2) + n1 + (r1 * b0 + r4 * b1 + r7 * b2),
+             a2 + (v0 * w1 - v1 * w0) + n2""", None),
+    ("u_int cross-term's sign", "control",
+     """    return ((p1 * w2 - p2 * w1) - u0, (p2 * w0 - p0 * w2) - u1,
+            (p0 * w1 - p1 * w0) - u2)""",
+     """    return ((w1 * p2 - w2 * p1) - u0, (w2 * p0 - w0 * p2) - u1,
+            (w0 * p1 - w1 * p0) - u2)""", None),
+    ("feedback without C(eta) xi_I", "control",
+     """            (g0 - (c0 * x0 + c1 * x1 + c2 * x2),
+             g1 - (c3 * x0 + c4 * x1 + c5 * x2),
+             g2 - (c6 * x0 + c7 * x1 + c8 * x2)))""",
+     "            (g0, g1, g2))", None),
+    ("dpsi sum re-associated", "control",
+     "m1 = p0 * e1 + p1 * e4 + p2 * e7", "m1 = p0 * e1 + (p1 * e4 + p2 * e7)",
+     None),
+    ("Q13's sign", "control",
+     "q[0, 2] = q[2, 0] = -g.sigma * g.ki",
+     "q[0, 2] = q[2, 0] = g.sigma * g.ki", None),
+    ("Q13's sign, one entry alone", "control",
+     "q[0, 2] = q[2, 0] = -g.sigma * g.ki",
+     "q[2, 0] = -g.sigma * g.ki\n    q[0, 2] = g.sigma * g.ki", None),
+    ("mu_hess_formula over l_max", "control",
+     "return float(2.0 * (eig[0] + eig[-1]) / eig[0])",
+     "return float(2.0 * (eig[0] + eig[-1]) / eig[-1])", None),
+    ("lambda_sup_formula with l_min not squared", "control",
+     "return float(2.0 * eig[-1] / eig[0] ** 2)",
+     "return float(2.0 * eig[-1] / eig[0])", None),
+    ("ecl_value's alpha term weighted by beta", "control",
+     "+ gains.alpha * np.vecdot(dpsi, eta)",
+     "+ gains.beta * np.vecdot(dpsi, eta)", None),
+    ("nav_hessian not symmetrized", "control",
+     "return 0.5 * (h + h.mT)", "return h",
+     "the form is already symmetric within 5e-16: the connection is "
+     "torsion-free"),
+    ("kp_floor_q scaled by 0.1", "control",
+     "kp_floor_q = property(lambda g: 2.0 * g.kappa * g.kd ** 2)",
+     "kp_floor_q = property(lambda g: 0.2 * g.kappa * g.kd ** 2)", None),
+    ("ki_bound scaled by 10", "control",
+     "ki_bound = property(lambda g: (g.kd ** 3 / g.mu_hess)",
+     "ki_bound = property(lambda g: 10.0 * (g.kd ** 3 / g.mu_hess)", None),
+    ("verdict's kp_floor the smaller floor", "control",
+     "kp_floor = property(lambda v: max(",
+     "kp_floor = property(lambda v: min(", None),
+    ("verdict feasible if any check is", "control",
+     "feasible = property(lambda v: all(",
+     "feasible = property(lambda v: any(", None),
+    # scenario
+    ("torque program shifted by 1e-12", "scenario",
+     "return c0 + s0 * s, c1 + s1 * c, c2 + s2 * s",
+     "return c0 + s0 * s + 1e-12, c1 + s1 * c, c2 + s2 * s", None),
+    ("drift from each block's first sample", "scenario",
+     "                              - momentum0).max(axis=1)",
+     "                              - spatial_momentum(r, omega, col[15:18])"
+     "[:1]).max(axis=1)", None),
+    ("effort_uext_l2 from u_int", "scenario",
+     "effort_uext_l2=np.linalg.norm(traj.u_ext, axis=1),",
+     "effort_uext_l2=np.linalg.norm(traj.u_int, axis=1),", None),
+    ("certified region without its slack", "scenario",
+     "return shape_ok & (lhs <= rhs + 1e-12)", "return shape_ok & (lhs <= rhs)",
+     "near-equivalent: it only moves samples on the region's boundary"),
+    ("baseline run with the proposed gains", "scenario",
+     "(cfg.gains, pd_variant(cfg.gains))", "(cfg.gains, cfg.gains)", None),
+    ("proposed integral over column 1", "scenario",
+     "c.proposed[:, 0], dx=c.step", "c.proposed[:, 1], dx=c.step", None),
+    ("baseline integral at twice the step", "scenario",
+     "c.baseline[:, 0], dx=c.step", "c.baseline[:, 0], dx=2.0 * c.step", None),
+    # cli
+    ("sidecar psi_max from the orthogonality drift", "cli",
+     '"psi_max": worst[2]', '"psi_max": worst[1]', None),
+    ("sidecar samples one short", "cli",
+     '"samples": cfg.integrator.n_steps + 1,',
+     '"samples": cfg.integrator.n_steps,', None),
+    ("output check ignores a symlink's target", "cli",
+     "for parent in (path.parent, path.resolve().parent):",
+     "for parent in (path.parent,):", None),
+    ("private 0600 temporary files", "cli", "0o666))", "0o600))", None),
+    ("no clean-up in the parent", "cli",
+     """    except BaseException:
+        for tmp in tmps:
+            with contextlib.suppress(FileNotFoundError):   # the writer's
+                os.unlink(tmp)
+        raise""",
+     """    except BaseException:
+        raise""", None),
+    # stream
+    ("no niceness for a reading child", "stream",
+     "                    os.nice(10)\n", "", None),
+    ("no flush after a message", "stream",
+     "    pipe.write(block)\n    pipe.flush()", "    pipe.write(block)", None),
+    ("other children's ends left open", "stream",
+     "                    os.close(end.fileno())",
+     "                    pass", None),
+]
+
+_IGNORE = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache",
+                                 "__pycache__", ".bench_work", ".benchmarks")
+
+
+def stale(module_text, old):
+    """Whether ``old`` does not occur exactly once in a module's text."""
+    return module_text.count(old) != 1
+
+
+def first_failure(output):
+    """The first FAILED or ERROR id of pytest's short summary, or None."""
+    match = re.search(r"^(?:FAILED|ERROR) (\S+)", output, re.MULTILINE)
+    return match and match.group(1)
+
+
+def run_mutant(module, old, new, tests):
+    """(status, first failing test, seconds) of Tier-1 on a mutated copy."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(REPO, copy, ignore=_IGNORE)
+        path = copy / "src" / "gyrotrack" / f"{module}.py"
+        path.write_text(path.read_text().replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"),
+                   PYTHONDONTWRITEBYTECODE="1")
+        began = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p",
+             "no:cacheprovider", "--continue-on-collection-errors", *tests],
+            cwd=copy, env=env, capture_output=True, text=True)
+        seconds = time.monotonic() - began
+    if proc.returncode == 0:
+        return "SURVIVED", None, seconds
+    if proc.returncode == 1:
+        return "KILLED", first_failure(proc.stdout), seconds
+    return f"ERROR (pytest exit {proc.returncode})", None, seconds
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--list", action="store_true",
+                        help="list the catalogue and exit")
+    parser.add_argument("--only", nargs="+", metavar="NAME",
+                        help="run only the mutants of these names")
+    parser.add_argument("--tests", nargs="+", default=[], metavar="PATH",
+                        help="test files or ids to run, not all of Tier-1")
+    args = parser.parse_args(argv)
+    chosen = [m for m in MUTANTS if not args.only or m[0] in args.only]
+    if args.list:
+        for name, module, _, _, reason in chosen:
+            print(f"{module:12} {name}" + (f"  ({reason})" if reason else ""))
+        return 0
+    failed = False
+    for name, module, old, new, reason in chosen:
+        text = (REPO / "src" / "gyrotrack" / f"{module}.py").read_text()
+        if stale(text, old):
+            status, test, seconds = "STALE", None, 0.0
+        else:
+            status, test, seconds = run_mutant(module, old, new, args.tests)
+        failed |= status == "STALE" or (status == "SURVIVED" and not reason)
+        note = test or (f"equivalent: {reason}" if reason
+                        and status == "SURVIVED" else "")
+        print(f"{status:9} {seconds:6.1f} s  {module}: {name}"
+              + (f"  [{note}]" if note else ""), flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import itertools
 import json
@@ -187,6 +188,13 @@ class TestConfigFormat:
         with pytest.raises(ConfigParseError, match="plant.J"):
             parse_config("plant.J = 1\n")
 
+    def test_line_without_equals_named(self):
+        text = ZERO_CFG.read_text().replace("plant.K = 5 6 7", "plant.K 5 6 7")
+        with pytest.raises(ConfigParseError) as err:
+            parse_config(text)
+        assert (err.value.key, err.value.line) == (None, 4)
+        assert str(err.value) == "expected 'key = value' (line 4)"
+
     def test_missing_key_named(self):
         with pytest.raises(ConfigParseError, match="plant.I"):
             parse_config("gains.kp = 1\n")
@@ -258,6 +266,10 @@ class TestConfigFormat:
         ("gains.mu_hess = 2.0048", "gains.mu_hess = -1", "gains.mu_hess"),
         ("gains.lambda_sup = 1.42", "gains.lambda_sup = 0",
          "gains.lambda_sup"),
+        ("gains.kd = 3", "gains.kd = ", "gains.kd"),   # an empty value
+        # a word outside its set
+        ("integrator.scheme = rk4_munthe_kaas", "integrator.scheme = rk5",
+         "integrator.scheme"),
         ("integrator.step = 0.001", "integrator.step = 0", "integrator.step"),
         ("integrator.duration = 30", "integrator.duration = 1e308",
          "integrator.duration")])
@@ -559,6 +571,60 @@ class TestTelemetryWriter:
         while list(out.iterdir()):
             assert time.monotonic() < deadline
             time.sleep(0.02)
+
+    def test_sidecar_linked_into_a_missing_directory_exit_1(self, tmp_path,
+                                                            monkeypatch,
+                                                            capfd):
+        # the sidecar's path is a symlink to a file in a directory that
+        # does not exist: the error names that directory, and nothing is
+        # created
+        cfg = write_short_config(tmp_path, duration="0.1")
+        missing = tmp_path.resolve() / "missing" / "dir"
+        (tmp_path / "run.meta.json").symlink_to(missing / "run.meta.json")
+        before = sorted(tmp_path.iterdir())
+        for forked in (True, False):
+            monkeypatch.setattr(stream, "can_fork", lambda: forked)
+            assert main(["simulate", str(cfg),
+                         "-o", str(tmp_path / "run.csv")]) == 1
+            assert capfd.readouterr() == (
+                "", f"error: parent directory {missing} does not exist\n")
+            assert sorted(tmp_path.iterdir()) == before
+            assert_no_child()
+
+    @pytest.mark.parametrize("fault", ["full", "taken"])
+    def test_second_temporary_failing_leaves_no_file(self, fault, tmp_path,
+                                                     monkeypatch, capfd):
+        # the sidecar's temporary file cannot be created once the CSV's
+        # is: the disk is full, or its name is taken by a file that this
+        # process did not create, which stays as it was
+        cfg = write_short_config(tmp_path, duration="0.1")
+        out = tmp_path / "out"
+        out.mkdir()
+        taken = out / ".s.meta.json.00000000"
+        if fault == "taken":
+            monkeypatch.setattr(os, "urandom", lambda n: bytes(n))
+            taken.write_text("not ours\n")
+        else:
+            real_open = os.open
+
+            def full(path, flags, *args, **kwargs):
+                if Path(path).name.startswith(".s.meta.json."):
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC),
+                                  str(path))
+                return real_open(path, flags, *args, **kwargs)
+            monkeypatch.setattr(os, "open", full)
+        for forked in (True, False):
+            monkeypatch.setattr(stream, "can_fork", lambda: forked)
+            assert main(["simulate", str(cfg), "-o", str(out / "s.csv")]) == 1
+            err = capfd.readouterr().err
+            assert err.startswith("error: [Errno ")
+            assert ".s.meta.json." in err
+            if fault == "taken":
+                assert list(out.iterdir()) == [taken]
+                assert taken.read_text() == "not ours\n"
+            else:
+                assert list(out.iterdir()) == []
+            assert_no_child()
 
     @pytest.mark.parametrize("fault, status", [
         ("raise", 1), ("kill", -signal.SIGKILL)])

@@ -28,6 +28,9 @@ def _random_gains(rng):
                        kappa=kappa, mu_hess=mu,
                        lambda_sup=rng.uniform(0.3, 3.0))
 
+# roots of `spd`: entries of a in [-1, 1] and c in [0.2, 3]
+SPD_ROOTS = st.tuples(*[st.floats(-1.0, 1.0)] * 9, st.floats(0.2, 3.0))
+
 
 class TestGainDerive:
     def test_worked_example(self):
@@ -203,6 +206,46 @@ class TestFeasibility:
         if gain_feasible(g).feasible:
             assert g.ki < g.kp * g.kd
 
+    @pytest.mark.parametrize("which", [
+        "benchmark", "certified", "pd_variant", "ki_at_bound"])
+    def test_views_are_the_values_once_stored(self, which):
+        # the verdict holds its gains and checks; feasible, kp_floor,
+        # ki_bound and kp_floor_any_kappa are views, bit for bit the
+        # values the verdict once stored: computed here as its
+        # constructor did, and for the sets of the benchmark inputs also
+        # as recorded then (pd_variant's positivity floor is 0, and k_I
+        # at its bound fails the strict k_I check)
+        bench = scenario.benchmark_gains()
+        g = {"benchmark": bench,
+             "certified": scenario.certified_gains(),
+             "pd_variant": pd_variant(bench),
+             "ki_at_bound": gain_derive(bench.kp, bench.kd, bench.ki_bound,
+                                        bench.kappa, bench.mu_hess,
+                                        bench.lambda_sup)}[which]
+        v = gain_feasible(g)
+        assert [f.name for f in dataclasses.fields(v)] == ["gains", "checks"]
+        assert v.gains is g
+        floors = [v.checks[name][1] for name in ("kp_gt_2_kappa_kd2",
+                                                 "kp_gt_positivity_floor")]
+        stored = {
+            "feasible": all(ok for _, _, ok in v.checks.values()),
+            "kp_floor": float(max(*floors)),
+            "ki_bound": float(g.ki_bound),
+            "kp_floor_any_kappa": float(2.0 * g.kd ** 2 / g.mu_hess)}
+        if which != "certified":
+            assert stored == {
+                "feasible": False,
+                "kp_floor": float.fromhex("0x1.5999999999999p+3"),
+                "ki_bound": float.fromhex("0x1.3a428a3c9e430p+2"),
+                "kp_floor_any_kappa": float.fromhex("0x1.1f4f79f90db05p+3")}
+        for name, value in stored.items():
+            assert type(getattr(v, name)) is type(value)
+            assert getattr(v, name) == value
+            with pytest.raises(AttributeError):
+                setattr(v, name, value)
+        assert v.feasible is (which == "certified")
+        assert floors[1] == 0.0 if which == "pd_variant" else floors[1] > 0.0
+
     def test_pd_variant_drops_integral_channel(self):
         g = pd_variant(scenario.benchmark_gains())
         assert g.ki == 0.0 and g.alpha == 0.0 and g.tau == 0.0
@@ -291,8 +334,7 @@ class TestEnergyFunction:
                                 st.floats(0.0, 3.14)),
            eta=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
            xi=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
-           i_root=st.tuples(*[st.floats(-1.0, 1.0)] * 9, st.floats(0.2, 3.0)),
-           p_root=st.tuples(*[st.floats(-1.0, 1.0)] * 9, st.floats(0.2, 3.0)),
+           i_root=SPD_ROOTS, p_root=SPD_ROOTS,
            gains=st.tuples(st.floats(0.1, 60.0), st.floats(0.5, 6.0),
                            st.floats(0.01, 8.0), st.floats(1.2, 8.0),
                            st.floats(1.01, 1.99)))
@@ -309,10 +351,6 @@ class TestEnergyFunction:
             k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
             return np.eye(3) + np.sin(angle) * k \
                 + (1.0 - np.cos(angle)) * (k @ k)
-
-        def spd(root):
-            a = np.reshape(root[:9], (3, 3))
-            return a @ a.T + root[9] * np.eye(3)
 
         *axis, angle = axis_angle
         assume(np.linalg.norm(axis) > 1e-3)
@@ -347,14 +385,24 @@ class TestEnergyFunction:
             <= 1e-8 * (1.0 + sum(map(abs, terms)))
 
     @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1))
-    def test_rate_bound_holds_pointwise(self, seed):
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           roots=st.none() | st.tuples(SPD_ROOTS, SPD_ROOTS))
+    def test_rate_bound_holds_pointwise(self, seed, roots):
         # at a random error state of the certified region, the energy's
         # rate along `error_field` stays below `ecl_rate_bound`: the
         # tightest of 919 such states of seed 3 sits 2.4e-4 |bound| below
         # it, and the central difference at 1e-4 is within 7e-6 |bound|
-        # of the rate
+        # of the rate.  The plant and weights are the benchmark's, or
+        # (``roots``) SPD I and P drawn as a a^T + c 1, with the gains
+        # `synthesize_gains` certifies for that I
         cfg = scenario.benchmark_config(gains="certified")
+        if roots is not None:
+            i, p = map(spd, roots)
+            params = scenario.InertiaParams(i, scenario.BENCHMARK_PLANT_K)
+            cfg = dataclasses.replace(
+                cfg, plant=dataclasses.replace(cfg.plant, params=params),
+                weights=control.NavigationWeights(p),
+                gains=synthesize_gains(i))
         i, p, g = cfg.plant.params.body_inertia, cfg.weights.P, cfg.gains
         e, eta, xi = error_sample(np.random.default_rng(seed))
         # E = R_d R^T and eta = R (Omega_d - Omega) at R = 1, Omega = 0
@@ -375,6 +423,12 @@ class TestEnergyFunction:
         # positive away from (1, 0, 0), the gains being feasible
         assert gain_feasible(g).feasible
         assert ecl_value(i, p, g, e, eta, xi) > 0.0
+
+
+def spd(root):
+    """The SPD matrix a a^T + c 1 of a root (a's 9 entries, c)."""
+    a = np.reshape(root[:9], (3, 3))
+    return a @ a.T + root[9] * np.eye(3)
 
 
 def error_sample(rng):

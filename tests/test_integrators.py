@@ -94,6 +94,12 @@ class TestStepping:
         assert np.abs(rk4.R[-1] - euler.R[-1]).max() < 1e-6
         assert np.abs(rk4.vectors[-1] - euler.vectors[-1]).max() < 1e-6
 
+    def test_unknown_scheme_rejected(self):
+        state = so3.components(np.eye(3), 2), [0.0]
+        with pytest.raises(ValueError, match="^unknown scheme 'rk5'$"):
+            step_lie(lambda t, r, v: ((0.0,) * 3, [0.0]), 0.0, state, 0.1,
+                     scheme="rk5")
+
 
 class TestConvergence:
     def test_fourth_order_on_free_body(self):

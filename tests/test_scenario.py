@@ -44,6 +44,13 @@ class TestReferenceProgram:
         with pytest.raises(ValueError):
             scenario.ReferenceProgram("ramp")
 
+    @pytest.mark.parametrize("amplitude", [
+        [1.0, np.nan, 0.0], [np.inf, 0.0, 0.0], [1.0, 2.0], np.eye(3)])
+    def test_rejects_bad_amplitude(self, amplitude):
+        with pytest.raises(ValueError,
+                           match="^amplitude must be a finite 3-vector$"):
+            scenario.ReferenceProgram("constant", amplitude)
+
 
 class TestMomentumConsistentInit:
     def test_constructed_zero_residual(self):
@@ -516,6 +523,19 @@ class TestEffortComparison:
         assert cmp_result.baseline_integral == float(
             np.trapezoid(cmp_result.baseline[:, 0], dx=h))
         assert cmp_result.proposed_integral != cmp_result.baseline_integral
+
+    def test_integrals_are_views_of_the_columns(self, short_comparison):
+        # the record holds the step and the two runs' columns; each
+        # integral follows them: twice the step, exactly twice the integral
+        _, cmp_result = short_comparison
+        assert [f.name for f in dataclasses.fields(cmp_result)] == [
+            "step", "proposed", "baseline"]
+        doubled = dataclasses.replace(cmp_result, step=2.0 * cmp_result.step)
+        for name in ("proposed_integral", "baseline_integral"):
+            assert type(getattr(cmp_result, name)) is float
+            assert getattr(doubled, name) == 2.0 * getattr(cmp_result, name)
+            with pytest.raises(AttributeError):
+                setattr(cmp_result, name, 0.0)
 
     def test_horizon_too_long_for_memory_fails_before_running(self,
                                                               monkeypatch):

@@ -228,3 +228,7 @@ class TestHelpers:
         assert so3.is_rotation(np.eye(3))
         assert not so3.is_rotation(2.0 * np.eye(3))
         assert not so3.is_rotation(np.diag([1.0, 1.0, -1.0]))
+
+    def test_non_3x3_array_is_no_rotation(self):
+        for r in (np.eye(3)[0], np.eye(2), np.eye(3)[None], np.eye(3, 4)):
+            assert so3.is_rotation(r) is False

@@ -3,6 +3,7 @@ process: a reading and a writing child, each forked and in this process,
 carry the same messages of an iterator both ways, fail by name, reap
 their process and leave the caller's niceness alone."""
 
+import io
 import os
 
 import numpy as np
@@ -142,3 +143,12 @@ def test_niceness(child_reads, forked, tmp_path):
     want = min(before + 10, 19) if forked and child_reads else before
     assert int(seen.read_text()) == want
     assert_no_child()
+
+
+def test_short_payload_ends_the_stream():
+    # a header of 2 rows of 3, then 5 of its 6 floats: the stream ended
+    # before its end mark
+    pipe = io.BytesIO(np.array((0, 2, 3), np.int64).tobytes()
+                      + np.arange(5.0).tobytes())
+    with pytest.raises(EOFError, match="^the stream ended before its end"):
+        list(stream.received(pipe))
