@@ -9,9 +9,10 @@ Run:  python demos/04_tracking_benchmark.py     (writes tracking.png)
 
 import numpy as np
 
-from gyrotrack import benchmark_config, run_closed_loop
+from gyrotrack import benchmark_config, certified_gains, run_closed_loop
 
-cfg = benchmark_config(program="constant", gains="certified", duration=30.0)
+cfg = benchmark_config(program="constant", gains=certified_gains(),
+                       duration=30.0)
 print("running the constant-torque benchmark with certified gains "
       f"(kp={cfg.gains.kp:.3f}, kd={cfg.gains.kd:.1f}, ki={cfg.gains.ki:.3f})...")
 traj, metrics = run_closed_loop(cfg)

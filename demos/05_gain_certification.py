@@ -11,9 +11,9 @@ Run:  python demos/05_gain_certification.py
 
 import numpy as np
 
-from gyrotrack import (benchmark_config, benchmark_gains, compare_efforts,
-                       gain_feasible, lambda_sup_formula, mu_hess_formula,
-                       q_matrix, synthesize_gains)
+from gyrotrack import (benchmark_config, benchmark_gains, certified_gains,
+                       compare_efforts, gain_feasible, lambda_sup_formula,
+                       mu_hess_formula, q_matrix, synthesize_gains)
 from gyrotrack.scenario import BENCHMARK_PLANT_I
 
 np.set_printoptions(precision=5, suppress=True)
@@ -37,7 +37,8 @@ for label, gains in (("stored benchmark", benchmark_gains()),
 # Control-effort comparison on the same reference: full PID vs the same law
 # with the integral channel removed.
 print("\ncomparing effort on the constant-torque benchmark (10 s)...")
-cfg = benchmark_config(program="constant", gains="certified", duration=10.0)
+cfg = benchmark_config(program="constant", gains=certified_gains(),
+                       duration=10.0)
 result = compare_efforts(cfg)
 print(f"integral of |u_int| dt, PID: {result.proposed_integral:.3f}")
 print(f"integral of |u_int| dt, PD : {result.baseline_integral:.3f}")

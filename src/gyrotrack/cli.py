@@ -75,16 +75,27 @@ _PLANT_COLOR = "#1f77b4"       # controlled trajectory in blue
 
 
 def _check_outputs(*paths):
-    """Raise OSError unless each path's parent directory exists (for a
-    symlink, also that of the file it names) and the path is not itself
-    a directory."""
+    """The file each output path names (for a symlink, its target).
+
+    Raises OSError unless each path's parent directory exists (for a
+    symlink, also that of the file it names) and the path is neither a
+    directory nor a symlink loop, which `os.stat` reports naming the
+    path."""
+    targets = []
     for path in map(Path, paths):
-        for parent in (path.parent, path.resolve().parent):
+        # a loop, which `Path.resolve` raises as RuntimeError before
+        # Python 3.13 and from 3.13 on leaves unresolved
+        with contextlib.suppress(FileNotFoundError, NotADirectoryError):
+            path.stat()
+        target = path.resolve()
+        for parent in (path.parent, target.parent):
             if not parent.is_dir():
                 raise FileNotFoundError(
                     f"parent directory {parent} does not exist")
         if path.is_dir():
             raise IsADirectoryError(f"output {path} is a directory")
+        targets.append(target)
+    return targets
 
 
 def _write_csv(path, tables, columns=COLUMNS):
@@ -118,15 +129,15 @@ def _telemetry(traj, metrics):
     ])
 
 
-def _run_with_writer(cfg, out, meta):
+def _run_with_writer(cfg, outs):
     """Run cfg's closed loop, a reading `stream.child` writing its CSV and
-    sidecar to ``out`` and ``meta``: `block_records` of each block, the
-    run's one post-pass, and the sidecar's scalars folded as they come.
-    Each goes to a temporary dot-name, created here with the mode `open`
-    gives, that replaces it once both have succeeded; a failure removes
-    the temporaries this process created, never a file whose name it
-    found taken."""
-    outs = [out.resolve(), meta.resolve()]   # a symlink's target is replaced
+    sidecar to the two files ``outs`` (as `_check_outputs` resolves them,
+    so a symlink's target is replaced): `block_records` of each block,
+    the run's one post-pass, and the sidecar's scalars folded as they
+    come.  Each goes to a temporary dot-name, created here with the mode
+    `open` gives, that replaces it once both have succeeded; a failure
+    removes the temporaries this process created, never a file whose name
+    it found taken."""
     tmps = []
 
     def tables(blocks, folded):
@@ -213,8 +224,7 @@ def cmd_simulate(config_path, out_path):
     cfg = load_config(config_path)
     out = Path(out_path)
     meta = out.with_suffix(".meta.json")
-    _check_outputs(out, meta)
-    _run_with_writer(cfg, out, meta)
+    _run_with_writer(cfg, _check_outputs(out, meta))
     print(f"wrote {out} ({cfg.integrator.n_steps + 1} rows) and {meta}")
     return 0
 

@@ -58,8 +58,7 @@ import numpy as np
 from .dynamics import kernel_constants
 from .errors import GainSynthesisError, KappaOutOfRangeError
 from .so3 import (_conn_matrix, _euler, components, from_components,
-                  hat, metric_constants, metric_inverse, skew_vee,
-                  spd_eigenvalues)
+                  metric_constants, metric_inverse, spd_eigenvalues)
 
 # Certification constants used by the bundled benchmark gain set (k_p, k_d,
 # k_I) = (1, 3, 1).  The Hessian-bound constant does not match
@@ -492,13 +491,13 @@ def nav_hessian(p, i_metric, e):
     """Covariant Hessian of psi at E, trivialized, as a symmetric 3x3 form.
 
     Hess(v, w) = d/dt [dpsi(E expm(t v)) . w] - dpsi(E) . conn(v, w),
-    with the first term's derivative equal to vee(PE hat(v) - (PE hat(v))^T).
-    E may be a stack of rotations, giving an (n, 3, 3) stack of forms.
+    with the first term's derivative vee(PE hat(v) - (PE hat(v))^T) =
+    (tr(PE) 1 - (PE)^T) v, so that its form is tr(PE) 1 - PE.  At E = 1
+    the Hessian is tr(P) 1 - P exactly, as dpsi(1) is zero.  E may be a
+    stack of rotations, giving an (n, 3, 3) stack of forms.
     """
     pe = p @ np.asarray(e, dtype=float)
-    basis = np.eye(3)
-    # row v of the first term is vee(PE hat(v) - (PE hat(v))^T)
-    h1 = np.stack([skew_vee(pe @ hat(v)) for v in basis], axis=-2)
+    h1 = np.trace(pe, axis1=-2, axis2=-1)[..., None, None] * np.eye(3) - pe
     # conn[v, w] = conn(e_v, e_w), the metric's connection table
     conn = np.reshape(metric_constants(i_metric)[2], (3, 3, 3))
     h = h1 - np.einsum("...k,vwk->...vw", nav_dpsi(p, e), conn)

@@ -265,24 +265,27 @@ def certified_gains():
 
 def benchmark_config(program="zero", gains=None, duration=30.0):
     """A full benchmark scenario for one torque program, RK4 Munthe-Kaas
-    with 1e-3 s steps."""
-    if program not in _PROGRAM_AMPLITUDES:
-        raise ValueError(f"unknown benchmark program '{program}'")
+    with 1e-3 s steps.
+
+    ``gains`` is a GainSet, such as `certified_gains()`, or None for the
+    bundled (1, 3, 1) set (`benchmark_gains`); anything else raises
+    ValueError naming ``gains``.  An unknown ``program`` raises
+    ValueError from `ReferenceProgram`.
+    """
     if gains is None:
         gains = benchmark_gains()
-    elif gains == "certified":
-        gains = certified_gains()
+    elif not isinstance(gains, GainSet):
+        raise ValueError(f"gains must be a GainSet or None, not {gains!r}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # identity P: repeated eigenvalues
         weights = NavigationWeights(np.eye(3))
     return ScenarioConfig(
         plant=benchmark_plant(),
         reference=benchmark_reference(),
-        program=ReferenceProgram(program, _PROGRAM_AMPLITUDES[program]),
+        program=ReferenceProgram(program, _PROGRAM_AMPLITUDES.get(program)),
         weights=weights,
         gains=gains,
-        integrator=IntegratorConfig(step=1e-3, duration=duration,
-                                    scheme="rk4_munthe_kaas", reproject=True),
+        integrator=IntegratorConfig(step=1e-3, duration=duration),
     )
 
 

@@ -10,8 +10,8 @@ from gyrotrack.errors import DivergedStateError
 @pytest.fixture(scope="session")
 def certified_zero_run():
     """Shared 30 s certified-gain tracking run (zero reference torque)."""
-    cfg = scenario.benchmark_config(program="zero", gains="certified",
-                                    duration=30.0)
+    cfg = scenario.benchmark_config(
+        program="zero", gains=scenario.certified_gains(), duration=30.0)
     traj, metrics = scenario.run_closed_loop(cfg)
     return cfg, traj, metrics
 

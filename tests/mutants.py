@@ -195,7 +195,7 @@ MUTANTS = [
      '"samples": cfg.integrator.n_steps + 1,',
      '"samples": cfg.integrator.n_steps,', None),
     ("output check ignores a symlink's target", "cli",
-     "for parent in (path.parent, path.resolve().parent):",
+     "for parent in (path.parent, target.parent):",
      "for parent in (path.parent,):", None),
     ("private 0600 temporary files", "cli", "0o666))", "0o600))", None),
     ("no clean-up in the parent", "cli",

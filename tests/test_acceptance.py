@@ -27,8 +27,8 @@ def _report(num, label, ok, detail):
 def certified_runs(certified_zero_run):
     runs = {"zero": certified_zero_run}   # the same 30 s config, run once
     for program in PROGRAMS[1:]:
-        cfg = scenario.benchmark_config(program=program, gains="certified",
-                                        duration=30.0)
+        cfg = scenario.benchmark_config(
+            program=program, gains=scenario.certified_gains(), duration=30.0)
         runs[program] = (cfg,) + scenario.run_closed_loop(cfg)
     return runs
 

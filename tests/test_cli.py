@@ -708,6 +708,31 @@ def test_missing_output_dir_exit_1_before_running(command, tmp_path,
     assert "parent directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, forked", [
+    ("simulate", True), ("simulate", False), ("compare", True),
+    ("plot", True)])
+def test_symlink_loop_output_exit_1_before_running(command, forked, tmp_path,
+                                                   monkeypatch, capfd):
+    # an output path in a symlink loop (a -> b -> a) is one error line
+    # naming it, not a traceback from resolving it, and nothing runs
+    monkeypatch.setattr(stream, "can_fork", lambda: forked)
+    monkeypatch.setattr(cli, "closed_loop_blocks", never_integrate)
+    monkeypatch.setattr(cli, "compare_efforts", never_integrate)
+    source = write_telemetry(tmp_path / "in.csv", PINNED_ROWS) \
+        if command == "plot" else write_short_config(tmp_path)
+    out = tmp_path / ("a.svg" if command == "plot" else "a.csv")
+    out.symlink_to(out.with_stem("b"))
+    out.with_stem("b").symlink_to(out)
+    before = sorted(tmp_path.iterdir())
+    assert main([command, str(source), "-o", str(out)]) == 1
+    out_text, err = capfd.readouterr()
+    assert out_text == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert str(out) in err and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == before
+    assert_no_child()
+
+
 class TestTuneGains:
     def test_benchmark_verdict(self, capsys):
         assert main(["tune-gains", str(ZERO_CFG)]) == 0

@@ -206,6 +206,33 @@ class TestHessianDiagnostics:
         h = control.nav_hessian(p, i, np.eye(3))
         assert np.abs(h - (np.trace(p) * np.eye(3) - p)).max() < 1e-12
 
+    def test_hessian_at_identity_is_the_closed_form_exactly(self):
+        # dpsi(1) is zero for a symmetric P, so the Hessian at E = 1 is
+        # the first term's closed form tr(P) 1 - P, bit for bit; P is
+        # symmetrized so that it is symmetric exactly
+        rng = np.random.default_rng(47)
+        for _ in range(200):
+            p = _random_weights(rng)
+            p = 0.5 * (p + p.T)
+            h = control.nav_hessian(p, random_spd(rng), np.eye(3))
+            assert np.array_equal(h, np.trace(p) * np.eye(3) - p)
+
+    def test_hessian_is_its_definition_over_the_basis(self):
+        # Hess(e_v, e_w) = vee(PE hat(e_v) - (PE hat(e_v))^T) . e_w
+        # - dpsi(E) . conn(e_v, e_w), symmetrized, entry by entry; the
+        # closed form sums in another order, so within rounding
+        rng = np.random.default_rng(53)
+        basis = np.eye(3)
+        for _ in range(20):
+            p, i, e = _random_weights(rng), random_spd(rng), \
+                random_rotation(rng)
+            dpsi = control.nav_dpsi(p, e)
+            h = np.array([[so3.skew_vee(p @ e @ so3.hat(v)) @ w
+                           - dpsi @ so3.connection_term(i, v, w)
+                           for w in basis] for v in basis])
+            assert np.abs(control.nav_hessian(p, i, e)
+                          - 0.5 * (h + h.T)).max() < 1e-13
+
     def test_hessian_matches_second_differences(self):
         # d^2/dt^2 psi(E expm(t v)) = Hess(v, v) + dpsi . conn(v, v)
         rng = np.random.default_rng(43)

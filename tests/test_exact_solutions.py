@@ -209,7 +209,7 @@ def exact_reference_run(actuation, step=1e-3, duration=5.0):
     the zero program, R_d0 = 1, Omega_d0 = (0.8, 0, 0.5) (m = 0.32) and
     OmegaR_d0 = -Omega_d0, with the plant on it (`on_reference_variant`);
     ``exact`` is Euler's solution at the run's times."""
-    cfg = scenario.benchmark_config("zero", gains="certified",
+    cfg = scenario.benchmark_config("zero", gains=scenario.certified_gains(),
                                     duration=duration)
     omega_d0 = np.array([0.8, 0.0, 0.5])
     reference = scenario.BodySetup(

@@ -114,7 +114,7 @@ PINNED = {
 def test_final_state_pinned(key):
     program, gains, actuation = key
     cfg = scenario.benchmark_config(
-        program=program, gains="certified" if gains == "certified" else None,
+        program=program, gains=_GAINS if gains == "certified" else None,
         duration=1.0)
     traj, metrics = scenario.run_closed_loop(cfg, actuation=actuation)
     r, omega, xi, psi = PINNED[key]
@@ -137,7 +137,7 @@ _CONSTANTS = {
 }
 _ERROR_FIELD = control.error_field(_PLANT.body_inertia, _P, _GAINS)
 _LOOP_CFG = scenario.resolve_reference(
-    scenario.benchmark_config("sinusoid", gains="certified"))
+    scenario.benchmark_config("sinusoid", gains=_GAINS))
 
 
 def _transpose(m):
@@ -389,6 +389,28 @@ def test_mul_expm_equals_product_with_exponential(r, v, scale):
     r, v = r.ravel().tolist(), (scale * v).tolist()
     assert so3._mul_expm(r, 1.0, v) == so3._matmul(
         r, so3._mul_expm(so3._IDENTITY, 1.0, v))
+
+
+@_COMPOSED
+@given(r=_MATRIX, c=st.floats(-2.0, 2.0), v=_VECTOR,
+       scale=st.sampled_from([1.0, 1e-9]))
+def test_mul_expm_equals_its_entries_written_out(r, c, v, scale):
+    # in the docstring's order: c v first, then d = 1 - b theta^2 and the
+    # Rodrigues entries Q, then R Q as `_matmul` forms it; scale 1e-9
+    # reaches the small-angle branch of the coefficients
+    r, (v0, v1, v2) = r.ravel().tolist(), (scale * v).tolist()
+    x, y, z = c * v0, c * v1, c * v2
+    theta2 = x * x + y * y + z * z
+    theta = math.sqrt(theta2)
+    if theta < so3._SMALL_ANGLE:
+        a, b = 1.0 - theta2 / 6.0, 0.5 - theta2 / 24.0
+    else:
+        a, b = math.sin(theta) / theta, (1.0 - math.cos(theta)) / theta2
+    d = 1.0 - b * theta2
+    q = (d + b * x * x, b * x * y - a * z, b * x * z + a * y,
+         b * x * y + a * z, d + b * y * y, b * y * z - a * x,
+         b * x * z - a * y, b * y * z + a * x, d + b * z * z)
+    assert so3._mul_expm(r, c, [v0, v1, v2]) == so3._matmul(r, q)
 
 
 @_COMPOSED

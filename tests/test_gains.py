@@ -395,7 +395,7 @@ class TestEnergyFunction:
         # of the rate.  The plant and weights are the benchmark's, or
         # (``roots``) SPD I and P drawn as a a^T + c 1, with the gains
         # `synthesize_gains` certifies for that I
-        cfg = scenario.benchmark_config(gains="certified")
+        cfg = scenario.benchmark_config(gains=scenario.certified_gains())
         if roots is not None:
             i, p = map(spd, roots)
             params = scenario.InertiaParams(i, scenario.BENCHMARK_PLANT_K)

@@ -124,5 +124,5 @@ def test_closed_loop_step_calls_the_traced_bindings(monkeypatch):
     monkeypatch.setattr(integrators, "step_lie", counted_step)
     monkeypatch.setattr(stream, "can_fork", lambda: False)
     scenario.run_closed_loop(scenario.benchmark_config(
-        "sinusoid", gains="certified", duration=0.01))
+        "sinusoid", gains=scenario.certified_gains(), duration=0.01))
     assert counts == {"step_lie": 20, "rotor_accels": 80, "_loop_kernel": 40}

@@ -43,7 +43,7 @@ def diverging(amplitude=0.0, kp=None, step=1e-3, theta_row=None):
     spinning at 1e300 rad/s from an angle that leaves the float range at
     that row: only Theta_d becomes non-finite, and nothing the plant
     reads does."""
-    gains = "certified" if kp is None else control.gain_derive(
+    gains = scenario.certified_gains() if kp is None else control.gain_derive(
         kp, 3.0, 1.0, 0.6, 2.0048, 1.42)
     cfg = scenario.benchmark_config("constant", gains=gains, duration=3.0)
     cfg = dataclasses.replace(
@@ -102,7 +102,8 @@ def test_forked_and_in_process_runs_are_identical(program, actuation,
     if not stream.can_fork():
         pytest.skip("this platform does not fork")
     # 0.3 s: two full blocks and a last one of 45 rows
-    cfg = scenario.benchmark_config(program, gains="certified", duration=0.3)
+    cfg = scenario.benchmark_config(
+        program, gains=scenario.certified_gains(), duration=0.3)
     runs = []
     for forks in (True, False):
         monkeypatch.setattr(stream, "can_fork", lambda: forks)
@@ -126,8 +127,8 @@ def test_no_child_is_left(end, path):
     # reference that diverges runs on, on inf or NaN, until the joined
     # row's check stops the run: forked, its next message then breaks its
     # pipe, at most 16 steps later; in process, its generator is closed
-    cfg = scenario.benchmark_config("sinusoid", gains="certified",
-                                    duration=0.5)
+    cfg = scenario.benchmark_config(
+        "sinusoid", gains=scenario.certified_gains(), duration=0.5)
     if end == "divergence":
         cfg = diverging(kp=1e5, step=0.01)
     elif end == "reference divergence":

@@ -187,7 +187,8 @@ class TestClosedLoop:
     def test_block_records_are_the_run_record(self, program, actuation):
         # 1 s: seven full 128-row blocks and a last one of 105 rows, whose
         # records are, row for row, the bits of the whole run's
-        cfg = short_config(program, duration=1.0, gains="certified")
+        cfg = short_config(program, duration=1.0,
+                           gains=scenario.certified_gains())
         blocks = list(scenario.closed_loop_blocks(cfg, actuation))
         traj, metrics = scenario.run_closed_loop(cfg, actuation)
         records = list(scenario.block_records(cfg, blocks, actuation))
@@ -206,7 +207,8 @@ class TestClosedLoop:
     def test_a_lone_block_gives_the_same_record(self, program, actuation):
         # samples 300-699 alone, with no block before them: every array of
         # their record is, row for row, the bits of the whole run's
-        cfg = short_config(program, duration=1.0, gains="certified")
+        cfg = short_config(program, duration=1.0,
+                           gains=scenario.certified_gains())
         rows = np.concatenate([block for _, block in
                                scenario.closed_loop_blocks(cfg, actuation)])
         traj, metrics = scenario.run_closed_loop(cfg, actuation)
@@ -229,7 +231,8 @@ class TestClosedLoop:
         # evaluates each field once a step, so its reference messages hold
         # 16 stage rows where RK4's hold 64
         for scheme in SCHEMES:
-            cfg = short_config(program, duration=0.3, gains="certified")
+            cfg = short_config(program, duration=0.3,
+                               gains=scenario.certified_gains())
             cfg = scenario.resolve_reference(dataclasses.replace(
                 cfg, integrator=dataclasses.replace(cfg.integrator,
                                                     scheme=scheme)))
@@ -264,7 +267,7 @@ class TestClosedLoop:
         # order: 2 s of the certified sinusoid against h = 2.5e-4 (largest
         # final-state errors 0.376, 0.0248 and 0.00142, orders 3.92, 4.13)
         def final_state(h):
-            cfg = short_config("sinusoid", gains="certified")
+            cfg = short_config("sinusoid", gains=scenario.certified_gains())
             cfg = dataclasses.replace(
                 cfg, integrator=IntegratorConfig(step=h, duration=2.0))
             *_, (_, block) = scenario.closed_loop_blocks(cfg)
@@ -277,11 +280,13 @@ class TestClosedLoop:
 
     def test_feasibility_verdict_recorded_for_any_gains(self, tmp_path):
         # a run's sidecar records its gains' verdict, infeasible or not
-        for gains, feasible in ((None, False), ("certified", True)):
-            path = tmp_path / f"{gains}.cfg"
+        for name, gains, feasible in (
+                ("stored", None, False),
+                ("certified", scenario.certified_gains(), True)):
+            path = tmp_path / f"{name}.cfg"
             path.write_text(serialize_config(
                 short_config(duration=0.5, gains=gains)))
-            out = tmp_path / f"{gains}.csv"
+            out = tmp_path / f"{name}.csv"
             assert cli.main(["simulate", str(path), "-o", str(out)]) == 0
             meta = json.loads(out.with_suffix(".meta.json").read_text())
             assert meta["feasibility"]["feasible"] is feasible
@@ -594,6 +599,19 @@ class TestBenchmarkSetup:
     def test_unknown_program_rejected(self):
         with pytest.raises(ValueError):
             scenario.benchmark_config(program="chirp")
+
+    @pytest.mark.parametrize("gains", [
+        "certified", "certifed", (1.0, 3.0, 1.0), 0, False,
+        scenario.certified_gains])
+    def test_gains_not_a_gain_set_rejected(self, gains, monkeypatch):
+        # a GainSet or None; anything else is named before a config
+        # exists, not met as an AttributeError inside the run
+        def no_config(**fields):
+            raise AssertionError("built a config")
+
+        monkeypatch.setattr(scenario, "ScenarioConfig", no_config)
+        with pytest.raises(ValueError, match="^gains must be a GainSet"):
+            scenario.benchmark_config("zero", gains=gains)
 
     def test_config_is_replaceable(self):
         cfg = short_config()

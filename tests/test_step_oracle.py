@@ -37,7 +37,7 @@ def closed_loop(program, actuation, icfg):
     """The run's rows, and those of its two bodies integrated as one
     state by the oracle (`joint_loop`)."""
     cfg = scenario.resolve_reference(dataclasses.replace(
-        scenario.benchmark_config(program, gains="certified"),
+        scenario.benchmark_config(program, gains=scenario.certified_gains()),
         integrator=icfg))
     got = np.concatenate([block for _, block in
                           scenario.closed_loop_blocks(cfg, actuation)])

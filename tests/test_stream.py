@@ -5,6 +5,7 @@ their process and leave the caller's niceness alone."""
 
 import io
 import os
+import time
 
 import numpy as np
 import pytest
@@ -65,6 +66,28 @@ def test_reading_child_round_trip(forked, tmp_path):
     with stream.child(work, child_reads=True, what="reader") as feed:
         feed(sent())
     assert out.read_text() == repr(WANT)
+    assert_no_child()
+
+
+def test_a_message_reaches_its_reader_when_sent(forked, tmp_path):
+    # the child sends its second message only once this process has read
+    # the first, which it learns from a file; a first message left in the
+    # child's buffer would keep both waiting until the child gives up
+    read = tmp_path / "read"
+
+    def work():
+        yield BLOCKS[0]
+        deadline = time.monotonic() + 5.0
+        while not read.exists():
+            if time.monotonic() > deadline:
+                raise TimeoutError("the first message was not read")
+            time.sleep(0.001)
+        yield BLOCKS[1]
+
+    with stream.child(work, child_reads=False, what="sender") as messages:
+        first = next(messages)
+        read.touch()
+        assert as_lists([first, *messages]) == WANT
     assert_no_child()
 
 
