@@ -28,7 +28,10 @@ module docstring): it runs on Python floats for one sample, which is how
 the integrator's vector field calls it, and on (n,) sample columns for a
 stack, which is how the run post-pass calls it.  `_feedback` is the one
 formula of fb and xi_dot; `_loop_kernel` adds the feed-forward and the
-Euler term (in closed form, `so3._euler`).  Arrays appear only at the
+Euler term (in closed form, `so3._euler`).  Each is a composition of
+the `so3` primitives; `_feedback`, `_loop_kernel` and `_uint`, which
+the vector fields call once per evaluation, run as straight-line code
+generated from it (`codegen.kernel`).  Arrays appear only at the
 adapters (`error_state`, `nav_dpsi`, `control_uext`, `control_uint`),
 which unpack their arguments, call the kernel and pack the result; the
 metric's constants come from `so3.metric_constants`.
@@ -55,10 +58,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import kernel_constants
+from .codegen import kernel
+from .dynamics import _CONSTANTS, kernel_constants
 from .errors import GainSynthesisError, KappaOutOfRangeError
-from .so3 import (_conn_matrix, _euler, components, from_components,
-                  metric_constants, metric_inverse, spd_eigenvalues)
+from .so3 import (_METRIC, _conn_matrix, _cross, _euler, _matmul, _matmul_t,
+                  _matvec, _skew_vee, _transpose, components,
+                  from_components, metric_constants, metric_inverse,
+                  spd_eigenvalues)
 
 # Certification constants used by the bundled benchmark gain set (k_p, k_d,
 # k_I) = (1, 3, 1).  The Hessian-bound constant does not match
@@ -192,18 +198,8 @@ def _dpsi(p_mat, e):
     """Trivialized differential of psi: vee(PE - (PE)^T).
 
     d/dt psi(E expm(t v))|_0 = <_dpsi(P, E), v>; vanishes at critical points.
-    Only the six off-diagonal entries of P E that `so3._skew_vee` reads are
-    formed, each as `so3._matmul` forms it.
     """
-    p0, p1, p2, p3, p4, p5, p6, p7, p8 = p_mat
-    e0, e1, e2, e3, e4, e5, e6, e7, e8 = e
-    m1 = p0 * e1 + p1 * e4 + p2 * e7
-    m2 = p0 * e2 + p1 * e5 + p2 * e8
-    m3 = p3 * e0 + p4 * e3 + p5 * e6
-    m5 = p3 * e2 + p4 * e5 + p5 * e8
-    m6 = p6 * e0 + p7 * e3 + p8 * e6
-    m7 = p6 * e1 + p7 * e4 + p8 * e7
-    return m7 - m5, m2 - m6, m3 - m1
+    return _skew_vee(_matmul(p_mat, e))
 
 
 def nav_dpsi(p, e):
@@ -214,17 +210,8 @@ def nav_dpsi(p, e):
 
 def _error(r, omega, r_d, omega_d):
     """E = R_d R^T and eta = R (Omega_d - Omega)."""
-    r0, r1, r2, r3, r4, r5, r6, r7, r8 = r
-    q0, q1, q2, q3, q4, q5, q6, q7, q8 = r_d
-    (w0, w1, w2), (d0, d1, d2) = omega, omega_d
-    v0, v1, v2 = d0 - w0, d1 - w1, d2 - w2
-    return ((q0 * r0 + q1 * r1 + q2 * r2, q0 * r3 + q1 * r4 + q2 * r5,
-             q0 * r6 + q1 * r7 + q2 * r8, q3 * r0 + q4 * r1 + q5 * r2,
-             q3 * r3 + q4 * r4 + q5 * r5, q3 * r6 + q4 * r7 + q5 * r8,
-             q6 * r0 + q7 * r1 + q8 * r2, q6 * r3 + q7 * r4 + q8 * r5,
-             q6 * r6 + q7 * r7 + q8 * r8),
-            (r0 * v0 + r1 * v1 + r2 * v2, r3 * v0 + r4 * v1 + r5 * v2,
-             r6 * v0 + r7 * v1 + r8 * v2))
+    slip = [d - w for d, w in zip(omega_d, omega)]
+    return _matmul_t(r_d, r), _matvec(r, slip)
 
 
 def error_state(r, omega, r_d, omega_d):
@@ -243,28 +230,18 @@ def error_state(r, omega, r_d, omega_d):
 # the feedback, its error flow and the tracking laws
 # ---------------------------------------------------------------------------
 
+@kernel(_METRIC, 9, "kp kd ki", 9, 3, 3)
 def _feedback(metric, p_mat, gains, e, eta, xi_i):
     """(fb, xi_dot) of the module docstring, with the connection matrix
     C(eta) (`so3._conn_matrix`) formed once for both; ``metric`` is the
     (I, I^{-1}, Gamma) of `so3.metric_constants`."""
     _, i_inv, gamma = metric
-    c0, c1, c2, c3, c4, c5, c6, c7, c8 = _conn_matrix(gamma, eta)
-    m0, m1, m2, m3, m4, m5, m6, m7, m8 = i_inv
-    d0, d1, d2 = _dpsi(p_mat, e)
-    (e0, e1, e2), (x0, x1, x2) = eta, xi_i
-    g0 = m0 * d0 + m1 * d1 + m2 * d2
-    g1 = m3 * d0 + m4 * d1 + m5 * d2
-    g2 = m6 * d0 + m7 * d1 + m8 * d2
-    n0 = c0 * e0 + c1 * e1 + c2 * e2
-    n1 = c3 * e0 + c4 * e1 + c5 * e2
-    n2 = c6 * e0 + c7 * e1 + c8 * e2
-    kp, kd, ki = gains.kp, gains.kd, gains.ki
-    return ((kp * g0 + kd * e0 + ki * x0 + n0,
-             kp * g1 + kd * e1 + ki * x1 + n1,
-             kp * g2 + kd * e2 + ki * x2 + n2),
-            (g0 - (c0 * x0 + c1 * x1 + c2 * x2),
-             g1 - (c3 * x0 + c4 * x1 + c5 * x2),
-             g2 - (c6 * x0 + c7 * x1 + c8 * x2)))
+    c_eta = _conn_matrix(gamma, eta)
+    grad = _matvec(i_inv, _dpsi(p_mat, e))
+    fb = (gains.kp * g + gains.kd * v + gains.ki * x + n for g, v, x, n
+          in zip(grad, eta, xi_i, _matvec(c_eta, eta)))
+    return tuple(fb), tuple(g - n for g, n in zip(grad,
+                                                  _matvec(c_eta, xi_i)))
 
 
 def error_field(i_metric, p, gains):
@@ -288,6 +265,7 @@ def error_field(i_metric, p, gains):
     return field
 
 
+@kernel(_METRIC, 9, "kp kd ki", 9, 3, 9, 3, 3, 3)
 def _loop_kernel(metric, p_mat, gains, r, omega, r_d, omega_d,
                  omega_d_dot, xi_i):
     """Commanded acceleration u and integral-state rate, componentwise:
@@ -299,14 +277,11 @@ def _loop_kernel(metric, p_mat, gains, r, omega, r_d, omega_d,
     integrator's hot path) or of a stack (columns, the run post-pass).
     """
     e, eta = _error(r, omega, r_d, omega_d)
-    (b0, b1, b2), xi_dot = _feedback(metric, p_mat, gains, e, eta, xi_i)
-    r0, r1, r2, r3, r4, r5, r6, r7, r8 = r
-    (a0, a1, a2), (w0, w1, w2), (v0, v1, v2) = omega_d_dot, omega, omega_d
-    n0, n1, n2 = _euler(metric[0], metric[1], omega)
-    return ((a0 + (w1 * v2 - w2 * v1) + n0 + (r0 * b0 + r3 * b1 + r6 * b2),
-             a1 + (w2 * v0 - w0 * v2) + n1 + (r1 * b0 + r4 * b1 + r7 * b2),
-             a2 + (w0 * v1 - w1 * v0) + n2 + (r2 * b0 + r5 * b1 + r8 * b2)),
-            xi_dot)
+    fb, xi_dot = _feedback(metric, p_mat, gains, e, eta, xi_i)
+    u = (a + w + n + f for a, w, n, f in zip(
+        omega_d_dot, _cross(omega, omega_d),
+        _euler(metric[0], metric[1], omega), _matvec(_transpose(r), fb)))
+    return tuple(u), xi_dot
 
 
 def control_uext(i_metric, p, gains, r, omega, r_d, omega_d, omega_d_dot, xi_i):
@@ -321,16 +296,12 @@ def control_uext(i_metric, p, gains, r, omega, r_d, omega_d, omega_d_dot, xi_i):
     return from_components(u)
 
 
+@kernel(_CONSTANTS, 3, 3, 3)
 def _uint(consts, u_ext, omega, omega_r):
     """u_int = -u_ext + K (Omega + OmegaR) x Omega; ``consts`` from
     `dynamics.kernel_constants`."""
-    _, (k0, k1, k2), _ = consts
-    w0, w1, w2 = omega
-    r0, r1, r2 = omega_r
-    p0, p1, p2 = k0 * (w0 + r0), k1 * (w1 + r1), k2 * (w2 + r2)
-    u0, u1, u2 = u_ext
-    return ((p1 * w2 - p2 * w1) - u0, (p2 * w0 - p0 * w2) - u1,
-            (p0 * w1 - p1 * w0) - u2)
+    spin = [k * (w + r) for k, w, r in zip(consts[1], omega, omega_r)]
+    return tuple(c - u for c, u in zip(_cross(spin, omega), u_ext))
 
 
 def control_uint(params, u_ext, omega, omega_r):

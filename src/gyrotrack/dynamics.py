@@ -35,13 +35,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .so3 import (_euler, _matvec, components, from_components,
+from .codegen import kernel
+from .so3 import (_cross, _euler, _matvec, components, from_components,
                   metric_inverse, spd_eigenvalues)
 
 
 # the largest ratio of I's principal moments: past it, I^{-1}
 # (`so3.metric_inverse`) keeps fewer than 10 of a float's 16 digits
 BODY_CONDITION_LIMIT = 1e6
+_CONSTANTS = (9, 3, 9)   # the `codegen` spec of `kernel_constants`
 
 
 @dataclass(frozen=True)
@@ -95,11 +97,9 @@ def kernel_constants(params):
 
 def _momentum(consts, omega, omega_r):
     """Pi = (I+K) Omega + K OmegaR; ``consts`` from `kernel_constants`."""
-    (l0, l1, l2, l3, l4, l5, l6, l7, l8), (k0, k1, k2), _ = consts
-    (w0, w1, w2), (r0, r1, r2) = omega, omega_r
-    return (l0 * w0 + l1 * w1 + l2 * w2 + k0 * r0,
-            l3 * w0 + l4 * w1 + l5 * w2 + k1 * r1,
-            l6 * w0 + l7 * w1 + l8 * w2 + k2 * r2)
+    locked, k, _ = consts
+    return tuple(p + kj * r for p, kj, r in zip(_matvec(locked, omega), k,
+                                                omega_r))
 
 
 def momentum_body(params, omega, omega_r):
@@ -125,6 +125,7 @@ def mechanical_connection(params, omega, omega_r):
                            momentum_body(params, omega, omega_r))
 
 
+@kernel(_CONSTANTS, 3, 3, 3)
 def _rotor_accels(consts, omega, omega_r, u_int):
     """(dOmega, dOmegaR) of the block system, by elimination.
 
@@ -133,17 +134,10 @@ def _rotor_accels(consts, omega, omega_r, u_int):
     diag(k), so dOmega = I^{-1}(f - u) and dOmegaR = u / k - dOmega,
     with I^{-1} and the rotor inertias k from `kernel_constants`.
     """
-    _, (k0, k1, k2), i_inv = consts
-    m0, m1, m2, m3, m4, m5, m6, m7, m8 = i_inv
-    p0, p1, p2 = _momentum(consts, omega, omega_r)
-    (w0, w1, w2), (u0, u1, u2) = omega, u_int
-    f0 = (p1 * w2 - p2 * w1) - u0
-    f1 = (p2 * w0 - p0 * w2) - u1
-    f2 = (p0 * w1 - p1 * w0) - u2
-    d0 = m0 * f0 + m1 * f1 + m2 * f2
-    d1 = m3 * f0 + m4 * f1 + m5 * f2
-    d2 = m6 * f0 + m7 * f1 + m8 * f2
-    return (d0, d1, d2), (u0 / k0 - d0, u1 / k1 - d1, u2 / k2 - d2)
+    _, k, i_inv = consts
+    f = _cross(_momentum(consts, omega, omega_r), omega)
+    d_omega = _matvec(i_inv, [fj - u for fj, u in zip(f, u_int)])
+    return d_omega, tuple(u / kj - d for u, kj, d in zip(u_int, k, d_omega))
 
 
 def rotor_accels(params, omega, omega_r, u_int):
@@ -159,11 +153,11 @@ def rotor_accels(params, omega, omega_r, u_int):
     return from_components(d_omega), from_components(d_omega_r)
 
 
+@kernel(9, 9, 3, 3)
 def _external_accel(i_metric, i_inv, omega, u_ext):
     """dOmega = u_ext - conn(Omega, Omega), the Euler term `so3._euler`
     of the components of `so3.metric_inverse`."""
-    (u0, u1, u2), (n0, n1, n2) = u_ext, _euler(i_metric, i_inv, omega)
-    return u0 - n0, u1 - n1, u2 - n2
+    return tuple(u - n for u, n in zip(u_ext, _euler(i_metric, i_inv, omega)))
 
 
 def free_body_field(i_inertia):

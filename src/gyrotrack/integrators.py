@@ -22,7 +22,11 @@ finiteness check of a block.  `integrate_blocks` is the two together;
 Two schemes are provided: first-order Lie-Euler and a fourth-order
 Munthe-Kaas variant of the classical RK4 tableau, whose algebra-valued
 stages are corrected with the inverse-dexp series truncated at two
-commutators (sufficient for order 4).
+commutators (sufficient for order 4).  Both are written once, in
+`_step_source`; the step that runs (`step_lie`) is generated from it
+(`codegen.generate`) for each scheme, reprojection flag and width of the
+vector state, with the field and `so3._mul_expm` left as calls and the
+stage sums, `_dexpinv_right` and `_snap_so3` as inline arithmetic.
 
 Everything is pure float arithmetic with a fixed step, so rerunning an
 integration reproduces it bit for bit on the same platform.  The step
@@ -31,13 +35,15 @@ formed and checked for non-finite entries 128 rows at a time (the
 reference body of `scenario` forms its rows 16 at a time).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .codegen import Call, generate
 from .errors import DivergedStateError
-from .so3 import _mul_expm, components
+from .so3 import _cross, _mul_expm, components
 
 SCHEMES = ("lie_euler", "rk4_munthe_kaas")
 _BLOCK = 128   # sample rows gathered, checked and yielded at once
@@ -122,18 +128,15 @@ def _dexpinv_right(c, k, b):
     d(sigma)/dt = b + 1/2 sigma x b + 1/12 sigma x (sigma x b), at
     sigma = c k, the stage scale c times the previous stage's slope k.
     """
-    k0, k1, k2 = k
-    s0, s1, s2 = c * k0, c * k1, c * k2
-    b0, b1, b2 = b
-    x0, x1, x2 = s1 * b2 - s2 * b1, s2 * b0 - s0 * b2, s0 * b1 - s1 * b0
-    return (b0 + 0.5 * x0 + (s1 * x2 - s2 * x1) / 12.0,
-            b1 + 0.5 * x1 + (s2 * x0 - s0 * x2) / 12.0,
-            b2 + 0.5 * x2 + (s0 * x1 - s1 * x0) / 12.0)
+    sigma = [c * kj for kj in k]
+    x = _cross(sigma, b)
+    return tuple(bj + 0.5 * xj + yj / 12.0
+                 for bj, xj, yj in zip(b, x, _cross(sigma, x)))
 
 
-def step_lie(vector_field, t, state, h, scheme="rk4_munthe_kaas",
-             reproject=False):
-    """Advance ``state = (r, vec)`` by one step of size h.
+def _step_source(vector_field, t, state, h, scheme, reproject):
+    """Advance ``state = (r, vec)`` by one step of size h: the source of
+    the steps `_step` generates.
 
     The attitude updates as R <- R expm(sigma) with the stage combination
     of the chosen scheme; the vector state follows the matching classical
@@ -173,6 +176,26 @@ def step_lie(vector_field, t, state, h, scheme="rk4_munthe_kaas",
     return (_snap_so3(r) if reproject else r,
             [x + sixth * (a + 2.0 * b + 2.0 * c + d)
              for x, a, b, c, d in zip(vec, v1, v2, v3, v4)])
+
+
+@functools.cache
+def _step(scheme, reproject, width):
+    """`_step_source` for one scheme, reprojection flag and width of the
+    vector state, generated (`codegen.generate`) as a function of
+    ``(vector_field, t, state, h)``: the field and `so3._mul_expm` stay
+    calls, the stage sums, `_dexpinv_right` and `_snap_so3` become
+    inline arithmetic.  An unknown scheme raises ValueError."""
+    return generate(_step_source, Call((3, width)), None, (9, width), None,
+                    calls={"_mul_expm": 9}, scheme=scheme,
+                    reproject=reproject)
+
+
+def step_lie(vector_field, t, state, h, scheme="rk4_munthe_kaas",
+             reproject=False):
+    """Advance ``state = (r, vec)`` by one step of size h under the
+    vector field, by the step `_step` generates from `_step_source` for
+    the scheme, the reprojection flag and the width of vec."""
+    return _step(scheme, reproject, len(state[1]))(vector_field, t, state, h)
 
 
 def checked(start, block, step):

@@ -42,12 +42,14 @@ from .control import (GainSet, NavigationWeights, _error, _loop_kernel,
                       error_state, gain_derive, nav_hessian, nav_psi,
                       pd_variant, synthesize_gains, BENCHMARK_MU_HESS,
                       BENCHMARK_LAMBDA_SUP)
-# the componentwise block solve under its array adapter's public name:
-# called through this binding, as `_loop_kernel` is, for per-call traces
+# the componentwise block solve (its generated form, `codegen`) under
+# its array adapter's public name: the fields call it through this
+# binding, as they call `_loop_kernel`, so a tracer that wraps the two
+# bindings counts each call
 from .dynamics import (InertiaParams, _external_accel, _momentum,
                        kernel_constants, momentum_body, momentum_spatial)
 from .dynamics import _rotor_accels as rotor_accels
-from .integrators import IntegratorConfig, _blocks, checked
+from .integrators import IntegratorConfig, _blocks, _step, checked
 from .so3 import (_matvec, components, from_components, is_rotation,
                   metric_constants, orthogonality_defect, rotation_angle)
 from .stream import child
@@ -466,6 +468,9 @@ def closed_loop_blocks(cfg, actuation="internal"):
     vec0 = np.concatenate([theta0, plant.Omega0, omega_r0, _ZERO3])
     stages = deque()   # the reference's stage values the plant has not read
     ref_rows = []      # the reference's rows of the plant's block so far
+    # the reference body's step, generated here once rather than in each
+    # forked child
+    _step(cfg.integrator.scheme, cfg.integrator.reproject, 9)
 
     def field(t, r, vec):
         if not stages:

@@ -33,14 +33,17 @@ exception.
 The paper's formulas are kernels that call each other: `_euler` here,
 the error, feedback, control and torque-conversion kernels of
 `control`, the block solve of `dynamics` and the dexp^{-1} series of
-`integrators`.  The generic 3x3 products inside them (cross products,
-matrix-vector and matrix-matrix products) are written out in place,
-with the same products in the same order as the primitive here forms
-them, which saves a Python call per product on the integrator's hot
-path; the test suite pins each such kernel bit-equal to the composition
-of primitives it replaces.  `_mul_expm(r, c, v)` likewise scales v by
-the stage scale c, forms the Rodrigues entries Q of expm(c v), then R Q
-as `_matmul` does; `expm(v)` is `_mul_expm` of the identity, c = 1.
+`integrators`.  Each is written as the composition of the primitives
+here (cross products, matrix-vector and matrix-matrix products, the
+transpose), the form the paper's equations take.  The kernels that the
+integrator's vector fields call once per evaluation are replaced at
+import by straight-line code generated from that source
+(`codegen.generate`): the same products in the same order, with no
+Python call per product on the hot path, and bit-equal to the source,
+which each keeps as ``__wrapped__``.  `_mul_expm(r, c, v)` branches on
+the angle, so it stays written out and a call: it scales v by the stage
+scale c, forms the Rodrigues entries Q of expm(c v), then R Q as
+`_matmul` does; `expm(v)` is `_mul_expm` of the identity, c = 1.
 
 The connection is written once, as the matrix C(a) of b -> nabla_a b
 (`_conn_matrix`, 45 float operations from the table Gamma); `_conn` is
@@ -60,6 +63,7 @@ _SMALL_ANGLE = 1e-8
 _SKEW_TOL = 1e-12
 _ROTATION_TOL = 1e-9
 _IDENTITY = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+_METRIC = (9, 9, 27)   # the `codegen` spec of `metric_constants`
 
 
 def hat(v):
@@ -140,6 +144,12 @@ def _matmul_t(a, b):
             a6 * b0 + a7 * b1 + a8 * b2,
             a6 * b3 + a7 * b4 + a8 * b5,
             a6 * b6 + a7 * b7 + a8 * b8)
+
+
+def _transpose(m):
+    """M^T."""
+    m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
+    return m0, m3, m6, m1, m4, m7, m2, m5, m8
 
 
 def _skew_vee(m):
@@ -352,16 +362,7 @@ def _conn(gamma, a, b):
 def _euler(i_metric, i_inv, a):
     """The Euler term nabla_a a = -I^{-1}((I a) x a), in closed form as
     I^{-1}(a x (I a)), from the components of `metric_inverse`."""
-    i0, i1, i2, i3, i4, i5, i6, i7, i8 = i_metric
-    n0, n1, n2, n3, n4, n5, n6, n7, n8 = i_inv
-    a0, a1, a2 = a
-    p0 = i0 * a0 + i1 * a1 + i2 * a2
-    p1 = i3 * a0 + i4 * a1 + i5 * a2
-    p2 = i6 * a0 + i7 * a1 + i8 * a2
-    c0, c1, c2 = a1 * p2 - a2 * p1, a2 * p0 - a0 * p2, a0 * p1 - a1 * p0
-    return (n0 * c0 + n1 * c1 + n2 * c2,
-            n3 * c0 + n4 * c1 + n5 * c2,
-            n6 * c0 + n7 * c1 + n8 * c2)
+    return _matvec(i_inv, _cross(a, _matvec(i_metric, a)))
 
 
 def connection_term(i_metric, a, b):

@@ -50,12 +50,13 @@ MUTANTS = [
             a0 * z01 + a1 * z11 + a2 * z21,
             a0 * x02 + a1 * x12 + a2 * x22,""", None),
     ("euler term's sign", "so3",
-     "c0, c1, c2 = a1 * p2 - a2 * p1, a2 * p0 - a0 * p2, a0 * p1 - a1 * p0",
-     "c0, c1, c2 = a2 * p1 - a1 * p2, a0 * p2 - a2 * p0, a1 * p0 - a0 * p1",
+     "_cross(a, _matvec(i_metric, a))", "_cross(_matvec(i_metric, a), a)",
      None),
-    ("euler sum re-associated", "so3",
-     "p0 = i0 * a0 + i1 * a1 + i2 * a2",
-     "p0 = i0 * a0 + (i1 * a1 + i2 * a2)", None),
+    ("matvec sum re-associated", "so3",
+     "return (m0 * v0 + m1 * v1 + m2 * v2,",
+     "return (m0 * v0 + (m1 * v1 + m2 * v2),", None),
+    ("matmul sum re-associated", "so3",
+     "a0 * b1 + a1 * b4 + a2 * b7,", "a0 * b1 + (a1 * b4 + a2 * b7),", None),
     ("mul_expm Q R for R Q", "so3",
      "    return (r0 * q0 + r1 * q3 + r2 * q6,",
      "    (r0, r1, r2, r3, r4, r5, r6, r7, r8), (q0, q1, q2, q3, q4, q5, q6,\n"
@@ -72,10 +73,8 @@ MUTANTS = [
      "return (1.5 * r0 - 0.5 * (g00 * r0 + g01 * r3 + g02 * r6),",
      "return (1.4 * r0 - 0.5 * (g00 * r0 + g01 * r3 + g02 * r6),", None),
     ("dexpinv without its 1/12 term", "integrators",
-     """    return (b0 + 0.5 * x0 + (s1 * x2 - s2 * x1) / 12.0,
-            b1 + 0.5 * x1 + (s2 * x0 - s0 * x2) / 12.0,
-            b2 + 0.5 * x2 + (s0 * x1 - s1 * x0) / 12.0)""",
-     "    return b0 + 0.5 * x0, b1 + 0.5 * x1, b2 + 0.5 * x2", None),
+     "return tuple(bj + 0.5 * xj + yj / 12.0",
+     "return tuple(bj + 0.5 * xj", None),
     ("stage 2 without dexpinv", "integrators",
      "k2 = _dexpinv_right(half, k1, w)", "k2 = w", None),
     ("stage 3 from k1", "integrators",
@@ -97,46 +96,33 @@ MUTANTS = [
      "i = start + int(finite.argmin()) + 1", None),
     # dynamics
     ("external Euler term's sign", "dynamics",
-     "return u0 - n0, u1 - n1, u2 - n2", "return u0 + n0, u1 + n1, u2 + n2",
-     None),
+     "return tuple(u - n for u, n in zip(u_ext,",
+     "return tuple(u + n for u, n in zip(u_ext,", None),
     ("block solve's rows swapped", "dynamics",
-     "return (d0, d1, d2), (u0 / k0 - d0, u1 / k1 - d1, u2 / k2 - d2)",
-     "return (u0 / k0 - d0, u1 / k1 - d1, u2 / k2 - d2), (d0, d1, d2)",
+     "return d_omega, tuple(u / kj - d for u, kj, d in zip(u_int, k, d_omega))",
+     "return tuple(u / kj - d for u, kj, d in zip(u_int, k, d_omega)), d_omega",
      None),
     ("Pi x Omega's sign", "dynamics",
-     """    f0 = (p1 * w2 - p2 * w1) - u0
-    f1 = (p2 * w0 - p0 * w2) - u1
-    f2 = (p0 * w1 - p1 * w0) - u2""",
-     """    f0 = (p2 * w1 - p1 * w2) - u0
-    f1 = (p0 * w2 - p2 * w0) - u1
-    f2 = (p1 * w0 - p0 * w1) - u2""", None),
-    ("momentum sum re-associated", "dynamics",
-     "return (l0 * w0 + l1 * w1 + l2 * w2 + k0 * r0,",
-     "return (l0 * w0 + l1 * w1 + (l2 * w2 + k0 * r0),", None),
+     "f = _cross(_momentum(consts, omega, omega_r), omega)",
+     "f = _cross(omega, _momentum(consts, omega, omega_r))", None),
+    ("momentum's rotor term on Omega", "dynamics",
+     "zip(_matvec(locked, omega), k,\n                                                omega_r)",
+     "zip(_matvec(locked, omega), k,\n                                                omega)",
+     None),
     # control
     ("feed-forward's x dropped", "control",
-     "return ((a0 + (w1 * v2 - w2 * v1) + n0",
-     "return (((w1 * v2 - w2 * v1) + n0", None),
+     "u = (a + w + n + f for a, w, n, f in zip(",
+     "u = (a + n + f for a, w, n, f in zip(", None),
     ("Omega_d x Omega for Omega x Omega_d", "control",
-     """    return ((a0 + (w1 * v2 - w2 * v1) + n0 + (r0 * b0 + r3 * b1 + r6 * b2),
-             a1 + (w2 * v0 - w0 * v2) + n1 + (r1 * b0 + r4 * b1 + r7 * b2),
-             a2 + (w0 * v1 - w1 * v0) + n2""",
-     """    return ((a0 + (v1 * w2 - v2 * w1) + n0 + (r0 * b0 + r3 * b1 + r6 * b2),
-             a1 + (v2 * w0 - v0 * w2) + n1 + (r1 * b0 + r4 * b1 + r7 * b2),
-             a2 + (v0 * w1 - v1 * w0) + n2""", None),
+     "_cross(omega, omega_d)", "_cross(omega_d, omega)", None),
     ("u_int cross-term's sign", "control",
-     """    return ((p1 * w2 - p2 * w1) - u0, (p2 * w0 - p0 * w2) - u1,
-            (p0 * w1 - p1 * w0) - u2)""",
-     """    return ((w1 * p2 - w2 * p1) - u0, (w2 * p0 - w0 * p2) - u1,
-            (w0 * p1 - w1 * p0) - u2)""", None),
+     "_cross(spin, omega)", "_cross(omega, spin)", None),
     ("feedback without C(eta) xi_I", "control",
-     """            (g0 - (c0 * x0 + c1 * x1 + c2 * x2),
-             g1 - (c3 * x0 + c4 * x1 + c5 * x2),
-             g2 - (c6 * x0 + c7 * x1 + c8 * x2)))""",
-     "            (g0, g1, g2))", None),
-    ("dpsi sum re-associated", "control",
-     "m1 = p0 * e1 + p1 * e4 + p2 * e7", "m1 = p0 * e1 + (p1 * e4 + p2 * e7)",
-     None),
+     """    return tuple(fb), tuple(g - n for g, n in zip(grad,
+                                                  _matvec(c_eta, xi_i)))""",
+     "    return tuple(fb), tuple(grad)", None),
+    ("dpsi from E P", "control",
+     "_skew_vee(_matmul(p_mat, e))", "_skew_vee(_matmul(e, p_mat))", None),
     ("Q13's sign", "control",
      "q[0, 2] = q[2, 0] = -g.sigma * g.ki",
      "q[0, 2] = q[2, 0] = g.sigma * g.ki", None),

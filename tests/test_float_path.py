@@ -229,8 +229,9 @@ def test_torque_at_scalar_time_matches_time_grid(kind, amplitude, times):
             assert abs(columns[c][k] - floats[c]) <= 1e-12
 
 
-# The two trimmed kernels form only the entries they read, with the same
-# products in the same order, so they equal the full products bit for bit.
+# `_dpsi` (inside the generated kernels, which drop the diagonal of P E)
+# and the snap form only the entries they read, with the same products in
+# the same order, so they equal the full products bit for bit.
 
 @settings(max_examples=200, deadline=None)
 @given(p=arrays(np.float64, (3, 3), elements=st.floats(-3.0, 3.0)),
@@ -249,8 +250,8 @@ def test_snap_so3_equals_full_gram_step(r):
         1.5 * a - 0.5 * b for a, b in zip(r, m))
 
 
-# The paper-level kernels write out their 3x3 products; each equals, bit
-# for bit, the composition of the `so3` primitives it replaces.
+# The paper-level kernels, generated as straight-line code where a vector
+# field calls them, equal the composition of `so3` primitives bit for bit.
 
 def _spd(m):
     return m @ m.T + 0.5 * np.eye(3)
