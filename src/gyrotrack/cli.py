@@ -80,7 +80,8 @@ def _check_outputs(*paths):
     Raises OSError unless each path's parent directory exists (for a
     symlink, also that of the file it names) and the path is neither a
     directory nor a symlink loop, which `os.stat` reports naming the
-    path."""
+    path, and unless no two paths name one file (one resolved target,
+    or for existing files `os.path.samefile`), naming both."""
     targets = []
     for path in map(Path, paths):
         # a loop, which `Path.resolve` raises as RuntimeError before
@@ -94,6 +95,10 @@ def _check_outputs(*paths):
                     f"parent directory {parent} does not exist")
         if path.is_dir():
             raise IsADirectoryError(f"output {path} is a directory")
+        for other, seen in zip(paths, targets):
+            if seen == target or (seen.exists() and target.exists()
+                                  and seen.samefile(target)):
+                raise OSError(f"outputs {other} and {path} name one file")
         targets.append(target)
     return targets
 

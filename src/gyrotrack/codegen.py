@@ -88,9 +88,9 @@ _OPERAND = (_Sym, float, int)
 
 class _Box:
     """A traced sequence of ``spec``: an argument, an entry of another
-    box, an opaque call's value or a slice of a box (``source`` "arg",
-    "entry", "call" or "slice", then what it is from).  Its entries come
-    from unpacking it whole, one statement at their first read."""
+    box or an opaque call's value (``source`` "arg", "entry" or "call",
+    then what it is from).  Its entries come from unpacking it whole, one
+    statement at their first read."""
 
     __slots__ = ("trace", "specs", "source", "entries", "uses", "name")
 
@@ -109,13 +109,7 @@ class _Box:
     def __iter__(self):
         return iter(self._unpacked())
 
-    def __len__(self):
-        return len(self.specs)
-
     def __getitem__(self, key):
-        if isinstance(key, slice):
-            return _record(self.trace, _Box(self.trace, self.specs[key],
-                                            ("slice", self, key)))
         return self._unpacked()[key]
 
 
@@ -149,7 +143,7 @@ def _use(value):
         value.uses += 1
         if value.uses == 1:
             if isinstance(value, _Box):
-                if value.source[0] in ("entry", "slice"):
+                if value.source[0] == "entry":
                     _use(value.source[1])
             elif value.op == "entry" or value.op in _PREC:
                 _use(value.args)
@@ -195,18 +189,10 @@ def _statements(trace):
                 targets = ", ".join(entry.name for entry in entries)
                 yield f"{targets}{',' if len(entries) == 1 else ''} " \
                     f"= {event[1].name}"
-        elif isinstance(event, _Box):
-            kind, of, args = event.source
-            if kind == "call":
-                text = f"{of}({', '.join(_text(a)[0] for a in args)})"
-            elif event.uses:   # a slice, ``args`` its slice object
-                text = f"{of.name}[" + ":".join(
-                    "" if x is None else repr(x)
-                    for x in (args.start, args.stop, args.step)) + "]"
-            else:
-                continue
+        elif isinstance(event, _Box):   # an opaque call
+            _, of, args = event.source   # ``args`` a tuple, written as one
             event.name = next(names)
-            yield f"{event.name} = {text}"
+            yield f"{event.name} = {of}{_text(args)[0]}"
         elif event.uses > 1 and event.op not in ("arg", "entry"):
             text = _text(event)[0]
             event.name = next(names)
@@ -239,7 +225,7 @@ def generate(kernel, *specs, calls=(), **given):
                                 kernel.__closure__)
     out = traced(*args, **given)
     for event in trace:   # every call is made
-        if isinstance(event, _Box) and event.source[0] == "call":
+        if isinstance(event, _Box):
             _use(event.source[2])
     _use(out)
     body = [*_statements(trace), f"return {_text(out)[0]}"]

@@ -268,8 +268,9 @@ def error_field(i_metric, p, gains):
 @kernel(_METRIC, 9, "kp kd ki", 9, 3, 9, 3, 3, 3)
 def _loop_kernel(metric, p_mat, gains, r, omega, r_d, omega_d,
                  omega_d_dot, xi_i):
-    """Commanded acceleration u and integral-state rate, componentwise:
-    `_error`, then `_feedback`, then u of the module docstring.
+    """Commanded acceleration u, the carrier torque I u that realizes it
+    and the integral-state rate, componentwise: `_error`, then
+    `_feedback`, then u of the module docstring.
 
     ``metric`` is the (I, I^{-1}, Gamma) of `so3.metric_constants` and
     ``p_mat`` the components of the weights, precomputed by the caller;
@@ -278,21 +279,21 @@ def _loop_kernel(metric, p_mat, gains, r, omega, r_d, omega_d,
     """
     e, eta = _error(r, omega, r_d, omega_d)
     fb, xi_dot = _feedback(metric, p_mat, gains, e, eta, xi_i)
-    u = (a + w + n + f for a, w, n, f in zip(
+    u = tuple(a + w + n + f for a, w, n, f in zip(
         omega_d_dot, _cross(omega, omega_d),
         _euler(metric[0], metric[1], omega), _matvec(_transpose(r), fb)))
-    return tuple(u), xi_dot
+    return u, _matvec(metric[0], u), xi_dot
 
 
 def control_uext(i_metric, p, gains, r, omega, r_d, omega_d, omega_d_dot, xi_i):
     """Tracking control for the externally actuated body: the command u
     (rad/s^2) of the module docstring, entering
     dOmega = I^{-1}((I Omega) x Omega) + u; the physical torque realized on
-    the body is I @ u."""
-    u, _ = _loop_kernel(metric_constants(i_metric), components(p, 2), gains,
-                        components(r, 2), components(omega),
-                        components(r_d, 2), components(omega_d),
-                        components(omega_d_dot), components(xi_i))
+    the body is I @ u, the second output of `_loop_kernel`."""
+    u = _loop_kernel(metric_constants(i_metric), components(p, 2), gains,
+                     components(r, 2), components(omega),
+                     components(r_d, 2), components(omega_d),
+                     components(omega_d_dot), components(xi_i))[0]
     return from_components(u)
 
 

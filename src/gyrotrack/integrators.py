@@ -3,13 +3,13 @@
 State convention: a pair ``(r, vec)`` on components, as the kernels of
 `so3` take them: ``r`` the attitude's 9 entries in row-major order and
 ``vec`` one flat sequence of Python floats holding every vector-valued
-state.  A vector field maps ``(t, r, vec)`` to ``(omega, rates)``: the
-attitude's 3 floats of body velocity and one rate per vector slot, then
-any records the integrator ignores (the closed loop's torques); on a
-non-finite state it returns inf or NaN, as the kernels of `so3` do,
-rather than raising.  The integrator owns the group update, advancing
-the attitude by a right-multiplied exponential, each update R expm(c k)
-one call of `so3._mul_expm` at the stage scale c.
+state.  A vector field maps ``(t, r, vec)`` to exactly ``(omega,
+rates)``: the attitude's 3 floats of body velocity and one rate per
+vector slot (a longer value fails to unpack, ValueError at the first
+step); on a non-finite state it returns inf or NaN, as the kernels of
+`so3` do, rather than raising.  The integrator owns the group update,
+advancing the attitude by a right-multiplied exponential, each update
+R expm(c k) one call of `so3._mul_expm` at the stage scale c.
 
 `_blocks` is the one integration loop, a generator of a run's unchecked
 blocks that holds no more of it than the block in progress, for the
@@ -26,7 +26,8 @@ commutators (sufficient for order 4).  Both are written once, in
 `_step_source`; the step that runs (`step_lie`) is generated from it
 (`codegen.generate`) for each scheme, reprojection flag and width of the
 vector state, with the field and `so3._mul_expm` left as calls and the
-stage sums, `_dexpinv_right` and `_snap_so3` as inline arithmetic.
+stage sums (`_rk4_sum`), `_dexpinv_right` and `_snap_so3` as inline
+arithmetic.
 
 Everything is pure float arithmetic with a fixed step, so rerunning an
 integration reproduces it bit for bit on the same platform.  The step
@@ -43,7 +44,7 @@ import numpy as np
 
 from .codegen import Call, generate
 from .errors import DivergedStateError
-from .so3 import _cross, _mul_expm, components
+from .so3 import _cross, _matmul, _matmul_t, _mul_expm, components
 
 SCHEMES = ("lie_euler", "rk4_munthe_kaas")
 _BLOCK = 128   # sample rows gathered, checked and yielded at once
@@ -55,25 +56,9 @@ def _snap_so3(r):
     Written as 1.5 r - 0.5 (r r^T) r.  Equals the orthogonal polar factor
     to machine precision for the near-orthogonal matrices produced by
     exponential updates; far cheaper than an SVD in the per-step repair.
-    The Gram matrix r r^T is symmetric; its six distinct entries and
-    (r r^T) r are formed as `so3._matmul_t` and `so3._matmul` form them.
     """
-    r0, r1, r2, r3, r4, r5, r6, r7, r8 = r
-    g00 = r0 * r0 + r1 * r1 + r2 * r2
-    g11 = r3 * r3 + r4 * r4 + r5 * r5
-    g22 = r6 * r6 + r7 * r7 + r8 * r8
-    g01 = r0 * r3 + r1 * r4 + r2 * r5
-    g02 = r0 * r6 + r1 * r7 + r2 * r8
-    g12 = r3 * r6 + r4 * r7 + r5 * r8
-    return (1.5 * r0 - 0.5 * (g00 * r0 + g01 * r3 + g02 * r6),
-            1.5 * r1 - 0.5 * (g00 * r1 + g01 * r4 + g02 * r7),
-            1.5 * r2 - 0.5 * (g00 * r2 + g01 * r5 + g02 * r8),
-            1.5 * r3 - 0.5 * (g01 * r0 + g11 * r3 + g12 * r6),
-            1.5 * r4 - 0.5 * (g01 * r1 + g11 * r4 + g12 * r7),
-            1.5 * r5 - 0.5 * (g01 * r2 + g11 * r5 + g12 * r8),
-            1.5 * r6 - 0.5 * (g02 * r0 + g12 * r3 + g22 * r6),
-            1.5 * r7 - 0.5 * (g02 * r1 + g12 * r4 + g22 * r7),
-            1.5 * r8 - 0.5 * (g02 * r2 + g12 * r5 + g22 * r8))
+    m = _matmul(_matmul_t(r, r), r)
+    return tuple(1.5 * a - 0.5 * b for a, b in zip(r, m))
 
 
 @dataclass(frozen=True)
@@ -134,6 +119,12 @@ def _dexpinv_right(c, k, b):
                  for bj, xj, yj in zip(b, x, _cross(sigma, x)))
 
 
+def _rk4_sum(a, b, c, d):
+    """a + 2 b + 2 c + d, entry by entry: the RK4 weights of four
+    stages."""
+    return tuple(x + 2.0 * y + 2.0 * z + w for x, y, z, w in zip(a, b, c, d))
+
+
 def _step_source(vector_field, t, state, h, scheme, reproject):
     """Advance ``state = (r, vec)`` by one step of size h: the source of
     the steps `_step` generates.
@@ -141,14 +132,14 @@ def _step_source(vector_field, t, state, h, scheme, reproject):
     The attitude updates as R <- R expm(sigma) with the stage combination
     of the chosen scheme; the vector state follows the matching classical
     Runge-Kutta stages.  With ``reproject`` the updated attitude is
-    snapped back to SO(3) by polar projection.  All on components; records
-    the field returns after its rates are ignored.  Each RK4 stage after
-    the first corrects its slope by dexp^{-1}, then forms the next stage's
-    exponential or, in the last stage, the update and snap.
+    snapped back to SO(3) by polar projection.  All on components.  Each
+    RK4 stage after the first corrects its slope by dexp^{-1}, then forms
+    the next stage's exponential or, in the last stage, the update and
+    snap.
     """
     r, vec = state
     if scheme == "lie_euler":
-        omega, vdot = vector_field(t, r, vec)[:2]
+        omega, vdot = vector_field(t, r, vec)
         r = _mul_expm(r, h, omega)
         return (_snap_so3(r) if reproject else r,
                 [x + h * d for x, d in zip(vec, vdot)])
@@ -156,26 +147,21 @@ def _step_source(vector_field, t, state, h, scheme, reproject):
         raise ValueError(f"unknown scheme '{scheme}'")
 
     half, sixth = 0.5 * h, h / 6.0
-    k1, v1 = vector_field(t, r, vec)[:2]
+    k1, v1 = vector_field(t, r, vec)
     # stages 2 and 3 at t + h/2 start from the previous slope k scaled by
     # c = h/2 and correct theirs by dexp^{-1} at sigma = c k
     w, v2 = vector_field(t + half, _mul_expm(r, half, k1),
-                         [x + half * d for x, d in zip(vec, v1)])[:2]
+                         [x + half * d for x, d in zip(vec, v1)])
     k2 = _dexpinv_right(half, k1, w)
     w, v3 = vector_field(t + half, _mul_expm(r, half, k2),
-                         [x + half * d for x, d in zip(vec, v2)])[:2]
+                         [x + half * d for x, d in zip(vec, v2)])
     k3 = _dexpinv_right(half, k2, w)
     # stage 4 at t + h starts from h k3; then the update
     w, v4 = vector_field(t + h, _mul_expm(r, h, k3),
-                         [x + h * d for x, d in zip(vec, v3)])[:2]
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = k1, k2, k3
-    d0, d1, d2 = _dexpinv_right(h, k3, w)
-    r = _mul_expm(r, sixth, (a0 + 2.0 * b0 + 2.0 * c0 + d0,
-                             a1 + 2.0 * b1 + 2.0 * c1 + d1,
-                             a2 + 2.0 * b2 + 2.0 * c2 + d2))
+                         [x + h * d for x, d in zip(vec, v3)])
+    r = _mul_expm(r, sixth, _rk4_sum(k1, k2, k3, _dexpinv_right(h, k3, w)))
     return (_snap_so3(r) if reproject else r,
-            [x + sixth * (a + 2.0 * b + 2.0 * c + d)
-             for x, a, b, c, d in zip(vec, v1, v2, v3, v4)])
+            [x + sixth * s for x, s in zip(vec, _rk4_sum(v1, v2, v3, v4))])
 
 
 @functools.cache

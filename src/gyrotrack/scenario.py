@@ -407,7 +407,7 @@ def _plant_loop(cfg, actuation):
     the control's feed-forward.  Under external actuation the carrier
     body is torqued directly, u_int is zero and the plant's Theta and
     OmegaR slots stay zero.  On components (see `integrators`): floats in
-    the stepper, which ignores the torques, columns in the post-pass.
+    the stepper, columns in the post-pass.
     """
     plant = cfg.plant.params
     plant_c = kernel_constants(plant)
@@ -415,19 +415,16 @@ def _plant_loop(cfg, actuation):
     p_mat = components(cfg.weights.P, 2)
     metric = metric_constants(plant.body_inertia)
     i_metric, i_inv, _ = metric
-    i0, i1, i2, i3, i4, i5, i6, i7, i8 = i_metric
     internal = actuation == "internal"
 
     def loop(t, r, vec, ref):
         _, _, _, w0, w1, w2, r0, r1, r2, x0, x1, x2 = vec
         q0, q1, q2, q3, q4, q5, q6, q7, q8, v0, v1, v2, a0, a1, a2 = ref
         omega, omega_r = (w0, w1, w2), (r0, r1, r2)
-        (u0, u1, u2), (y0, y1, y2) = _loop_kernel(
+        u, u_ext, (y0, y1, y2) = _loop_kernel(
             metric, p_mat, gains, r, omega,
             (q0, q1, q2, q3, q4, q5, q6, q7, q8), (v0, v1, v2),
             (a0, a1, a2), (x0, x1, x2))
-        u_ext = (i0 * u0 + i1 * u1 + i2 * u2, i3 * u0 + i4 * u1 + i5 * u2,
-                 i6 * u0 + i7 * u1 + i8 * u2)   # I u, as `_matvec` forms it
         if internal:
             u_int = _uint(plant_c, u_ext, omega, omega_r)
             (c0, c1, c2), (d0, d1, d2) = rotor_accels(plant_c, omega,
@@ -435,8 +432,7 @@ def _plant_loop(cfg, actuation):
         else:
             zero = 0.0 * t   # +0.0 as a float, or a column like t (t >= 0)
             u_int = d0, d1, d2 = zero, zero, zero
-            c0, c1, c2 = _external_accel(i_metric, i_inv, omega,
-                                         (u0, u1, u2))
+            c0, c1, c2 = _external_accel(i_metric, i_inv, omega, u)
         return (omega, (r0, r1, r2, c0, c1, c2, d0, d1, d2, y0, y1, y2),
                 u_ext, u_int)
     return loop
@@ -476,7 +472,7 @@ def closed_loop_blocks(cfg, actuation="internal"):
         if not stages:
             stages.extend(next(messages)[1].tolist())
             ref_rows.append(next(messages)[1])
-        return loop(t, r, vec, stages.popleft())
+        return loop(t, r, vec, stages.popleft())[:2]
 
     with child(lambda: _stream_reference(cfg), child_reads=False,
                what="reference body") as messages:

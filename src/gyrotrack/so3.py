@@ -43,7 +43,13 @@ Python call per product on the hot path, and bit-equal to the source,
 which each keeps as ``__wrapped__``.  `_mul_expm(r, c, v)` branches on
 the angle, so it stays written out and a call: it scales v by the stage
 scale c, forms the Rodrigues entries Q of expm(c v), then R Q as
-`_matmul` does; `expm(v)` is `_mul_expm` of the identity, c = 1.
+`_matmul` does; `expm(v)` is `_mul_expm` of the identity, c = 1.  Its
+R Q could be traced into the generated step, with only the branching
+Rodrigues coefficients left a call, but measured on a 2-core host that
+split grew the step at width 12 from 61 to 157 lines and doubled the
+in-process `simulate` under tracemalloc (9.0-10.2 s to 20.0-20.4 s)
+with no resolvable change in CPU time (12 alternating pairs), so the
+product stays inside the call.
 
 The connection is written once, as the matrix C(a) of b -> nabla_a b
 (`_conn_matrix`, 45 float operations from the table Gamma); `_conn` is

@@ -70,8 +70,11 @@ MUTANTS = [
      "q0, q1, q2 = d + b * (x * x), bxy - az, bxz + ay", None),
     # integrators
     ("snap coefficient 1.5 -> 1.4", "integrators",
-     "return (1.5 * r0 - 0.5 * (g00 * r0 + g01 * r3 + g02 * r6),",
-     "return (1.4 * r0 - 0.5 * (g00 * r0 + g01 * r3 + g02 * r6),", None),
+     "return tuple(1.5 * a - 0.5 * b for a, b in zip(r, m))",
+     "return tuple(1.4 * a - 0.5 * b for a, b in zip(r, m))", None),
+    ("snap's Gram matrix r r for r r^T", "integrators",
+     "m = _matmul(_matmul_t(r, r), r)", "m = _matmul(_matmul(r, r), r)",
+     None),
     ("dexpinv without its 1/12 term", "integrators",
      "return tuple(bj + 0.5 * xj + yj / 12.0",
      "return tuple(bj + 0.5 * xj", None),
@@ -87,13 +90,18 @@ MUTANTS = [
      "w, v4 = vector_field(t + h, _mul_expm(r, h, k3),",
      "w, v4 = vector_field(t, _mul_expm(r, h, k3),", None),
     ("final combination reordered", "integrators",
-     "r = _mul_expm(r, sixth, (a0 + 2.0 * b0 + 2.0 * c0 + d0,",
-     "r = _mul_expm(r, sixth, (a0 + d0 + 2.0 * b0 + 2.0 * c0,", None),
+     "return tuple(x + 2.0 * y + 2.0 * z + w for x, y, z, w in zip(",
+     "return tuple(x + w + 2.0 * y + 2.0 * z for x, y, z, w in zip(", None),
     ("check exempts each block's first row", "integrators",
      "finite[:1] |= not start", "finite[:1] = True", None),
     ("check reports the next row", "integrators",
      "i = start + int(finite.argmin())",
      "i = start + int(finite.argmin()) + 1", None),
+    # codegen
+    ("right operand of equal precedence unparenthesized", "codegen",
+     "rp > p", "rp >= p", None),
+    ("negation of an operation unparenthesized", "codegen",
+     'text if prec == _ATOM else f"({text})"', "text", None),
     # dynamics
     ("external Euler term's sign", "dynamics",
      "return tuple(u - n for u, n in zip(u_ext,",
@@ -111,8 +119,11 @@ MUTANTS = [
      None),
     # control
     ("feed-forward's x dropped", "control",
-     "u = (a + w + n + f for a, w, n, f in zip(",
-     "u = (a + n + f for a, w, n, f in zip(", None),
+     "u = tuple(a + w + n + f for a, w, n, f in zip(",
+     "u = tuple(a + n + f for a, w, n, f in zip(", None),
+    ("I u from I^{-1}", "control",
+     "return u, _matvec(metric[0], u), xi_dot",
+     "return u, _matvec(metric[1], u), xi_dot", None),
     ("Omega_d x Omega for Omega x Omega_d", "control",
      "_cross(omega, omega_d)", "_cross(omega_d, omega)", None),
     ("u_int cross-term's sign", "control",

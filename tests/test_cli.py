@@ -733,6 +733,41 @@ def test_symlink_loop_output_exit_1_before_running(command, forked, tmp_path,
     assert_no_child()
 
 
+@pytest.mark.parametrize("command, link", [
+    ("simulate", "symlink"), ("simulate", "hard link"), ("compare", "symlink"),
+    ("plot", "symlink")])
+def test_two_outputs_naming_one_file_exit_1_before_running(
+        command, link, tmp_path, monkeypatch, capfd):
+    # two outputs of one command that name one file (the second a link to
+    # the first) would leave only the one written last: one error line
+    # naming both, and nothing runs or is created
+    monkeypatch.setattr(cli, "closed_loop_blocks", never_integrate)
+    monkeypatch.setattr(cli, "compare_efforts", never_integrate)
+    source = write_telemetry(tmp_path / "in.csv", PINNED_ROWS) \
+        if command == "plot" else write_short_config(tmp_path)
+    out = tmp_path / {"simulate": "a.csv", "compare": "cmp",
+                      "plot": "p.svg"}[command]
+    first, second = {
+        "simulate": (out, tmp_path / "a.meta.json"),
+        "compare": (out / "effort_proposed.csv", out / "effort_baseline.csv"),
+        "plot": (out, tmp_path / "p_psi.svg")}[command]
+    first.parent.mkdir(exist_ok=True)
+    if link == "symlink":
+        second.symlink_to(first.name)
+    else:
+        first.write_text("kept\n")
+        second.hardlink_to(first)
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, str(source), "-o", str(out)]) == 1
+    out_text, err = capfd.readouterr()
+    assert out_text == ""
+    assert err == f"error: outputs {first} and {second} name one file\n"
+    assert sorted(tmp_path.rglob("*")) == before
+    if link == "hard link":
+        assert first.read_text() == "kept\n"
+    assert_no_child()
+
+
 class TestTuneGains:
     def test_benchmark_verdict(self, capsys):
         assert main(["tune-gains", str(ZERO_CFG)]) == 0

@@ -112,7 +112,7 @@ def _plant():
     loop = scenario._plant_loop(cfg, "internal")
     ref = so3.components(so3.expm([0.2, -0.4, 0.1]), 2) + [
         0.3, -0.2, 0.5, 0.1, 0.0, -0.3]
-    return lambda t, r, vec: loop(t, r, vec, ref)
+    return lambda t, r, vec: loop(t, r, vec, ref)[:2]
 
 
 # width of the vector state -> a package field of that width
@@ -197,3 +197,123 @@ def test_generated_source_binds_shared_values_and_drops_unused_ones():
         "def kernel(a, b, gains):\n"
         "    _0 = a * b\n"
         "    return (_0 + _0 - gains.kp, -(a - b) * 2.0)\n")
+
+
+# Random straight-line kernels: `programs` draws the source of a kernel of
+# a scalar ``s``, a box ``v`` of 3, a box ``m`` of a box of 2 and one of
+# 3 and gains ``g``, whose statements combine earlier values, read boxes
+# by unpacking and by index and call ``opaque``, and whose outputs use
+# some values more than once and leave others unused.  It also gives the
+# same source without the unused statements (a call is never unused):
+# the generated kernel must equal that on every input, exceptions
+# included, and the whole source wherever the source returns.
+
+_SPECS = (None, 3, (2, 3), "kp ki")
+
+
+def _opaque(a, b):
+    return a - b, a * b
+
+
+@st.composite
+def programs(draw):
+    head = ["def kernel(s, v, m, g):"]
+    pool = ["s", "v[0]", "v[2]", "m[0][1]", "m[1][2]", "g.kp", "g.ki"]
+    if draw(st.booleans()):
+        head.append("    v0, v1, v2 = v")
+        pool += ["v0", "v1", "v2"]
+    if draw(st.booleans()):
+        head.append("    (p0, p1), (q0, q1, q2) = m")
+        pool += ["p0", "q0", "q2"]
+    statements = []   # (text, the statement's name or None for a call,
+    #                   the names of earlier statements it reads)
+
+    def operand(*constants):
+        # as often a statement's value as anything else, so that values
+        # are read once (and written inline) as well as more often
+        values = [x for x in pool if x.startswith("x")]
+        if values and draw(st.booleans()):
+            return draw(st.sampled_from(values))
+        return draw(st.sampled_from(pool + list(constants)))
+
+    for k in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["+", "-", "*", "/", "neg", "call"]))
+        a, b = operand(), operand("2.0", "-0.5", "3.0")
+        reads = {x.split("[")[0] for x in ((a,) if kind == "neg" else (a, b))
+                 if x.startswith("x")}
+        if kind == "call":
+            if draw(st.booleans()):
+                text = f"x{k}, x{k}b = opaque({a}, {b})"
+                pool += [f"x{k}", f"x{k}b"]
+            else:
+                text = f"x{k} = opaque({a}, {b})"
+                pool += [f"x{k}[0]", f"x{k}[1]"]
+            statements.append((text, None, reads))
+            continue
+        text = f"-{a}" if kind == "neg" else f"{a} {kind} {b}"
+        statements.append((f"x{k} = {text}", f"x{k}", reads))
+        pool.append(f"x{k}")
+    outputs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    extra = draw(st.lists(st.sampled_from(pool), max_size=2))
+    tail = f"    return ({', '.join(outputs)},), [{', '.join(extra)}]"
+    live = {x.split("[")[0] for x in outputs + extra}
+    kept = []
+    for text, name, reads in reversed(statements):
+        if name is None or name in live:
+            live |= reads
+            kept.append(text)
+    body = [text for text, _, _ in statements]
+    return ["\n".join(head + [f"    {x}" for x in lines] + [tail])
+            for lines in (body, kept[::-1])]
+
+
+def _function(source):
+    namespace = {"opaque": _opaque}
+    exec(source, namespace)
+    return namespace["kernel"]
+
+
+def _same_outcome(got, want):
+    if isinstance(want, type) or isinstance(got, type):
+        return got is want
+    if isinstance(want, (tuple, list)):
+        return type(got) is type(want) and len(got) == len(want) and all(
+            _same_outcome(a, b) for a, b in zip(got, want))
+    if isinstance(want, np.ndarray):
+        return got.shape == want.shape and got.tobytes() == want.tobytes()
+    return type(got) is type(want) and _same_float(got, want)
+
+
+def _check(program, args):
+    """The generated kernel of ``program`` against its source without the
+    unused statements on ``args``, and against the whole source where
+    that returns."""
+    source, pruned = map(_function, program)
+    generated = codegen.generate(source, *_SPECS, calls={"opaque": 2})
+    got = _outcome(generated, args)
+    assert _same_outcome(got, _outcome(pruned, args)), generated.source
+    want = _outcome(source, args)
+    if not isinstance(want, type):
+        assert _same_outcome(got, want), generated.source
+
+
+@settings(max_examples=300, deadline=None)
+@given(program=programs(), data=st.data())
+def test_random_kernel_generates_its_source_on_floats(program, data):
+    _check(program, [data.draw(_FLOAT)] + [
+        _value(spec, lambda: data.draw(_FLOAT)) for spec in _SPECS[1:]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(program=programs(), data=st.data())
+def test_random_kernel_generates_its_source_on_columns(program, data):
+    # the gains stay floats, as a kernel's run constants are
+    n = data.draw(st.integers(1, 4))
+
+    def column():
+        return np.array([data.draw(_FLOAT) for _ in range(n)])
+
+    _check(program, [
+        column(), [column() for _ in range(3)],
+        ([column() for _ in range(2)], [column() for _ in range(3)]),
+        _value("kp ki", lambda: data.draw(_FLOAT))])

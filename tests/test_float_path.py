@@ -294,11 +294,11 @@ def _composed_loop_kernel(metric, p, gains, r, omega, r_d, omega_d,
                           omega_d_dot, xi):
     e, eta = control._error(r, omega, r_d, omega_d)
     fb, xi_dot = control._feedback(metric, p, gains, e, eta, xi)
-    u = (a + w + n + f for a, w, n, f in zip(
+    u = tuple(a + w + n + f for a, w, n, f in zip(
         omega_d_dot, so3._cross(omega, omega_d),
         so3._euler(metric[0], metric[1], omega),
         so3._matvec(_transpose(r), fb)))
-    return tuple(u), xi_dot
+    return u, so3._matvec(metric[0], u), xi_dot
 
 
 def _composed_rotor_accels(consts, omega, omega_r, u):
@@ -460,9 +460,9 @@ def test_closed_loop_torque_is_inertia_times_command(actuation, ms, vec, t):
     d_omega_d, _ = dynamics._rotor_accels(
         dynamics.kernel_constants(cfg.reference.params), vec[12:15],
         vec[15:18], cfg.program._torque(t))
-    u, _ = control._loop_kernel(_METRIC, so3.components(cfg.weights.P, 2),
-                                cfg.gains, ms[0], vec[3:6], ms[1],
-                                vec[12:15], d_omega_d, vec[18:21])
+    u, _, _ = control._loop_kernel(
+        _METRIC, so3.components(cfg.weights.P, 2), cfg.gains, ms[0],
+        vec[3:6], ms[1], vec[12:15], d_omega_d, vec[18:21])
     assert loop(t, ms, vec)[2] == so3._matvec(_METRIC[0], u)
 
 

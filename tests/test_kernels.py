@@ -36,7 +36,7 @@ def _case(name, rng):
         consts = [so3.metric_constants(i), so3.components(p, 2)]
 
         def kernel(r, omega, r_d, omega_d, omega_d_dot, xi):
-            u, xi_dot = control._loop_kernel(
+            u, _, xi_dot = control._loop_kernel(
                 *consts, gains, so3.components(r, 2), so3.components(omega),
                 so3.components(r_d, 2), so3.components(omega_d),
                 so3.components(omega_d_dot), so3.components(xi))

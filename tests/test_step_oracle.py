@@ -190,11 +190,24 @@ def test_field_raising_on_finite_state_propagates():
 
 
 @pytest.mark.parametrize("scheme", integrators.SCHEMES)
-def test_trailing_records_are_ignored(scheme):
+def test_field_returning_more_than_omega_and_rates_raises(scheme):
+    # a field returns exactly (omega, rates): a trailing record fails to
+    # unpack at the first evaluation, in the generated step, in its
+    # source and in a run
     field, initial = free_body()
+    times = []
+
+    def longer(t, r, vec):
+        times.append(t)
+        return (*field(t, r, vec), "u_ext")
+
+    state = so3.components(initial[0], 2), so3.components(initial[1])
     cfg = IntegratorConfig(step=1e-3, duration=0.3, scheme=scheme)
-    assert _same(
-        _arrays(integrate_components(
-            lambda t, r, vec: (*field(t, r, vec), "u_ext", None),
-            initial, cfg)),
-        _arrays(integrate_components(field, initial, cfg)))
+    for run in (
+            lambda: integrators.step_lie(longer, 0.0, state, 1e-3, scheme),
+            lambda: integrators._step_source(longer, 0.0, state, 1e-3,
+                                             scheme, True),
+            lambda: integrate_components(longer, initial, cfg)):
+        with pytest.raises(ValueError, match="unpack"):
+            run()
+    assert times == [0.0] * 3
