@@ -29,8 +29,8 @@ either run starts).  A usage error, a bad ``--entries`` among them,
 exits 1 after argparse prints it.  An output file whose directory is
 missing (or, for a symlink, that of the file it names), or which is
 itself a directory, fails once the input has loaded, before anything is
-integrated or written; ``compare`` creates its output directory only
-after the run.
+integrated or written; ``compare`` creates its output directory (for
+a dangling symlink, the directory it names) only after the run.
 
 The CSV schema is a stable contract (see COLUMNS): one row per sample,
 numbers with 17 significant digits, comma separated, LF line endings.
@@ -274,16 +274,16 @@ def cmd_tune_gains(config_path, synthesize=False):
 def cmd_compare(config_path, out_dir):
     """Run proposed vs integral-free baseline; write effort CSVs + summary."""
     cfg = load_config(config_path)
-    out = Path(out_dir)
+    out = target = Path(out_dir)
     efforts = [out / f"effort_{name}.csv" for name in ("proposed", "baseline")]
     if out.is_dir():
         _check_outputs(*efforts, out / "summary.json")
     elif out.exists():
         raise NotADirectoryError(f"output {out} is not a directory")
     else:
-        _check_outputs(out)
+        target, = _check_outputs(out)   # for a symlink, the file it names
     cmp_result = compare_efforts(cfg)
-    out.mkdir(exist_ok=True)   # only once the run has succeeded
+    target.mkdir(exist_ok=True)   # only once the run has succeeded
 
     step, n = cmp_result.step, len(cmp_result.proposed)
     for path, effort in zip(efforts, (cmp_result.proposed,

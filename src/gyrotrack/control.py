@@ -61,10 +61,9 @@ import numpy as np
 from .codegen import kernel
 from .dynamics import _CONSTANTS, kernel_constants
 from .errors import GainSynthesisError, KappaOutOfRangeError
-from .so3 import (_METRIC, _conn_matrix, _cross, _euler, _matmul, _matmul_t,
-                  _matvec, _skew_vee, _transpose, components,
-                  from_components, metric_constants, metric_inverse,
-                  spd_eigenvalues)
+from .so3 import (_METRIC, _conn_matrix, _cross, _euler, _matmul, _matvec,
+                  _skew_vee, _transpose, components, from_components,
+                  metric_constants, metric_inverse, spd_eigenvalues)
 
 # Certification constants used by the bundled benchmark gain set (k_p, k_d,
 # k_I) = (1, 3, 1).  The Hessian-bound constant does not match
@@ -211,7 +210,7 @@ def nav_dpsi(p, e):
 def _error(r, omega, r_d, omega_d):
     """E = R_d R^T and eta = R (Omega_d - Omega)."""
     slip = [d - w for d, w in zip(omega_d, omega)]
-    return _matmul_t(r_d, r), _matvec(r, slip)
+    return _matmul(r_d, _transpose(r)), _matvec(r, slip)
 
 
 def error_state(r, omega, r_d, omega_d):

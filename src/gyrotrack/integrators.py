@@ -44,7 +44,7 @@ import numpy as np
 
 from .codegen import Call, generate
 from .errors import DivergedStateError
-from .so3 import _cross, _matmul, _matmul_t, _mul_expm, components
+from .so3 import _cross, _matmul, _mul_expm, _transpose, components
 
 SCHEMES = ("lie_euler", "rk4_munthe_kaas")
 _BLOCK = 128   # sample rows gathered, checked and yielded at once
@@ -57,7 +57,7 @@ def _snap_so3(r):
     to machine precision for the near-orthogonal matrices produced by
     exponential updates; far cheaper than an SVD in the per-step repair.
     """
-    m = _matmul(_matmul_t(r, r), r)
+    m = _matmul(_matmul(r, _transpose(r)), r)
     return tuple(1.5 * a - 0.5 * b for a, b in zip(r, m))
 
 

@@ -11,9 +11,9 @@ Conventions used throughout the package are fixed here:
   conservation tests pin this sign.
 
 Componentwise kernels.  Each per-sample formula of the closed loop
-(here: the cross product, matrix products, the skew part, the
-Levi-Civita connection and the exponential update R expm(c v)) is written
-once, as a private function over scalar components: a vector is a
+(here: the primitives below, the Levi-Civita connection and the
+exponential update R expm(c v)) is written once, as a private function
+over scalar components: a vector is a
 sequence of 3 components, a matrix a sequence of 9 in row-major order.
 The same source runs on Python floats for one sample (``components`` of
 a (3,) or (3, 3) array, i.e. its ``tolist()``), which is what the
@@ -30,21 +30,30 @@ that keeps it away from zero and from inf (the Rodrigues coefficients):
 an overflowing state gives inf or NaN on floats as on arrays, not an
 exception.
 
+The primitives are `_cross`, `_matvec`, `_transpose` and `_skew_vee`.
+`_matvec`, M v, is the one matrix product written out: `_matmul`, A B,
+is `_matvec` of A on each column of B, transposed back to rows, so each
+entry keeps the products and the left-to-right sum of A B written out;
+A B^T is `_matmul(a, _transpose(b))`.
+
 The paper's formulas are kernels that call each other: `_euler` here,
 the error, feedback, control and torque-conversion kernels of
 `control`, the block solve of `dynamics` and the dexp^{-1} series of
-`integrators`.  Each is written as the composition of the primitives
-here (cross products, matrix-vector and matrix-matrix products, the
-transpose), the form the paper's equations take.  The kernels that the
+`integrators`.  Each is written as the composition of the primitives,
+the form the paper's equations take.  The kernels that the
 integrator's vector fields call once per evaluation are replaced at
 import by straight-line code generated from that source
 (`codegen.generate`): the same products in the same order, with no
 Python call per product on the hot path, and bit-equal to the source,
 which each keeps as ``__wrapped__``.  `_mul_expm(r, c, v)` branches on
 the angle, so it stays written out and a call: it scales v by the stage
-scale c, forms the Rodrigues entries Q of expm(c v), then R Q as
-`_matmul` does; `expm(v)` is `_mul_expm` of the identity, c = 1.  Its
-R Q could be traced into the generated step, with only the branching
+scale c, forms the Rodrigues entries Q of expm(c v), then R Q with
+`_matmul`'s products and sums, written out: the call is not generated,
+and R Q through `_matmul` took it from 1.16-1.18 us to 1.84-1.89 us
+(timeit, best of 7 x 200 000, two processes per side on a 2-core
+host), in a call the RK4 step makes 4 times per step of each body.
+`expm(v)` is `_mul_expm` of the identity, c = 1.  Its R Q could be
+traced into the generated step, with only the branching
 Rodrigues coefficients left a call, but measured on a 2-core host that
 split grew the step at width 12 from 61 to 157 lines and doubled the
 in-process `simulate` under tracemalloc (9.0-10.2 s to 20.0-20.4 s)
@@ -52,7 +61,8 @@ with no resolvable change in CPU time (12 alternating pairs), so the
 product stays inside the call.
 
 The connection is written once, as the matrix C(a) of b -> nabla_a b
-(`_conn_matrix`, 45 float operations from the table Gamma); `_conn` is
+(`_conn_matrix`, 45 float operations written out from the table
+Gamma, in its own layout: row 3 i + j is nabla_{e_i} e_j); `_conn` is
 C(a) b, and a caller that needs nabla_a of two vectors forms C(a) once.
 Its diagonal nabla_a a, the Euler term, has the closed form
 I^{-1}(a x (I a)) (`_euler`, 39 operations against 60 through Gamma),
@@ -123,33 +133,10 @@ def _matvec(m, v):
 
 
 def _matmul(a, b):
-    """A B."""
-    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    """A B: `_matvec` of A on each column of B, transposed back to rows."""
     b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
-    return (a0 * b0 + a1 * b3 + a2 * b6,
-            a0 * b1 + a1 * b4 + a2 * b7,
-            a0 * b2 + a1 * b5 + a2 * b8,
-            a3 * b0 + a4 * b3 + a5 * b6,
-            a3 * b1 + a4 * b4 + a5 * b7,
-            a3 * b2 + a4 * b5 + a5 * b8,
-            a6 * b0 + a7 * b3 + a8 * b6,
-            a6 * b1 + a7 * b4 + a8 * b7,
-            a6 * b2 + a7 * b5 + a8 * b8)
-
-
-def _matmul_t(a, b):
-    """A B^T."""
-    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
-    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
-    return (a0 * b0 + a1 * b1 + a2 * b2,
-            a0 * b3 + a1 * b4 + a2 * b5,
-            a0 * b6 + a1 * b7 + a2 * b8,
-            a3 * b0 + a4 * b1 + a5 * b2,
-            a3 * b3 + a4 * b4 + a5 * b5,
-            a3 * b6 + a4 * b7 + a5 * b8,
-            a6 * b0 + a7 * b1 + a8 * b2,
-            a6 * b3 + a7 * b4 + a8 * b5,
-            a6 * b6 + a7 * b7 + a8 * b8)
+    return _transpose(_matvec(a, (b0, b3, b6)) + _matvec(a, (b1, b4, b7))
+                      + _matvec(a, (b2, b5, b8)))
 
 
 def _transpose(m):
@@ -203,7 +190,7 @@ def vee(m):
 def _mul_expm(r, c, v):
     """Entries of R expm(c v), row-major; see `expm`.  The scale c is
     applied to each entry of v first, then the Rodrigues entries Q of
-    expm(c v) are formed, then R Q as `_matmul` forms it."""
+    expm(c v) are formed, then R Q with `_matmul`'s products and sums."""
     v0, v1, v2 = v
     x, y, z = c * v0, c * v1, c * v2
     theta2 = x * x + y * y + z * z

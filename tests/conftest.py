@@ -56,7 +56,7 @@ def _finite(rots, vec):
 
 
 def _snap(r):
-    m = so3._matmul(so3._matmul_t(r, r), r)
+    m = so3._matmul(so3._matmul(r, so3._transpose(r)), r)
     return tuple(1.5 * a - 0.5 * b for a, b in zip(r, m))
 
 

@@ -4,15 +4,18 @@
 
 Each mutant is applied alone to a copy of the repository in a temporary
 directory: the one occurrence of its old text in its module is replaced
-by its new text, and the Tier-1 suite runs there with ``-x``.  A line per
-mutant reports KILLED with the first failing test, or SURVIVED; a
-survivor with a reason is an equivalent (or near-equivalent) mutant,
-which no test can fail.  An entry whose old text no longer occurs exactly
-once in its module reports STALE.  ``--tests`` runs only those test
-files or ids (relative to the repository), for a property that should
-kill a mutant on its own.  The run takes minutes: a killed mutant stops
-at its first failure, a survivor runs the whole suite.  The exit status
-is 1 if any mutant without a reason survived or any entry is stale.
+by its new text, and the Tier-1 suite runs there with ``-x``.  The first
+failing test is then run alone in the same copy with the module's text
+put back: a line per mutant reports KILLED with that test if it passes
+there, BROKEN with it if it fails there too (the test fails whatever the
+mutant, so the kill says nothing), or SURVIVED; a survivor with a reason
+is an equivalent (or near-equivalent) mutant, which no test can fail.
+An entry whose old text no longer occurs exactly once in its module
+reports STALE.  ``--tests`` runs only those test files or ids (relative
+to the repository), for a property that should kill a mutant on its
+own.  The run takes minutes: a killed mutant stops at its first failure,
+a survivor runs the whole suite.  The exit status is 1 if any mutant
+without a reason survived or any entry is stale or broken.
 
 pytest does not collect this file (its name does not start with
 ``test_``).
@@ -55,8 +58,9 @@ MUTANTS = [
     ("matvec sum re-associated", "so3",
      "return (m0 * v0 + m1 * v1 + m2 * v2,",
      "return (m0 * v0 + (m1 * v1 + m2 * v2),", None),
-    ("matmul sum re-associated", "so3",
-     "a0 * b1 + a1 * b4 + a2 * b7,", "a0 * b1 + (a1 * b4 + a2 * b7),", None),
+    ("matmul's columns left transposed", "so3",
+     "return _transpose(_matvec(a, (b0, b3, b6))",
+     "return (_matvec(a, (b0, b3, b6))", None),
     ("mul_expm Q R for R Q", "so3",
      "    return (r0 * q0 + r1 * q3 + r2 * q6,",
      "    (r0, r1, r2, r3, r4, r5, r6, r7, r8), (q0, q1, q2, q3, q4, q5, q6,\n"
@@ -73,7 +77,8 @@ MUTANTS = [
      "return tuple(1.5 * a - 0.5 * b for a, b in zip(r, m))",
      "return tuple(1.4 * a - 0.5 * b for a, b in zip(r, m))", None),
     ("snap's Gram matrix r r for r r^T", "integrators",
-     "m = _matmul(_matmul_t(r, r), r)", "m = _matmul(_matmul(r, r), r)",
+     "m = _matmul(_matmul(r, _transpose(r)), r)",
+     "m = _matmul(_matmul(r, r), r)",
      None),
     ("dexpinv without its 1/12 term", "integrators",
      "return tuple(bj + 0.5 * xj + yj / 12.0",
@@ -118,6 +123,8 @@ MUTANTS = [
      "zip(_matvec(locked, omega), k,\n                                                omega)",
      None),
     # control
+    ("error rotation R^T R_d for R_d R^T", "control",
+     "_matmul(r_d, _transpose(r))", "_matmul(_transpose(r), r_d)", None),
     ("feed-forward's x dropped", "control",
      "u = tuple(a + w + n + f for a, w, n, f in zip(",
      "u = tuple(a + n + f for a, w, n, f in zip(", None),
@@ -223,31 +230,48 @@ def stale(module_text, old):
 
 
 def first_failure(output):
-    """The first FAILED or ERROR id of pytest's short summary, or None."""
-    match = re.search(r"^(?:FAILED|ERROR) (\S+)", output, re.MULTILINE)
+    """The first FAILED or ERROR id of pytest's short summary, or None.
+    A parametrized id may hold spaces; the summary ends it at " - "."""
+    match = re.search(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", output,
+                      re.MULTILINE)
     return match and match.group(1)
 
 
+def _pytest(copy, tests):
+    """Tier-1, or only ``tests``, in the copy ``copy``, stopping at the
+    first failure; no bytecode is written, so an edit of a module counts
+    at the next run."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p",
+         "no:cacheprovider", "--continue-on-collection-errors", *tests],
+        cwd=copy, env=env, capture_output=True, text=True)
+
+
 def run_mutant(module, old, new, tests):
-    """(status, first failing test, seconds) of Tier-1 on a mutated copy."""
+    """(status, first failing test, seconds) of Tier-1 on a mutated copy.
+    A kill counts only if its test passes once the module's text is put
+    back in the copy, where hypothesis replays the example that failed;
+    else the status is BROKEN."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(REPO, copy, ignore=_IGNORE)
         path = copy / "src" / "gyrotrack" / f"{module}.py"
-        path.write_text(path.read_text().replace(old, new))
-        env = dict(os.environ, PYTHONPATH=str(copy / "src"),
-                   PYTHONDONTWRITEBYTECODE="1")
+        text = path.read_text()
+        path.write_text(text.replace(old, new))
         began = time.monotonic()
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p",
-             "no:cacheprovider", "--continue-on-collection-errors", *tests],
-            cwd=copy, env=env, capture_output=True, text=True)
+        proc = _pytest(copy, tests)
         seconds = time.monotonic() - began
-    if proc.returncode == 0:
-        return "SURVIVED", None, seconds
-    if proc.returncode == 1:
-        return "KILLED", first_failure(proc.stdout), seconds
-    return f"ERROR (pytest exit {proc.returncode})", None, seconds
+        if proc.returncode == 0:
+            return "SURVIVED", None, seconds
+        if proc.returncode != 1:
+            return f"ERROR (pytest exit {proc.returncode})", None, seconds
+        test = first_failure(proc.stdout)
+        path.write_text(text)
+        if _pytest(copy, [test] if test else tests).returncode != 0:
+            return "BROKEN", test, seconds
+        return "KILLED", test, seconds
 
 
 def main(argv=None):
@@ -271,7 +295,8 @@ def main(argv=None):
             status, test, seconds = "STALE", None, 0.0
         else:
             status, test, seconds = run_mutant(module, old, new, args.tests)
-        failed |= status == "STALE" or (status == "SURVIVED" and not reason)
+        failed |= status in ("STALE", "BROKEN") or (status == "SURVIVED"
+                                                    and not reason)
         note = test or (f"equivalent: {reason}" if reason
                         and status == "SURVIVED" else "")
         print(f"{status:9} {seconds:6.1f} s  {module}: {name}"

@@ -879,6 +879,20 @@ class TestCompare:
         assert main(["compare", str(cfg),
                      "-o", str(tmp_path / "no" / "such" / "dir")]) == 1
 
+    def test_dangling_symlink_output_writes_through_the_link(self, tmp_path):
+        # the link names a directory that does not exist yet: compare
+        # creates it after the run and writes the plain run's bytes there
+        cfg = write_short_config(tmp_path, duration="0.2")
+        (tmp_path / "outdir").symlink_to("missing_dir")
+        assert main(["compare", str(cfg), "-o", str(tmp_path / "outdir")]) == 0
+        assert main(["compare", str(cfg), "-o", str(tmp_path / "plain")]) == 0
+        names = ["effort_baseline.csv", "effort_proposed.csv", "summary.json"]
+        target = tmp_path / "missing_dir"
+        assert sorted(p.name for p in target.iterdir()) == names
+        for name in names:
+            assert (target / name).read_bytes() == (
+                tmp_path / "plain" / name).read_bytes()
+
     def test_divergence_exit_2_leaves_no_directory(self, tmp_path):
         cfg = write_short_config(
             tmp_path, duration="50",

@@ -8,7 +8,9 @@ numbers.  The final states of short benchmark runs are pinned to values
 recorded before the stepper moved onto floats.
 """
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -152,7 +154,8 @@ KERNELS = {
     "matvec_t": (lambda m, v: so3._matvec(_transpose(m), v),
                  ((3, 3), (3,))),
     "matmul": (so3._matmul, ((3, 3), (3, 3))),
-    "matmul_t": (so3._matmul_t, ((3, 3), (3, 3))),
+    "matmul_t": (lambda a, b: so3._matmul(a, _transpose(b)),
+                 ((3, 3), (3, 3))),
     "skew_vee": (so3._skew_vee, ((3, 3),)),
     "conn": (lambda a, b: so3._conn(_CONSTANTS["gamma"], a, b),
              ((3,), (3,))),
@@ -245,9 +248,49 @@ def test_dpsi_equals_skew_part_of_full_product(p, e):
 @given(r=arrays(np.float64, (3, 3), elements=st.floats(-3.0, 3.0)))
 def test_snap_so3_equals_full_gram_step(r):
     r = r.ravel().tolist()
-    m = so3._matmul(so3._matmul_t(r, r), r)
+    m = so3._matmul(so3._matmul(r, _transpose(r)), r)
     assert integrators._snap_so3(r) == tuple(
         1.5 * a - 0.5 * b for a, b in zip(r, m))
+
+
+# `_matmul` is `_matvec` on each column of B, so each entry of A B, and
+# of A B^T through `_transpose`, is still the left-to-right sum of its
+# three products: bit for bit, with signed zeros, infinities and NaN
+# (``sum`` would start from 0 and turn a -0.0 sum into 0.0).  A NaN
+# compares as any NaN: which of two NaN operands a float ``+`` passes
+# on, and so its sign, changes once CPython specializes the addition
+# after warm-up, so it is not a property of the formula.
+
+_SPECIAL = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.floats(-3.0, 3.0))
+
+
+def _left_to_right(a, b, at):
+    """Row-major entries sum_k a[3 i + k] b[at(k, j)], summed in order."""
+    return [functools.reduce(operator.add, (a[3 * i + k] * b[at(k, j)]
+                                            for k in range(3)))
+            for i in range(3) for j in range(3)]
+
+
+def _bits(entries):
+    x = np.array(entries, dtype=np.float64)
+    return np.where(np.isnan(x), math.nan, x).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.one_of(st.none(), st.integers(1, 4)), data=st.data())
+def test_matmul_equals_left_to_right_sums(n, data):
+    # n None: one sample on floats; else (n,) columns of an (n, 3, 3) stack
+    shape = (3, 3) if n is None else (n, 3, 3)
+    a, b = (so3.components(data.draw(arrays(np.float64, shape,
+                                            elements=_SPECIAL)), 2)
+            for _ in range(2))
+    with np.errstate(invalid="ignore"):
+        assert _bits(so3._matmul(a, b)) == _bits(
+            _left_to_right(a, b, lambda k, j: 3 * k + j))
+        assert _bits(so3._matmul(a, _transpose(b))) == _bits(
+            _left_to_right(a, b, lambda k, j: 3 * j + k))
 
 
 # The paper-level kernels, generated as straight-line code where a vector
@@ -277,7 +320,8 @@ def _diff(a, b):
 
 
 def _composed_error(r, omega, r_d, omega_d):
-    return so3._matmul_t(r_d, r), so3._matvec(r, _diff(omega_d, omega))
+    return (so3._matmul(r_d, _transpose(r)),
+            so3._matvec(r, _diff(omega_d, omega)))
 
 
 def _composed_feedback(metric, p, gains, e, eta, xi):
