@@ -27,8 +27,9 @@ writer or reference body process) or MemoryError (a ``compare`` whose
 effort columns, 4 floats a sample, do not fit in memory, raised before
 either run starts).  A usage error, a bad ``--entries`` among them,
 exits 1 after argparse prints it.  An output file whose directory is
-missing (or, for a symlink, that of the file it names), or which is
-itself a directory, fails once the input has loaded, before anything is
+missing (or, for a symlink, that of the file it names), which is
+itself a directory, or which names the command's input or another of
+its outputs, fails once the input has loaded, before anything is
 integrated or written; ``compare`` creates its output directory (for
 a dangling symlink, the directory it names) only after the run.
 
@@ -74,15 +75,19 @@ _PLANT_COLOR = "#1f77b4"       # controlled trajectory in blue
 
 
 
-def _check_outputs(*paths):
+def _check_outputs(source, *paths):
     """The file each output path names (for a symlink, its target).
 
     Raises OSError unless each path's parent directory exists (for a
     symlink, also that of the file it names) and the path is neither a
     directory nor a symlink loop, which `os.stat` reports naming the
-    path, and unless no two paths name one file (one resolved target,
-    or for existing files `os.path.samefile`), naming both."""
-    targets = []
+    path, and unless no path names the command's input ``source`` and no
+    two paths name one file (one resolved target, or for existing files
+    `os.path.samefile`), naming both."""
+    def same(a, b):
+        return a == b or (a.exists() and b.exists() and a.samefile(b))
+
+    source_file, targets = Path(source).resolve(), []
     for path in map(Path, paths):
         # a loop, which `Path.resolve` raises as RuntimeError before
         # Python 3.13 and from 3.13 on leaves unresolved
@@ -95,9 +100,10 @@ def _check_outputs(*paths):
                     f"parent directory {parent} does not exist")
         if path.is_dir():
             raise IsADirectoryError(f"output {path} is a directory")
+        if same(source_file, target):
+            raise OSError(f"input {source} and output {path} name one file")
         for other, seen in zip(paths, targets):
-            if seen == target or (seen.exists() and target.exists()
-                                  and seen.samefile(target)):
+            if same(seen, target):
                 raise OSError(f"outputs {other} and {path} name one file")
         targets.append(target)
     return targets
@@ -229,7 +235,7 @@ def cmd_simulate(config_path, out_path):
     cfg = load_config(config_path)
     out = Path(out_path)
     meta = out.with_suffix(".meta.json")
-    _run_with_writer(cfg, _check_outputs(out, meta))
+    _run_with_writer(cfg, _check_outputs(config_path, out, meta))
     print(f"wrote {out} ({cfg.integrator.n_steps + 1} rows) and {meta}")
     return 0
 
@@ -277,11 +283,11 @@ def cmd_compare(config_path, out_dir):
     out = target = Path(out_dir)
     efforts = [out / f"effort_{name}.csv" for name in ("proposed", "baseline")]
     if out.is_dir():
-        _check_outputs(*efforts, out / "summary.json")
+        _check_outputs(config_path, *efforts, out / "summary.json")
     elif out.exists():
         raise NotADirectoryError(f"output {out} is not a directory")
     else:
-        target, = _check_outputs(out)   # for a symlink, the file it names
+        target, = _check_outputs(config_path, out)   # a symlink's target
     cmp_result = compare_efforts(cfg)
     target.mkdir(exist_ok=True)   # only once the run has succeeded
 
@@ -340,7 +346,7 @@ def cmd_plot(csv_path, out_svg, entries=(11, 12, 21, 22)):
     out = Path(out_svg)
     psi_out = out.with_name(out.stem + "_psi" + out.suffix)
     effort_out = out.with_name(out.stem + "_effort" + out.suffix)
-    _check_outputs(out, psi_out, effort_out)
+    _check_outputs(csv_path, out, psi_out, effort_out)
     write_svg(out, panels)
 
     write_svg(psi_out, [Panel(title="navigation error", xlabel="t [s]",

@@ -240,7 +240,8 @@ def generate(kernel, *specs, calls=(), **given):
     return functools.update_wrapper(fn, kernel)
 
 
-def kernel(*specs):
+def kernel(*specs, calls=()):
     """Decorator: the function below replaced by its `generate`d form
-    for arguments of ``specs``."""
-    return lambda fn: generate(fn, *specs)
+    for arguments of ``specs``, with the module functions of ``calls``
+    left as calls."""
+    return lambda fn: generate(fn, *specs, calls=calls)

@@ -407,8 +407,11 @@ def _plant_loop(cfg, actuation):
     the control's feed-forward.  Under external actuation the carrier
     body is torqued directly, u_int is zero and the plant's Theta and
     OmegaR slots stay zero.  On components (see `integrators`): floats in
-    the stepper, columns in the post-pass.
+    the stepper, columns in the post-pass.  Any other actuation raises
+    ValueError.
     """
+    if actuation not in ("internal", "external"):
+        raise ValueError("actuation must be 'internal' or 'external'")
     plant = cfg.plant.params
     plant_c = kernel_constants(plant)
     gains = cfg.gains
@@ -453,10 +456,10 @@ def closed_loop_blocks(cfg, actuation="internal"):
     `checked`, so a run diverges at the first non-finite sample of either
     half, and a body that diverged runs on inf or NaN until then.  A
     caller that leaves early closes the generator (`contextlib.closing`),
-    which reaps the child.
+    which reaps the child.  An actuation other than these two raises
+    ValueError before the child starts.
     """
-    if actuation not in ("internal", "external"):
-        raise ValueError("actuation must be 'internal' or 'external'")
+    loop = _plant_loop(cfg, actuation)
     cfg = resolve_reference(cfg)
     plant = cfg.plant
     theta0, omega_r0 = (plant.Theta0, plant.OmegaR0) \
@@ -476,7 +479,6 @@ def closed_loop_blocks(cfg, actuation="internal"):
 
     with child(lambda: _stream_reference(cfg), child_reads=False,
                what="reference body") as messages:
-        loop = _plant_loop(cfg, actuation)
         for start, block in _blocks(field, (plant.R0, vec0), cfg.integrator):
             rows = np.concatenate([block, np.concatenate(ref_rows)], axis=1)
             ref_rows.clear()

@@ -26,7 +26,7 @@ adapters: the public functions (``cross3``, ``skew_vee``,
 ``from_components``.  Python floats raise where numpy returns inf or NaN
 (``**`` overflow, division by zero, ``math.sin(inf)``), so the kernels
 use no ``**`` and divide by a state-derived value only behind a branch
-that keeps it away from zero and from inf (the Rodrigues coefficients):
+that keeps it away from zero and from inf (`_expm_coeffs`):
 an overflowing state gives inf or NaN on floats as on arrays, not an
 exception.
 
@@ -36,43 +36,38 @@ is `_matvec` of A on each column of B, transposed back to rows, so each
 entry keeps the products and the left-to-right sum of A B written out;
 A B^T is `_matmul(a, _transpose(b))`.
 
-The paper's formulas are kernels that call each other: `_euler` here,
-the error, feedback, control and torque-conversion kernels of
-`control`, the block solve of `dynamics` and the dexp^{-1} series of
-`integrators`.  Each is written as the composition of the primitives,
-the form the paper's equations take.  The kernels that the
-integrator's vector fields call once per evaluation are replaced at
-import by straight-line code generated from that source
-(`codegen.generate`): the same products in the same order, with no
-Python call per product on the hot path, and bit-equal to the source,
-which each keeps as ``__wrapped__``.  `_mul_expm(r, c, v)` branches on
-the angle, so it stays written out and a call: it scales v by the stage
-scale c, forms the Rodrigues entries Q of expm(c v), then R Q with
-`_matmul`'s products and sums, written out: the call is not generated,
-and R Q through `_matmul` took it from 1.16-1.18 us to 1.84-1.89 us
-(timeit, best of 7 x 200 000, two processes per side on a 2-core
-host), in a call the RK4 step makes 4 times per step of each body.
-`expm(v)` is `_mul_expm` of the identity, c = 1.  Its R Q could be
-traced into the generated step, with only the branching
-Rodrigues coefficients left a call, but measured on a 2-core host that
-split grew the step at width 12 from 61 to 157 lines and doubled the
-in-process `simulate` under tracemalloc (9.0-10.2 s to 20.0-20.4 s)
-with no resolvable change in CPU time (12 alternating pairs), so the
-product stays inside the call.
+The paper's formulas are kernels that call each other: `_euler` and
+`_mul_expm` here, the error, feedback, control and torque-conversion
+kernels of `control`, the block solve of `dynamics` and the dexp^{-1}
+series of `integrators`.  Each is written as the composition of the
+primitives, the form the paper's equations take.  The kernels that the
+integrator's vector fields and steps call are replaced at import by
+straight-line code generated from that source (`codegen.generate`):
+the same products in the same order, with no Python call per product
+on the hot path, and bit-equal to the source, which each keeps as
+``__wrapped__``.  `_mul_expm(r, c, v)`, the exponential update
+R expm(c v), scales v by the stage scale c, forms the Rodrigues entries
+Q of expm(c v), then R Q with `_matmul`.  Its one branch, on the angle,
+is `_expm_coeffs`, which picks the coefficients a and b from theta^2 on
+floats and stays a call in the generated `_mul_expm`; the generated
+step calls `_mul_expm` in turn.  `expm(v)` is `_mul_expm` of the
+identity, c = 1.
 
 The connection is written once, as the matrix C(a) of b -> nabla_a b
-(`_conn_matrix`, 45 float operations written out from the table
-Gamma, in its own layout: row 3 i + j is nabla_{e_i} e_j); `_conn` is
-C(a) b, and a caller that needs nabla_a of two vectors forms C(a) once.
-Its diagonal nabla_a a, the Euler term, has the closed form
-I^{-1}(a x (I a)) (`_euler`, 39 operations against 60 through Gamma),
-which needs only `metric_inverse`, not the table.
+(`_conn_matrix`), from the table Gamma in its own layout: row 3 i + j
+is nabla_{e_i} e_j, so row k of C(a) is `_matvec` of a 3x3 matrix of
+Gamma's k-th components on a.  nabla_a b is C(a) b, and a caller that
+needs nabla_a of two vectors forms C(a) once.  Its diagonal nabla_a a,
+the Euler term, has the closed form I^{-1}(a x (I a)) (`_euler`, 39
+operations against 60 through Gamma), which needs only
+`metric_inverse`, not the table.
 """
 
 import math
 
 import numpy as np
 
+from .codegen import kernel
 from .errors import NotSkewError, SingularMetricError
 
 _SMALL_ANGLE = 1e-8
@@ -187,38 +182,35 @@ def vee(m):
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
+def _expm_coeffs(theta2):
+    """The Rodrigues coefficients (a, b) = (sin t / t, (1 - cos t) / t^2)
+    of the angle t = sqrt(theta2): the exponential's one branch, a
+    two-term Taylor series below t = 1e-8 and NaN for an infinite or NaN
+    angle."""
+    theta = math.sqrt(theta2)
+    if theta < _SMALL_ANGLE:
+        return 1.0 - theta2 / 6.0, 0.5 - theta2 / 24.0
+    if theta < math.inf:
+        return math.sin(theta) / theta, (1.0 - math.cos(theta)) / theta2
+    return math.nan, math.nan
+
+
+@kernel(9, None, 3, calls={"_expm_coeffs": 2})
 def _mul_expm(r, c, v):
     """Entries of R expm(c v), row-major; see `expm`.  The scale c is
     applied to each entry of v first, then the Rodrigues entries Q of
-    expm(c v) are formed, then R Q with `_matmul`'s products and sums."""
+    expm(c v) are formed from `_expm_coeffs`, then R Q."""
     v0, v1, v2 = v
     x, y, z = c * v0, c * v1, c * v2
     theta2 = x * x + y * y + z * z
-    theta = math.sqrt(theta2)
-    if theta < _SMALL_ANGLE:
-        a = 1.0 - theta2 / 6.0
-        b = 0.5 - theta2 / 24.0
-    elif theta < math.inf:
-        a = math.sin(theta) / theta
-        b = (1.0 - math.cos(theta)) / theta2
-    else:
-        a = b = math.nan
+    a, b = _expm_coeffs(theta2)
     d = 1.0 - b * theta2
     ax, ay, az = a * x, a * y, a * z
     bxy, byz, bxz = b * x * y, b * y * z, b * x * z
-    q0, q1, q2 = d + b * x * x, bxy - az, bxz + ay
-    q3, q4, q5 = bxy + az, d + b * y * y, byz - ax
-    q6, q7, q8 = bxz - ay, byz + ax, d + b * z * z
-    r0, r1, r2, r3, r4, r5, r6, r7, r8 = r
-    return (r0 * q0 + r1 * q3 + r2 * q6,
-            r0 * q1 + r1 * q4 + r2 * q7,
-            r0 * q2 + r1 * q5 + r2 * q8,
-            r3 * q0 + r4 * q3 + r5 * q6,
-            r3 * q1 + r4 * q4 + r5 * q7,
-            r3 * q2 + r4 * q5 + r5 * q8,
-            r6 * q0 + r7 * q3 + r8 * q6,
-            r6 * q1 + r7 * q4 + r8 * q7,
-            r6 * q2 + r7 * q5 + r8 * q8)
+    q = (d + b * x * x, bxy - az, bxz + ay,
+         bxy + az, d + b * y * y, byz - ax,
+         bxz - ay, byz + ax, d + b * z * z)
+    return _matmul(r, q)
 
 
 def expm(v):
@@ -296,7 +288,7 @@ def metric_constants(i_metric):
     nabla_a a = -I^{-1}((I a) x a), the Euler term (`_euler`).  The
     formula is bilinear, so it is evaluated once on the basis pairs: row
     3 i + j of the (9, 3) table Gamma is nabla_{e_i} e_j.  `_conn_matrix`
-    contracts it with a, `_conn` extends it to any a, b.
+    contracts it with a, and applied to b that matrix gives nabla_a b.
 
     Raises:
         SingularMetricError: if ``i_metric`` is not invertible.
@@ -330,26 +322,11 @@ def spd_eigenvalues(m, name):
 
 def _conn_matrix(gamma, a):
     """Row-major entries of the matrix of b -> nabla_a b, from the
-    components of a `metric_constants` table Gamma: entry (k, j) is
-    sum_i a_i Gamma[3 i + j, k].  One matrix serves every b."""
-    (x00, y00, z00, x01, y01, z01, x02, y02, z02,
-     x10, y10, z10, x11, y11, z11, x12, y12, z12,
-     x20, y20, z20, x21, y21, z21, x22, y22, z22) = gamma
-    a0, a1, a2 = a
-    return (a0 * x00 + a1 * x10 + a2 * x20,
-            a0 * x01 + a1 * x11 + a2 * x21,
-            a0 * x02 + a1 * x12 + a2 * x22,
-            a0 * y00 + a1 * y10 + a2 * y20,
-            a0 * y01 + a1 * y11 + a2 * y21,
-            a0 * y02 + a1 * y12 + a2 * y22,
-            a0 * z00 + a1 * z10 + a2 * z20,
-            a0 * z01 + a1 * z11 + a2 * z21,
-            a0 * z02 + a1 * z12 + a2 * z22)
-
-
-def _conn(gamma, a, b):
-    """nabla_a b from the components of a `metric_constants` table Gamma."""
-    return _matvec(_conn_matrix(gamma, a), b)
+    components of a `metric_constants` table Gamma: row k is the
+    transpose of the 3x3 matrix of the entries Gamma[3 i + j, k] applied
+    to a, so entry (k, j) is sum_i Gamma[3 i + j, k] a_i.  One matrix
+    serves every b."""
+    return sum((_matvec(_transpose(gamma[k::3]), a) for k in range(3)), ())
 
 
 def _euler(i_metric, i_inv, a):
@@ -367,8 +344,8 @@ def connection_term(i_metric, a, b):
     Raises:
         SingularMetricError: if ``i_metric`` is not invertible.
     """
-    return from_components(_conn(metric_constants(i_metric)[2],
-                                 components(a), components(b)))
+    c_a = _conn_matrix(metric_constants(i_metric)[2], components(a))
+    return from_components(_matvec(c_a, components(b)))
 
 
 def geodesic_distance(r1, r2):

@@ -38,20 +38,9 @@ REPO = Path(__file__).resolve().parent.parent
 MUTANTS = [
     # so3
     ("conn_matrix transposed", "so3",
-     """    return (a0 * x00 + a1 * x10 + a2 * x20,
-            a0 * x01 + a1 * x11 + a2 * x21,
-            a0 * x02 + a1 * x12 + a2 * x22,
-            a0 * y00 + a1 * y10 + a2 * y20,
-            a0 * y01 + a1 * y11 + a2 * y21,
-            a0 * y02 + a1 * y12 + a2 * y22,
-            a0 * z00 + a1 * z10 + a2 * z20,""",
-     """    return (a0 * x00 + a1 * x10 + a2 * x20,
-            a0 * y00 + a1 * y10 + a2 * y20,
-            a0 * z00 + a1 * z10 + a2 * z20,
-            a0 * x01 + a1 * x11 + a2 * x21,
-            a0 * y01 + a1 * y11 + a2 * y21,
-            a0 * z01 + a1 * z11 + a2 * z21,
-            a0 * x02 + a1 * x12 + a2 * x22,""", None),
+     "    return sum((_matvec(_transpose(gamma[k::3]), a) for k in range(3)), ())",
+     "    return _transpose(sum((_matvec(_transpose(gamma[k::3]), a)\n"
+     "                           for k in range(3)), ()))", None),
     ("euler term's sign", "so3",
      "_cross(a, _matvec(i_metric, a))", "_cross(_matvec(i_metric, a), a)",
      None),
@@ -62,16 +51,17 @@ MUTANTS = [
      "return _transpose(_matvec(a, (b0, b3, b6))",
      "return (_matvec(a, (b0, b3, b6))", None),
     ("mul_expm Q R for R Q", "so3",
-     "    return (r0 * q0 + r1 * q3 + r2 * q6,",
-     "    (r0, r1, r2, r3, r4, r5, r6, r7, r8), (q0, q1, q2, q3, q4, q5, q6,\n"
-     "        q7, q8) = (q0, q1, q2, q3, q4, q5, q6, q7, q8), r\n"
-     "    return (r0 * q0 + r1 * q3 + r2 * q6,", None),
+     "return _matmul(r, q)", "return _matmul(q, r)", None),
     ("mul_expm theta^2 from c^2 (v . v)", "so3",
      "theta2 = x * x + y * y + z * z",
      "theta2 = c * c * (v0 * v0 + v1 * v1 + v2 * v2)", None),
     ("mul_expm product re-associated", "so3",
-     "q0, q1, q2 = d + b * x * x, bxy - az, bxz + ay",
-     "q0, q1, q2 = d + b * (x * x), bxy - az, bxz + ay", None),
+     "q = (d + b * x * x, bxy - az, bxz + ay,",
+     "q = (d + b * (x * x), bxy - az, bxz + ay,", None),
+    ("expm_coeffs small-angle b's sign", "so3",
+     "0.5 - theta2 / 24.0", "0.5 + theta2 / 24.0",
+     "below the angle 1e-8, theta2 / 24 < 4.2e-18 is under half an "
+     "ulp of 0.5, so b rounds to 0.5 either way"),
     # integrators
     ("snap coefficient 1.5 -> 1.4", "integrators",
      "return tuple(1.5 * a - 0.5 * b for a, b in zip(r, m))",

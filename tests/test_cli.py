@@ -768,6 +768,41 @@ def test_two_outputs_naming_one_file_exit_1_before_running(
     assert_no_child()
 
 
+@pytest.mark.parametrize("link", ["same path", "symlink", "hard link"])
+@pytest.mark.parametrize("command", ["simulate", "plot", "compare"])
+def test_output_naming_the_input_exit_1_before_running(
+        command, link, tmp_path, monkeypatch, capfd):
+    # an output that names the command's input (the input's own path, or
+    # a link to it) would overwrite what the command read: one error line
+    # naming both, the input's bytes kept, and nothing runs or is created
+    monkeypatch.setattr(cli, "closed_loop_blocks", never_integrate)
+    monkeypatch.setattr(cli, "compare_efforts", never_integrate)
+    source = write_telemetry(tmp_path / "in.csv", PINNED_ROWS) \
+        if command == "plot" else write_short_config(tmp_path)
+    out = tmp_path / {"simulate": "a.csv", "compare": "cmp",
+                      "plot": "p.svg"}[command]
+    alias = {"simulate": tmp_path / "a.meta.json",
+             "compare": out / "summary.json",
+             "plot": tmp_path / "p_psi.svg"}[command]
+    alias.parent.mkdir(exist_ok=True)
+    if link == "same path" and command == "compare":
+        source = source.rename(alias)
+    elif link == "same path":
+        out = alias = source
+    elif link == "symlink":
+        alias.symlink_to(source)
+    else:
+        alias.hardlink_to(source)
+    data, before = source.read_bytes(), sorted(tmp_path.rglob("*"))
+    assert main([command, str(source), "-o", str(out)]) == 1
+    out_text, err = capfd.readouterr()
+    assert out_text == ""
+    assert err == f"error: input {source} and output {alias} name one file\n"
+    assert source.read_bytes() == data
+    assert sorted(tmp_path.rglob("*")) == before
+    assert_no_child()
+
+
 class TestTuneGains:
     def test_benchmark_verdict(self, capsys):
         assert main(["tune-gains", str(ZERO_CFG)]) == 0

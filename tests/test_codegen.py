@@ -4,7 +4,8 @@
 straight-line function.  It must give its source's bits on Python floats
 and on numpy columns, including signed zeros, infinities and NaNs, raise
 where its source raises, and make its opaque calls (the vector field and
-`so3._mul_expm` in the step) with the same arguments in the same order.
+`so3._mul_expm` in the step, `so3._expm_coeffs` in `_mul_expm`) with the
+same arguments in the same order.
 """
 
 import math
@@ -64,13 +65,9 @@ def _same_float(a, b):
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
-@pytest.mark.parametrize("name", sorted(KERNELS))
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_generated_kernel_equals_its_source_on_floats(name, data):
-    kernel, const_specs, sample_specs = KERNELS[name]
-    args = [_value(spec, lambda: data.draw(_FLOAT))
-            for spec in const_specs + sample_specs]
+def _check_floats(kernel, args):
+    """The generated ``kernel`` on float ``args`` raises what its source
+    raises, or returns its source's bits."""
     got, want = _outcome(kernel, args), _outcome(kernel.__wrapped__, args)
     if isinstance(want, type):
         assert got is want
@@ -80,6 +77,33 @@ def test_generated_kernel_equals_its_source_on_floats(name, data):
     assert len(got) == len(want)
     assert all(type(a) is float and _same_float(a, b)
                for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_generated_kernel_equals_its_source_on_floats(name, data):
+    kernel, const_specs, sample_specs = KERNELS[name]
+    _check_floats(kernel, [_value(spec, lambda: data.draw(_FLOAT))
+                           for spec in const_specs + sample_specs])
+
+
+# angles at the branch points of `so3._expm_coeffs`: zero, a few ulps
+# either side of the small-angle bound 1e-8, inf and NaN
+_ANGLE = st.one_of(_SPECIAL, st.integers(-4, 4).map(
+    lambda k: 1e-8 + k * math.ulp(1e-8)), st.floats(0.0, 4.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), theta=_ANGLE, axis=st.integers(0, 2),
+       c=st.one_of(st.sampled_from([1.0, -1.0]), _FLOAT))
+def test_generated_mul_expm_equals_its_source_on_floats(data, theta, axis,
+                                                        c):
+    # floats only: its branch, `so3._expm_coeffs`, is a float function
+    r = [data.draw(_FLOAT) for _ in range(9)]
+    v = [data.draw(st.sampled_from([0.0, -0.0])) for _ in range(3)]
+    v[axis] = theta
+    _check_floats(so3._mul_expm, (r, c, v))
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))

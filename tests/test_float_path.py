@@ -147,6 +147,11 @@ def _transpose(m):
     return tuple(m[3 * j + i] for i in range(3) for j in range(3))
 
 
+def _conn(gamma, a, b):
+    """nabla_a b, as `so3.connection_term` forms it from Gamma."""
+    return so3._matvec(so3._conn_matrix(gamma, a), b)
+
+
 # name -> (kernel, per-sample shapes of its arguments)
 KERNELS = {
     "cross": (so3._cross, ((3,), (3,))),
@@ -157,7 +162,7 @@ KERNELS = {
     "matmul_t": (lambda a, b: so3._matmul(a, _transpose(b)),
                  ((3, 3), (3, 3))),
     "skew_vee": (so3._skew_vee, ((3, 3),)),
-    "conn": (lambda a, b: so3._conn(_CONSTANTS["gamma"], a, b),
+    "conn": (lambda a, b: _conn(_CONSTANTS["gamma"], a, b),
              ((3,), (3,))),
     "conn_matrix": (lambda a: so3._conn_matrix(_CONSTANTS["gamma"], a),
                     ((3,),)),
@@ -291,6 +296,22 @@ def test_matmul_equals_left_to_right_sums(n, data):
             _left_to_right(a, b, lambda k, j: 3 * k + j))
         assert _bits(so3._matmul(a, _transpose(b))) == _bits(
             _left_to_right(a, b, lambda k, j: 3 * j + k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=arrays(np.float64, (3, 3), elements=st.floats(-2.0, 2.0)),
+       n=st.one_of(st.none(), st.integers(1, 4)), data=st.data())
+def test_conn_matrix_equals_left_to_right_sums(m, n, data):
+    # entry (k, j) of C(a) is sum_i a_i Gamma[3 i + j][k], summed in order,
+    # for a table Gamma of an SPD metric, which is finite; n as above
+    _, _, gamma = so3.metric_constants(_spd(m))
+    a = so3.components(data.draw(arrays(
+        np.float64, (3,) if n is None else (n, 3), elements=_SPECIAL)))
+    with np.errstate(invalid="ignore"):
+        assert _bits(so3._conn_matrix(gamma, a)) == _bits(
+            [functools.reduce(operator.add, (a[i] * gamma[3 * (3 * i + j) + k]
+                                             for i in range(3)))
+             for k in range(3) for j in range(3)])
 
 
 # The paper-level kernels, generated as straight-line code where a vector
@@ -536,7 +557,7 @@ def _contract27(gamma, a, b):
 def test_conn_matches_27_term_contraction(m, a, b):
     _, _, gamma = so3.metric_constants(_spd(m))
     a, b = a.tolist(), b.tolist()
-    assert _close(so3._conn(gamma, a, b), _contract27(gamma, a, b),
+    assert _close(_conn(gamma, a, b), _contract27(gamma, a, b),
                   gamma, a, b)
 
 
@@ -545,5 +566,5 @@ def test_conn_matches_27_term_contraction(m, a, b):
 def test_euler_is_diagonal_of_connection(m, a):
     i, i_inv, gamma = so3.metric_constants(_spd(m))
     a = a.tolist()
-    assert _close(so3._euler(i, i_inv, a), so3._conn(gamma, a, a),
+    assert _close(so3._euler(i, i_inv, a), _conn(gamma, a, a),
                   gamma, a, a)

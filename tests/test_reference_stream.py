@@ -95,6 +95,20 @@ def test_divergence_is_the_first_non_finite_sample(case, path):
     assert_no_child()
 
 
+def test_unknown_actuation_raises_before_any_child(path):
+    # each entry point raises ValueError for an actuation other than
+    # "internal" and "external", before a reference body starts, rather
+    # than reading it as "external"
+    cfg = scenario.benchmark_config("zero", duration=0.01)
+    blocks = list(scenario.closed_loop_blocks(cfg))
+    for run in (lambda: next(scenario.closed_loop_blocks(cfg, "bogus")),
+                lambda: scenario.run_closed_loop(cfg, "bogus"),
+                lambda: next(scenario.block_records(cfg, blocks, "bogus"))):
+        with pytest.raises(ValueError, match="actuation must be"):
+            run()
+        assert_no_child()
+
+
 @pytest.mark.parametrize("program", scenario.PROGRAM_KINDS)
 @pytest.mark.parametrize("actuation", ["internal", "external"])
 def test_forked_and_in_process_runs_are_identical(program, actuation,
